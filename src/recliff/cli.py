@@ -1,8 +1,8 @@
 """Command-line front end: compile, verify, generate, stats, compare.
 
 Exit codes: 0 success (verify: equivalent), 1 verify found the circuits
-inequivalent, 2 parse error, 3 compilation error, 4 verification failure.
-Paths may be ``-`` for stdin/stdout.
+inequivalent, 2 parse error, 3 compilation error or qubit limit exceeded,
+4 verification failure.  Paths may be ``-`` for stdin/stdout.
 """
 
 from __future__ import annotations
@@ -39,6 +39,15 @@ EXIT_PARSE = 2
 EXIT_COMPILE = 3
 EXIT_VERIFY = 4
 
+#: A tableau holds 4n^2 bits, n^2/2 bytes: 0.5 GiB at this many qubits.
+DEFAULT_MAX_QUBITS = 32768
+
+_max_qubits_option = click.option(
+    "--max-qubits", default=DEFAULT_MAX_QUBITS, show_default=True,
+    type=click.IntRange(min=0),
+    help="Refuse inputs with more qubits (1 + the largest index) before any "
+         "tableau is built.")
+
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -53,15 +62,19 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _load_circuit(path: str) -> Circuit:
+def _load_circuit(path: str, max_qubits: int | None = None) -> Circuit:
     try:
-        return parse(_read_text(path))
+        circuit = parse(_read_text(path))
     except ParseError as exc:
         click.echo(f"parse error in {path}: {exc}", err=True)
         sys.exit(EXIT_PARSE)
     except OSError as exc:
         click.echo(f"cannot read {path}: {exc}", err=True)
         sys.exit(EXIT_PARSE)
+    if max_qubits is not None and circuit.n > max_qubits:
+        click.echo(f"{path}: {circuit.n} qubits exceeds --max-qubits {max_qubits}", err=True)
+        sys.exit(EXIT_COMPILE)
+    return circuit
 
 
 @click.group()
@@ -88,11 +101,12 @@ def main() -> None:
               help="Write compilation metadata JSON to this path.")
 @click.option("--jobs", default=1, show_default=True,
               help="Compile multiple input files concurrently.")
+@_max_qubits_option
 def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
-                expand_ecr, show_tableau, output, metadata_path, jobs):
+                expand_ecr, show_tableau, output, metadata_path, jobs, max_qubits):
     """Compile circuit files onto the target gateset."""
     gs = builtin_gateset(target, natives)
-    sources = [(path, _load_circuit(path)) for path in inputs]
+    sources = [(path, _load_circuit(path, max_qubits)) for path in inputs]
     if len(sources) > 1 and output is not None:
         click.echo("--output is only valid with a single input", err=True)
         sys.exit(EXIT_COMPILE)
@@ -144,10 +158,11 @@ def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
               help="Accept per-generator sign differences; print the frame witness.")
 @click.option("--up-to-permutation", is_flag=True,
               help="Accept a wire relabelling; print the permutation witness.")
-def cmd_verify(file_a, file_b, up_to_frame, up_to_permutation):
+@_max_qubits_option
+def cmd_verify(file_a, file_b, up_to_frame, up_to_permutation, max_qubits):
     """Check tableau equivalence of two circuit files."""
-    a = _load_circuit(file_a)
-    b = _load_circuit(file_b)
+    a = _load_circuit(file_a, max_qubits)
+    b = _load_circuit(file_b, max_qubits)
     if a.n != b.n:
         click.echo(f"not equivalent: qubit counts differ ({a.n} vs {b.n})")
         sys.exit(1)

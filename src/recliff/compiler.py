@@ -26,6 +26,7 @@ failed check raises, it is never reported silently.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -197,27 +198,28 @@ class _LayerBuilder:
         self.n = n
         self.layers: list[list[Instruction]] = []
         self.wire_last = [-1] * n
-        self.single_only: list[bool] = []
+        self.single_layers: list[int] = []  # ascending indices of single-only layers
 
     def place_single(self, wire: int, gate: GateDef) -> None:
         if gate.name == "I":
             return
-        start = self.wire_last[wire] + 1
-        for idx in range(start, len(self.layers)):
-            if self.single_only[idx] and all(
-                inst.qubits != (wire,) for inst in self.layers[idx]
-            ):
-                self.layers[idx].append(Instruction(gate, (wire,)))
-                self.wire_last[wire] = idx
-                return
-        self.layers.append([Instruction(gate, (wire,))])
-        self.single_only.append(True)
-        self.wire_last[wire] = len(self.layers) - 1
+        # No layer after wire_last[wire] touches the wire, so the first
+        # single-only layer there takes the gate.
+        pos = bisect_left(self.single_layers, self.wire_last[wire] + 1)
+        if pos < len(self.single_layers):
+            idx = self.single_layers[pos]
+            self.layers[idx].append(Instruction(gate, (wire,)))
+        else:
+            idx = len(self.layers)
+            self.layers.append([Instruction(gate, (wire,))])
+            self.single_layers.append(idx)
+        self.wire_last[wire] = idx
 
     def place_layer(self, insts: Sequence[Instruction]) -> None:
+        idx = len(self.layers)
         self.layers.append(list(insts))
-        self.single_only.append(all(i.gate.arity == 1 for i in insts))
-        idx = len(self.layers) - 1
+        if all(i.gate.arity == 1 for i in insts):
+            self.single_layers.append(idx)
         for inst in insts:
             for q in inst.qubits:
                 self.wire_last[q] = idx
@@ -736,12 +738,9 @@ def _remove_virtual_swaps(c: Circuit) -> tuple[Circuit, tuple[int, ...]]:
         for inst in sorted(layer, key=lambda i: i.qubits):
             qs = tuple(label[q] for q in inst.qubits)
             if inst.gate.name == "SWAP":
-                i, j = qs
-                for q in range(c.n):
-                    if label[q] == i:
-                        label[q] = j
-                    elif label[q] == j:
-                        label[q] = i
+                # The wires labelled qs[0], qs[1] are exactly a and b.
+                a, b = inst.qubits
+                label[a], label[b] = label[b], label[a]
                 continue
             kept.append(Instruction(inst.gate, qs))
         if kept:

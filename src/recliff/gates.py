@@ -4,8 +4,9 @@ Every gate is defined by its conjugation semantics, image(P) = G P G-dagger,
 stored as a small tableau.  From the tableau each GateDef precomputes:
 
 * a lookup table mapping the local bit pattern of a Pauli product on the
-  gate's wires to the conjugated pattern and sign (used for fast tableau
-  and product updates),
+  gate's wires to the conjugated pattern and sign (used for product updates),
+* from that table, the bitwise update rule the tableau applies to the rows
+  of the gate's wires (see :func:`_update_rule`),
 * the per-wire letters whose conjugation stays one-local (the commuting
   letter for CX-like gates, the wire-hopping letter for iSWAP-like ones),
 * for single-qubit gates, the induced permutation of the Pauli letters.
@@ -65,12 +66,38 @@ class GateLut(NamedTuple):
     sign: np.ndarray
 
 
+def _update_rule(lut: GateLut) -> tuple:
+    """Bitwise tableau update ``(linear, sign_terms)`` read off a lookup table.
+
+    Bits are indexed in key order (x_a, z_a, x_b, z_b; most significant key
+    bit first).  Conjugation is linear over GF(2), so output bit o is the XOR
+    of the input bits in ``linear[o]``.  The sign flips by the XOR, over
+    ``sign_terms``, of the AND of each term's input bits: the algebraic
+    normal form (Moebius transform) of ``lut.sign``.
+    """
+    nbits = len(lut.out_bits)
+
+    def inputs_of(key: int) -> tuple[int, ...]:
+        return tuple(i for i in range(nbits) if (key >> (nbits - 1 - i)) & 1)
+
+    linear = tuple(tuple(i for i in range(nbits) if out[1 << (nbits - 1 - i)])
+                   for out in lut.out_bits)
+    anf = [int(s < 0) for s in lut.sign]
+    for bit in range(nbits):
+        for key in range(len(anf)):
+            if key >> bit & 1:
+                anf[key] ^= anf[key ^ (1 << bit)]
+    if anf[0]:
+        raise AssertionError("gate lookup table flips the identity's sign")
+    return linear, tuple(inputs_of(key) for key in range(len(anf)) if anf[key])
+
+
 class GateDef:
     """A named Clifford gate with exact conjugation semantics."""
 
     __slots__ = (
         "name", "arity", "semantics", "symmetric", "entangler_class",
-        "lut", "perm", "bits16", "bits16_inv", "_local_fixed", "_one_local",
+        "lut", "rule", "perm", "bits16", "bits16_inv", "_local_fixed", "_one_local",
     )
 
     def __init__(self, name: str, arity: int, semantics: Tableau):
@@ -84,6 +111,7 @@ class GateDef:
         self.arity = arity
         self.semantics = semantics
         self.lut = self._build_lut()
+        self.rule = _update_rule(self.lut)
         if arity == 1:
             self.perm: LetterPerm | None = (
                 int(self.lut.out_bits[0][2] * 2 + self.lut.out_bits[1][2]),
@@ -114,25 +142,17 @@ class GateDef:
             self.entangler_class = self._classify()
 
     def _build_lut(self) -> GateLut:
-        size = 4 if self.arity == 1 else 16
         nbits = 2 * self.arity
-        outs = [np.zeros(size, dtype=np.uint8) for _ in range(nbits)]
-        sign = np.ones(size, dtype=np.int8)
-        for key in range(size):
-            if self.arity == 1:
-                p = PauliProduct(1, (key >> 1) & 1, key & 1)
-            else:
-                xa, za, xb, zb = (key >> 3) & 1, (key >> 2) & 1, (key >> 1) & 1, key & 1
-                p = PauliProduct(2, xa | (xb << 1), za | (zb << 1))
-            img = tb.conjugate_product(self.semantics, p)
-            if self.arity == 1:
-                outs[0][key] = img.x & 1
-                outs[1][key] = img.z & 1
-            else:
-                outs[0][key] = img.x & 1
-                outs[1][key] = img.z & 1
-                outs[2][key] = (img.x >> 1) & 1
-                outs[3][key] = (img.z >> 1) & 1
+        outs = [np.zeros(1 << nbits, dtype=np.uint8) for _ in range(nbits)]
+        sign = np.ones(1 << nbits, dtype=np.int8)
+        for key in range(1 << nbits):
+            bits = [(key >> (nbits - 1 - i)) & 1 for i in range(nbits)]
+            x = sum(bits[2 * w] << w for w in range(self.arity))
+            z = sum(bits[2 * w + 1] << w for w in range(self.arity))
+            img = tb.conjugate_product(self.semantics, PauliProduct(self.arity, x, z))
+            for w in range(self.arity):
+                outs[2 * w][key] = (img.x >> w) & 1
+                outs[2 * w + 1][key] = (img.z >> w) & 1
             sign[key] = img.sign
         return GateLut(tuple(outs), sign)
 
@@ -345,7 +365,7 @@ def decompose_single_qubit(
     """
     if g.arity != 1:
         raise ValueError("decompose_single_qubit expects a single-qubit gate")
-    cache_key = (g.name, g.perm, _exact_key(g.semantics))
+    cache_key = (g.name, g.perm, g.semantics.key())
     if cache_key in natives._decomp_cache:
         return natives._decomp_cache[cache_key]
 
@@ -393,15 +413,6 @@ def _pauli_gate(p: PauliProduct) -> GateDef:
     return builtin(p.local(0).letter) if not p.is_identity() else builtin("I")
 
 
-def _exact_key(t: Tableau) -> tuple:
-    return (
-        t.n,
-        t._xs.tobytes(),
-        t._zs.tobytes(),
-        t._signs.tobytes(),
-    )
-
-
 def all_single_qubit_cliffords() -> list[GateDef]:
     """The 24 single-qubit Cliffords mod phase, as the closure of {S, sqrt(X)}.
 
@@ -411,20 +422,20 @@ def all_single_qubit_cliffords() -> list[GateDef]:
     """
     gens = [builtin("S"), builtin("SQRT_X")]
     named = {
-        _exact_key(builtin(n).semantics): builtin(n)
+        builtin(n).semantics.key(): builtin(n)
         for n in ("I", "X", "Y", "Z", "H", "S", "S_DAG", "SQRT_X", "SQRT_X_DAG",
                   "H_XY", "H_YZ", "C_XYZ", "C_ZYX")
     }
     seen: dict[tuple, GateDef] = {}
     start = tb.identity(1)
-    seen[_exact_key(start)] = named[_exact_key(start)]
+    seen[start.key()] = named[start.key()]
     queue: list[tuple[Tableau, tuple[str, ...]]] = [(start, ())]
-    order = [seen[_exact_key(start)]]
+    order = [seen[start.key()]]
     while queue:
         cur, word = queue.pop(0)
         for gen in gens:
             nxt = tb.append_gate(cur, gen, (0,))
-            key = _exact_key(nxt)
+            key = nxt.key()
             if key in seen:
                 continue
             nxt_word = word + (gen.name,)

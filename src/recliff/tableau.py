@@ -5,10 +5,15 @@ image(P) = C P C-dagger, with gates folded in time order.  Two circuits are
 equivalent iff their tableaux are equal, which makes the tableau the
 equivalence certificate used throughout the compiler.
 
-Storage is generator-major: row g of the bit matrices is the image of
-generator g, with the interleaved row order X_0, Z_0, X_1, Z_1, ...
-The printed form (see :func:`pretty`) transposes to the qubit-major table
-layout with a sign row, matching how tableaux are usually displayed.
+Storage is qubit-major and bit-packed, as in Aaronson & Gottesman and Stim:
+for each qubit q one X row and one Z row, each a Python int over the 2n
+generators (bit g is set when image g has an X, or Z, bit on q), plus one
+sign int (bit g set when image g carries a minus sign).  Generators are
+numbered in the interleaved order X_0, Z_0, X_1, Z_1, ...  A gate touches
+only the rows of its own wires, so applying it is a handful of word-wide
+XOR/AND operations on all 2n generators at once, whatever n is.  Generator-
+major views (:meth:`Tableau.images`, :meth:`Tableau.letter_array`) are
+transposed out only at the boundary.
 """
 
 from __future__ import annotations
@@ -17,45 +22,47 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .pauli import PauliProduct, SignVector, support
+from .pauli import PauliProduct, SignVector, _phase_exponent, commutes
 
 if TYPE_CHECKING:  # pragma: no cover
     from .circuit import Circuit
     from .gates import GateDef
 
-_PHASE_NP = np.array(
-    [
-        [0, 0, 0, 0],
-        [0, 0, 1, 3],
-        [0, 3, 0, 1],
-        [0, 1, 3, 0],
-    ],
-    dtype=np.int64,
-)
+
+def _unpack(values: Sequence[int], width: int) -> np.ndarray:
+    """Bit matrix with row i holding bits 0..width-1 of values[i]."""
+    nbytes = (width + 7) // 8
+    raw = b"".join(v.to_bytes(nbytes, "little") for v in values)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), nbytes)
+    return np.unpackbits(rows, axis=1, bitorder="little")[:, :width]
 
 
-def _bits_from_int(value: int, n: int) -> np.ndarray:
-    nbytes = max(1, (n + 7) // 8)
-    raw = np.frombuffer(value.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n].copy()
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """Transpose a bit matrix held as ints: bit i of out[j] is bit j of rows[i].
 
-def _int_from_bits(bits: np.ndarray) -> int:
-    if bits.size == 0:
-        return 0
-    packed = np.packbits(bits.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+    The matrix is transposed byte-wise, then each of the 8 bit planes of
+    those bytes is packed separately, which keeps every numpy step on
+    contiguous memory.
+    """
+    m = len(rows)
+    nb, mb = (width + 7) // 8, (m + 7) // 8
+    raw = b"".join(v.to_bytes(nb, "little") for v in rows)
+    cols = np.ascontiguousarray(np.frombuffer(raw, dtype=np.uint8).reshape(m, nb).T)
+    planes = [np.packbits((cols >> k) & 1, axis=1, bitorder="little") for k in range(8)]
+    data = np.stack(planes, axis=1).reshape(8 * nb, mb).tobytes()
+    return [int.from_bytes(data[j * mb:(j + 1) * mb], "little") for j in range(width)]
 
 
 class Tableau:
     """Images of the 2n Pauli generators under a unitary stabilizer circuit."""
 
-    __slots__ = ("n", "_xs", "_zs", "_signs")
+    __slots__ = ("n", "_x", "_z", "_sign")
 
-    def __init__(self, n: int, xs: np.ndarray, zs: np.ndarray, signs: np.ndarray):
+    def __init__(self, n: int, x: list[int], z: list[int], sign: int):
         self.n = n
-        self._xs = xs
-        self._zs = zs
-        self._signs = signs
+        self._x = x
+        self._z = z
+        self._sign = sign
 
     # -- constructors ------------------------------------------------------
 
@@ -64,19 +71,15 @@ class Tableau:
         """Build from the 2n images in interleaved order X_0, Z_0, ..."""
         if len(images) != 2 * n:
             raise ValueError(f"expected {2 * n} images, got {len(images)}")
-        xs = np.zeros((2 * n, n), dtype=np.uint8)
-        zs = np.zeros((2 * n, n), dtype=np.uint8)
-        signs = np.ones(2 * n, dtype=np.int8)
-        for g, img in enumerate(images):
-            if img.n != n:
-                raise ValueError("image qubit count mismatch")
-            xs[g] = _bits_from_int(img.x, n)
-            zs[g] = _bits_from_int(img.z, n)
-            signs[g] = img.sign
-        return Tableau(n, xs, zs, signs)
+        if any(img.n != n for img in images):
+            raise ValueError("image qubit count mismatch")
+        sign = sum(1 << g for g, img in enumerate(images) if img.sign < 0)
+        x = _transpose([img.x for img in images], n)
+        z = _transpose([img.z for img in images], n)
+        return Tableau(n, x, z, sign)
 
     def copy(self) -> "Tableau":
-        return Tableau(self.n, self._xs.copy(), self._zs.copy(), self._signs.copy())
+        return Tableau(self.n, self._x.copy(), self._z.copy(), self._sign)
 
     # -- accessors ---------------------------------------------------------
 
@@ -90,24 +93,33 @@ class Tableau:
 
     def images(self) -> list[PauliProduct]:
         """All 2n images, interleaved X_0, Z_0, X_1, Z_1, ..."""
-        return [self._image(g) for g in range(2 * self.n)]
+        xs = _transpose(self._x, 2 * self.n)
+        zs = _transpose(self._z, 2 * self.n)
+        return [
+            PauliProduct(self.n, x, z, -1 if (self._sign >> g) & 1 else 1)
+            for g, (x, z) in enumerate(zip(xs, zs))
+        ]
 
     def _image(self, g: int) -> PauliProduct:
         return PauliProduct(
             self.n,
-            _int_from_bits(self._xs[g]),
-            _int_from_bits(self._zs[g]),
-            int(self._signs[g]),
+            sum(((row >> g) & 1) << q for q, row in enumerate(self._x)),
+            sum(((row >> g) & 1) << q for q, row in enumerate(self._z)),
+            -1 if (self._sign >> g) & 1 else 1,
         )
+
+    def key(self) -> tuple:
+        """Hashable exact state (signs included), for dictionaries of tableaux."""
+        return (self.n, tuple(self._x), tuple(self._z), self._sign)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tableau):
             return NotImplemented
         return (
             self.n == other.n
-            and np.array_equal(self._xs, other._xs)
-            and np.array_equal(self._zs, other._zs)
-            and np.array_equal(self._signs, other._signs)
+            and self._sign == other._sign
+            and self._x == other._x
+            and self._z == other._z
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -122,36 +134,29 @@ class Tableau:
         for q in qubits:
             if not 0 <= q < self.n:
                 raise ValueError(f"qubit {q} out of range for n={self.n}")
-        lut = gate.lut
-        if gate.arity == 1:
-            (q,) = qubits
-            key = 2 * self._xs[:, q] + self._zs[:, q]
-            self._xs[:, q] = lut.out_bits[0][key]
-            self._zs[:, q] = lut.out_bits[1][key]
-            self._signs *= lut.sign[key]
-        else:
-            a, b = qubits
-            key = (
-                8 * self._xs[:, a]
-                + 4 * self._zs[:, a]
-                + 2 * self._xs[:, b]
-                + self._zs[:, b]
-            )
-            self._xs[:, a] = lut.out_bits[0][key]
-            self._zs[:, a] = lut.out_bits[1][key]
-            self._xs[:, b] = lut.out_bits[2][key]
-            self._zs[:, b] = lut.out_bits[3][key]
-            self._signs *= lut.sign[key]
+        xs, zs = self._x, self._z
+        # Rows in the bit order of the gate's lookup key: x_a, z_a(, x_b, z_b).
+        rows = [r for q in qubits for r in (xs[q], zs[q])]
+        linear, sign_terms = gate.rule
+        flip = 0
+        for term in sign_terms:
+            acc = rows[term[0]]
+            for i in term[1:]:
+                acc &= rows[i]
+            flip ^= acc
+        self._sign ^= flip
+        for k, inputs in enumerate(linear):  # output k: X (even) or Z row of wire k // 2
+            acc = 0
+            for i in inputs:
+                acc ^= rows[i]
+            (zs if k & 1 else xs)[qubits[k >> 1]] = acc
 
     # -- bulk views ----------------------------------------------------------
 
     def letter_array(self) -> np.ndarray:
         """Pauli codes (2x+z) of every image entry, shape (2n, n)."""
-        return (2 * self._xs + self._zs).astype(np.uint8)
-
-    def sign_array(self) -> np.ndarray:
-        """Image signs as +/-1, shape (2n,)."""
-        return self._signs.copy()
+        width = 2 * self.n
+        return (2 * _unpack(self._x, width) + _unpack(self._z, width)).T
 
     def relabel_wires(self, sigma: Sequence[int]) -> "Tableau":
         """Relabel image supports by sigma, leaving generator indices alone.
@@ -161,36 +166,31 @@ class Tableau:
         """
         if sorted(sigma) != list(range(self.n)):
             raise ValueError(f"not a permutation of 0..{self.n - 1}: {sigma}")
-        perm = np.asarray(sigma, dtype=np.int64)
-        xs = np.empty_like(self._xs)
-        zs = np.empty_like(self._zs)
-        xs[:, perm] = self._xs
-        zs[:, perm] = self._zs
-        return Tableau(self.n, xs, zs, self._signs.copy())
+        x = [0] * self.n
+        z = [0] * self.n
+        for q, s in enumerate(sigma):
+            x[s] = self._x[q]
+            z[s] = self._z[q]
+        return Tableau(self.n, x, z, self._sign)
 
     # -- checks -------------------------------------------------------------
 
     def is_symplectic(self) -> bool:
         """Pairwise (anti)commutation matches a valid generating set."""
-        m = (self._xs.astype(np.int64) @ self._zs.T.astype(np.int64)
-             + self._zs.astype(np.int64) @ self._xs.T.astype(np.int64)) % 2
-        want = np.zeros_like(m)
-        for j in range(self.n):
-            want[2 * j, 2 * j + 1] = 1
-            want[2 * j + 1, 2 * j] = 1
-        return bool(np.array_equal(m, want))
+        imgs = [self._image(g) for g in range(2 * self.n)]
+        return all(  # only X_j and Z_j of the same j anticommute
+            commutes(a, b) == (g // 2 != h // 2 or g == h)
+            for g, a in enumerate(imgs) for h, b in enumerate(imgs)
+        )
 
 
 def identity(n: int) -> Tableau:
     """The trivial tableau: every generator maps to itself with sign +."""
     if n < 0:
         raise ValueError("qubit count must be non-negative")
-    xs = np.zeros((2 * n, n), dtype=np.uint8)
-    zs = np.zeros((2 * n, n), dtype=np.uint8)
-    for j in range(n):
-        xs[2 * j, j] = 1
-        zs[2 * j + 1, j] = 1
-    return Tableau(n, xs, zs, np.ones(2 * n, dtype=np.int8))
+    return Tableau(
+        n, [1 << (2 * j) for j in range(n)], [1 << (2 * j + 1) for j in range(n)], 0
+    )
 
 
 def append_gate(t: Tableau, gate: "GateDef", qubits: Sequence[int]) -> Tableau:
@@ -220,28 +220,20 @@ def conjugate_product(t: Tableau, p: PauliProduct) -> PauliProduct:
     if p.n != t.n:
         raise ValueError(f"size mismatch: product n={p.n}, tableau n={t.n}")
     n = t.n
-    px = _bits_from_int(p.x, n).astype(np.int64)
-    pz = _bits_from_int(p.z, n).astype(np.int64)
-    exponent = int((px * pz).sum())  # one i per Y in the canonical form
+    exponent = (p.x & p.z).bit_count()  # one i per Y in the canonical form
     if p.sign < 0:
         exponent += 2
-    acc_x = np.zeros(n, dtype=np.uint8)
-    acc_z = np.zeros(n, dtype=np.uint8)
-    rows = [2 * j for j in range(n) if px[j]] + [2 * j + 1 for j in range(n) if pz[j]]
+    acc = PauliProduct(n)
+    rows = [2 * j for j in range(n) if (p.x >> j) & 1]
+    rows += [2 * j + 1 for j in range(n) if (p.z >> j) & 1]
     for g in rows:
-        if t._signs[g] < 0:
-            exponent += 2
-        acc_code = 2 * acc_x + acc_z
-        row_code = 2 * t._xs[g] + t._zs[g]
-        exponent += int(_PHASE_NP[acc_code, row_code].sum())
-        acc_x ^= t._xs[g]
-        acc_z ^= t._zs[g]
+        img = t._image(g)
+        exponent += _phase_exponent(acc, img)
+        acc = PauliProduct(n, acc.x ^ img.x, acc.z ^ img.z)
     exponent &= 3
     if exponent & 1:
         raise AssertionError("conjugated Hermitian product came out imaginary")
-    return PauliProduct(
-        n, _int_from_bits(acc_x), _int_from_bits(acc_z), 1 if exponent == 0 else -1
-    )
+    return PauliProduct(n, acc.x, acc.z, 1 if exponent == 0 else -1)
 
 
 def equal(t1: Tableau, t2: Tableau) -> bool:
@@ -256,12 +248,12 @@ def equal_up_to_sign(t1: Tableau, t2: Tableau) -> tuple[bool, SignVector | None]
     ``flips`` holds -1 exactly on generators whose signs disagree.  Returns
     ``(False, None)`` otherwise.
     """
-    if t1.n != t2.n:
+    if t1.n != t2.n or t1._x != t2._x or t1._z != t2._z:
         return False, None
-    if not (np.array_equal(t1._xs, t2._xs) and np.array_equal(t1._zs, t2._zs)):
-        return False, None
-    flips = tuple(int(a * b) for a, b in zip(t1._signs, t2._signs))
-    return True, SignVector(flips)
+    diff = t1._sign ^ t2._sign
+    return True, SignVector(
+        tuple(-1 if (diff >> g) & 1 else 1 for g in range(2 * t1.n))
+    )
 
 
 def permute_qubits(t: Tableau, perm: Sequence[int]) -> Tableau:
@@ -269,18 +261,14 @@ def permute_qubits(t: Tableau, perm: Sequence[int]) -> Tableau:
     n = t.n
     if sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
-    perm = np.asarray(perm, dtype=np.int64)
-    row_new = np.empty(2 * n, dtype=np.int64)
-    for j in range(n):
-        row_new[2 * j] = 2 * perm[j]
-        row_new[2 * j + 1] = 2 * perm[j] + 1
-    xs = np.zeros_like(t._xs)
-    zs = np.zeros_like(t._zs)
-    signs = np.ones_like(t._signs)
-    xs[row_new[:, None], perm[None, :]] = t._xs
-    zs[row_new[:, None], perm[None, :]] = t._zs
-    signs[row_new] = t._signs
-    return Tableau(n, xs, zs, signs)
+    new_gen = [2 * perm[g >> 1] + (g & 1) for g in range(2 * n)]
+
+    def move(bits: int) -> int:
+        return sum(1 << new_gen[g] for g in range(2 * n) if (bits >> g) & 1)
+
+    moved = t.relabel_wires(perm)
+    return Tableau(n, [move(r) for r in moved._x], [move(r) for r in moved._z],
+                   move(t._sign))
 
 
 def pretty(t: Tableau) -> str:
@@ -298,18 +286,14 @@ def pretty(t: Tableau) -> str:
         return "(empty tableau)"
     label_w = max(3, len(str(n - 1)))
     cell_w = len(f"Z{n - 1}")
-    codes = "IZXY"
+    codes = "_ZXY"
 
     def line(label: str, cells: list[str]) -> str:
         return label.rjust(label_w) + "  " + "  ".join(c.rjust(cell_w) for c in cells)
 
     header = [f"{p}{j}" for j in range(n) for p in ("X", "Z")]
-    signs = ["+" if s > 0 else "-" for s in t._signs]
+    signs = ["-" if (t._sign >> g) & 1 else "+" for g in range(2 * n)]
     lines = [line("", header), line("+/-", signs)]
-    for q in range(n):
-        cells = []
-        for g in range(2 * n):
-            letter = codes[2 * t._xs[g, q] + t._zs[g, q]]
-            cells.append("_" if letter == "I" else letter)
-        lines.append(line(str(q), cells))
+    for q, row in enumerate(t.letter_array().T):
+        lines.append(line(str(q), [codes[c] for c in row]))
     return "\n".join(lines)

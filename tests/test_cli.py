@@ -168,6 +168,46 @@ class TestVerifyCommand:
         assert r.exit_code == 1
 
 
+class TestQubitLimit:
+    """Oversized inputs are refused after parsing, before any tableau exists."""
+
+    @pytest.fixture
+    def no_tableaux(self, monkeypatch):
+        import recliff.tableau
+
+        def refuse(n):
+            raise AssertionError(f"a {n}-qubit tableau was built")
+
+        monkeypatch.setattr(recliff.tableau, "identity", refuse)
+
+    @pytest.fixture
+    def six_qubits(self, tmp_path):
+        src = tmp_path / "six.stim"
+        src.write_text("CX 0 1\nH 5\n")
+        return src
+
+    def test_compile_over_limit_exit_3(self, runner, six_qubits, no_tableaux):
+        r = invoke(runner, "compile", "--target", "ecr", "--max-qubits", "5", str(six_qubits))
+        assert r.exit_code == 3
+        assert r.output == f"{six_qubits}: 6 qubits exceeds --max-qubits 5\n"
+
+    def test_verify_over_limit_exit_3(self, runner, six_qubits, no_tableaux):
+        r = invoke(runner, "verify", "--max-qubits", "5", str(six_qubits), str(six_qubits))
+        assert r.exit_code == 3
+        assert "6 qubits exceeds --max-qubits 5" in r.output
+
+    def test_at_limit_runs(self, runner, six_qubits):
+        r = invoke(runner, "compile", "--target", "ecr", "--max-qubits", "6", str(six_qubits))
+        assert r.exit_code == 0
+        r = invoke(runner, "verify", "--max-qubits", "6", str(six_qubits), str(six_qubits))
+        assert r.exit_code == 0
+
+    def test_default_keeps_one_tableau_near_half_a_gigabyte(self):
+        from recliff.cli import DEFAULT_MAX_QUBITS
+
+        assert DEFAULT_MAX_QUBITS ** 2 // 2 == 2 ** 29
+
+
 class TestGenerateAndStats:
     def test_surface_code_stats_pipeline(self, runner, tmp_path):
         gen = tmp_path / "d11.stim"

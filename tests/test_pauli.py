@@ -16,7 +16,7 @@ from recliff import (
     solve_frame,
     support,
 )
-from recliff.pauli import multiply_strict
+from recliff.pauli import _phase_exponent, multiply_strict
 from recliff.tableau import from_circuit, identity
 from recliff import builtin, random_clifford_circuit, RandomCircuitSpec
 
@@ -231,3 +231,35 @@ class TestSignVector:
     def test_length_must_be_even(self):
         with pytest.raises(ValueError):
             SignVector((1,))
+
+
+# Exponent of i in the single-qubit product a*b, with Y = i*X*Z, indexed by
+# Pauli codes (I=0, Z=1, X=2, Y=3): the per-qubit table the word-wide
+# routine replaces.
+PHASE_TABLE = (
+    (0, 0, 0, 0),
+    (0, 0, 1, 3),
+    (0, 3, 0, 1),
+    (0, 1, 3, 0),
+)
+
+
+class TestPhaseExponent:
+    def test_matches_per_qubit_table_on_random_pairs(self):
+        rng = random.Random(41)
+        for _ in range(2000):
+            n = rng.randint(0, 70)
+            a = PauliProduct(n, rng.getrandbits(n) if n else 0,
+                             rng.getrandbits(n) if n else 0, rng.choice((1, -1)))
+            b = PauliProduct(n, rng.getrandbits(n) if n else 0,
+                             rng.getrandbits(n) if n else 0, rng.choice((1, -1)))
+            want = (0 if a.sign > 0 else 2) + (0 if b.sign > 0 else 2)
+            want += sum(PHASE_TABLE[a.local(q)][b.local(q)] for q in range(n))
+            assert _phase_exponent(a, b) == want % 4
+
+    def test_matches_dense_matrices(self):
+        for ca, cb in itertools.product(range(4), repeat=2):
+            a, b = PauliProduct(1, ca >> 1, ca & 1), PauliProduct(1, cb >> 1, cb & 1)
+            prod = pauli_matrix(a) @ pauli_matrix(b)
+            letters = pauli_matrix(PauliProduct(1, a.x ^ b.x, a.z ^ b.z))
+            assert np.allclose(prod, 1j ** _phase_exponent(a, b) * letters)

@@ -2,17 +2,25 @@ import random
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from recliff import (
     Circuit,
+    Instruction,
     PauliProduct,
     RandomCircuitSpec,
     SignVector,
+    SurfaceCodeSpec,
     Tableau,
     append_gate,
     builtin,
+    builtin_gateset,
     commutes,
+    compile_circuit,
+    compile_with_iswap_heuristic,
     conjugate_product,
+    emit,
     equal,
     equal_up_to_sign,
     from_circuit,
@@ -21,13 +29,18 @@ from recliff import (
     permute_qubits,
     pretty,
     random_clifford_circuit,
+    surface_code_syndrome_extraction,
 )
+from recliff.circuit import DIALECT_GATES
+from recliff.cli import main as cli_main
 
 from conftest import (
     CX_IMAGES,
     ECR_IMAGES,
     ECR_SKELETON_IMAGES,
+    FAN_OUT_TEXT,
     WORKED_EXAMPLE_IMAGES,
+    WORKED_EXAMPLE_TEXT,
     COMPILED_SIGNS,
     images_tableau,
 )
@@ -174,6 +187,12 @@ class TestEquality:
         for g, img in enumerate(compiled.images()):
             assert (flips.entries[g] < 0) == (not commutes(frame, img))
 
+    @pytest.mark.parametrize("name", ["S", "SQRT_X"])
+    def test_letters_differing_in_one_bit_row_not_equal_up_to_sign(self, name):
+        # S keeps every X bit of identity(1) and SQRT_X every Z bit.
+        t = append_gate(identity(1), builtin(name), (0,))
+        assert equal_up_to_sign(t, identity(1)) == (False, None)
+
     def test_cx_vs_ecr_not_equal_even_up_to_sign(self):
         ok, flips = equal_up_to_sign(
             images_tableau(CX_IMAGES), images_tableau(ECR_IMAGES)
@@ -222,3 +241,164 @@ class TestPretty:
     def test_sign_row_shows_minus(self):
         t = images_tableau(ECR_IMAGES)
         assert pretty(t).splitlines()[1].split() == ["+/-", "-", "-", "+", "+"]
+
+
+# ---------------------------------------------------------------------------
+# Differential and property tests of the bit-packed tableau
+
+
+@st.composite
+def dialect_circuits(draw, max_n=5, max_gates=12):
+    """Random circuits over every dialect gate, one instruction per layer."""
+    n = draw(st.integers(1, max_n))
+    names = [g for g in DIALECT_GATES if n >= builtin(g).arity]
+    insts = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        gate = builtin(draw(st.sampled_from(names)))
+        qubits = draw(st.permutations(range(n)))[: gate.arity]
+        insts.append(Instruction(gate, tuple(qubits)))
+    return Circuit(n, tuple((inst,) for inst in insts))
+
+
+def old_uint8_tableau(c: Circuit) -> list[PauliProduct]:
+    """Images from the generator-major uint8 LUT update the tableau used to have."""
+    n = c.n
+    xs = np.zeros((2 * n, n), dtype=np.uint8)
+    zs = np.zeros((2 * n, n), dtype=np.uint8)
+    signs = np.ones(2 * n, dtype=np.int8)
+    for j in range(n):
+        xs[2 * j, j] = zs[2 * j + 1, j] = 1
+    for inst in c.instructions():
+        lut, cols = inst.gate.lut, [a[:, q] for q in inst.qubits for a in (xs, zs)]
+        key = sum(col.astype(np.int64) << (len(cols) - 1 - i) for i, col in enumerate(cols))
+        for k, q in enumerate(inst.qubits):
+            xs[:, q] = lut.out_bits[2 * k][key]
+            zs[:, q] = lut.out_bits[2 * k + 1][key]
+        signs *= lut.sign[key]
+
+    def to_int(bits):
+        return sum(int(b) << q for q, b in enumerate(bits))
+
+    return [PauliProduct(n, to_int(xs[g]), to_int(zs[g]), int(signs[g])) for g in range(2 * n)]
+
+
+def acceptance_corpus() -> list[Circuit]:
+    """Sources and compiled outputs of the kinds the acceptance suite checks."""
+    corpus = [parse(WORKED_EXAMPLE_TEXT), parse(FAN_OUT_TEXT)]
+    corpus.append(
+        compile_with_iswap_heuristic(parse(FAN_OUT_TEXT), builtin_gateset("iswap")).circuit
+    )
+    for d in (3, 5):
+        source = surface_code_syndrome_extraction(SurfaceCodeSpec(d))
+        corpus.append(source)
+        for target in ("sqrt_xx", "ecr"):
+            corpus.append(compile_circuit(source, builtin_gateset(target)).circuit)
+    for i in range(12):
+        entangler = ("CX", "CZ", "ISWAP", "SQRT_XX")[i % 4]
+        corpus.append(random_clifford_circuit(RandomCircuitSpec(
+            n=2 + i % 6, entangler_layers=1 + i % 5, seed=7000 + i,
+            entangler=builtin(entangler),
+        )))
+    return corpus
+
+
+class TestAgainstOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(dialect_circuits())
+    def test_matches_dense_matrices_signs_included(self, c):
+        t = from_circuit(c)
+        u = circuit_unitary(c)
+        for j in range(c.n):
+            for gen, img in ((PauliProduct(c.n, x=1 << j), t.image_x(j)),
+                             (PauliProduct(c.n, z=1 << j), t.image_z(j))):
+                assert np.allclose(conjugate(u, pauli_matrix(gen)), pauli_matrix(img))
+
+    @settings(max_examples=40, deadline=None)
+    @given(dialect_circuits(max_n=9, max_gates=30))
+    def test_matches_old_uint8_update_on_random_circuits(self, c):
+        assert from_circuit(c).images() == old_uint8_tableau(c)
+
+    def test_matches_old_uint8_update_on_acceptance_corpus(self):
+        for c in acceptance_corpus():
+            assert from_circuit(c).images() == old_uint8_tableau(c)
+
+    def test_matches_old_uint8_update_on_d7_surface_round(self):
+        source = surface_code_syndrome_extraction(SurfaceCodeSpec(7))
+        for c in (source, compile_circuit(source, builtin_gateset("ecr")).circuit):
+            assert from_circuit(c).images() == old_uint8_tableau(c)
+
+    @pytest.mark.parametrize("n", [1, 3, 33, 67])
+    def test_matches_old_uint8_update_off_byte_boundaries(self, n):
+        # 2n is not a multiple of 8 here, so the transposes must drop padding.
+        rng = random.Random(n)
+        names = [g for g in DIALECT_GATES if n >= builtin(g).arity]
+        insts = []
+        for _ in range(6 * n):
+            gate = builtin(rng.choice(names))
+            insts.append(Instruction(gate, tuple(rng.sample(range(n), gate.arity))))
+        c = Circuit(n, tuple((inst,) for inst in insts))
+        t = from_circuit(c)
+        assert t.images() == old_uint8_tableau(c)
+        assert Tableau.from_images(n, t.images()) == t
+        assert t.letter_array().shape == (2 * n, n)
+
+
+class TestRepresentation:
+    @settings(max_examples=40, deadline=None)
+    @given(dialect_circuits(max_n=12, max_gates=30))
+    def test_images_round_trip(self, c):
+        t = from_circuit(c)
+        images = t.images()
+        assert Tableau.from_images(c.n, images) == t
+        assert images == [t.image_x(j) if g % 2 == 0 else t.image_z(j)
+                          for g, j in ((g, g // 2) for g in range(2 * c.n))]
+        codes = t.letter_array()
+        for g, img in enumerate(images):
+            assert [int(v) for v in codes[g]] == [int(img.local(q)) for q in range(c.n)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(dialect_circuits(max_n=6, max_gates=20), st.data())
+    def test_relabel_wires_moves_supports_only(self, c, data):
+        sigma = data.draw(st.permutations(range(c.n)))
+        t = from_circuit(c)
+        moved = t.relabel_wires(sigma)
+        for before, after in zip(t.images(), moved.images()):
+            assert after.sign == before.sign
+            for q in range(c.n):
+                assert after.local(sigma[q]) == before.local(q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dialect_circuits(max_n=6, max_gates=20), st.data())
+    def test_permute_qubits_matches_relabelled_circuit(self, c, data):
+        perm = data.draw(st.permutations(range(c.n)))
+        relabelled = Circuit(c.n, tuple(
+            tuple(Instruction(i.gate, tuple(perm[q] for q in i.qubits)) for i in layer)
+            for layer in c.layers
+        ))
+        assert permute_qubits(from_circuit(c), perm) == from_circuit(relabelled)
+
+
+def test_verify_rejects_one_mutated_single_qubit_gate(tmp_path):
+    source = surface_code_syndrome_extraction(SurfaceCodeSpec(5))
+    compiled = compile_circuit(source, builtin_gateset("ecr")).circuit
+    (tmp_path / "src.stim").write_text(emit(source))
+    rng = random.Random(11)
+    singles = [(li, k) for li, layer in enumerate(compiled.layers)
+               for k, inst in enumerate(layer) if inst.gate.arity == 1]
+    runner = CliRunner()
+
+    def verify(circuit):
+        (tmp_path / "out.stim").write_text(emit(circuit))
+        return runner.invoke(cli_main, ["verify", str(tmp_path / "out.stim"),
+                                        str(tmp_path / "src.stim"), "--up-to-frame"])
+
+    assert verify(compiled).exit_code == 0
+    for li, k in rng.sample(singles, 5):
+        layers = [list(layer) for layer in compiled.layers]
+        old = layers[li][k]
+        # S and SQRT_X differ by a non-Pauli Clifford, so no frame can fix it.
+        swapped = builtin("SQRT_X" if old.gate.name == "S" else "S")
+        layers[li][k] = Instruction(swapped, old.qubits)
+        result = verify(Circuit(compiled.n, tuple(tuple(l) for l in layers)))
+        assert result.exit_code == 1, (li, k, result.output)
+        assert "not equivalent" in result.output
