@@ -13,7 +13,6 @@ from .pauli import (
     FrameSolveError,
     Pauli,
     PauliProduct,
-    PhaseError,
     SignVector,
     commutes,
     multiply,
@@ -50,14 +49,12 @@ from .circuit import (
     emit,
     expand_ecr,
     gate_counts,
-    insert_single_qubit,
     parse,
     two_qubit_count,
 )
 from .compiler import (
     CompilationResult,
     CompileError,
-    PropagationError,
     VerificationError,
     compile_circuit,
     compile_with_iswap_heuristic,
@@ -92,8 +89,6 @@ __all__ = [
     "ParseError",
     "Pauli",
     "PauliProduct",
-    "PhaseError",
-    "PropagationError",
     "RandomCircuitSpec",
     "Report",
     "SignVector",
@@ -126,7 +121,6 @@ __all__ = [
     "gate_counts",
     "identity",
     "initial_condition",
-    "insert_single_qubit",
     "multiply",
     "multiply_exact",
     "parse",

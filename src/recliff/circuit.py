@@ -11,10 +11,9 @@ unitary.  Qubit count is 1 + the largest index used by an instruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from . import tableau as tb
-from .gates import GateDef, builtin, builtin_names
+from .gates import GateDef, builtin
 
 
 class ParseError(ValueError):
@@ -102,12 +101,19 @@ class Circuit:
 
 
 def parse(text: str) -> Circuit:
-    """Parse dialect text into a circuit."""
+    """Parse dialect text into a circuit.
+
+    Lines are split at ``"\\n"`` only.  Outside ``#`` comments the text must
+    be ASCII, and qubit targets are ASCII decimal digits.
+    """
     layers: list[list[Instruction]] = [[]]
     used: set[int] = set()
     max_q = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.isascii():
+            raise ParseError(f"line {lineno}: non-ASCII character outside a comment")
+        line = line.strip()
         if not line:
             continue
         tokens = line.split()
@@ -126,12 +132,10 @@ def parse(text: str) -> Circuit:
         if name not in DIALECT_GATES:
             raise ParseError(f"line {lineno}: unknown or unsupported gate {name!r}")
         gate = builtin(name)
-        try:
-            targets = [int(tok) for tok in tokens[1:]]
-        except ValueError:
-            raise ParseError(f"line {lineno}: malformed qubit target in {line!r}") from None
-        if any(q < 0 for q in targets):
-            raise ParseError(f"line {lineno}: negative qubit index")
+        # The line is ASCII, so isdigit() accepts exactly [0-9]+.
+        if not all(tok.isdigit() for tok in tokens[1:]):
+            raise ParseError(f"line {lineno}: malformed qubit target in {line!r}")
+        targets = [int(tok) for tok in tokens[1:]]
         if not targets:
             raise ParseError(f"line {lineno}: {name} needs at least one target")
         if gate.arity == 1:
@@ -198,69 +202,3 @@ def expand_ecr(c: Circuit) -> Circuit:
         post = [Instruction(x, (i.qubits[0],)) for i in ecrs]
         out.extend([tuple(pre), tuple(mid), tuple(post)])
     return Circuit(c.n, tuple(out))
-
-
-def _is_single_qubit_layer(layer: tuple[Instruction, ...]) -> bool:
-    return all(inst.gate.arity == 1 for inst in layer)
-
-
-def _match_builtin_1q(semantics) -> GateDef | None:
-    for name in builtin_names():
-        g = builtin(name)
-        if g.arity == 1 and g.semantics == semantics:
-            return g
-    return None
-
-
-def insert_single_qubit(c: Circuit, position: tuple[int, int], g: GateDef) -> Circuit:
-    """Insert a single-qubit gate at a layer boundary on one wire.
-
-    ``position`` is ``(boundary, qubit)`` with ``0 <= boundary <= depth``;
-    the gate lands between layers ``boundary - 1`` and ``boundary``.  It merges
-    into an adjacent single-qubit layer when possible (fusing with an existing
-    gate on that wire if the exact product is again a named gate); entangler
-    layers are never modified.  Inserting I is a no-op.
-    """
-    if g.arity != 1:
-        raise ValueError("insert_single_qubit expects a single-qubit gate")
-    b, q = position
-    if not 0 <= b <= depth(c):
-        raise ValueError(f"layer boundary {b} out of range")
-    n = max(c.n, q + 1)
-    if g.name == "I":
-        return Circuit(n, c.layers)
-    layers = [list(layer) for layer in c.layers]
-
-    def try_merge(idx: int, gate_first: bool) -> Circuit | None:
-        layer = layers[idx]
-        if not _is_single_qubit_layer(tuple(layer)):
-            return None
-        on_wire = [i for i, inst in enumerate(layer) if inst.qubits == (q,)]
-        if not on_wire:
-            layer.append(Instruction(g, (q,)))
-            return Circuit(n, tuple(tuple(l) for l in layers))
-        (i,) = on_wire
-        existing = layer[i].gate
-        pair = (g, existing) if gate_first else (existing, g)
-        t = tb.identity(1)
-        t = tb.append_gate(t, pair[0], (0,))
-        t = tb.append_gate(t, pair[1], (0,))
-        fused = _match_builtin_1q(t)
-        if fused is None:
-            return None
-        if fused.name == "I":
-            del layer[i]
-        else:
-            layer[i] = Instruction(fused, (q,))
-        return Circuit(n, tuple(tuple(l) for l in layers))
-
-    if b > 0:
-        merged = try_merge(b - 1, gate_first=False)
-        if merged is not None:
-            return merged
-    if b < len(layers):
-        merged = try_merge(b, gate_first=True)
-        if merged is not None:
-            return merged
-    layers.insert(b, [Instruction(g, (q,))])
-    return Circuit(n, tuple(tuple(l) for l in layers))

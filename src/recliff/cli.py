@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -52,7 +51,7 @@ _max_qubits_option = click.option(
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text()
+    return Path(path).read_text(encoding="utf-8")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -70,6 +69,9 @@ def _load_circuit(path: str, max_qubits: int | None = None) -> Circuit:
         sys.exit(EXIT_PARSE)
     except OSError as exc:
         click.echo(f"cannot read {path}: {exc}", err=True)
+        sys.exit(EXIT_PARSE)
+    except UnicodeDecodeError as exc:
+        click.echo(f"cannot read {path}: not valid UTF-8 at byte {exc.start}", err=True)
         sys.exit(EXIT_PARSE)
     if max_qubits is not None and circuit.n > max_qubits:
         click.echo(f"{path}: {circuit.n} qubits exceeds --max-qubits {max_qubits}", err=True)
@@ -99,11 +101,9 @@ def main() -> None:
               help="Output circuit path (single input; default stdout).")
 @click.option("--metadata", "metadata_path", default=None,
               help="Write compilation metadata JSON to this path.")
-@click.option("--jobs", default=1, show_default=True,
-              help="Compile multiple input files concurrently.")
 @_max_qubits_option
 def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
-                expand_ecr, show_tableau, output, metadata_path, jobs, max_qubits):
+                expand_ecr, show_tableau, output, metadata_path, max_qubits):
     """Compile circuit files onto the target gateset."""
     gs = builtin_gateset(target, natives)
     sources = [(path, _load_circuit(path, max_qubits)) for path in inputs]
@@ -111,20 +111,12 @@ def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
         click.echo("--output is only valid with a single input", err=True)
         sys.exit(EXIT_COMPILE)
 
-    def run(item):
-        path, source = item
-        if iswap_heuristic:
-            return path, source, compile_with_iswap_heuristic(
-                source, gs, frame_mode=frame_mode
-            )
-        return path, source, compile_circuit(source, gs, frame_mode=frame_mode)
-
+    compile_one = compile_with_iswap_heuristic if iswap_heuristic else compile_circuit
     try:
-        if jobs > 1 and len(sources) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(run, sources))
-        else:
-            results = [run(item) for item in sources]
+        results = [
+            (path, source, compile_one(source, gs, frame_mode=frame_mode))
+            for path, source in sources
+        ]
     except VerificationError as exc:
         click.echo(f"verification failure: {exc}", err=True)
         sys.exit(EXIT_VERIFY)

@@ -14,14 +14,16 @@ is the minimal starting point), then repairs the skeleton in three stages:
     repairs it.  The constraint is per-wire separable, so one sweep in time
     order fixes every generator's propagation at once.
 2.  Conjugation.  After the sweep each wire is off from the target by a pure
-    letter permutation; one basis-change gate appended per wire removes it.
+    letter permutation, the sweep's final letter map for that wire; one
+    basis-change gate appended per wire removes it.
 3.  Frame.  Basis-change gates are rewritten over the gateset's single-qubit
     natives (their residual Paulis are dropped), and the remaining
     per-generator sign differences are solved into a single Pauli correction,
     reported as the frame or optionally folded in as a final Pauli layer.
 
-Every compilation is verified against the full tableau of the source; a
-failed check raises, it is never reported silently.
+Both entry points run one pipeline.  Every compilation is verified against
+the full tableau of the source (relabelled by the wire permutation in the
+swap-insertion mode); a failed check raises, it is never reported silently.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .pauli import Pauli, PauliProduct, solve_frame, support
 from . import tableau as tb
@@ -52,10 +52,6 @@ from .reporting import Report, report
 
 class CompileError(RuntimeError):
     """The source cannot be compiled as requested."""
-
-
-class PropagationError(CompileError):
-    """No insertion assignment reproduces the target propagation."""
 
 
 class VerificationError(RuntimeError):
@@ -271,13 +267,19 @@ def _transfer_perms(
     return ua_new, ub_new
 
 
-def _propagation_sweep(
+def fix_propagation(
     source: Circuit,
     gs: GateSet,
     *,
     virtual_swap: bool = False,
 ) -> tuple[Circuit, list]:
     """Build the propagation-fixed circuit and the final per-wire letter maps.
+
+    The sweep tracks, per wire, the letter permutation sending the source's
+    instantaneous conjugation to the working circuit's, and inserts a
+    basis change before an entangler wherever the permutation does not carry
+    the source gate's protected letter onto the native gate's.  The returned
+    maps are those permutations after the last layer.
 
     With ``virtual_swap`` the working entangler is the native entangler
     followed by a SWAP on the same pair; the SWAP instructions are emitted
@@ -322,274 +324,21 @@ def _propagation_sweep(
 
 
 # ---------------------------------------------------------------------------
-# Stage 2 alternative: greedy walk against the final target propagation
-# (used when only the target tableau is available)
-
-
-def _greedy_insertions(
-    working: Circuit, target: Tableau, gs: GateSet
-) -> list[dict[int, GateDef]]:
-    """Per-qubit greedy pass using the target's final supports as the guide.
-
-    Exact for circuits where each qubit pair interacts at most once (the
-    intended benchmark class).  On repeated interactions the final-support
-    test can misfire, so the caller re-checks supports and falls back to a
-    bounded search.  Returns, per layer, the class gate inserted just before
-    it on each wire.
-    """
-    n = working.n
-    native = gs.entangler
-    insertions: list[dict[int, GateDef]] = [dict() for _ in working.layers]
-
-    def walk_images(qubit: int):
-        """Instantaneous images of X_q, Z_q through the amended circuit."""
-        w_x = PauliProduct.single(n, qubit, Pauli.X)
-        w_z = PauliProduct.single(n, qubit, Pauli.Z)
-        for li, layer in enumerate(working.layers):
-            for wire, gate in insertions[li].items():
-                w_x = _apply_to_product(gate, (wire,), w_x)
-                w_z = _apply_to_product(gate, (wire,), w_z)
-            for inst in layer:
-                if qubit in inst.qubits and inst.gate.arity == 2:
-                    yield li, inst, w_x, w_z
-                w_x = _apply_to_product(inst.gate, inst.qubits, w_x)
-                w_z = _apply_to_product(inst.gate, inst.qubits, w_z)
-
-    for q in range(n):
-        tgt_x = support(target.image_x(q))
-        tgt_z = support(target.image_z(q))
-        restart = True
-        while restart:
-            restart = False
-            for li, inst, w_x, w_z in walk_images(q):
-                role = inst.qubits.index(q)
-                other = inst.qubits[1 - role]
-                cp = _axis_letter(native, role)
-                need_x = other in tgt_x  # True: must anticommute (spread)
-                need_z = other in tgt_z
-                have_x = w_x.local(q)
-                have_z = w_z.local(q)
-                ok_x = (have_x != cp) if need_x else (have_x == cp)
-                ok_z = (have_z != cp) if need_z else (have_z == cp)
-                if ok_x and ok_z:
-                    continue
-                if not need_x and not need_z:
-                    # Both images asked to commute through one entangler: no
-                    # local pair satisfies that.  The final-support guide has
-                    # misfired (repeated interaction); leave the slot for the
-                    # fallback search.
-                    continue
-                choices = []
-                want_xs = [p for p in (Pauli.X, Pauli.Y, Pauli.Z)
-                           if (p != cp) == need_x]
-                want_zs = [p for p in (Pauli.X, Pauli.Y, Pauli.Z)
-                           if (p != cp) == need_z]
-                for wx in want_xs:
-                    for wz in want_zs:
-                        if wx == wz:
-                            continue
-                        g = conjugation_lookup((have_x, have_z), (wx, wz))
-                        idx = CLASS_GATE_ORDER.index(g.name)
-                        choices.append((gs.insertion_cost(g), idx, g))
-                choices.sort(key=lambda t: (t[0], t[1]))
-                gate = choices[0][2]
-                prev = insertions[li].get(q)
-                if prev is not None:
-                    combined = perm_compose(gate.perm, prev.perm)
-                    gate = class_gate_for_perm(combined)
-                insertions[li][q] = gate
-                restart = True
-                break
-    return insertions
-
-
-def _apply_to_product(gate: GateDef, qubits, p: PauliProduct) -> PauliProduct:
-    """Conjugate one Pauli product through a gate via its local lookup."""
-    lut = gate.lut
-    if gate.arity == 1:
-        (q,) = qubits
-        key = 2 * ((p.x >> q) & 1) + ((p.z >> q) & 1)
-        x = (p.x & ~(1 << q)) | (int(lut.out_bits[0][key]) << q)
-        z = (p.z & ~(1 << q)) | (int(lut.out_bits[1][key]) << q)
-        return PauliProduct(p.n, x, z, p.sign * int(lut.sign[key]))
-    a, b = qubits
-    key = (
-        8 * ((p.x >> a) & 1)
-        + 4 * ((p.z >> a) & 1)
-        + 2 * ((p.x >> b) & 1)
-        + ((p.z >> b) & 1)
-    )
-    mask = ~((1 << a) | (1 << b))
-    x = (p.x & mask) | (int(lut.out_bits[0][key]) << a) | (int(lut.out_bits[2][key]) << b)
-    z = (p.z & mask) | (int(lut.out_bits[1][key]) << a) | (int(lut.out_bits[3][key]) << b)
-    return PauliProduct(p.n, x, z, p.sign * int(lut.sign[key]))
-
-
-def _materialise(working: Circuit, insertions: list[dict[int, GateDef]]) -> Circuit:
-    out = _LayerBuilder(working.n)
-    for li, layer in enumerate(working.layers):
-        for wire, gate in sorted(insertions[li].items()):
-            out.place_single(wire, gate)
-        out.place_layer(layer)
-    return out.circuit()
-
-
-def _support_mismatches(t1: Tableau, t2: Tableau) -> list[int]:
-    """Generators whose image supports differ (letter pattern ignored)."""
-    occ1 = (t1.letter_array() != 0)
-    occ2 = (t2.letter_array() != 0)
-    return [int(g) for g in np.nonzero((occ1 != occ2).any(axis=1))[0]]
-
-
-def _fallback_search(
-    working: Circuit,
-    target: Tableau,
-    gs: GateSet,
-    insertions: list[dict[int, GateDef]],
-) -> Circuit:
-    """Bounded exhaustive repair over insertion slots of offending qubits."""
-    n = working.n
-    if n > 16:
-        raise PropagationError(
-            "greedy propagation failed and the circuit is too large for the "
-            "bounded fallback search; compile from the source circuit instead"
-        )
-    classes = [builtin(name) for name in CLASS_GATE_ORDER]
-
-    def evaluate(insertions) -> list[int]:
-        cand = _materialise(working, insertions)
-        return _support_mismatches(tb.from_circuit(cand), target)
-
-    bad = evaluate(insertions)
-    budget = 6 ** 8
-    rounds = 0
-    while bad:
-        rounds += 1
-        if rounds > 2 * n:
-            raise PropagationError("fallback search is cycling between qubits")
-        qubit = min(g // 2 for g in bad)
-        slots = [
-            li
-            for li, layer in enumerate(working.layers)
-            if any(qubit in inst.qubits and inst.gate.arity == 2 for inst in layer)
-        ]
-        if 6 ** len(slots) > budget:
-            raise PropagationError("fallback search space exceeds the 6^8 cap")
-
-        def dfs(i: int) -> bool:
-            if i == len(slots):
-                return not any(g // 2 == qubit for g in evaluate(insertions))
-            for g in classes:
-                if g.name == "I":
-                    insertions[slots[i]].pop(qubit, None)
-                else:
-                    insertions[slots[i]][qubit] = g
-                if dfs(i + 1):
-                    return True
-            insertions[slots[i]].pop(qubit, None)
-            return False
-
-        if not dfs(0):
-            raise PropagationError(
-                f"target unreachable under same-structure initial condition: "
-                f"no insertion assignment fixes the propagation of qubit {qubit}"
-            )
-        new_bad = evaluate(insertions)
-        if new_bad == bad:
-            raise PropagationError("fallback search made no progress")
-        bad = new_bad
-    return _materialise(working, insertions)
-
-
-def fix_propagation(
-    working: Circuit,
-    target: Tableau,
-    gs: GateSet,
-    *,
-    source: Circuit | None = None,
-) -> Circuit:
-    """Insert basis changes so every generator image has the target's support.
-
-    With ``source`` given (as :func:`compile_circuit` does), the walk tracks
-    the source's instantaneous conjugation and is exact for all same-class
-    circuits.  Without it, a greedy per-qubit pass guided by the target's
-    final supports runs first, then a bounded exhaustive repair if any
-    generator's support still mismatches.
-    """
-    if source is not None:
-        _check_matching_skeleton(working, source, gs)
-        fixed, _ = _propagation_sweep(source, gs)
-        return fixed
-    insertions = _greedy_insertions(working, target, gs)
-    fixed = _materialise(working, insertions)
-    if not _support_mismatches(tb.from_circuit(fixed), target):
-        return fixed
-    return _fallback_search(working, target, gs, insertions)
-
-
-def _check_matching_skeleton(working: Circuit, source: Circuit, gs: GateSet) -> None:
-    want = [
-        inst.qubits for inst in initial_condition(source, gs).instructions()
-    ]
-    got = [
-        inst.qubits for inst in working.instructions() if inst.gate.arity == 2
-    ]
-    if want != got:
-        raise CompileError("working circuit does not match the source's skeleton")
-
-
-# ---------------------------------------------------------------------------
 # Stage 3: conjugation fix
 
 
-def _wire_letter_maps(t_working: Tableau, t_target: Tableau) -> list:
-    """Per-wire letter permutations sending working image letters to target's.
+def fix_conjugation(working: Circuit, maps: Sequence) -> Circuit:
+    """Append one basis-change gate per wire undoing its final letter map.
 
-    A propagation-fixed circuit differs from the target by per-wire letter
-    permutations, so for every wire the (working letter -> target letter)
-    constraints collected over all generators are consistent and pin the
-    permutation completely; anything else reports an upstream failure.
+    ``maps`` are the per-wire permutations returned by
+    :func:`fix_propagation`; after the sweep each wire differs from the
+    source only by that permutation.
     """
-    lw = t_working.letter_array()
-    lt = t_target.letter_array()
-    perms = []
-    for wire in range(t_working.n):
-        col_w = lw[:, wire]
-        col_t = lt[:, wire]
-        if ((col_w == 0) != (col_t == 0)).any():
-            raise CompileError(
-                f"wire {wire}: image supports disagree; propagation is not fixed"
-            )
-        mapping: dict[int, int] = {}
-        for code in (1, 2, 3):
-            hits = col_t[col_w == code]
-            if hits.size == 0:
-                continue
-            vals = set(int(v) for v in hits)
-            if len(vals) > 1:
-                raise CompileError(
-                    f"wire {wire}: images are not related by a single basis change"
-                )
-            mapping[code] = vals.pop()
-        if len(mapping) < 2:
-            raise CompileError(f"wire {wire}: underdetermined basis change")
-        if len(mapping) == 2:
-            (a, ma), (b, mb) = mapping.items()
-            mapping[a ^ b] = ma ^ mb
-        perms.append((mapping[Pauli.X], mapping[Pauli.Z]))
-    return perms
-
-
-def fix_conjugation(working: Circuit, target: Tableau) -> Circuit:
-    """Append one basis-change gate per wire to align output conjugations."""
-    t_working = tb.from_circuit(working)
     out = _LayerBuilder(working.n)
     for layer in working.layers:
         out.place_layer(layer)
-    for wire, perm in enumerate(_wire_letter_maps(t_working, target)):
-        gate = class_gate_for_perm(perm)
-        if gate.name != "I":
-            out.place_single(wire, gate)
+    for wire, perm in enumerate(maps):
+        out.place_single(wire, class_gate_for_perm(perm_invert(perm)))
     return out.circuit()
 
 
@@ -651,10 +400,11 @@ def _expand_classes(c: Circuit, gs: GateSet) -> Circuit:
 
 
 def extract_frame(compiled: Circuit, target: Tableau) -> PauliProduct:
-    """Pauli product reconciling the compiled circuit's signs with the target.
+    """Verify the compiled circuit and solve the Pauli frame against the target.
 
-    Requires letter-exact tableau agreement; the frame appended as a final
-    Pauli layer yields exact equality.
+    Raises :class:`VerificationError` unless the two tableaux agree letter
+    for letter; the returned frame, appended as a final Pauli layer, turns
+    agreement up to signs into exact equality.
     """
     t = tb.from_circuit(compiled)
     ok, flips = tb.equal_up_to_sign(t, target)
@@ -671,58 +421,6 @@ def _frame_layer(frame: PauliProduct) -> tuple[Instruction, ...]:
     )
 
 
-# ---------------------------------------------------------------------------
-# Full pipelines
-
-
-def compile_circuit(
-    source: Circuit,
-    gs: GateSet,
-    *,
-    frame_mode: str = "report",
-) -> CompilationResult:
-    """Compile a same-class source circuit onto the gateset.
-
-    The output contains only gateset gates (plus a final Pauli layer when
-    ``frame_mode="fold"``), preserves the two-qubit count and pairing exactly,
-    and is verified by rebuilding its tableau; verification failure raises.
-    """
-    if frame_mode not in FRAME_MODES:
-        raise ValueError(f"frame_mode must be one of {FRAME_MODES}")
-    target = tb.from_circuit(source)
-    skeleton = initial_condition(source, gs)
-    working = fix_propagation(skeleton, target, gs, source=source)
-    working = fix_conjugation(working, target)
-    expanded = _expand_classes(_fuse_adjacent_singles(working), gs)
-
-    if two_qubit_count(expanded) != two_qubit_count(source):
-        raise VerificationError("two-qubit count was not preserved")
-    t_out = tb.from_circuit(expanded)
-    ok, flips = tb.equal_up_to_sign(t_out, target)
-    if not ok:
-        raise VerificationError("compiled tableau differs from the target")
-    frame = solve_frame(t_out.images(), flips)
-
-    final = expanded
-    if frame_mode == "fold":
-        if not frame.is_identity():
-            final = Circuit(final.n, final.layers + (_frame_layer(frame),))
-        if tb.from_circuit(final) != target:
-            raise VerificationError("frame folding did not produce exact equality")
-    elif frame_mode == "none":
-        if not frame.is_identity():
-            raise CompileError(
-                f"frame mode 'none' but the compilation needs frame {frame}"
-            )
-    return CompilationResult(
-        circuit=final,
-        frame=frame,
-        stats=report(final),
-        verified=True,
-        permutation=tuple(range(source.n)),
-        gateset=gs.name,
-        frame_mode=frame_mode,
-    )
 
 
 def _remove_virtual_swaps(c: Circuit) -> tuple[Circuit, tuple[int, ...]]:
@@ -748,65 +446,38 @@ def _remove_virtual_swaps(c: Circuit) -> tuple[Circuit, tuple[int, ...]]:
     return Circuit(c.n, tuple(tuple(l) for l in layers)), tuple(label)
 
 
-def compile_with_iswap_heuristic(
+# ---------------------------------------------------------------------------
+# Full pipelines
+
+
+def _compile(
     source: Circuit,
     gs: GateSet,
-    *,
-    frame_mode: str = "report",
+    frame_mode: str,
+    virtual_swap: bool,
     available_pairs: Iterable[tuple[int, int]] | None = None,
 ) -> CompilationResult:
-    """Cross-class compilation via virtual SWAP insertion.
-
-    A SWAP after each native entangler makes the composite match the source's
-    entangler class, the standard pipeline runs against the composites, and
-    the SWAPs are then removed one by one while relabelling later qubit
-    indices.  The result verifies against the target up to signs and the
-    accumulated wire relabelling, which the result carries.
-    """
+    """The one pipeline behind both entry points; every result is verified."""
     if frame_mode not in FRAME_MODES:
         raise ValueError(f"frame_mode must be one of {FRAME_MODES}")
-    native = gs.entangler
-    source_classes = {
-        inst.gate.entangler_class
-        for inst in source.instructions()
-        if inst.gate.arity == 2
-    }
-    if "swap_like" in source_classes or "none" in source_classes:
-        raise CompileError("source entanglers must be cx-like or iswap-like")
-    opposite = "cx_like" if native.entangler_class == "iswap_like" else "iswap_like"
-    if not source_classes or source_classes == {native.entangler_class}:
-        return compile_circuit(source, gs, frame_mode=frame_mode)
-    if source_classes != {opposite}:
-        raise CompileError("mixed-class sources are not supported")
-
     target = tb.from_circuit(source)
-    working, u = _propagation_sweep(source, gs, virtual_swap=True)
+    if not virtual_swap:
+        initial_condition(source, gs)  # rejects entanglers of the wrong class
+    working, maps = fix_propagation(source, gs, virtual_swap=virtual_swap)
+    working = fix_conjugation(working, maps)
+    final = _expand_classes(_fuse_adjacent_singles(working), gs)
+    permutation = tuple(range(source.n))
+    if virtual_swap:
+        final, permutation = _remove_virtual_swaps(final)
+        target = target.relabel_wires(permutation)
 
-    # conjugation fix against the composite working circuit
-    builder = _LayerBuilder(source.n)
-    for layer in working.layers:
-        builder.place_layer(layer)
-    for wire in range(source.n):
-        gate = class_gate_for_perm(perm_invert(u[wire]))
-        if gate.name != "I":
-            builder.place_single(wire, gate)
-    staged = _expand_classes(_fuse_adjacent_singles(builder.circuit()), gs)
-
-    final, sigma = _remove_virtual_swaps(staged)
     if two_qubit_count(final) != two_qubit_count(source):
         raise VerificationError("two-qubit count was not preserved")
-    relabelled_target = target.relabel_wires(sigma)
-    t_out = tb.from_circuit(final)
-    ok, flips = tb.equal_up_to_sign(t_out, relabelled_target)
-    if not ok:
-        raise VerificationError(
-            "compiled tableau differs from the relabelled target"
-        )
-    frame = solve_frame(t_out.images(), flips)
+    frame = extract_frame(final, target)
     if frame_mode == "fold":
         if not frame.is_identity():
             final = Circuit(final.n, final.layers + (_frame_layer(frame),))
-        if tb.from_circuit(final) != relabelled_target:
+        if tb.from_circuit(final) != target:
             raise VerificationError("frame folding did not produce exact equality")
     elif frame_mode == "none":
         if not frame.is_identity():
@@ -826,8 +497,55 @@ def compile_with_iswap_heuristic(
         frame=frame,
         stats=report(final),
         verified=True,
-        permutation=sigma,
+        permutation=permutation,
         gateset=gs.name,
         frame_mode=frame_mode,
         unavailable_pairs=tuple(flagged),
     )
+
+
+def compile_circuit(
+    source: Circuit,
+    gs: GateSet,
+    *,
+    frame_mode: str = "report",
+) -> CompilationResult:
+    """Compile a same-class source circuit onto the gateset.
+
+    The output contains only gateset gates (plus a final Pauli layer when
+    ``frame_mode="fold"``), preserves the two-qubit count and pairing exactly,
+    and is verified by rebuilding its tableau; verification failure raises.
+    """
+    return _compile(source, gs, frame_mode, False)
+
+
+def compile_with_iswap_heuristic(
+    source: Circuit,
+    gs: GateSet,
+    *,
+    frame_mode: str = "report",
+    available_pairs: Iterable[tuple[int, int]] | None = None,
+) -> CompilationResult:
+    """Cross-class compilation via virtual SWAP insertion.
+
+    A SWAP after each native entangler makes the composite match the source's
+    entangler class, the standard pipeline runs against the composites, and
+    the SWAPs are then removed one by one while relabelling later qubit
+    indices.  The result verifies against the target up to signs and the
+    accumulated wire relabelling, which the result carries.  Same-class
+    sources compile as in :func:`compile_circuit`.  Entangler pairs outside
+    ``available_pairs``, when given, are listed in ``unavailable_pairs``.
+    """
+    native = gs.entangler
+    source_classes = {
+        inst.gate.entangler_class
+        for inst in source.instructions()
+        if inst.gate.arity == 2
+    }
+    if "swap_like" in source_classes or "none" in source_classes:
+        raise CompileError("source entanglers must be cx-like or iswap-like")
+    opposite = "cx_like" if native.entangler_class == "iswap_like" else "iswap_like"
+    crossing = bool(source_classes) and source_classes != {native.entangler_class}
+    if crossing and source_classes != {opposite}:
+        raise CompileError("mixed-class sources are not supported")
+    return _compile(source, gs, frame_mode, crossing, available_pairs)

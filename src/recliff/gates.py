@@ -281,9 +281,6 @@ def _composed_from(reg, name, steps):
 
 _REGISTRY = _build_registry()
 
-#: Gates that carry qubit-order roles (control first).
-ASYMMETRIC_NOTE = ("CX", "ECR", "CXSWAP", "CZSWAP")
-
 
 def builtin(name: str) -> GateDef:
     """Look up a built-in gate by its canonical (stim-style) name."""

@@ -34,10 +34,6 @@ class Pauli(IntEnum):
             raise ValueError(f"not a Pauli letter: {letter!r}") from None
 
 
-class PhaseError(ValueError):
-    """A product that must be real carried a factor of +/-i."""
-
-
 @dataclass(frozen=True)
 class PauliProduct:
     """Signed Pauli product on n qubits: sign * tensor of local Paulis.
@@ -183,14 +179,6 @@ def multiply(a: PauliProduct, b: PauliProduct) -> PauliProduct:
     """Product a*b with any +/-i phase dropped to a sign (flagged variant:
     :func:`multiply_exact`)."""
     return multiply_exact(a, b)[0]
-
-
-def multiply_strict(a: PauliProduct, b: PauliProduct) -> PauliProduct:
-    """Product a*b, raising :class:`PhaseError` if the result is imaginary."""
-    prod, imag = multiply_exact(a, b)
-    if imag:
-        raise PhaseError(f"product ({a}) * ({b}) carries a factor of i")
-    return prod
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from recliff import (
     expand_ecr,
     from_circuit,
     gate_counts,
-    insert_single_qubit,
     parse,
     random_clifford_circuit,
     two_qubit_count,
@@ -89,6 +88,33 @@ class TestParse:
     def test_consecutive_ticks_collapse(self):
         c = parse("H 0\nTICK\nTICK\nS 0")
         assert depth(c) == 2
+
+    @pytest.mark.parametrize("text", [
+        "H \u0661",       # Arabic-Indic digit one
+        "H \uff11",       # fullwidth digit one
+        "H \u00b9",       # superscript one
+        "H 1_0",          # int() reads this as 10
+        "H +1",
+        "H -1",
+        "H 0x1",
+        "H\u00a00",       # no-break space as the separator
+        "H 0\u00a0",
+        "H 0\u2028H 1",   # a line separator other than \n
+        "H 0\x85",
+    ])
+    def test_targets_outside_ascii_decimal_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse(text)
+
+    def test_non_ascii_comment_accepted(self):
+        c = parse("# q\u00fcbit \u2028 \u0661\nH 0  # \u00e9\n")
+        assert gate_counts(c) == {"H": 1} and c.n == 1
+
+    def test_crlf_line_endings(self):
+        assert parse("H 0\r\nTICK\r\nCX 0 1\r\n") == parse("H 0\nTICK\nCX 0 1\n")
+
+    def test_leading_zeros_are_decimal(self):
+        assert parse("H 007").n == 8
 
 
 class TestEmit:
@@ -170,51 +196,3 @@ class TestLayerValidation:
     def test_empty_layers_dropped(self):
         c = Circuit(1, ((), (Instruction(builtin("H"), (0,)),), ()))
         assert depth(c) == 1
-
-
-class TestInsertSingleQubit:
-    def test_insert_before_entangler_layer(self):
-        c = parse("ECR 0 1\nTICK\nECR 1 3")
-        out = insert_single_qubit(c, (1, 1), builtin("H_YZ"))
-        names = [inst.gate.name for inst in out.wire_gates(1)]
-        assert names == ["ECR", "H_YZ", "ECR"]
-        assert depth(out) == 3
-
-    def test_identity_is_noop(self):
-        c = parse("ECR 0 1")
-        assert insert_single_qubit(c, (0, 0), builtin("I")) == c
-
-    def test_merges_into_adjacent_single_layer(self):
-        c = parse("H 0\nTICK\nCX 0 1")
-        out = insert_single_qubit(c, (1, 1), builtin("S"))
-        assert depth(out) == 2
-        assert {inst.gate.name for inst in out.layers[0]} == {"H", "S"}
-
-    def test_consecutive_insertions_fuse(self):
-        c = parse("ECR 0 1\nTICK\nECR 0 1")
-        once = insert_single_qubit(c, (1, 0), builtin("S"))
-        twice = insert_single_qubit(once, (2, 0), builtin("S"))
-        mids = [inst for inst in twice.instructions() if inst.gate.arity == 1]
-        assert [i.gate.name for i in mids] == ["Z"]
-        assert depth(twice) == 3
-
-    def test_fusion_to_identity_removes_gate(self):
-        c = parse("ECR 0 1\nTICK\nECR 0 1")
-        once = insert_single_qubit(c, (1, 0), builtin("H"))
-        twice = insert_single_qubit(once, (2, 0), builtin("H"))
-        assert gate_counts(twice) == {"ECR": 2}
-
-    def test_entangler_layers_never_disturbed(self):
-        c = parse("ECR 0 1")
-        out = insert_single_qubit(c, (0, 2), builtin("H"))
-        assert depth(out) == 2
-        assert all(inst.gate.arity == 1 for inst in out.layers[0])
-
-    def test_invalid_boundary(self):
-        c = parse("H 0")
-        with pytest.raises(ValueError):
-            insert_single_qubit(c, (5, 0), builtin("S"))
-
-    def test_rejects_two_qubit_gate(self):
-        with pytest.raises(ValueError):
-            insert_single_qubit(parse("H 0"), (0, 0), builtin("CX"))

@@ -111,13 +111,13 @@ class TestCompileCommand:
         assert r.exit_code == 0
         assert "+/-" in r.output
 
-    def test_jobs_batch(self, runner, tmp_path):
+    def test_batch(self, runner, tmp_path):
         files = []
         for i in range(3):
             p = tmp_path / f"c{i}.stim"
             p.write_text("CX 0 1\nTICK\nH 0\n")
             files.append(str(p))
-        r = invoke(runner, "compile", "--target", "sqrt_xx", "--jobs", "2", *files)
+        r = invoke(runner, "compile", "--target", "sqrt_xx", *files)
         assert r.exit_code == 0
         for i in range(3):
             assert (tmp_path / f"c{i}.sqrt_xx.stim").exists()
@@ -261,6 +261,37 @@ class TestStdinStdout:
         )
         assert r.exit_code == 0
         assert "CZ 0 1" in r.output
+
+
+class TestMalformedInput:
+    """Input that is not dialect text exits 2 with one line, no traceback."""
+
+    NOT_UTF8 = b"\xff\xfeH 0\n"
+    COMMANDS = (["compile", "--target", "ecr"], ["verify", "-"], ["stats"])
+
+    @pytest.mark.parametrize("args", COMMANDS, ids=lambda a: a[0])
+    def test_undecodable_file_exit_2(self, runner, tmp_path, args):
+        src = tmp_path / "bad.stim"
+        src.write_bytes(self.NOT_UTF8)
+        r = invoke(runner, *args, str(src), input="H 0\n")
+        assert r.exit_code == 2
+        assert r.output == f"cannot read {src}: not valid UTF-8 at byte 0\n"
+
+    @pytest.mark.parametrize("args", COMMANDS, ids=lambda a: a[0])
+    def test_undecodable_stdin_exit_2(self, runner, tmp_path, args):
+        other = tmp_path / "ok.stim"
+        other.write_text("H 0\n")
+        args = [a if a != "-" else str(other) for a in args]
+        r = invoke(runner, *args, "-", input=self.NOT_UTF8)
+        assert r.exit_code == 2
+        assert r.output == "cannot read -: not valid UTF-8 at byte 0\n"
+
+    def test_non_ascii_target_exit_2(self, runner, tmp_path):
+        src = tmp_path / "bad.stim"
+        src.write_text("H \uff11\n", encoding="utf-8")
+        r = invoke(runner, "compile", "--target", "ecr", str(src))
+        assert r.exit_code == 2
+        assert r.output.count("\n") == 1 and "non-ASCII" in r.output
 
 
 class TestThinAdapter:

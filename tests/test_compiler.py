@@ -1,13 +1,20 @@
 import random
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
+import recliff.compiler
 from recliff import (
+    Circuit,
     CompileError,
+    Instruction,
     Pauli,
     PauliProduct,
-    PropagationError,
     RandomCircuitSpec,
+    SurfaceCodeSpec,
+    Tableau,
+    VerificationError,
     builtin,
     builtin_gateset,
     compile_circuit,
@@ -24,9 +31,11 @@ from recliff import (
     initial_condition,
     parse,
     random_clifford_circuit,
+    surface_code_syndrome_extraction,
     two_qubit_count,
 )
-from recliff.gates import perm_apply
+from recliff.cli import main
+from recliff.gates import NATIVE_SETS, PERM_IDENTITY, TARGET_ENTANGLERS, perm_apply, perm_invert
 
 from conftest import (
     FAN_OUT_TEXT,
@@ -105,74 +114,139 @@ def wire_names(circuit, wire):
     return [inst.gate.name for inst in circuit.wire_gates(wire)]
 
 
+def tableau_letter_maps(t_working: Tableau, t_target: Tableau) -> list:
+    """Per-wire letter permutations sending working image letters to target's.
+
+    The conjugation fix used to read these off a second tableau simulation;
+    kept here as the reference for the sweep's maps.  A propagation-fixed
+    circuit differs from the target by per-wire letter permutations, so for
+    every wire the (working letter -> target letter) constraints collected
+    over all generators are consistent and pin the permutation completely.
+    """
+    lw = t_working.letter_array()
+    lt = t_target.letter_array()
+    perms = []
+    for wire in range(t_working.n):
+        col_w = lw[:, wire]
+        col_t = lt[:, wire]
+        assert not ((col_w == 0) != (col_t == 0)).any(), f"wire {wire}: supports differ"
+        mapping: dict[int, int] = {}
+        for code in (1, 2, 3):
+            hits = col_t[col_w == code]
+            if hits.size == 0:
+                continue
+            vals = set(int(v) for v in hits)
+            assert len(vals) == 1, f"wire {wire}: not a single basis change"
+            mapping[code] = vals.pop()
+        assert len(mapping) >= 2, f"wire {wire}: underdetermined basis change"
+        if len(mapping) == 2:
+            (a, ma), (b, mb) = mapping.items()
+            mapping[a ^ b] = ma ^ mb
+        perms.append((mapping[Pauli.X], mapping[Pauli.Z]))
+    return perms
+
+
+def apply_to_product(gate, qubits, p: PauliProduct) -> PauliProduct:
+    """Conjugate one Pauli product through a gate via its local lookup table."""
+    lut = gate.lut
+    if gate.arity == 1:
+        (q,) = qubits
+        key = 2 * ((p.x >> q) & 1) + ((p.z >> q) & 1)
+        x = (p.x & ~(1 << q)) | (int(lut.out_bits[0][key]) << q)
+        z = (p.z & ~(1 << q)) | (int(lut.out_bits[1][key]) << q)
+        return PauliProduct(p.n, x, z, p.sign * int(lut.sign[key]))
+    a, b = qubits
+    key = (
+        8 * ((p.x >> a) & 1)
+        + 4 * ((p.z >> a) & 1)
+        + 2 * ((p.x >> b) & 1)
+        + ((p.z >> b) & 1)
+    )
+    mask = ~((1 << a) | (1 << b))
+    x = (p.x & mask) | (int(lut.out_bits[0][key]) << a) | (int(lut.out_bits[2][key]) << b)
+    z = (p.z & mask) | (int(lut.out_bits[1][key]) << a) | (int(lut.out_bits[3][key]) << b)
+    return PauliProduct(p.n, x, z, p.sign * int(lut.sign[key]))
+
+
 class TestFixPropagation:
     def test_worked_example_insertions(self, worked_example):
         gs = builtin_gateset("ecr", "class6")
-        target = from_circuit(worked_example)
-        skel = initial_condition(worked_example, gs)
-        fixed = fix_propagation(skel, target, gs, source=worked_example)
+        fixed, _ = fix_propagation(worked_example, gs)
         assert wire_names(fixed, 0) == ["H", "ECR", "ECR"]
         assert wire_names(fixed, 1) == ["ECR", "H_YZ", "ECR"]
         assert wire_names(fixed, 2) == ["ECR", "H_XY", "ECR"]
         assert wire_names(fixed, 3) == ["ECR", "ECR"]
 
-    def test_greedy_matches_sweep_on_single_interaction_circuits(self, worked_example):
-        from recliff import SurfaceCodeSpec, surface_code_syndrome_extraction
-
-        for source, gs in [
-            (worked_example, builtin_gateset("ecr", "class6")),
-            (
-                surface_code_syndrome_extraction(SurfaceCodeSpec(3)),
-                builtin_gateset("sqrt_xx", "class6"),
-            ),
-        ]:
-            target = from_circuit(source)
-            skel = initial_condition(source, gs)
-            exact = fix_propagation(skel, target, gs, source=source)
-            greedy = fix_propagation(skel, target, gs)
-            assert exact == greedy
-
     def test_supports_match_after_fix(self, worked_example):
         gs = builtin_gateset("ecr", "class6")
         target = from_circuit(worked_example)
-        skel = initial_condition(worked_example, gs)
-        fixed = fix_propagation(skel, target, gs, source=worked_example)
+        fixed, _ = fix_propagation(worked_example, gs)
         got = from_circuit(fixed)
         for a, b in zip(got.images(), target.images()):
             assert (a.x | a.z) == (b.x | b.z)
 
-    def test_tableau_only_repeated_interaction_uses_fallback(self):
-        source = parse("CX 0 1\nTICK\nCX 0 1")
-        gs = builtin_gateset("ecr", "class6")
-        target = from_circuit(source)
-        skel = initial_condition(source, gs)
-        fixed = fix_propagation(skel, target, gs)
-        got = from_circuit(fixed)
-        for a, b in zip(got.images(), target.images()):
-            assert (a.x | a.z) == (b.x | b.z)
+    @pytest.mark.parametrize("target", ["cx", "cz", "sqrt_xx", "ecr", "iswap"])
+    def test_maps_equal_tableau_derived_maps(self, target):
+        """The sweep's final maps are exactly what a tableau simulation of
+        the working circuit against the source would give (onto iswap, with
+        the virtual SWAPs of the swap-insertion mode in the working circuit)."""
+        gs = builtin_gateset(target, "class6")
+        sources = [surface_code_syndrome_extraction(SurfaceCodeSpec(d)) for d in (3, 5, 7)]
+        for seed in range(30):
+            sources.append(random_clifford_circuit(RandomCircuitSpec(
+                n=2 + seed % 7, entangler_layers=1 + seed % 6, seed=4000 + seed,
+                entangler=builtin(("CX", "CZ", "SQRT_XX", "ECR")[seed % 4]),
+            )))
+        for source in sources:
+            fixed, maps = fix_propagation(source, gs, virtual_swap=target == "iswap")
+            want = tableau_letter_maps(from_circuit(fixed), from_circuit(source))
+            assert [perm_invert(m) for m in maps] == want
 
 
 class TestFixConjugation:
     def test_worked_example_appends(self, worked_example):
         gs = builtin_gateset("ecr", "class6")
-        target = from_circuit(worked_example)
-        skel = initial_condition(worked_example, gs)
-        fixed = fix_propagation(skel, target, gs, source=worked_example)
-        done = fix_conjugation(fixed, target)
+        fixed, maps = fix_propagation(worked_example, gs)
+        done = fix_conjugation(fixed, maps)
         last = done.layers[-1]
         assert {(inst.gate.name, inst.qubits) for inst in last} == {
             ("H", (0,)), ("H_XY", (1,)), ("H_YZ", (2,)),
         }
 
     def test_no_append_when_already_aligned(self, worked_example):
-        target = from_circuit(worked_example)
-        assert fix_conjugation(worked_example, target) == worked_example
+        maps = [PERM_IDENTITY] * worked_example.n
+        assert fix_conjugation(worked_example, maps) == worked_example
 
     def test_error_when_propagation_not_fixed(self, worked_example):
         gs = builtin_gateset("ecr", "class6")
-        skel = initial_condition(worked_example, gs)
-        with pytest.raises(CompileError):
-            fix_conjugation(skel, from_circuit(worked_example))
+        _, maps = fix_propagation(worked_example, gs)
+        unfixed = fix_conjugation(initial_condition(worked_example, gs), maps)
+        with pytest.raises(VerificationError):
+            extract_frame(unfixed, from_circuit(worked_example))
+
+
+class TestSabotagedConjugationFix:
+    """With the conjugation fix disabled, no entry point returns a result."""
+
+    @pytest.fixture(autouse=True)
+    def skip_conjugation_fix(self, monkeypatch):
+        monkeypatch.setattr(recliff.compiler, "fix_conjugation", lambda working, maps: working)
+
+    def test_compile_circuit_raises(self, worked_example):
+        with pytest.raises(VerificationError):
+            compile_circuit(worked_example, builtin_gateset("ecr"))
+
+    def test_iswap_heuristic_raises(self, fan_out_circuit):
+        with pytest.raises(VerificationError):
+            compile_with_iswap_heuristic(fan_out_circuit, builtin_gateset("iswap"))
+
+    def test_cli_exits_4_with_one_line(self, tmp_path):
+        src = tmp_path / "src.stim"
+        src.write_text(emit(parse(WORKED_EXAMPLE_TEXT)))
+        r = CliRunner().invoke(main, ["compile", "--target", "ecr", str(src)])
+        assert r.exit_code == 4
+        assert r.output.startswith("verification failure: ")
+        assert r.output.count("\n") == 1
 
 
 class TestExtractFrame:
@@ -287,9 +361,6 @@ class TestCompile:
         wire-local components of the tracked generator images remain a
         non-identity anticommuting pair (holds on the single-interaction
         circuit class; opposite-orientation repeats can leave the wire)."""
-        from recliff import SurfaceCodeSpec, surface_code_syndrome_extraction
-        from recliff.compiler import _apply_to_product
-
         for source, target_name in (
             (worked_example, "ecr"),
             (surface_code_syndrome_extraction(SurfaceCodeSpec(3)), "sqrt_xx"),
@@ -305,8 +376,8 @@ class TestCompile:
                         if inst.gate.arity == 2 and q in inst.qubits:
                             lx, lz = w_x.local(q), w_z.local(q)
                             assert lx != Pauli.I and lz != Pauli.I and lx != lz
-                        w_x = _apply_to_product(inst.gate, inst.qubits, w_x)
-                        w_z = _apply_to_product(inst.gate, inst.qubits, w_z)
+                        w_x = apply_to_product(inst.gate, inst.qubits, w_x)
+                        w_z = apply_to_product(inst.gate, inst.qubits, w_z)
 
     def test_metadata_shape(self, worked_example):
         res = compile_circuit(worked_example, builtin_gateset("ecr"))
@@ -462,3 +533,66 @@ class TestSoundnessSample:
             res = compile_circuit(source, gs, frame_mode="fold")
             assert from_circuit(res.circuit) == from_circuit(source)
             assert two_qubit_count(res.circuit) == two_qubit_count(source)
+
+
+ENTANGLER_CLASSES = {
+    "cx_like": ("CX", "CZ", "SQRT_XX", "ECR"),
+    "iswap_like": ("ISWAP", "CXSWAP", "CZSWAP"),
+}
+SINGLE_QUBIT_GATES = (
+    "I", "X", "Y", "Z", "H", "S", "S_DAG", "SQRT_X", "SQRT_X_DAG",
+    "H_XY", "H_YZ", "C_XYZ", "C_ZYX",
+)
+
+
+@st.composite
+def one_class_circuits(draw, max_n=6, max_layers=8):
+    """Layered circuits whose entanglers all come from one drawn class."""
+    names = ENTANGLER_CLASSES[draw(st.sampled_from(sorted(ENTANGLER_CLASSES)))]
+    n = draw(st.integers(2, max_n))
+    layers = []
+    for _ in range(draw(st.integers(0, max_layers))):
+        order = draw(st.permutations(range(n)))
+        pairs = draw(st.integers(0, n // 2))
+        layer = [
+            Instruction(builtin(draw(st.sampled_from(names))), (order[2 * i], order[2 * i + 1]))
+            for i in range(pairs)
+        ]
+        for q in order[2 * pairs:]:
+            name = draw(st.sampled_from(SINGLE_QUBIT_GATES))
+            if name != "I":
+                layer.append(Instruction(builtin(name), (q,)))
+        layers.append(tuple(layer))
+    return Circuit.build(layers)
+
+
+class TestPipelineProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        one_class_circuits(),
+        st.sampled_from(sorted(TARGET_ENTANGLERS)),
+        st.sampled_from(sorted(NATIVE_SETS)),
+    )
+    def test_folded_output_is_source_relabelled(self, source, target, natives):
+        gs = builtin_gateset(target, natives)
+        crossing = any(
+            inst.gate.arity == 2 and inst.gate.entangler_class != gs.entangler.entangler_class
+            for inst in source.instructions()
+        )
+        entry = compile_with_iswap_heuristic if crossing else compile_circuit
+        res = entry(source, gs, frame_mode="fold")
+        assert from_circuit(res.circuit) == from_circuit(source).relabel_wires(res.permutation)
+        assert two_qubit_count(res.circuit) == two_qubit_count(source)
+        assert parse(emit(source)) == source
+        # The dialect's qubit count is 1 + the largest index used.
+        assert parse(emit(res.circuit)) == Circuit.build(res.circuit.layers)
+
+
+class TestAvailablePairs:
+    def test_same_class_source_is_flagged_too(self):
+        source = parse("ISWAP 0 1\nTICK\nISWAP 1 2")
+        res = compile_with_iswap_heuristic(
+            source, builtin_gateset("iswap"), available_pairs=[(1, 0)]
+        )
+        assert res.permutation == (0, 1, 2)
+        assert res.unavailable_pairs == ((1, 2),)

@@ -8,7 +8,6 @@ from recliff import (
     FrameSolveError,
     Pauli,
     PauliProduct,
-    PhaseError,
     SignVector,
     commutes,
     multiply,
@@ -16,7 +15,7 @@ from recliff import (
     solve_frame,
     support,
 )
-from recliff.pauli import _phase_exponent, multiply_strict
+from recliff.pauli import _phase_exponent
 from recliff.tableau import from_circuit, identity
 from recliff import builtin, random_clifford_circuit, RandomCircuitSpec
 
@@ -77,10 +76,6 @@ class TestMultiply:
         # cross-check against explicit 2x2 matrices
         got = pauli_matrix(pp("+X0", 1)) @ pauli_matrix(pp("+Z0", 1))
         assert np.allclose(got, -1j * pauli_matrix(pp("+Y0", 1)))
-
-    def test_strict_raises_on_imaginary(self):
-        with pytest.raises(PhaseError):
-            multiply_strict(pp("+X0", 1), pp("+Z0", 1))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
