@@ -10,17 +10,16 @@ by exact stabilizer-tableau comparison up to a reported Pauli frame.
 """
 
 from .pauli import (
-    FrameSolveError,
     Pauli,
     PauliProduct,
     SignVector,
     commutes,
     multiply,
     multiply_exact,
-    solve_frame,
     support,
 )
 from .tableau import (
+    FrameSolveError,
     Tableau,
     append_gate,
     conjugate_product,
@@ -30,6 +29,7 @@ from .tableau import (
     identity,
     permute_qubits,
     pretty,
+    solve_frame,
 )
 from .gates import (
     GateDef,

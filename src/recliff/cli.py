@@ -7,7 +7,6 @@ inequivalent, 2 parse error, 3 compilation error or qubit limit exceeded,
 
 from __future__ import annotations
 
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -16,6 +15,7 @@ import click
 
 from . import __version__
 from . import tableau as tb
+from .tableau import solve_frame
 from .circuit import Circuit, ParseError, emit, parse
 from .circuit import expand_ecr as _expand_ecr_transform
 from .compiler import (
@@ -31,7 +31,6 @@ from .generators import (
     random_clifford_circuit,
     surface_code_syndrome_extraction,
 )
-from .pauli import solve_frame
 from .reporting import compare as compare_reports, report
 
 EXIT_PARSE = 2
@@ -107,9 +106,10 @@ def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
     """Compile circuit files onto the target gateset."""
     gs = builtin_gateset(target, natives)
     sources = [(path, _load_circuit(path, max_qubits)) for path in inputs]
-    if len(sources) > 1 and output is not None:
-        click.echo("--output is only valid with a single input", err=True)
-        sys.exit(EXIT_COMPILE)
+    for option, value in (("--output", output), ("--metadata", metadata_path)):
+        if len(sources) > 1 and value is not None:
+            click.echo(f"{option} is only valid with a single input", err=True)
+            sys.exit(EXIT_COMPILE)
 
     compile_one = compile_with_iswap_heuristic if iswap_heuristic else compile_circuit
     try:
@@ -138,7 +138,7 @@ def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
             out = Path(path).with_suffix(f".{target}.stim")
             out.write_text(text)
             click.echo(f"{path} -> {out}", err=True)
-        if metadata_path is not None and len(results) == 1:
+        if metadata_path is not None:
             _write_text(metadata_path, json.dumps(result.metadata(source), indent=2) + "\n")
     sys.exit(0)
 
@@ -149,7 +149,8 @@ def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
 @click.option("--up-to-frame", is_flag=True,
               help="Accept per-generator sign differences; print the frame witness.")
 @click.option("--up-to-permutation", is_flag=True,
-              help="Accept a wire relabelling; print the permutation witness.")
+              help="Accept a wire relabelling, found by matching the tableaux' "
+                   "qubit rows; print the permutation witness.")
 @_max_qubits_option
 def cmd_verify(file_a, file_b, up_to_frame, up_to_permutation, max_qubits):
     """Check tableau equivalence of two circuit files."""
@@ -161,26 +162,27 @@ def cmd_verify(file_a, file_b, up_to_frame, up_to_permutation, max_qubits):
     ta = tb.from_circuit(a)
     t_b = tb.from_circuit(b)
 
-    perms = [tuple(range(a.n))]
+    witness = ""
     if up_to_permutation:
-        if a.n > 8:
-            click.echo("permutation search is limited to 8 qubits", err=True)
-            sys.exit(EXIT_VERIFY)
-        perms = [tuple(p) for p in itertools.permutations(range(a.n))]
-    for sigma in perms:
-        cand = t_b.relabel_wires(sigma) if up_to_permutation else t_b
-        if up_to_frame:
-            ok, flips = tb.equal_up_to_sign(ta, cand)
-            if ok:
-                frame = solve_frame(ta.images(), flips)
-                click.echo(f"equivalent up to frame {frame}"
-                           + (f" and permutation {list(sigma)}" if up_to_permutation else ""))
-                sys.exit(0)
-        elif ta == cand:
-            click.echo("equivalent"
-                       + (f" up to permutation {list(sigma)}" if up_to_permutation else ""))
+        sigma = tb.match_wires(ta, t_b)
+        if sigma is None:
+            click.echo("not equivalent")
+            sys.exit(1)
+        t_b = t_b.relabel_wires(sigma)
+        witness = f"permutation {list(sigma)}"
+    if up_to_frame:
+        ok, flips = tb.equal_up_to_sign(ta, t_b)
+        if ok:
+            frame = solve_frame(ta, flips)
+            click.echo(f"equivalent up to frame {frame}" + (f" and {witness}" if witness else ""))
             sys.exit(0)
-    click.echo("not equivalent")
+    elif ta == t_b:
+        click.echo("equivalent" + (f" up to {witness}" if witness else ""))
+        sys.exit(0)
+    if up_to_permutation:
+        click.echo("not equivalent")
+    else:
+        click.echo(f"not equivalent: {tb.describe_difference(ta, t_b, file_a, file_b)}")
     sys.exit(1)
 
 

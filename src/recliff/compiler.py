@@ -32,9 +32,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .pauli import Pauli, PauliProduct, solve_frame, support
+from .pauli import Pauli, PauliProduct, support
 from . import tableau as tb
-from .tableau import Tableau
+from .tableau import Tableau, solve_frame
 from .circuit import Circuit, Instruction, depth, gate_counts, two_qubit_count
 from .gates import (
     CLASS_GATE_ORDER,
@@ -153,29 +153,35 @@ def initial_condition(source: Circuit, gs: GateSet) -> Circuit:
     share the native entangler's class; crossing classes needs the
     swap-insertion mode.
     """
+    _check_entangler_class(source, gs)
     native = gs.entangler
-    layers: list[list[Instruction]] = []
+    layers = []
     for layer in source.layers:
-        kept = []
-        for inst in layer:
-            if inst.gate.arity == 1:
-                continue
-            cls = inst.gate.entangler_class
-            if cls == "swap_like":
-                raise CompileError(
-                    f"{inst.gate.name} is a swap-like gate; "
-                    "swap compilation is not supported"
-                )
-            if cls != native.entangler_class:
-                raise CompileError(
-                    f"source entangler {inst.gate.name} is {cls} but the "
-                    f"{gs.name} gateset entangler {native.name} is "
-                    f"{native.entangler_class}; use the iswap heuristic mode"
-                )
-            kept.append(Instruction(native, inst.qubits))
+        kept = tuple(Instruction(native, inst.qubits) for inst in layer if inst.gate.arity == 2)
         if kept:
             layers.append(kept)
-    return Circuit(source.n, tuple(tuple(l) for l in layers))
+    return Circuit(source.n, tuple(layers))
+
+
+def _check_entangler_class(source: Circuit, gs: GateSet) -> None:
+    """Raise :class:`CompileError` at the first source entangler whose class
+    differs from the native entangler's."""
+    native = gs.entangler
+    for inst in source.instructions():
+        if inst.gate.arity == 1:
+            continue
+        cls = inst.gate.entangler_class
+        if cls == "swap_like":
+            raise CompileError(
+                f"{inst.gate.name} is a swap-like gate; "
+                "swap compilation is not supported"
+            )
+        if cls != native.entangler_class:
+            raise CompileError(
+                f"source entangler {inst.gate.name} is {cls} but the "
+                f"{gs.name} gateset entangler {native.name} is "
+                f"{native.entangler_class}; use the iswap heuristic mode"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -403,16 +409,18 @@ def extract_frame(compiled: Circuit, target: Tableau) -> PauliProduct:
     """Verify the compiled circuit and solve the Pauli frame against the target.
 
     Raises :class:`VerificationError` unless the two tableaux agree letter
-    for letter; the returned frame, appended as a final Pauli layer, turns
+    for letter; its message names the first generator whose images differ
+    and shows both.  The returned frame, appended as a final Pauli layer, turns
     agreement up to signs into exact equality.
     """
     t = tb.from_circuit(compiled)
     ok, flips = tb.equal_up_to_sign(t, target)
     if not ok:
         raise VerificationError(
-            "compiled circuit does not match the target up to signs"
+            "compiled circuit does not match the target up to signs: "
+            + tb.describe_difference(t, target, "the compiled circuit", "the target")
         )
-    return solve_frame(t.images(), flips)
+    return solve_frame(t, flips)
 
 
 def _frame_layer(frame: PauliProduct) -> tuple[Instruction, ...]:
@@ -462,7 +470,7 @@ def _compile(
         raise ValueError(f"frame_mode must be one of {FRAME_MODES}")
     target = tb.from_circuit(source)
     if not virtual_swap:
-        initial_condition(source, gs)  # rejects entanglers of the wrong class
+        _check_entangler_class(source, gs)
     working, maps = fix_propagation(source, gs, virtual_swap=virtual_swap)
     working = fix_conjugation(working, maps)
     final = _expand_classes(_fuse_adjacent_singles(working), gs)

@@ -209,41 +209,3 @@ class SignVector:
     @staticmethod
     def positive(n: int) -> "SignVector":
         return SignVector((1,) * (2 * n))
-
-
-class FrameSolveError(ValueError):
-    """The frame system is inconsistent: inputs were not a valid tableau."""
-
-
-def solve_frame(images: list[PauliProduct], required_flips: SignVector) -> PauliProduct:
-    """Pauli product F anticommuting with exactly the flagged generator images.
-
-    ``images`` holds the 2n generator images of a unitary tableau in the
-    interleaved order X_0, Z_0, ..., X_{n-1}, Z_{n-1}.  Because those images
-    form a symplectic basis, the GF(2) system has the closed-form solution
-
-        F = prod_j image(X_j)^{flip(Z_j)} * image(Z_j)^{flip(X_j)}
-
-    (the symplectic pairing is the dual basis pairing).  The result is
-    normalised to sign +1; F is unique up to global phase.
-    """
-    if len(images) != 2 * required_flips.n:
-        raise ValueError("images and flips disagree on qubit count")
-    if not images:
-        return PauliProduct(0)
-    n = images[0].n
-    f = PauliProduct(n)
-    for j in range(required_flips.n):
-        if required_flips.z(j) < 0:
-            f = multiply(f, images[2 * j])
-        if required_flips.x(j) < 0:
-            f = multiply(f, images[2 * j + 1])
-    f = PauliProduct(n, f.x, f.z, 1)
-    for g, img in enumerate(images):
-        want_flip = required_flips.entries[g] < 0
-        if commutes(f, img) == want_flip:
-            raise FrameSolveError(
-                "no Pauli frame realises the requested sign flips; "
-                "generator images do not form a symplectic basis"
-            )
-    return f

@@ -11,9 +11,11 @@ generators (bit g is set when image g has an X, or Z, bit on q), plus one
 sign int (bit g set when image g carries a minus sign).  Generators are
 numbered in the interleaved order X_0, Z_0, X_1, Z_1, ...  A gate touches
 only the rows of its own wires, so applying it is a handful of word-wide
-XOR/AND operations on all 2n generators at once, whatever n is.  Generator-
-major views (:meth:`Tableau.images`, :meth:`Tableau.letter_array`) are
-transposed out only at the boundary.
+XOR/AND operations on all 2n generators at once, whatever n is.  The
+checks the compiler and the CLI make (letter and sign equality, the wire
+relabelling between two tableaux, the Pauli frame) also run on these rows.
+Generator-major views (:meth:`Tableau.images`, :meth:`Tableau.letter_array`)
+are transposed out only at the boundary.
 """
 
 from __future__ import annotations
@@ -254,6 +256,90 @@ def equal_up_to_sign(t1: Tableau, t2: Tableau) -> tuple[bool, SignVector | None]
     return True, SignVector(
         tuple(-1 if (diff >> g) & 1 else 1 for g in range(2 * t1.n))
     )
+
+
+def match_wires(t1: Tableau, t2: Tableau) -> tuple[int, ...] | None:
+    """The wire relabelling sigma making ``t2.relabel_wires(sigma)`` letter-equal to t1.
+
+    A relabelling moves whole qubit rows and leaves the signs alone.  The
+    [X|Z] matrix of a unitary tableau is invertible, so the row pairs
+    (x[q], z[q]) of t1 are distinct and sigma, when it exists, is unique:
+    one dictionary lookup per qubit of t2 finds it.  Returns None when no
+    relabelling makes the letters agree.
+    """
+    if t1.n != t2.n:
+        return None
+    wire_of = {pair: q for q, pair in enumerate(zip(t1._x, t1._z))}
+    sigma = tuple(wire_of.get(pair, -1) for pair in zip(t2._x, t2._z))
+    if -1 in sigma or len(set(sigma)) != t1.n:
+        return None
+    return sigma
+
+
+def describe_difference(t1: Tableau, t2: Tableau, name1: str, name2: str) -> str:
+    """One line naming the first generator whose images differ, with both images.
+
+    Letters are compared first: the lowest generator whose images differ in
+    any letter is named.  Only when every letter agrees is the lowest
+    generator with a different sign named, and the line says that only
+    signs differ, the case a Pauli frame fixes.  Images are printed in the
+    Pauli product syntax; ``name1`` and ``name2`` label the two sides.
+    """
+    if t1.n != t2.n:
+        return f"{name1} has {t1.n} qubits but {name2} has {t2.n}"
+    letters = 0
+    for x1, x2, z1, z2 in zip(t1._x, t2._x, t1._z, t2._z):
+        letters |= (x1 ^ x2) | (z1 ^ z2)
+    diff = letters or (t1._sign ^ t2._sign)
+    if not diff:
+        raise ValueError("the tableaux are equal")
+    g = (diff & -diff).bit_length() - 1
+    line = (f"generator {'XZ'[g & 1]}{g >> 1} maps to {t1._image(g)} in {name1} "
+            f"but to {t2._image(g)} in {name2}")
+    if not letters:
+        line += "; only signs differ, which a Pauli frame fixes"
+    return line
+
+
+class FrameSolveError(ValueError):
+    """The frame system is inconsistent: the input was not a unitary tableau."""
+
+
+def solve_frame(t: Tableau, flips: SignVector) -> PauliProduct:
+    """Pauli product F anticommuting with exactly the flagged generator images.
+
+    The images of a unitary tableau form a symplectic basis, so the GF(2)
+    system has the closed-form solution
+
+        F = prod_j image(X_j)^{flip(Z_j)} * image(Z_j)^{flip(X_j)}
+
+    (the symplectic pairing is the dual basis pairing).  On the qubit rows,
+    with m the flip mask with each (X_j, Z_j) bit pair swapped, F's letters
+    are F.x_q = parity(x[q] & m) and F.z_q = parity(z[q] & m).  The same
+    pass checks the result: the XOR of z[q] over F's X qubits and of x[q]
+    over its Z qubits is the set of generators F anticommutes with, and it
+    must equal the flip mask.  The result has sign +1; F is unique up to
+    global phase.
+    """
+    if flips.n != t.n:
+        raise ValueError(f"size mismatch: tableau n={t.n}, flips n={flips.n}")
+    want = sum(1 << g for g, s in enumerate(flips.entries) if s < 0)
+    even = ((1 << 2 * t.n) - 1) // 3  # bits 0, 2, 4, ...: the X_j generators
+    m = ((want & even) << 1) | ((want >> 1) & even)
+    fx = fz = anticommuting = 0
+    for q, (xq, zq) in enumerate(zip(t._x, t._z)):
+        if (xq & m).bit_count() & 1:
+            fx |= 1 << q
+            anticommuting ^= zq
+        if (zq & m).bit_count() & 1:
+            fz |= 1 << q
+            anticommuting ^= xq
+    if anticommuting != want:
+        raise FrameSolveError(
+            "no Pauli frame realises the requested sign flips; "
+            "generator images do not form a symplectic basis"
+        )
+    return PauliProduct(t.n, fx, fz)
 
 
 def permute_qubits(t: Tableau, perm: Sequence[int]) -> Tableau:

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from recliff import Circuit, PauliProduct, Tableau, parse
+from recliff import Circuit, FrameSolveError, PauliProduct, Tableau, commutes, multiply, parse
 
 # 4-qubit interleaved stabilizer-measurement circuit used as the golden
 # worked example throughout the suite.
@@ -95,6 +95,24 @@ LOOKUP_GRID = [
 def images_tableau(strings: list[str]) -> Tableau:
     n = len(strings) // 2
     return Tableau.from_images(n, [PauliProduct.from_string(s, n) for s in strings])
+
+
+def reference_solve_frame(images, required_flips):
+    """The generator-major frame solve the row-native ``solve_frame`` replaced:
+    multiply the images the closed form selects, then check commutation
+    against every image."""
+    n = required_flips.n
+    f = PauliProduct(n)
+    for j in range(n):
+        if required_flips.z(j) < 0:
+            f = multiply(f, images[2 * j])
+        if required_flips.x(j) < 0:
+            f = multiply(f, images[2 * j + 1])
+    f = PauliProduct(n, f.x, f.z, 1)
+    for g, img in enumerate(images):
+        if commutes(f, img) == (required_flips.entries[g] < 0):
+            raise FrameSolveError("generator images do not form a symplectic basis")
+    return f
 
 
 @pytest.fixture

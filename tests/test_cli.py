@@ -1,12 +1,29 @@
+import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import recliff
+from recliff import (
+    Circuit,
+    Instruction,
+    SurfaceCodeSpec,
+    builtin,
+    builtin_gateset,
+    compile_with_iswap_heuristic,
+    emit,
+    equal_up_to_sign,
+    from_circuit,
+    parse,
+    surface_code_syndrome_extraction,
+)
 from recliff.cli import main
 
-from conftest import WORKED_EXAMPLE_TEXT
+from conftest import WORKED_EXAMPLE_TEXT, reference_solve_frame
 
 
 @pytest.fixture
@@ -122,6 +139,19 @@ class TestCompileCommand:
         for i in range(3):
             assert (tmp_path / f"c{i}.sqrt_xx.stim").exists()
 
+    def test_batch_rejects_metadata_before_compiling(self, runner, tmp_path):
+        files = []
+        for i in range(2):
+            p = tmp_path / f"c{i}.stim"
+            p.write_text("CX 0 1\n")
+            files.append(str(p))
+        meta = tmp_path / "m.json"
+        r = invoke(runner, "compile", "--target", "ecr", *files, "--metadata", str(meta))
+        assert r.exit_code == 3
+        assert r.output == "--metadata is only valid with a single input\n"
+        assert not meta.exists()
+        assert not list(tmp_path.glob("*.ecr.stim"))
+
 
 class TestVerifyCommand:
     def test_file_vs_itself(self, runner, tmp_path):
@@ -166,6 +196,126 @@ class TestVerifyCommand:
         assert r.exit_code == 0
         r = invoke(runner, "verify", str(a), str(b))
         assert r.exit_code == 1
+
+    def test_permutation_beyond_eight_qubits(self, runner, tmp_path):
+        # A swap-insertion output on 49 qubits verifies against its source and
+        # prints the compiler's own wire relabelling and frame.
+        source = surface_code_syndrome_extraction(SurfaceCodeSpec(5))
+        res = compile_with_iswap_heuristic(source, builtin_gateset("iswap"))
+        assert source.n == 49 and res.permutation != tuple(range(49))
+        src, out = tmp_path / "src.stim", tmp_path / "out.stim"
+        src.write_text(emit(source))
+        out.write_text(emit(res.circuit))
+        r = invoke(runner, "verify", str(out), str(src), "--up-to-frame", "--up-to-permutation")
+        assert r.exit_code == 0
+        assert r.output == (f"equivalent up to frame {res.frame} "
+                            f"and permutation {list(res.permutation)}\n")
+
+
+class TestVerifyFailureLine:
+    """Without --up-to-permutation a rejection names the first disagreeing
+    generator and both of its images, on one line."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = {}
+        for name, text in (("cx", "CX 0 1\n"), ("ecr", "ECR 0 1\n"),
+                           ("h", "H 0\n"), ("hz", "H 0\nTICK\nZ 0\n")):
+            paths[name] = tmp_path / f"{name}.stim"
+            paths[name].write_text(text)
+        return paths
+
+    @pytest.mark.parametrize("flags", [[], ["--up-to-frame"]])
+    def test_letters_differ(self, runner, files, flags):
+        r = invoke(runner, "verify", str(files["cx"]), str(files["ecr"]), *flags)
+        assert r.exit_code == 1
+        assert r.output == (f"not equivalent: generator X0 maps to +X0*X1 in {files['cx']} "
+                            f"but to -Y0*X1 in {files['ecr']}\n")
+
+    def test_only_signs_differ(self, runner, files):
+        r = invoke(runner, "verify", str(files["h"]), str(files["hz"]))
+        assert r.exit_code == 1
+        assert r.output == (f"not equivalent: generator Z0 maps to +X0 in {files['h']} "
+                            f"but to -X0 in {files['hz']}; "
+                            "only signs differ, which a Pauli frame fixes\n")
+        r = invoke(runner, "verify", str(files["h"]), str(files["hz"]), "--up-to-frame")
+        assert r.exit_code == 0
+        assert r.output == "equivalent up to frame +Z0\n"
+
+
+def brute_force_verdict(ta, t_b, up_to_frame):
+    """The relabelling search that wire matching replaced: every permutation
+    in lexicographic order, first accepted one wins."""
+    for sigma in itertools.permutations(range(ta.n)):
+        cand = t_b.relabel_wires(sigma)
+        if up_to_frame:
+            ok, flips = equal_up_to_sign(ta, cand)
+            if ok:
+                frame = reference_solve_frame(ta.images(), flips)
+                return 0, f"equivalent up to frame {frame} and permutation {list(sigma)}\n"
+        elif ta == cand:
+            return 0, f"equivalent up to permutation {list(sigma)}\n"
+    return 1, "not equivalent\n"
+
+
+GATES_1Q = ("X", "Y", "Z", "H", "S", "S_DAG", "SQRT_X", "SQRT_X_DAG",
+            "H_XY", "H_YZ", "C_XYZ", "C_ZYX")
+GATES_2Q = ("CX", "CZ", "SQRT_XX", "ECR", "ISWAP", "CXSWAP", "CZSWAP", "SWAP")
+
+
+@st.composite
+def relabelled_pairs(draw, max_n=6):
+    """(A, B) where B is A followed by a SWAP network relabelling its output
+    wires, sometimes with one gate of B changed or a Pauli layer appended."""
+    n = draw(st.integers(1, max_n))
+    layers = [[Instruction(builtin(draw(st.sampled_from(GATES_1Q))), (q,)) for q in range(n)]]
+    for _ in range(draw(st.integers(0, 6))):
+        order = draw(st.permutations(range(n)))
+        pairs = draw(st.integers(0, n // 2))
+        layer = [Instruction(builtin(draw(st.sampled_from(GATES_2Q))),
+                             (order[2 * i], order[2 * i + 1])) for i in range(pairs)]
+        layer += [Instruction(builtin(draw(st.sampled_from(GATES_1Q))), (q,))
+                  for q in order[2 * pairs:] if draw(st.booleans())]
+        if layer:
+            layers.append(layer)
+    a = Circuit(n, tuple(tuple(l) for l in layers))
+    wires = list(range(n))
+    swaps = []
+    for i, target in enumerate(draw(st.permutations(range(n)))):
+        j = wires.index(target)
+        if j != i:
+            wires[i], wires[j] = wires[j], wires[i]
+            swaps.append((Instruction(builtin("SWAP"), (i, j)),))
+    b_layers = [list(l) for l in layers] + [list(l) for l in swaps]
+    change = draw(st.sampled_from(("none", "gate", "paulis")))
+    if change == "gate":
+        li = draw(st.integers(0, len(b_layers) - 1))
+        k = draw(st.integers(0, len(b_layers[li]) - 1))
+        old = b_layers[li][k]
+        names = GATES_1Q if old.gate.arity == 1 else GATES_2Q
+        name = draw(st.sampled_from([g for g in names if g != old.gate.name]))
+        b_layers[li][k] = Instruction(builtin(name), old.qubits)
+    elif change == "paulis":
+        b_layers.append([Instruction(builtin(draw(st.sampled_from("XYZ"))), (q,))
+                         for q in range(n) if draw(st.booleans())])
+    b = Circuit(n, tuple(tuple(l) for l in b_layers if l))
+    return a, b
+
+
+class TestWireMatchingAgainstSearch:
+    @settings(max_examples=120, deadline=None)
+    @given(relabelled_pairs(), st.booleans())
+    def test_same_exit_and_line_as_relabelling_search(self, pair, up_to_frame):
+        a, b = pair
+        flags = ["--up-to-permutation"] + (["--up-to-frame"] if up_to_frame else [])
+        with tempfile.TemporaryDirectory() as tmp:
+            pa, pb = Path(tmp, "a.stim"), Path(tmp, "b.stim")
+            pa.write_text(emit(a))
+            pb.write_text(emit(b))
+            r = CliRunner().invoke(main, ["verify", str(pa), str(pb), *flags],
+                                   catch_exceptions=False)
+        want = brute_force_verdict(from_circuit(a), from_circuit(b), up_to_frame)
+        assert (r.exit_code, r.output) == want
 
 
 class TestQubitLimit:

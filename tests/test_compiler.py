@@ -224,6 +224,40 @@ class TestFixConjugation:
         with pytest.raises(VerificationError):
             extract_frame(unfixed, from_circuit(worked_example))
 
+    def test_error_names_first_disagreeing_generator(self, worked_example):
+        gs = builtin_gateset("ecr", "class6")
+        skeleton = initial_condition(worked_example, gs)
+        got, want = from_circuit(skeleton).images(), from_circuit(worked_example).images()
+        g = next(g for g, (a, b) in enumerate(zip(got, want)) if (a.x, a.z) != (b.x, b.z))
+        with pytest.raises(VerificationError) as info:
+            extract_frame(skeleton, from_circuit(worked_example))
+        assert str(info.value) == (
+            "compiled circuit does not match the target up to signs: "
+            f"generator {'XZ'[g % 2]}{g // 2} maps to {got[g]} in the compiled circuit "
+            f"but to {want[g]} in the target"
+        )
+
+
+class TestClassCheckBuildsNoSkeleton:
+    """The pipeline checks entangler classes without building the skeleton."""
+
+    @pytest.fixture(autouse=True)
+    def no_skeleton(self, monkeypatch):
+        def refuse(source, gs):
+            raise AssertionError("the skeleton circuit was built")
+
+        monkeypatch.setattr(recliff.compiler, "initial_condition", refuse)
+
+    def test_compile_runs(self, worked_example):
+        res = compile_circuit(worked_example, builtin_gateset("ecr"))
+        assert str(res.frame) == "+X2"
+
+    def test_wrong_class_still_rejected(self):
+        with pytest.raises(CompileError, match="heuristic"):
+            compile_circuit(parse("ISWAP 0 1"), builtin_gateset("ecr"))
+        with pytest.raises(CompileError, match="swap"):
+            compile_circuit(parse("SWAP 0 1"), builtin_gateset("cx"))
+
 
 class TestSabotagedConjugationFix:
     """With the conjugation fix disabled, no entry point returns a result."""
@@ -246,6 +280,16 @@ class TestSabotagedConjugationFix:
         r = CliRunner().invoke(main, ["compile", "--target", "ecr", str(src)])
         assert r.exit_code == 4
         assert r.output.startswith("verification failure: ")
+        assert r.output.count("\n") == 1
+
+    def test_cli_failure_line_names_a_generator(self, tmp_path):
+        src = tmp_path / "src.stim"
+        src.write_text(emit(parse(WORKED_EXAMPLE_TEXT)))
+        r = CliRunner().invoke(main, ["compile", "--target", "ecr", str(src)])
+        assert r.exit_code == 4
+        assert r.output.startswith("verification failure: compiled circuit does not "
+                                   "match the target up to signs: generator ")
+        assert " in the compiled circuit but to " in r.output
         assert r.output.count("\n") == 1
 
 

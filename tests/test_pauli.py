@@ -9,6 +9,7 @@ from recliff import (
     Pauli,
     PauliProduct,
     SignVector,
+    Tableau,
     commutes,
     multiply,
     multiply_exact,
@@ -19,6 +20,7 @@ from recliff.pauli import _phase_exponent
 from recliff.tableau import from_circuit, identity
 from recliff import builtin, random_clifford_circuit, RandomCircuitSpec
 
+from conftest import reference_solve_frame
 from matrix_oracle import pauli_matrix
 
 
@@ -171,7 +173,7 @@ def _random_tableau(n, seed):
 class TestSolveFrame:
     def test_all_positive_gives_identity(self):
         t = _random_tableau(3, seed=5)
-        f = solve_frame(t.images(), SignVector.positive(3))
+        f = solve_frame(t, SignVector.positive(3))
         assert f.is_identity()
 
     def test_matches_brute_force(self):
@@ -182,7 +184,7 @@ class TestSolveFrame:
             entries = [1] * (2 * n)
             entries[flipped] = -1
             flips = SignVector(tuple(entries))
-            f = solve_frame(images, flips)
+            f = solve_frame(t, flips)
             matches = [
                 PauliProduct(n, x, z)
                 for x in range(2 ** n)
@@ -205,15 +207,36 @@ class TestSolveFrame:
                 -1 if (pattern >> g) & 1 else 1 for g in range(2 * n)
             )
             flips = SignVector(entries)
-            f = solve_frame(images, flips)
+            f = solve_frame(t, flips)
+            assert f == reference_solve_frame(images, flips)
             for g, img in enumerate(images):
                 assert (not commutes(f, img)) == (entries[g] < 0)
+
+    def test_matches_image_reference_on_random_patterns(self):
+        rng = random.Random(77)
+        for n in range(1, 11):
+            for seed in range(3):
+                t = _random_tableau(n, seed=100 * n + seed)
+                images = t.images()
+                for _ in range(20):
+                    flips = SignVector(tuple(rng.choice((1, -1)) for _ in range(2 * n)))
+                    assert solve_frame(t, flips) == reference_solve_frame(images, flips)
+
+    def test_empty_tableau(self):
+        assert solve_frame(identity(0), SignVector(())) == PauliProduct(0)
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError):
+            solve_frame(identity(2), SignVector.positive(3))
 
     def test_inconsistent_inputs_detected(self):
         # X0 listed twice cannot be a generating set
         images = [pp("+X0", 1), pp("+X0", 1)]
+        flips = SignVector((1, -1))
         with pytest.raises(FrameSolveError):
-            solve_frame(images, SignVector((1, -1)))
+            solve_frame(Tableau.from_images(1, images), flips)
+        with pytest.raises(FrameSolveError):
+            reference_solve_frame(images, flips)
 
 
 class TestSignVector:

@@ -32,6 +32,7 @@ from recliff import (
     surface_code_syndrome_extraction,
 )
 from recliff.circuit import DIALECT_GATES
+from recliff.tableau import describe_difference, match_wires
 from recliff.cli import main as cli_main
 
 from conftest import (
@@ -366,6 +367,30 @@ class TestRepresentation:
             assert after.sign == before.sign
             for q in range(c.n):
                 assert after.local(sigma[q]) == before.local(q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dialect_circuits(max_n=12, max_gates=30), st.data())
+    def test_match_wires_recovers_the_relabelling(self, c, data):
+        sigma = tuple(data.draw(st.permutations(range(c.n))))
+        t = from_circuit(c)
+        assert match_wires(t.relabel_wires(sigma), t) == sigma
+        assert match_wires(t, t) == tuple(range(c.n))
+
+    def test_match_wires_rejects(self):
+        cx, ecr = images_tableau(CX_IMAGES), images_tableau(ECR_IMAGES)
+        assert match_wires(cx, ecr) is None
+        assert match_wires(cx, identity(3)) is None
+
+    def test_describe_difference_prefers_letters_over_signs(self):
+        a = images_tableau(["+X0", "+Z0", "+X1", "+Z1"])
+        b = images_tableau(["-X0", "+Z0", "+Y1", "+Z1"])
+        assert describe_difference(a, b, "a", "b") == (
+            "generator X1 maps to +X1 in a but to +Y1 in b")
+        signs_only = images_tableau(["+X0", "-Z0", "+X1", "-Z1"])
+        assert describe_difference(a, signs_only, "a", "b") == (
+            "generator Z0 maps to +Z0 in a but to -Z0 in b; "
+            "only signs differ, which a Pauli frame fixes")
+        assert describe_difference(a, identity(3), "a", "b") == "a has 2 qubits but b has 3"
 
     @settings(max_examples=40, deadline=None)
     @given(dialect_circuits(max_n=6, max_gates=20), st.data())
