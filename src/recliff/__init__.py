@@ -12,10 +12,7 @@ by exact stabilizer-tableau comparison up to a reported Pauli frame.
 from .pauli import (
     Pauli,
     PauliProduct,
-    SignVector,
     commutes,
-    multiply,
-    multiply_exact,
     support,
 )
 from .tableau import (
@@ -23,22 +20,17 @@ from .tableau import (
     Tableau,
     append_gate,
     conjugate_product,
-    equal,
     equal_up_to_sign,
     from_circuit,
     identity,
-    permute_qubits,
     pretty,
     solve_frame,
 )
 from .gates import (
     GateDef,
     GateSet,
-    all_single_qubit_cliffords,
     builtin,
     builtin_gateset,
-    classify_entangler,
-    commuting_local_pauli,
     decompose_single_qubit,
 )
 from .circuit import (
@@ -59,7 +51,6 @@ from .compiler import (
     compile_circuit,
     compile_with_iswap_heuristic,
     conjugation_lookup,
-    conjugation_table,
     extract_frame,
     fix_conjugation,
     fix_propagation,
@@ -91,27 +82,21 @@ __all__ = [
     "PauliProduct",
     "RandomCircuitSpec",
     "Report",
-    "SignVector",
     "SurfaceCodeSpec",
     "Tableau",
     "VerificationError",
-    "all_single_qubit_cliffords",
     "append_gate",
     "builtin",
     "builtin_gateset",
-    "classify_entangler",
     "commutes",
-    "commuting_local_pauli",
     "compare",
     "compile_circuit",
     "compile_with_iswap_heuristic",
     "conjugate_product",
     "conjugation_lookup",
-    "conjugation_table",
     "decompose_single_qubit",
     "depth",
     "emit",
-    "equal",
     "equal_up_to_sign",
     "expand_ecr",
     "extract_frame",
@@ -121,10 +106,7 @@ __all__ = [
     "gate_counts",
     "identity",
     "initial_condition",
-    "multiply",
-    "multiply_exact",
     "parse",
-    "permute_qubits",
     "pretty",
     "random_clifford_circuit",
     "report",

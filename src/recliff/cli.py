@@ -1,8 +1,9 @@
 """Command-line front end: compile, verify, generate, stats, compare.
 
 Exit codes: 0 success (verify: equivalent), 1 verify found the circuits
-inequivalent, 2 parse error, 3 compilation error or qubit limit exceeded,
-4 verification failure.  Paths may be ``-`` for stdin/stdout.
+inequivalent, 2 parse error, 3 compilation error, qubit limit exceeded or
+clashing arguments, 4 verification failure.  Paths may be ``-`` for
+stdin/stdout; stdin can be read only once.
 """
 
 from __future__ import annotations
@@ -60,6 +61,20 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
+def _stdin_once(paths: tuple[str, ...]) -> None:
+    """Exit before any input is read if ``-`` (stdin) is given twice."""
+    if paths.count("-") > 1:
+        click.echo("stdin (-) can be given as only one input", err=True)
+        sys.exit(EXIT_COMPILE)
+
+
+def _size_guard(n: int) -> None:
+    """Exit before any gate is built if a generated circuit is too large."""
+    if n > DEFAULT_MAX_QUBITS:
+        click.echo(f"error: {n} qubits exceeds the limit of {DEFAULT_MAX_QUBITS}", err=True)
+        sys.exit(EXIT_COMPILE)
+
+
 def _load_circuit(path: str, max_qubits: int | None = None) -> Circuit:
     try:
         circuit = parse(_read_text(path))
@@ -104,12 +119,17 @@ def main() -> None:
 def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
                 expand_ecr, show_tableau, output, metadata_path, max_qubits):
     """Compile circuit files onto the target gateset."""
-    gs = builtin_gateset(target, natives)
-    sources = [(path, _load_circuit(path, max_qubits)) for path in inputs]
+    _stdin_once(inputs)
     for option, value in (("--output", output), ("--metadata", metadata_path)):
-        if len(sources) > 1 and value is not None:
+        if len(inputs) > 1 and value is not None:
             click.echo(f"{option} is only valid with a single input", err=True)
             sys.exit(EXIT_COMPILE)
+    if metadata_path == "-" and output in (None, "-"):
+        click.echo("--metadata - needs --output to name a file: both would go to stdout",
+                   err=True)
+        sys.exit(EXIT_COMPILE)
+    gs = builtin_gateset(target, natives)
+    sources = [(path, _load_circuit(path, max_qubits)) for path in inputs]
 
     compile_one = compile_with_iswap_heuristic if iswap_heuristic else compile_circuit
     try:
@@ -154,6 +174,7 @@ def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
 @_max_qubits_option
 def cmd_verify(file_a, file_b, up_to_frame, up_to_permutation, max_qubits):
     """Check tableau equivalence of two circuit files."""
+    _stdin_once((file_a, file_b))
     a = _load_circuit(file_a, max_qubits)
     b = _load_circuit(file_b, max_qubits)
     if a.n != b.n:
@@ -197,7 +218,9 @@ def cmd_generate() -> None:
 def cmd_generate_surface(distance, output):
     """One unitary syndrome-extraction round of the rotated surface code."""
     try:
-        circuit = surface_code_syndrome_extraction(SurfaceCodeSpec(distance))
+        spec = SurfaceCodeSpec(distance)
+        _size_guard(2 * distance * distance - 1)
+        circuit = surface_code_syndrome_extraction(spec)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_COMPILE)
@@ -222,6 +245,7 @@ def cmd_generate_random(qubits, layers, seed, entangler, output):
             seed=seed,
             entangler=builtin(TARGET_ENTANGLERS[entangler]),
         )
+        _size_guard(qubits)
         circuit = random_clifford_circuit(spec)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
@@ -247,6 +271,7 @@ def cmd_stats(input_path, fmt, output):
 @click.option("--output", "-o", default=None)
 def cmd_compare(file_a, file_b, output):
     """Category-wise gate-count ratios of two circuit files (a/b)."""
+    _stdin_once((file_a, file_b))
     rep_a = report(_load_circuit(file_a))
     rep_b = report(_load_circuit(file_b))
     _write_text(output, compare_reports(rep_a, rep_b).to_json() + "\n")

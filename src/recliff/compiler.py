@@ -84,17 +84,6 @@ def conjugation_lookup(
     return class_gate_for_perm((mapping[Pauli.X], mapping[Pauli.Z]))
 
 
-def conjugation_table() -> dict[tuple[tuple[Pauli, Pauli], tuple[Pauli, Pauli]], GateDef]:
-    """All 36 lookup cells, keyed by (current pair, target pair)."""
-    pairs = [
-        (a, b)
-        for a in (Pauli.X, Pauli.Y, Pauli.Z)
-        for b in (Pauli.X, Pauli.Y, Pauli.Z)
-        if a != b
-    ]
-    return {(c, t): conjugation_lookup(c, t) for c in pairs for t in pairs}
-
-
 def _choose_insertion(current: Pauli, wanted: Pauli, gs: GateSet) -> GateDef:
     """Cheapest class gate whose letter map sends ``current`` to ``wanted``.
 

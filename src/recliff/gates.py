@@ -1,14 +1,15 @@
 """Canonical Clifford gate definitions and gateset machinery.
 
 Every gate is defined by its conjugation semantics, image(P) = G P G-dagger,
-stored as a small tableau.  From the tableau each GateDef precomputes:
+stored as a small tableau.  From the tableau each GateDef builds one int
+table mapping the local bit pattern of a Pauli product on the gate's wires
+to the conjugated pattern and sign, and reads off it:
 
-* a lookup table mapping the local bit pattern of a Pauli product on the
-  gate's wires to the conjugated pattern and sign (used for product updates),
-* from that table, the bitwise update rule the tableau applies to the rows
-  of the gate's wires (see :func:`_update_rule`),
+* the bitwise update rule the tableau applies to the rows of the gate's
+  wires (see :func:`_update_rule`),
 * the per-wire letters whose conjugation stays one-local (the commuting
   letter for CX-like gates, the wire-hopping letter for iSWAP-like ones),
+  and from them the entangler class,
 * for single-qubit gates, the induced permutation of the Pauli letters.
 
 The registry covers the standard stim-named gates plus ECR.  ECR's tableau is
@@ -19,11 +20,9 @@ golden constant at import, so a sign-convention drift fails immediately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, Sequence
 
-import numpy as np
-
-from .pauli import Pauli, PauliProduct, commutes, support
+from .pauli import Pauli, PauliProduct
 from . import tableau as tb
 from .tableau import Tableau
 
@@ -54,35 +53,25 @@ def perm_invert(p: LetterPerm) -> LetterPerm:
     return (inv[Pauli.X], inv[Pauli.Z])
 
 
-class GateLut(NamedTuple):
-    """Conjugation lookup for local bit patterns on the gate's wires.
-
-    For arity 1 the key is 2x+z (4 entries), for arity 2 it is
-    8*x_a + 4*z_a + 2*x_b + z_b (16 entries).  ``out_bits`` holds one output
-    array per stored bit, in the same order the key packs them.
-    """
-
-    out_bits: tuple[np.ndarray, ...]
-    sign: np.ndarray
-
-
-def _update_rule(lut: GateLut) -> tuple:
-    """Bitwise tableau update ``(linear, sign_terms)`` read off a lookup table.
+def _update_rule(table: Sequence[int], signs: Sequence[int]) -> tuple:
+    """Bitwise tableau update ``(linear, sign_terms)`` read off a gate's table.
 
     Bits are indexed in key order (x_a, z_a, x_b, z_b; most significant key
     bit first).  Conjugation is linear over GF(2), so output bit o is the XOR
     of the input bits in ``linear[o]``.  The sign flips by the XOR, over
     ``sign_terms``, of the AND of each term's input bits: the algebraic
-    normal form (Moebius transform) of ``lut.sign``.
+    normal form (Moebius transform) of ``signs``.
     """
-    nbits = len(lut.out_bits)
+    nbits = len(table).bit_length() - 1
 
     def inputs_of(key: int) -> tuple[int, ...]:
         return tuple(i for i in range(nbits) if (key >> (nbits - 1 - i)) & 1)
 
-    linear = tuple(tuple(i for i in range(nbits) if out[1 << (nbits - 1 - i)])
-                   for out in lut.out_bits)
-    anf = [int(s < 0) for s in lut.sign]
+    linear = tuple(
+        tuple(i for i in range(nbits) if (table[1 << (nbits - 1 - i)] >> (nbits - 1 - o)) & 1)
+        for o in range(nbits)
+    )
+    anf = [int(s < 0) for s in signs]
     for bit in range(nbits):
         for key in range(len(anf)):
             if key >> bit & 1:
@@ -93,11 +82,18 @@ def _update_rule(lut: GateLut) -> tuple:
 
 
 class GateDef:
-    """A named Clifford gate with exact conjugation semantics."""
+    """A named Clifford gate with exact conjugation semantics.
+
+    Everything is read off one table built at definition: ``table[key]`` is
+    the conjugated local bit pattern of the Pauli product with pattern
+    ``key``, and ``signs[key]`` its sign.  A pattern is the Pauli codes
+    (2x+z) of the gate's wires, wire 0 in the most significant pair: 4 keys
+    for arity 1, 16 for arity 2.
+    """
 
     __slots__ = (
-        "name", "arity", "semantics", "symmetric", "entangler_class",
-        "lut", "rule", "perm", "bits16", "bits16_inv", "_local_fixed", "_one_local",
+        "name", "arity", "semantics", "entangler_class",
+        "rule", "perm", "bits16", "bits16_inv", "_one_local",
     )
 
     def __init__(self, name: str, arity: int, semantics: Tableau):
@@ -110,92 +106,59 @@ class GateDef:
         self.name = name
         self.arity = arity
         self.semantics = semantics
-        self.lut = self._build_lut()
-        self.rule = _update_rule(self.lut)
+        shifts = [2 * (arity - 1 - w) for w in range(arity)]
+        table, signs = [], []
+        for key in range(1 << 2 * arity):
+            codes = [(key >> s) & 3 for s in shifts]
+            img = tb.conjugate_product(semantics, PauliProduct(
+                arity,
+                sum((c >> 1) << w for w, c in enumerate(codes)),
+                sum((c & 1) << w for w, c in enumerate(codes)),
+            ))
+            table.append(sum(img.local(w) << s for w, s in enumerate(shifts)))
+            signs.append(img.sign)
+        self.rule = _update_rule(table, signs)
         if arity == 1:
-            self.perm: LetterPerm | None = (
-                int(self.lut.out_bits[0][2] * 2 + self.lut.out_bits[1][2]),
-                int(self.lut.out_bits[0][1] * 2 + self.lut.out_bits[1][1]),
-            )
-            self.symmetric = True
+            self.perm: LetterPerm | None = (table[Pauli.X], table[Pauli.Z])
             self.entangler_class: EntanglerClass = "none"
             self.bits16: tuple[int, ...] | None = None
             self.bits16_inv: tuple[int, ...] | None = None
-            self._local_fixed = (None, None)
-            self._one_local = (None, None)
-        else:
-            self.perm = None
-            bits = [
-                (int(self.lut.out_bits[0][k]) << 3)
-                | (int(self.lut.out_bits[1][k]) << 2)
-                | (int(self.lut.out_bits[2][k]) << 1)
-                | int(self.lut.out_bits[3][k])
-                for k in range(16)
-            ]
-            inv = [0] * 16
-            for k, v in enumerate(bits):
-                inv[v] = k
-            self.bits16 = tuple(bits)
-            self.bits16_inv = tuple(inv)
-            self.symmetric = semantics == tb.permute_qubits(semantics, (1, 0))
-            self._local_fixed, self._one_local = self._wire_letters()
-            self.entangler_class = self._classify()
-
-    def _build_lut(self) -> GateLut:
-        nbits = 2 * self.arity
-        outs = [np.zeros(1 << nbits, dtype=np.uint8) for _ in range(nbits)]
-        sign = np.ones(1 << nbits, dtype=np.int8)
-        for key in range(1 << nbits):
-            bits = [(key >> (nbits - 1 - i)) & 1 for i in range(nbits)]
-            x = sum(bits[2 * w] << w for w in range(self.arity))
-            z = sum(bits[2 * w + 1] << w for w in range(self.arity))
-            img = tb.conjugate_product(self.semantics, PauliProduct(self.arity, x, z))
-            for w in range(self.arity):
-                outs[2 * w][key] = (img.x >> w) & 1
-                outs[2 * w + 1][key] = (img.z >> w) & 1
-            sign[key] = img.sign
-        return GateLut(tuple(outs), sign)
-
-    def _wire_letters(self):
+            self._one_local: tuple[Pauli | None, ...] = (None, None)
+            return
+        self.perm = None
+        inv = [0] * 16
+        for k, v in enumerate(table):
+            inv[v] = k
+        self.bits16 = tuple(table)
+        self.bits16_inv = tuple(inv)
+        # Where each single-letter input lands: the per-wire letters whose
+        # image is one-local, and whether each wire's letters all stay put
+        # (no entangler) or all hop to the other wire (swap-like).
         fixed: list[Pauli | None] = [None, None]
         one_local: list[Pauli | None] = [None, None]
-        for wire in (0, 1):
-            for letter in (Pauli.X, Pauli.Y, Pauli.Z):
-                img = tb.conjugate_product(
-                    self.semantics, PauliProduct.single(2, wire, letter)
-                )
-                supp = support(img)
-                if supp == (wire,):
-                    fixed[wire] = letter
-                    one_local[wire] = letter
-                elif len(supp) == 1:
-                    one_local[wire] = letter
-        return tuple(fixed), tuple(one_local)
-
-    def _classify(self) -> EntanglerClass:
         stays = [True, True]
         crosses = [True, True]
         for wire in (0, 1):
             for letter in (Pauli.X, Pauli.Y, Pauli.Z):
-                img = tb.conjugate_product(
-                    self.semantics, PauliProduct.single(2, wire, letter)
-                )
-                supp = support(img)
-                if supp != (wire,):
-                    stays[wire] = False
-                if supp != (1 - wire,):
-                    crosses[wire] = False
+                out = table[letter << shifts[wire]]
+                supp = tuple(w for w, s in enumerate(shifts) if (out >> s) & 3)
+                if supp == (wire,):
+                    fixed[wire] = letter
+                if len(supp) == 1:
+                    one_local[wire] = letter
+                stays[wire] &= supp == (wire,)
+                crosses[wire] &= supp == (1 - wire,)
+        self._one_local = tuple(one_local)
         if stays[0] and stays[1]:
-            return "none"
-        if crosses[0] and crosses[1]:
-            return "swap_like"
-        has0 = self._local_fixed[0] is not None
-        has1 = self._local_fixed[1] is not None
-        if has0 and has1:
-            return "cx_like"
-        if not has0 and not has1:
-            return "iswap_like"
-        raise ValueError(f"gate {self.name}: entangler with one-sided fixed Pauli")
+            self.entangler_class = "none"
+        elif crosses[0] and crosses[1]:
+            self.entangler_class = "swap_like"
+        elif fixed[0] is not None and fixed[1] is not None:
+            self.entangler_class = "cx_like"
+        elif fixed[0] is None and fixed[1] is None:
+            self.entangler_class = "iswap_like"
+        else:
+            raise ValueError(f"gate {name}: entangler with one-sided fixed Pauli")
 
     def one_local_letter(self, wire: int) -> Pauli | None:
         """Input letter on the wire whose conjugation is one-local, if any."""
@@ -203,23 +166,6 @@ class GateDef:
 
     def __repr__(self) -> str:
         return f"GateDef({self.name})"
-
-
-def commuting_local_pauli(g: GateDef, wire: int) -> Pauli | None:
-    """The unique letter that conjugates onto the same single wire, if any.
-
-    CX-like gates have exactly one per wire; iSWAP-like gates have none.
-    """
-    if g.arity != 2:
-        raise ValueError("commuting_local_pauli is defined for two-qubit gates")
-    if wire not in (0, 1):
-        raise ValueError("wire must be 0 or 1")
-    return g._local_fixed[wire]
-
-
-def classify_entangler(semantics: Tableau) -> EntanglerClass:
-    """Entangler class of a two-qubit tableau."""
-    return GateDef("_probe", 2, semantics).entangler_class
 
 
 def _images(n: int, *strings: str) -> Tableau:
@@ -290,10 +236,6 @@ def builtin(name: str) -> GateDef:
         return _REGISTRY[key]
     except KeyError:
         raise ValueError(f"unknown gate: {name!r}") from None
-
-
-def builtin_names() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
 
 
 #: The six single-qubit basis-change classes, in insertion precedence order.
@@ -385,9 +327,8 @@ def decompose_single_qubit(
     t = tb.identity(1)
     for step in word:
         t = tb.append_gate(t, step, (0,))
-    flip_x = t.image_x(0).sign != g.semantics.image_x(0).sign
-    flip_z = t.image_z(0).sign != g.semantics.image_z(0).sign
-    residual = _residual_for(t.image_x(0), t.image_z(0), flip_x, flip_z)
+    # The word has g's letters, so the residual is the frame fixing the signs.
+    residual = tb.solve_frame(t, t._sign ^ g.semantics._sign)
 
     check = t.copy()
     check._apply_gate(_pauli_gate(residual), (0,))
@@ -398,49 +339,8 @@ def decompose_single_qubit(
     return result
 
 
-def _residual_for(img_x, img_z, flip_x: bool, flip_z: bool) -> PauliProduct:
-    for letter in (Pauli.I, Pauli.X, Pauli.Y, Pauli.Z):
-        r = PauliProduct.single(1, 0, letter) if letter != Pauli.I else PauliProduct(1)
-        if (not commutes(r, img_x)) == flip_x and (not commutes(r, img_z)) == flip_z:
-            return r
-    raise AssertionError("no single-qubit Pauli realises the sign fix")
-
-
 def _pauli_gate(p: PauliProduct) -> GateDef:
     return builtin(p.local(0).letter) if not p.is_identity() else builtin("I")
-
-
-def all_single_qubit_cliffords() -> list[GateDef]:
-    """The 24 single-qubit Cliffords mod phase, as the closure of {S, sqrt(X)}.
-
-    Gates whose tableau matches a named built-in keep that name; the rest are
-    named by their generating word.  Deterministic order: breadth-first by
-    word length, S before sqrt(X).
-    """
-    gens = [builtin("S"), builtin("SQRT_X")]
-    named = {
-        builtin(n).semantics.key(): builtin(n)
-        for n in ("I", "X", "Y", "Z", "H", "S", "S_DAG", "SQRT_X", "SQRT_X_DAG",
-                  "H_XY", "H_YZ", "C_XYZ", "C_ZYX")
-    }
-    seen: dict[tuple, GateDef] = {}
-    start = tb.identity(1)
-    seen[start.key()] = named[start.key()]
-    queue: list[tuple[Tableau, tuple[str, ...]]] = [(start, ())]
-    order = [seen[start.key()]]
-    while queue:
-        cur, word = queue.pop(0)
-        for gen in gens:
-            nxt = tb.append_gate(cur, gen, (0,))
-            key = nxt.key()
-            if key in seen:
-                continue
-            nxt_word = word + (gen.name,)
-            gate = named.get(key) or GateDef("*".join(nxt_word), 1, nxt)
-            seen[key] = gate
-            order.append(gate)
-            queue.append((nxt, nxt_word))
-    return order
 
 
 #: Built-in gateset names accepted by the CLI and the compiler helpers.

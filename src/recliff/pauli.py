@@ -3,9 +3,9 @@
 A Pauli product over n qubits is stored as two n-bit integers (one X bit and
 one Z bit per qubit) plus a sign in {+1, -1}.  Qubit j carries Y iff both bits
 are set, I iff both are clear.  Products of Hermitian Pauli operators can pick
-up factors of i; internally we track the phase exponent modulo 4 and only
-expose it at the boundary of :func:`multiply_exact`.  Every operation used by
-the tableau machinery combines operators whose net phase is real.
+up factors of i; :func:`_phase_exponent` tracks that exponent modulo 4.  Every
+operation used by the tableau machinery combines operators whose net phase is
+real.
 """
 
 from __future__ import annotations
@@ -159,53 +159,3 @@ def _phase_exponent(a: PauliProduct, b: PauliProduct) -> int:
     plus = (az & bx) | (ax & by) | (ay & bz)
     minus = (az & by) | (ax & bz) | (ay & bx)
     return (e + plus.bit_count() - minus.bit_count()) & 3
-
-
-def multiply_exact(a: PauliProduct, b: PauliProduct) -> tuple[PauliProduct, bool]:
-    """Operator product a*b as ``(product, imaginary)``.
-
-    The true operator equals ``product * (i if imaginary else 1)``.  The sign
-    convention for an odd i-power: i^1 maps to (+1, imaginary) and
-    i^3 = -i to (-1, imaginary).
-    """
-    if a.n != b.n:
-        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    e = _phase_exponent(a, b)
-    sign = -1 if e >= 2 else 1
-    return PauliProduct(a.n, a.x ^ b.x, a.z ^ b.z, sign), bool(e & 1)
-
-
-def multiply(a: PauliProduct, b: PauliProduct) -> PauliProduct:
-    """Product a*b with any +/-i phase dropped to a sign (flagged variant:
-    :func:`multiply_exact`)."""
-    return multiply_exact(a, b)[0]
-
-
-@dataclass(frozen=True)
-class SignVector:
-    """2n signs indexed by generators in the order X_0, Z_0, ..., X_{n-1}, Z_{n-1}."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) % 2 != 0:
-            raise ValueError("sign vector length must be even")
-        if any(s not in (1, -1) for s in self.entries):
-            raise ValueError("signs must be +1 or -1")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries) // 2
-
-    def x(self, j: int) -> int:
-        return self.entries[2 * j]
-
-    def z(self, j: int) -> int:
-        return self.entries[2 * j + 1]
-
-    def all_positive(self) -> bool:
-        return all(s == 1 for s in self.entries)
-
-    @staticmethod
-    def positive(n: int) -> "SignVector":
-        return SignVector((1,) * (2 * n))

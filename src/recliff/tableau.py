@@ -14,45 +14,19 @@ only the rows of its own wires, so applying it is a handful of word-wide
 XOR/AND operations on all 2n generators at once, whatever n is.  The
 checks the compiler and the CLI make (letter and sign equality, the wire
 relabelling between two tableaux, the Pauli frame) also run on these rows.
-Generator-major views (:meth:`Tableau.images`, :meth:`Tableau.letter_array`)
-are transposed out only at the boundary.
+The generator-major boundary views (:meth:`Tableau.images`,
+:meth:`Tableau.from_images`, :func:`pretty`) read and set single row bits.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .pauli import PauliProduct, SignVector, _phase_exponent, commutes
+from .pauli import PauliProduct, _phase_exponent, commutes
 
 if TYPE_CHECKING:  # pragma: no cover
     from .circuit import Circuit
     from .gates import GateDef
-
-
-def _unpack(values: Sequence[int], width: int) -> np.ndarray:
-    """Bit matrix with row i holding bits 0..width-1 of values[i]."""
-    nbytes = (width + 7) // 8
-    raw = b"".join(v.to_bytes(nbytes, "little") for v in values)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), nbytes)
-    return np.unpackbits(rows, axis=1, bitorder="little")[:, :width]
-
-
-def _transpose(rows: Sequence[int], width: int) -> list[int]:
-    """Transpose a bit matrix held as ints: bit i of out[j] is bit j of rows[i].
-
-    The matrix is transposed byte-wise, then each of the 8 bit planes of
-    those bytes is packed separately, which keeps every numpy step on
-    contiguous memory.
-    """
-    m = len(rows)
-    nb, mb = (width + 7) // 8, (m + 7) // 8
-    raw = b"".join(v.to_bytes(nb, "little") for v in rows)
-    cols = np.ascontiguousarray(np.frombuffer(raw, dtype=np.uint8).reshape(m, nb).T)
-    planes = [np.packbits((cols >> k) & 1, axis=1, bitorder="little") for k in range(8)]
-    data = np.stack(planes, axis=1).reshape(8 * nb, mb).tobytes()
-    return [int.from_bytes(data[j * mb:(j + 1) * mb], "little") for j in range(width)]
 
 
 class Tableau:
@@ -76,8 +50,8 @@ class Tableau:
         if any(img.n != n for img in images):
             raise ValueError("image qubit count mismatch")
         sign = sum(1 << g for g, img in enumerate(images) if img.sign < 0)
-        x = _transpose([img.x for img in images], n)
-        z = _transpose([img.z for img in images], n)
+        x = [sum(((img.x >> q) & 1) << g for g, img in enumerate(images)) for q in range(n)]
+        z = [sum(((img.z >> q) & 1) << g for g, img in enumerate(images)) for q in range(n)]
         return Tableau(n, x, z, sign)
 
     def copy(self) -> "Tableau":
@@ -85,22 +59,9 @@ class Tableau:
 
     # -- accessors ---------------------------------------------------------
 
-    def image_x(self, j: int) -> PauliProduct:
-        """Image of the generator X_j."""
-        return self._image(2 * j)
-
-    def image_z(self, j: int) -> PauliProduct:
-        """Image of the generator Z_j."""
-        return self._image(2 * j + 1)
-
     def images(self) -> list[PauliProduct]:
         """All 2n images, interleaved X_0, Z_0, X_1, Z_1, ..."""
-        xs = _transpose(self._x, 2 * self.n)
-        zs = _transpose(self._z, 2 * self.n)
-        return [
-            PauliProduct(self.n, x, z, -1 if (self._sign >> g) & 1 else 1)
-            for g, (x, z) in enumerate(zip(xs, zs))
-        ]
+        return [self._image(g) for g in range(2 * self.n)]
 
     def _image(self, g: int) -> PauliProduct:
         return PauliProduct(
@@ -152,13 +113,6 @@ class Tableau:
             for i in inputs:
                 acc ^= rows[i]
             (zs if k & 1 else xs)[qubits[k >> 1]] = acc
-
-    # -- bulk views ----------------------------------------------------------
-
-    def letter_array(self) -> np.ndarray:
-        """Pauli codes (2x+z) of every image entry, shape (2n, n)."""
-        width = 2 * self.n
-        return (2 * _unpack(self._x, width) + _unpack(self._z, width)).T
 
     def relabel_wires(self, sigma: Sequence[int]) -> "Tableau":
         """Relabel image supports by sigma, leaving generator indices alone.
@@ -238,24 +192,16 @@ def conjugate_product(t: Tableau, p: PauliProduct) -> PauliProduct:
     return PauliProduct(n, acc.x, acc.z, 1 if exponent == 0 else -1)
 
 
-def equal(t1: Tableau, t2: Tableau) -> bool:
-    """Exact tableau equality, signs included."""
-    return t1 == t2
-
-
-def equal_up_to_sign(t1: Tableau, t2: Tableau) -> tuple[bool, SignVector | None]:
+def equal_up_to_sign(t1: Tableau, t2: Tableau) -> tuple[bool, int | None]:
     """Letter-exact equality; on success also the per-generator sign flips.
 
     Returns ``(True, flips)`` when all supports and local Paulis match, where
-    ``flips`` holds -1 exactly on generators whose signs disagree.  Returns
-    ``(False, None)`` otherwise.
+    bit g of the int ``flips`` is set exactly when the signs of generator g
+    disagree.  Returns ``(False, None)`` otherwise.
     """
     if t1.n != t2.n or t1._x != t2._x or t1._z != t2._z:
         return False, None
-    diff = t1._sign ^ t2._sign
-    return True, SignVector(
-        tuple(-1 if (diff >> g) & 1 else 1 for g in range(2 * t1.n))
-    )
+    return True, t1._sign ^ t2._sign
 
 
 def match_wires(t1: Tableau, t2: Tableau) -> tuple[int, ...] | None:
@@ -305,8 +251,10 @@ class FrameSolveError(ValueError):
     """The frame system is inconsistent: the input was not a unitary tableau."""
 
 
-def solve_frame(t: Tableau, flips: SignVector) -> PauliProduct:
+def solve_frame(t: Tableau, flips: int) -> PauliProduct:
     """Pauli product F anticommuting with exactly the flagged generator images.
+
+    Bit g of ``flips`` flags generator g, in the order X_0, Z_0, X_1, ...
 
     The images of a unitary tableau form a symplectic basis, so the GF(2)
     system has the closed-form solution
@@ -321,11 +269,10 @@ def solve_frame(t: Tableau, flips: SignVector) -> PauliProduct:
     must equal the flip mask.  The result has sign +1; F is unique up to
     global phase.
     """
-    if flips.n != t.n:
-        raise ValueError(f"size mismatch: tableau n={t.n}, flips n={flips.n}")
-    want = sum(1 << g for g, s in enumerate(flips.entries) if s < 0)
+    if flips < 0 or flips >> 2 * t.n:
+        raise ValueError(f"flip mask {flips:#x} must lie in 0 .. 2**{2 * t.n} - 1")
     even = ((1 << 2 * t.n) - 1) // 3  # bits 0, 2, 4, ...: the X_j generators
-    m = ((want & even) << 1) | ((want >> 1) & even)
+    m = ((flips & even) << 1) | ((flips >> 1) & even)
     fx = fz = anticommuting = 0
     for q, (xq, zq) in enumerate(zip(t._x, t._z)):
         if (xq & m).bit_count() & 1:
@@ -334,27 +281,12 @@ def solve_frame(t: Tableau, flips: SignVector) -> PauliProduct:
         if (zq & m).bit_count() & 1:
             fz |= 1 << q
             anticommuting ^= xq
-    if anticommuting != want:
+    if anticommuting != flips:
         raise FrameSolveError(
             "no Pauli frame realises the requested sign flips; "
             "generator images do not form a symplectic basis"
         )
     return PauliProduct(t.n, fx, fz)
-
-
-def permute_qubits(t: Tableau, perm: Sequence[int]) -> Tableau:
-    """Relabel qubits: generator j becomes generator perm[j], supports follow."""
-    n = t.n
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
-    new_gen = [2 * perm[g >> 1] + (g & 1) for g in range(2 * n)]
-
-    def move(bits: int) -> int:
-        return sum(1 << new_gen[g] for g in range(2 * n) if (bits >> g) & 1)
-
-    moved = t.relabel_wires(perm)
-    return Tableau(n, [move(r) for r in moved._x], [move(r) for r in moved._z],
-                   move(t._sign))
 
 
 def pretty(t: Tableau) -> str:
@@ -380,6 +312,7 @@ def pretty(t: Tableau) -> str:
     header = [f"{p}{j}" for j in range(n) for p in ("X", "Z")]
     signs = ["-" if (t._sign >> g) & 1 else "+" for g in range(2 * n)]
     lines = [line("", header), line("+/-", signs)]
-    for q, row in enumerate(t.letter_array().T):
-        lines.append(line(str(q), [codes[c] for c in row]))
+    for q, (xq, zq) in enumerate(zip(t._x, t._z)):
+        cells = [codes[2 * (xq >> g & 1) + (zq >> g & 1)] for g in range(2 * n)]
+        lines.append(line(str(q), cells))
     return "\n".join(lines)

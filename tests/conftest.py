@@ -1,11 +1,16 @@
+import functools
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from recliff import Circuit, FrameSolveError, PauliProduct, Tableau, commutes, multiply, parse
+from recliff import (
+    Circuit, FrameSolveError, PauliProduct, Tableau, commutes, conjugate_product, parse,
+)
+from recliff.pauli import _phase_exponent
 
 # 4-qubit interleaved stabilizer-measurement circuit used as the golden
 # worked example throughout the suite.
@@ -97,20 +102,52 @@ def images_tableau(strings: list[str]) -> Tableau:
     return Tableau.from_images(n, [PauliProduct.from_string(s, n) for s in strings])
 
 
-def reference_solve_frame(images, required_flips):
+@functools.lru_cache(maxsize=None)
+def reference_lut(gate):
+    """The gate's conjugation lookup, built from its tableau with conjugate_product.
+
+    Returns ``(out_bits, sign)``: the key packs the local bits x_a, z_a(, x_b,
+    z_b), most significant first; ``out_bits`` holds one uint8 array per
+    output bit in the same order and ``sign`` an int8 array of +1/-1.  This is
+    the generator-major table gates were once stored as.
+    """
+    nbits = 2 * gate.arity
+    outs = [np.zeros(1 << nbits, dtype=np.uint8) for _ in range(nbits)]
+    sign = np.ones(1 << nbits, dtype=np.int8)
+    for key in range(1 << nbits):
+        bits = [(key >> (nbits - 1 - i)) & 1 for i in range(nbits)]
+        x = sum(bits[2 * w] << w for w in range(gate.arity))
+        z = sum(bits[2 * w + 1] << w for w in range(gate.arity))
+        img = conjugate_product(gate.semantics, PauliProduct(gate.arity, x, z))
+        for w in range(gate.arity):
+            outs[2 * w][key] = (img.x >> w) & 1
+            outs[2 * w + 1][key] = (img.z >> w) & 1
+        sign[key] = img.sign
+    return tuple(outs), sign
+
+
+def multiply(a: PauliProduct, b: PauliProduct) -> PauliProduct:
+    """Product a*b with any +/-i phase dropped to a sign: a test reference."""
+    if a.n != b.n:
+        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
+    sign = -1 if _phase_exponent(a, b) >= 2 else 1
+    return PauliProduct(a.n, a.x ^ b.x, a.z ^ b.z, sign)
+
+
+def reference_solve_frame(images, flips: int):
     """The generator-major frame solve the row-native ``solve_frame`` replaced:
     multiply the images the closed form selects, then check commutation
-    against every image."""
-    n = required_flips.n
+    against every image.  Bit g of ``flips`` flags generator g."""
+    n = len(images) // 2
     f = PauliProduct(n)
     for j in range(n):
-        if required_flips.z(j) < 0:
+        if (flips >> (2 * j + 1)) & 1:
             f = multiply(f, images[2 * j])
-        if required_flips.x(j) < 0:
+        if (flips >> (2 * j)) & 1:
             f = multiply(f, images[2 * j + 1])
     f = PauliProduct(n, f.x, f.z, 1)
     for g, img in enumerate(images):
-        if commutes(f, img) == (required_flips.entries[g] < 0):
+        if commutes(f, img) == bool((flips >> g) & 1):
             raise FrameSolveError("generator images do not form a symplectic basis")
     return f
 

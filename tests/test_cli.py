@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -466,3 +469,108 @@ class TestThinAdapter:
         r = invoke(runner, "--version")
         assert r.exit_code == 0
         assert r.output == f"recliff, version {recliff.__version__}\n"
+
+
+class TestArgumentsCheckedBeforeInput:
+    """Argument clashes exit 3 with one line before any input is read."""
+
+    @pytest.fixture
+    def no_reads(self, monkeypatch):
+        import recliff.cli
+
+        def refuse(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(recliff.cli, "_read_text", refuse)
+
+    @pytest.mark.parametrize("args", [
+        ("verify", "-", "-"),
+        ("compare", "-", "-"),
+        ("compile", "--target", "ecr", "-", "-"),
+    ], ids=["verify", "compare", "compile"])
+    def test_stdin_given_twice(self, runner, tmp_path, monkeypatch, no_reads, args):
+        monkeypatch.chdir(tmp_path)
+        r = invoke(runner, *args, input="CX 0 1\n")
+        assert r.exit_code == 3
+        assert r.output == "stdin (-) can be given as only one input\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("output", [None, "-"], ids=["no-output", "output-stdout"])
+    def test_metadata_and_circuit_both_on_stdout(self, runner, tmp_path, monkeypatch,
+                                                 output):
+        import recliff.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compiled")
+
+        monkeypatch.setattr(recliff.cli, "compile_circuit", refuse)
+        src = tmp_path / "a.stim"
+        src.write_text("CX 0 1\n")
+        out = () if output is None else ("-o", output)
+        r = invoke(runner, "compile", "--target", "ecr", str(src), *out, "--metadata", "-")
+        assert r.exit_code == 3
+        assert r.output == ("--metadata - needs --output to name a file: "
+                            "both would go to stdout\n")
+
+    def test_metadata_on_stdout_with_output_file(self, runner, tmp_path):
+        src, out = tmp_path / "a.stim", tmp_path / "a.ecr.stim"
+        src.write_text("CX 0 1\n")
+        r = invoke(runner, "compile", "--target", "ecr", str(src), "-o", str(out),
+                   "--metadata", "-")
+        assert r.exit_code == 0
+        assert json.loads(r.output)["verified"] is True
+        assert out.read_text().startswith("ECR 0 1")
+
+
+class TestGenerateSizeGuard:
+    """Generated circuits are held to the default qubit limit before any gate exists."""
+
+    class Built(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def no_generators(self, monkeypatch):
+        import recliff.cli
+
+        def refuse(spec):
+            raise self.Built(spec)
+
+        monkeypatch.setattr(recliff.cli, "random_clifford_circuit", refuse)
+        monkeypatch.setattr(recliff.cli, "surface_code_syndrome_extraction", refuse)
+
+    def test_random_over_limit(self, runner):
+        from recliff.cli import DEFAULT_MAX_QUBITS
+
+        r = invoke(runner, "generate", "random-clifford", "--qubits",
+                   str(DEFAULT_MAX_QUBITS + 1), "--entanglers", "1")
+        assert r.exit_code == 3
+        assert r.output == (f"error: {DEFAULT_MAX_QUBITS + 1} qubits exceeds "
+                            f"the limit of {DEFAULT_MAX_QUBITS}\n")
+        with pytest.raises(self.Built):
+            invoke(runner, "generate", "random-clifford", "--qubits",
+                   str(DEFAULT_MAX_QUBITS), "--entanglers", "1")
+
+    def test_surface_over_limit(self, runner):
+        from recliff.cli import DEFAULT_MAX_QUBITS
+
+        # d = 129 gives 2d^2 - 1 = 33,281 qubits, d = 127 gives 32,257
+        assert 2 * 127 ** 2 - 1 <= DEFAULT_MAX_QUBITS < 2 * 129 ** 2 - 1
+        r = invoke(runner, "generate", "surface-code", "--distance", "129")
+        assert r.exit_code == 3
+        assert r.output == f"error: 33281 qubits exceeds the limit of {DEFAULT_MAX_QUBITS}\n"
+        r = invoke(runner, "generate", "surface-code", "--distance", "100001")
+        assert r.exit_code == 3 and r.output.count("\n") == 1
+        with pytest.raises(self.Built):
+            invoke(runner, "generate", "surface-code", "--distance", "127")
+
+    def test_invalid_distance_still_named(self, runner):
+        r = invoke(runner, "generate", "surface-code", "--distance", "-200")
+        assert r.exit_code == 3
+        assert r.output == "error: distance must be an odd integer >= 3\n"
+
+
+def test_library_imports_without_numpy():
+    src = Path(recliff.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import recliff.cli, sys; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

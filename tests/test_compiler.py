@@ -20,7 +20,6 @@ from recliff import (
     compile_circuit,
     compile_with_iswap_heuristic,
     conjugation_lookup,
-    conjugation_table,
     depth,
     emit,
     extract_frame,
@@ -44,6 +43,7 @@ from conftest import (
     LOOKUP_PAIR_ORDER,
     WORKED_EXAMPLE_TEXT,
     images_tableau,
+    reference_lut,
 )
 
 
@@ -58,9 +58,11 @@ class TestConjugationLookup:
                 assert conjugation_lookup(cur, tgt).name == LOOKUP_GRID[i][j]
 
     def test_every_cell_maps_current_to_target(self):
-        for (cur, tgt), gate in conjugation_table().items():
-            assert perm_apply(gate.perm, cur[0]) == tgt[0]
-            assert perm_apply(gate.perm, cur[1]) == tgt[1]
+        for cur in pairs():
+            for tgt in pairs():
+                gate = conjugation_lookup(cur, tgt)
+                assert perm_apply(gate.perm, cur[0]) == tgt[0]
+                assert perm_apply(gate.perm, cur[1]) == tgt[1]
 
     def test_caption_cell(self):
         cur = (Pauli.Z, Pauli.Y)
@@ -123,19 +125,18 @@ def tableau_letter_maps(t_working: Tableau, t_target: Tableau) -> list:
     every wire the (working letter -> target letter) constraints collected
     over all generators are consistent and pin the permutation completely.
     """
-    lw = t_working.letter_array()
-    lt = t_target.letter_array()
+    iw, it = t_working.images(), t_target.images()
     perms = []
     for wire in range(t_working.n):
-        col_w = lw[:, wire]
-        col_t = lt[:, wire]
-        assert not ((col_w == 0) != (col_t == 0)).any(), f"wire {wire}: supports differ"
+        col_w = [img.local(wire) for img in iw]
+        col_t = [img.local(wire) for img in it]
+        assert all((w == 0) == (t == 0) for w, t in zip(col_w, col_t)), (
+            f"wire {wire}: supports differ")
         mapping: dict[int, int] = {}
         for code in (1, 2, 3):
-            hits = col_t[col_w == code]
-            if hits.size == 0:
+            vals = {int(t) for w, t in zip(col_w, col_t) if w == code}
+            if not vals:
                 continue
-            vals = set(int(v) for v in hits)
             assert len(vals) == 1, f"wire {wire}: not a single basis change"
             mapping[code] = vals.pop()
         assert len(mapping) >= 2, f"wire {wire}: underdetermined basis change"
@@ -148,13 +149,13 @@ def tableau_letter_maps(t_working: Tableau, t_target: Tableau) -> list:
 
 def apply_to_product(gate, qubits, p: PauliProduct) -> PauliProduct:
     """Conjugate one Pauli product through a gate via its local lookup table."""
-    lut = gate.lut
+    out_bits, sign = reference_lut(gate)
     if gate.arity == 1:
         (q,) = qubits
         key = 2 * ((p.x >> q) & 1) + ((p.z >> q) & 1)
-        x = (p.x & ~(1 << q)) | (int(lut.out_bits[0][key]) << q)
-        z = (p.z & ~(1 << q)) | (int(lut.out_bits[1][key]) << q)
-        return PauliProduct(p.n, x, z, p.sign * int(lut.sign[key]))
+        x = (p.x & ~(1 << q)) | (int(out_bits[0][key]) << q)
+        z = (p.z & ~(1 << q)) | (int(out_bits[1][key]) << q)
+        return PauliProduct(p.n, x, z, p.sign * int(sign[key]))
     a, b = qubits
     key = (
         8 * ((p.x >> a) & 1)
@@ -163,9 +164,9 @@ def apply_to_product(gate, qubits, p: PauliProduct) -> PauliProduct:
         + ((p.z >> b) & 1)
     )
     mask = ~((1 << a) | (1 << b))
-    x = (p.x & mask) | (int(lut.out_bits[0][key]) << a) | (int(lut.out_bits[2][key]) << b)
-    z = (p.z & mask) | (int(lut.out_bits[1][key]) << a) | (int(lut.out_bits[3][key]) << b)
-    return PauliProduct(p.n, x, z, p.sign * int(lut.sign[key]))
+    x = (p.x & mask) | (int(out_bits[0][key]) << a) | (int(out_bits[2][key]) << b)
+    z = (p.z & mask) | (int(out_bits[1][key]) << a) | (int(out_bits[3][key]) << b)
+    return PauliProduct(p.n, x, z, p.sign * int(sign[key]))
 
 
 class TestFixPropagation:

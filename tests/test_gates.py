@@ -7,28 +7,24 @@ from recliff import (
     GateSet,
     Pauli,
     PauliProduct,
-    Tableau,
-    all_single_qubit_cliffords,
     append_gate,
     builtin,
     builtin_gateset,
-    classify_entangler,
-    commuting_local_pauli,
     conjugate_product,
     decompose_single_qubit,
     identity,
 )
-from recliff.gates import GateDef, builtin_names, perm_invert
+from recliff.circuit import DIALECT_GATES
+from recliff.gates import GateDef
 
-from conftest import CX_IMAGES, ECR_IMAGES, SQRT_XX_IMAGES, images_tableau
+from conftest import ECR_IMAGES, SQRT_XX_IMAGES, images_tableau, reference_lut
 from matrix_oracle import UNITARIES, conjugate, pauli_matrix
 
 
 class TestBuiltinSemantics:
     def test_h_conjugations(self):
         h = builtin("H")
-        assert str(h.semantics.image_x(0)) == "+Z0"
-        assert str(h.semantics.image_z(0)) == "+X0"
+        assert [str(img) for img in h.semantics.images()] == ["+Z0", "+X0"]
         y = conjugate_product(h.semantics, PauliProduct.from_string("+Y0", 1))
         assert str(y) == "-Y0"
 
@@ -57,7 +53,7 @@ class TestBuiltinSemantics:
     def test_cnot_alias(self):
         assert builtin("CNOT") is builtin("CX")
 
-    @pytest.mark.parametrize("name", sorted(builtin_names()))
+    @pytest.mark.parametrize("name", sorted(DIALECT_GATES))
     def test_every_builtin_matches_dense_conjugation(self, name):
         g = builtin(name)
         u = UNITARIES[name]
@@ -69,14 +65,6 @@ class TestBuiltinSemantics:
                 assert np.allclose(conjugate(u, pauli_matrix(p)), pauli_matrix(img)), (
                     name, str(p),
                 )
-
-    def test_symmetry_flags(self):
-        assert not builtin("CX").symmetric
-        assert not builtin("ECR").symmetric
-        assert builtin("CZ").symmetric
-        assert builtin("SQRT_XX").symmetric
-        assert builtin("ISWAP").symmetric
-        assert builtin("SWAP").symmetric
 
 
 class TestDecomposeSingleQubit:
@@ -123,20 +111,29 @@ class TestDecomposeSingleQubit:
             GateSet("s_only", builtin("CX"), (builtin("S"),))
 
 
+def probe(t) -> GateDef:
+    return GateDef("_probe", 2, t)
+
+
 class TestCommutingLocalPauli:
+    """A cx-like gate's one-local letter on each wire stays on that wire."""
+
     def test_cx(self):
         cx = builtin("CX")
-        assert commuting_local_pauli(cx, 0) == Pauli.Z
-        assert commuting_local_pauli(cx, 1) == Pauli.X
+        assert cx.entangler_class == "cx_like"
+        assert cx.one_local_letter(0) == Pauli.Z
+        assert cx.one_local_letter(1) == Pauli.X
 
     def test_ecr(self):
         ecr = builtin("ECR")
-        assert commuting_local_pauli(ecr, 0) == Pauli.Z
-        assert commuting_local_pauli(ecr, 1) == Pauli.X
+        assert ecr.entangler_class == "cx_like"
+        assert ecr.one_local_letter(0) == Pauli.Z
+        assert ecr.one_local_letter(1) == Pauli.X
 
     def test_sqrt_xx_both_wires_x(self):
         # derived by enumerating the conjugation of X, Y, Z through each wire
         sxx = builtin("SQRT_XX")
+        assert sxx.entangler_class == "cx_like"
         for wire in (0, 1):
             stays = [
                 p
@@ -154,16 +151,21 @@ class TestCommutingLocalPauli:
                 == 1
             ]
             assert stays == [Pauli.X]
-            assert commuting_local_pauli(sxx, wire) == Pauli.X
+            assert sxx.one_local_letter(wire) == Pauli.X
 
     def test_iswap_has_none(self):
+        # no letter stays on its wire; the one-local letter hops instead
         iswap = builtin("ISWAP")
-        assert commuting_local_pauli(iswap, 0) is None
-        assert commuting_local_pauli(iswap, 1) is None
+        assert iswap.entangler_class == "iswap_like"
+        for wire in (0, 1):
+            letter = iswap.one_local_letter(wire)
+            img = conjugate_product(iswap.semantics, PauliProduct.single(2, wire, letter))
+            assert img.local(wire) == Pauli.I and img.local(1 - wire) != Pauli.I
 
     def test_rejects_single_qubit_gate(self):
-        with pytest.raises(ValueError):
-            commuting_local_pauli(builtin("H"), 0)
+        h = builtin("H")
+        assert h.entangler_class == "none"
+        assert h.one_local_letter(0) is None
 
 
 class TestClassifyEntangler:
@@ -182,52 +184,116 @@ class TestClassifyEntangler:
     )
     def test_builtins(self, name, cls):
         assert builtin(name).entangler_class == cls
-        assert classify_entangler(builtin(name).semantics) == cls
+        assert probe(builtin(name).semantics).entangler_class == cls
 
     def test_single_qubit_product_is_none(self):
         t = identity(2)
         t = append_gate(t, builtin("H"), (0,))
         t = append_gate(t, builtin("S"), (1,))
-        assert classify_entangler(t) == "none"
+        assert probe(t).entangler_class == "none"
 
     def test_dressed_swap_is_swap_like(self):
         t = identity(2)
         t = append_gate(t, builtin("H"), (0,))
         t = append_gate(t, builtin("SWAP"), (0, 1))
         t = append_gate(t, builtin("S"), (1,))
-        assert classify_entangler(t) == "swap_like"
+        assert probe(t).entangler_class == "swap_like"
 
 
-class TestSingleQubitCliffordGroup:
-    def test_count_is_24_exact_and_6_classes(self):
-        gates = all_single_qubit_cliffords()
-        assert len(gates) == 24
-        assert len({g.perm for g in gates}) == 6
+# ---------------------------------------------------------------------------
+# The generator-major definition the int tables replaced, kept as a reference
 
-    def test_contains_the_named_basis_changes(self):
-        names = {g.name for g in all_single_qubit_cliffords()}
-        for want in ("H", "H_XY", "H_YZ", "C_XYZ", "C_ZYX"):
-            assert want in names
 
-    def test_closed_under_inverse(self):
-        gates = all_single_qubit_cliffords()
-        keys = set()
-        for g in gates:
-            t = g.semantics
-            keys.add((str(t.image_x(0)), str(t.image_z(0))))
-        for g in gates:
-            inv_perm = perm_invert(g.perm)
-            # find the exact inverse by composing and checking identity
-            found = False
-            for h in gates:
-                t = identity(1)
-                t = append_gate(t, g, (0,))
-                t = append_gate(t, h, (0,))
-                if t == identity(1):
-                    found = True
-                    break
-            assert found, g.name
-            assert h.perm == inv_perm
+def old_update_rule(out_bits, sign) -> tuple:
+    nbits = len(out_bits)
+
+    def inputs_of(key):
+        return tuple(i for i in range(nbits) if (key >> (nbits - 1 - i)) & 1)
+
+    linear = tuple(tuple(i for i in range(nbits) if out[1 << (nbits - 1 - i)])
+                   for out in out_bits)
+    anf = [int(s < 0) for s in sign]
+    for bit in range(nbits):
+        for key in range(len(anf)):
+            if key >> bit & 1:
+                anf[key] ^= anf[key ^ (1 << bit)]
+    assert not anf[0]
+    return linear, tuple(inputs_of(key) for key in range(len(anf)) if anf[key])
+
+
+def old_wire_letters(g):
+    fixed, one_local = [None, None], [None, None]
+    for wire in (0, 1):
+        for letter in (Pauli.X, Pauli.Y, Pauli.Z):
+            img = conjugate_product(g.semantics, PauliProduct.single(2, wire, letter))
+            supp = tuple(q for q in range(2) if img.local(q) != Pauli.I)
+            if supp == (wire,):
+                fixed[wire] = letter
+                one_local[wire] = letter
+            elif len(supp) == 1:
+                one_local[wire] = letter
+    return fixed, one_local
+
+
+def old_classify(g, fixed):
+    stays, crosses = [True, True], [True, True]
+    for wire in (0, 1):
+        for letter in (Pauli.X, Pauli.Y, Pauli.Z):
+            img = conjugate_product(g.semantics, PauliProduct.single(2, wire, letter))
+            supp = tuple(q for q in range(2) if img.local(q) != Pauli.I)
+            stays[wire] &= supp == (wire,)
+            crosses[wire] &= supp == (1 - wire,)
+    if stays[0] and stays[1]:
+        return "none"
+    if crosses[0] and crosses[1]:
+        return "swap_like"
+    if fixed[0] is not None and fixed[1] is not None:
+        return "cx_like"
+    if fixed[0] is None and fixed[1] is None:
+        return "iswap_like"
+    raise ValueError("entangler with one-sided fixed Pauli")
+
+
+def _dressed(*steps):
+    t = identity(2)
+    for name, qs in steps:
+        t = append_gate(t, builtin(name), qs)
+    return probe(t)
+
+
+class TestAgainstGeneratorMajorDefinition:
+    @pytest.mark.parametrize("name", sorted(DIALECT_GATES))
+    def test_builtin(self, name):
+        self.check(builtin(name))
+
+    @pytest.mark.parametrize("steps", [
+        (("ECR", (0, 1)), ("SWAP", (0, 1))),
+        (("SQRT_XX", (0, 1)), ("SWAP", (0, 1))),
+        (("ISWAP", (0, 1)), ("SWAP", (0, 1))),
+        (("H", (0,)), ("SWAP", (0, 1)), ("S", (1,))),
+        (("H", (0,)), ("S", (1,))),
+        (("C_XYZ", (1,)), ("CX", (1, 0)), ("SQRT_X", (0,))),
+    ])
+    def test_composed(self, steps):
+        self.check(_dressed(*steps))
+
+    @staticmethod
+    def check(g):
+        out_bits, sign = reference_lut(g)
+        assert g.rule == old_update_rule(out_bits, sign)
+        if g.arity == 1:
+            assert g.perm == (int(out_bits[0][2] * 2 + out_bits[1][2]),
+                              int(out_bits[0][1] * 2 + out_bits[1][1]))
+            assert g.bits16 is None and g.entangler_class == "none"
+            assert g.one_local_letter(0) is None
+            return
+        bits = tuple(sum(int(out_bits[i][k]) << (3 - i) for i in range(4)) for k in range(16))
+        assert g.perm is None
+        assert g.bits16 == bits
+        assert all(g.bits16_inv[v] == k for k, v in enumerate(bits))
+        fixed, one_local = old_wire_letters(g)
+        assert [g.one_local_letter(w) for w in (0, 1)] == one_local
+        assert g.entangler_class == old_classify(g, fixed)
 
 
 class TestGateSet:

@@ -70,7 +70,7 @@ class TestSurfaceCode:
         up X on every ancilla whose check they anticommute with.
         """
         c = surface_code_syndrome_extraction(SurfaceCodeSpec(3))
-        t = from_circuit(c)
+        images = from_circuit(c).images()
         n = c.n
 
         # identify ancilla indices by their H participation: X-ancillas are
@@ -83,7 +83,7 @@ class TestSurfaceCode:
         # unique hand-listed X-check its image reproduces
         x_images = {}
         for anc in h_qubits:
-            img = t.image_z(anc)
+            img = images[2 * anc + 1]
             assert img.sign == 1
             assert img.local(anc) == Pauli.Z
             data = {q for q in range(9) if img.local(q) == Pauli.X}
@@ -100,7 +100,7 @@ class TestSurfaceCode:
         z_ancillas = [q for q in range(9, n) if q not in h_qubits]
         z_images = {}
         for anc in z_ancillas:
-            img = t.image_z(anc)
+            img = images[2 * anc + 1]
             assert img.sign == 1
             assert img.local(anc) == Pauli.Z
             data = {q for q in range(9) if img.local(q) == Pauli.Z}
@@ -114,12 +114,12 @@ class TestSurfaceCode:
         z_anc_of = {frozenset(v): k for k, v in z_images.items()}
         x_anc_of = {frozenset(v): k for k, v in x_images.items()}
         for d in range(9):
-            img_x = t.image_x(d)
+            img_x = images[2 * d]
             want = {z_anc_of[fs] for fs in z_anc_of if d in fs}
             got = {q for q in range(9, n) if img_x.local(q) != Pauli.I}
             assert got == want
             assert all(img_x.local(q) == Pauli.X for q in got)
-            img_z = t.image_z(d)
+            img_z = images[2 * d + 1]
             want = {x_anc_of[fs] for fs in x_anc_of if d in fs}
             got = {q for q in range(9, n) if img_z.local(q) != Pauli.I}
             assert got == want

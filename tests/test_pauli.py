@@ -8,11 +8,8 @@ from recliff import (
     FrameSolveError,
     Pauli,
     PauliProduct,
-    SignVector,
     Tableau,
     commutes,
-    multiply,
-    multiply_exact,
     solve_frame,
     support,
 )
@@ -20,7 +17,7 @@ from recliff.pauli import _phase_exponent
 from recliff.tableau import from_circuit, identity
 from recliff import builtin, random_clifford_circuit, RandomCircuitSpec
 
-from conftest import reference_solve_frame
+from conftest import multiply, reference_solve_frame
 from matrix_oracle import pauli_matrix
 
 
@@ -52,6 +49,11 @@ class TestConstruction:
             pp("+X0*Z0")
 
 
+def exact(a, b):
+    """a*b as (product with sign +1, exponent of i) from the word-wide routine."""
+    return PauliProduct(a.n, a.x ^ b.x, a.z ^ b.z), _phase_exponent(a, b)
+
+
 class TestMultiply:
     def test_distributive_example(self):
         # (X0 X1) * (Z0) * (Z0 Z1) has the letters of X0 Y1
@@ -69,17 +71,20 @@ class TestMultiply:
                 rng.getrandbits(n),
                 rng.choice((1, -1)),
             )
-            prod, imag = multiply_exact(PauliProduct.identity(n), p)
-            assert prod == p and not imag
+            letters, e = exact(PauliProduct.identity(n), p)
+            assert (letters.x, letters.z) == (p.x, p.z)
+            assert e == (0 if p.sign > 0 else 2)
+            assert multiply(PauliProduct.identity(n), p) == p
 
     def test_x_times_z_is_minus_i_y(self):
-        prod, imag = multiply_exact(pp("+X0", 1), pp("+Z0", 1))
-        assert imag and prod == pp("-Y0", 1)
+        letters, e = exact(pp("+X0", 1), pp("+Z0", 1))
+        assert letters == pp("+Y0", 1) and e == 3
         # cross-check against explicit 2x2 matrices
         got = pauli_matrix(pp("+X0", 1)) @ pauli_matrix(pp("+Z0", 1))
         assert np.allclose(got, -1j * pauli_matrix(pp("+Y0", 1)))
 
     def test_size_mismatch(self):
+        # the reference the frame-solve tests multiply with refuses mixed sizes
         with pytest.raises(ValueError):
             multiply(pp("+X0", 1), pp("+X0", 2))
 
@@ -93,10 +98,12 @@ class TestMultiply:
                 for s in (1, -1)
             ]
             for a, b in itertools.product(ops, repeat=2):
-                prod, imag = multiply_exact(a, b)
+                letters, e = exact(a, b)
                 got = pauli_matrix(a) @ pauli_matrix(b)
-                want = pauli_matrix(prod) * (1j if imag else 1)
+                want = pauli_matrix(letters) * 1j ** e
                 assert np.allclose(got, want), (str(a), str(b))
+                assert multiply(a, b) == PauliProduct(n, letters.x, letters.z,
+                                                      -1 if e >= 2 else 1)
 
     def test_associative_random(self):
         rng = random.Random(3)
@@ -107,20 +114,13 @@ class TestMultiply:
                 for _ in range(3)
             ]
             a, b, c = ops
-
-            def exact(p, q):
-                prod, imag = multiply_exact(p, q)
-                return prod, (1 if imag else 0)
-
             ab, e1 = exact(a, b)
             left, e2 = exact(ab, c)
             bc, e3 = exact(b, c)
             right, e4 = exact(a, bc)
             assert (left.x, left.z) == (right.x, right.z)
-            # phases must agree mod 4: sign encodes i^2
-            def phase(p, e):
-                return ((0 if p.sign > 0 else 2) + e) % 4
-            assert phase(left, e1 + e2) == phase(right, e3 + e4)
+            # phases must agree mod 4
+            assert (e1 + e2) % 4 == (e3 + e4) % 4
 
 
 class TestCommutes:
@@ -173,7 +173,7 @@ def _random_tableau(n, seed):
 class TestSolveFrame:
     def test_all_positive_gives_identity(self):
         t = _random_tableau(3, seed=5)
-        f = solve_frame(t, SignVector.positive(3))
+        f = solve_frame(t, 0)
         assert f.is_identity()
 
     def test_matches_brute_force(self):
@@ -181,17 +181,13 @@ class TestSolveFrame:
         t = _random_tableau(n, seed=9)
         images = t.images()
         for flipped in range(2 * n):
-            entries = [1] * (2 * n)
-            entries[flipped] = -1
-            flips = SignVector(tuple(entries))
-            f = solve_frame(t, flips)
+            f = solve_frame(t, 1 << flipped)
             matches = [
                 PauliProduct(n, x, z)
                 for x in range(2 ** n)
                 for z in range(2 ** n)
                 if all(
-                    (not commutes(PauliProduct(n, x, z), images[g]))
-                    == (flips.entries[g] < 0)
+                    (not commutes(PauliProduct(n, x, z), images[g])) == (g == flipped)
                     for g in range(2 * n)
                 )
             ]
@@ -202,15 +198,11 @@ class TestSolveFrame:
     def test_all_flip_patterns(self, n):
         t = _random_tableau(n, seed=20 + n)
         images = t.images()
-        for pattern in range(2 ** (2 * n)):
-            entries = tuple(
-                -1 if (pattern >> g) & 1 else 1 for g in range(2 * n)
-            )
-            flips = SignVector(entries)
+        for flips in range(2 ** (2 * n)):
             f = solve_frame(t, flips)
             assert f == reference_solve_frame(images, flips)
             for g, img in enumerate(images):
-                assert (not commutes(f, img)) == (entries[g] < 0)
+                assert (not commutes(f, img)) == bool((flips >> g) & 1)
 
     def test_matches_image_reference_on_random_patterns(self):
         rng = random.Random(77)
@@ -219,36 +211,29 @@ class TestSolveFrame:
                 t = _random_tableau(n, seed=100 * n + seed)
                 images = t.images()
                 for _ in range(20):
-                    flips = SignVector(tuple(rng.choice((1, -1)) for _ in range(2 * n)))
+                    flips = rng.getrandbits(2 * n)
                     assert solve_frame(t, flips) == reference_solve_frame(images, flips)
 
     def test_empty_tableau(self):
-        assert solve_frame(identity(0), SignVector(())) == PauliProduct(0)
+        assert solve_frame(identity(0), 0) == PauliProduct(0)
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_frame(identity(2), SignVector.positive(3))
+        # a flag on generator 4 does not exist on 2 qubits
+        with pytest.raises(ValueError, match="flip mask"):
+            solve_frame(identity(2), 1 << 4)
+
+    def test_negative_mask_rejected(self):
+        with pytest.raises(ValueError, match="flip mask"):
+            solve_frame(identity(2), -1)
 
     def test_inconsistent_inputs_detected(self):
         # X0 listed twice cannot be a generating set
         images = [pp("+X0", 1), pp("+X0", 1)]
-        flips = SignVector((1, -1))
+        flips = 0b10
         with pytest.raises(FrameSolveError):
             solve_frame(Tableau.from_images(1, images), flips)
         with pytest.raises(FrameSolveError):
             reference_solve_frame(images, flips)
-
-
-class TestSignVector:
-    def test_interleaved_accessors(self):
-        sv = SignVector((1, -1, -1, 1))
-        assert sv.n == 2
-        assert sv.x(0) == 1 and sv.z(0) == -1
-        assert sv.x(1) == -1 and sv.z(1) == 1
-
-    def test_length_must_be_even(self):
-        with pytest.raises(ValueError):
-            SignVector((1,))
 
 
 # Exponent of i in the single-qubit product a*b, with Y = i*X*Z, indexed by
