@@ -1,8 +1,9 @@
 """Command-line front end: compile, verify, generate, stats, compare.
 
 Exit codes: 0 success (verify: equivalent), 1 verify found the circuits
-inequivalent, 2 parse error, 3 compilation error, qubit limit exceeded or
-clashing arguments, 4 verification failure.  Paths may be ``-`` for
+inequivalent, 2 parse error or unreadable input or unwritable output,
+3 compilation error, size limit exceeded or clashing arguments,
+4 verification failure.  Paths may be ``-`` for
 stdin/stdout; stdin can be read only once.
 """
 
@@ -41,6 +42,10 @@ EXIT_VERIFY = 4
 #: A tableau holds 4n^2 bits, n^2/2 bytes: 0.5 GiB at this many qubits.
 DEFAULT_MAX_QUBITS = 32768
 
+#: Bound on qubits x (entangler layers + 1) for ``generate random-clifford``,
+#: the number of gate slots its circuit may fill.
+MAX_GENERATED_GATES = 2**20
+
 _max_qubits_option = click.option(
     "--max-qubits", default=DEFAULT_MAX_QUBITS, show_default=True,
     type=click.IntRange(min=0),
@@ -55,10 +60,14 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    try:
+        if path is None or path == "-":
+            sys.stdout.write(text)
+        else:
+            Path(path).write_text(text)
+    except OSError as exc:
+        click.echo(f"cannot write {path or '-'}: {exc.strerror or exc}", err=True)
+        sys.exit(EXIT_PARSE)
 
 
 def _stdin_once(paths: tuple[str, ...]) -> None:
@@ -120,6 +129,9 @@ def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
                 expand_ecr, show_tableau, output, metadata_path, max_qubits):
     """Compile circuit files onto the target gateset."""
     _stdin_once(inputs)
+    if len(inputs) > 1 and "-" in inputs:
+        click.echo("stdin (-) can only be compiled as the single input", err=True)
+        sys.exit(EXIT_COMPILE)
     for option, value in (("--output", output), ("--metadata", metadata_path)):
         if len(inputs) > 1 and value is not None:
             click.echo(f"{option} is only valid with a single input", err=True)
@@ -156,7 +168,7 @@ def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
             _write_text(output, text)
         else:
             out = Path(path).with_suffix(f".{target}.stim")
-            out.write_text(text)
+            _write_text(str(out), text)
             click.echo(f"{path} -> {out}", err=True)
         if metadata_path is not None:
             _write_text(metadata_path, json.dumps(result.metadata(source), indent=2) + "\n")
@@ -246,6 +258,9 @@ def cmd_generate_random(qubits, layers, seed, entangler, output):
             entangler=builtin(TARGET_ENTANGLERS[entangler]),
         )
         _size_guard(qubits)
+        if qubits * (layers + 1) > MAX_GENERATED_GATES:
+            raise ValueError(f"{qubits} qubits and {layers} entangler layers exceed "
+                             f"the limit of {MAX_GENERATED_GATES} gates")
         circuit = random_clifford_circuit(spec)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)

@@ -12,10 +12,14 @@ is the minimal starting point), then repairs the skeleton in three stages:
     carry the source gate's protected letter onto the native gate's.  Where it
     does not, a basis-change gate inserted immediately before the entangler
     repairs it.  The constraint is per-wire separable, so one sweep in time
-    order fixes every generator's propagation at once.
+    order fixes every generator's propagation at once.  The sweep emits the
+    output circuit directly: in the swap-insertion mode it exchanges the two
+    wires' output labels after each native entangler instead of emitting a
+    SWAP, so later gates land on the relabelled wires.
 2.  Conjugation.  After the sweep each wire is off from the target by a pure
     letter permutation, the sweep's final letter map for that wire; one
-    basis-change gate appended per wire removes it.
+    basis-change gate appended per wire removes it.  Single-qubit layers
+    never end up adjacent, so nothing needs fusing.
 3.  Frame.  Basis-change gates are rewritten over the gateset's single-qubit
     natives (their residual Paulis are dropped), and the remaining
     per-generator sign differences are solved into a single Pauli correction,
@@ -120,9 +124,9 @@ class CompilationResult:
     def metadata(self, source: Circuit) -> dict:
         return {
             "input_counts": gate_counts(source),
-            "output_counts": gate_counts(self.circuit),
+            "output_counts": self.stats.counts,
             "depth_in": depth(source),
-            "depth_out": depth(self.circuit),
+            "depth_out": self.stats.depth,
             "frame": str(self.frame),
             "permutation": list(self.permutation),
             "verified": self.verified,
@@ -267,18 +271,21 @@ def fix_propagation(
     gs: GateSet,
     *,
     virtual_swap: bool = False,
-) -> tuple[Circuit, list]:
-    """Build the propagation-fixed circuit and the final per-wire letter maps.
+) -> tuple[Circuit, list, tuple[int, ...]]:
+    """Build the propagation-fixed circuit, its per-wire letter maps and the
+    wire permutation.
 
     The sweep tracks, per wire, the letter permutation sending the source's
     instantaneous conjugation to the working circuit's, and inserts a
     basis change before an entangler wherever the permutation does not carry
     the source gate's protected letter onto the native gate's.  The returned
-    maps are those permutations after the last layer.
+    maps are those permutations after the last layer, indexed by output wire.
 
     With ``virtual_swap`` the working entangler is the native entangler
-    followed by a SWAP on the same pair; the SWAP instructions are emitted
-    explicitly for later removal.
+    followed by a SWAP on the same pair.  No SWAP is emitted: the sweep
+    exchanges the pair's output labels instead, so later gates land on the
+    relabelled wires.  The permutation sends each source wire to its output
+    wire; it is the identity otherwise.
     """
     n = source.n
     native = gs.entangler
@@ -290,9 +297,9 @@ def fix_propagation(
     else:
         working_gate = native
 
-    u = [PERM_IDENTITY] * n
+    u = [PERM_IDENTITY] * n  # indexed by source wire
+    label = list(range(n))  # source wire -> output wire
     out = _LayerBuilder(n)
-    swap = builtin("SWAP")
     for layer in source.layers:
         entanglers = [inst for inst in layer if inst.gate.arity == 2]
         for inst in layer:
@@ -307,15 +314,21 @@ def fix_propagation(
                 have = perm_apply(u[wire], _axis_letter(inst.gate, role))
                 if have != want:
                     fix = _choose_insertion(have, want, gs)
-                    out.place_single(wire, fix)
+                    out.place_single(label[wire], fix)
                     u[wire] = perm_compose(fix.perm, u[wire])
-        out.place_layer([Instruction(native, inst.qubits) for inst in entanglers])
-        if virtual_swap:
-            out.place_layer([Instruction(swap, inst.qubits) for inst in entanglers])
+        out.place_layer([
+            Instruction(native, (label[inst.qubits[0]], label[inst.qubits[1]]))
+            for inst in entanglers
+        ])
         for inst in entanglers:
             a, b = inst.qubits
             u[a], u[b] = _transfer_perms(inst.gate, working_gate, u[a], u[b])
-    return out.circuit(), u
+            if virtual_swap:
+                label[a], label[b] = label[b], label[a]
+    maps = [PERM_IDENTITY] * n
+    for wire, o in enumerate(label):
+        maps[o] = u[wire]
+    return out.circuit(), maps, tuple(label)
 
 
 # ---------------------------------------------------------------------------
@@ -339,36 +352,6 @@ def fix_conjugation(working: Circuit, maps: Sequence) -> Circuit:
 
 # ---------------------------------------------------------------------------
 # Stage 4: native expansion and frame extraction
-
-
-def _fuse_adjacent_singles(c: Circuit) -> Circuit:
-    """Merge runs of single-qubit-only layers at the basis-change level.
-
-    Residual sign differences are deliberately discarded; the frame solve
-    afterwards absorbs them.  Only used inside the compile pipeline.
-    """
-    layers: list[tuple[Instruction, ...]] = []
-    i = 0
-    while i < len(c.layers):
-        layer = c.layers[i]
-        if any(inst.gate.arity == 2 for inst in layer):
-            layers.append(layer)
-            i += 1
-            continue
-        perms: dict[int, tuple] = {}
-        while i < len(c.layers) and all(inst.gate.arity == 1 for inst in c.layers[i]):
-            for inst in c.layers[i]:
-                q = inst.qubits[0]
-                perms[q] = perm_compose(inst.gate.perm, perms.get(q, PERM_IDENTITY))
-            i += 1
-        fused = []
-        for q, perm in sorted(perms.items()):
-            gate = class_gate_for_perm(perm)
-            if gate.name != "I":
-                fused.append(Instruction(gate, (q,)))
-        if fused:
-            layers.append(tuple(fused))
-    return Circuit(c.n, tuple(layers))
 
 
 def _expand_classes(c: Circuit, gs: GateSet) -> Circuit:
@@ -418,31 +401,6 @@ def _frame_layer(frame: PauliProduct) -> tuple[Instruction, ...]:
     )
 
 
-
-
-def _remove_virtual_swaps(c: Circuit) -> tuple[Circuit, tuple[int, ...]]:
-    """Drop SWAP instructions one by one, relabelling later qubit indices.
-
-    Returns the rewritten circuit and the accumulated relabelling sigma
-    (original wire -> output wire).
-    """
-    label = list(range(c.n))
-    layers: list[list[Instruction]] = []
-    for layer in c.layers:
-        kept: list[Instruction] = []
-        for inst in sorted(layer, key=lambda i: i.qubits):
-            qs = tuple(label[q] for q in inst.qubits)
-            if inst.gate.name == "SWAP":
-                # The wires labelled qs[0], qs[1] are exactly a and b.
-                a, b = inst.qubits
-                label[a], label[b] = label[b], label[a]
-                continue
-            kept.append(Instruction(inst.gate, qs))
-        if kept:
-            layers.append(kept)
-    return Circuit(c.n, tuple(tuple(l) for l in layers)), tuple(label)
-
-
 # ---------------------------------------------------------------------------
 # Full pipelines
 
@@ -460,12 +418,9 @@ def _compile(
     target = tb.from_circuit(source)
     if not virtual_swap:
         _check_entangler_class(source, gs)
-    working, maps = fix_propagation(source, gs, virtual_swap=virtual_swap)
-    working = fix_conjugation(working, maps)
-    final = _expand_classes(_fuse_adjacent_singles(working), gs)
-    permutation = tuple(range(source.n))
+    working, maps, permutation = fix_propagation(source, gs, virtual_swap=virtual_swap)
+    final = _expand_classes(fix_conjugation(working, maps), gs)
     if virtual_swap:
-        final, permutation = _remove_virtual_swaps(final)
         target = target.relabel_wires(permutation)
 
     if two_qubit_count(final) != two_qubit_count(source):
@@ -526,10 +481,10 @@ def compile_with_iswap_heuristic(
     """Cross-class compilation via virtual SWAP insertion.
 
     A SWAP after each native entangler makes the composite match the source's
-    entangler class, the standard pipeline runs against the composites, and
-    the SWAPs are then removed one by one while relabelling later qubit
-    indices.  The result verifies against the target up to signs and the
-    accumulated wire relabelling, which the result carries.  Same-class
+    entangler class.  The standard pipeline runs against the composites, but
+    emits only the native entangler and relabels the pair's later gates in
+    place of the SWAP.  The result verifies against the target up to signs
+    and the accumulated wire relabelling, which the result carries.  Same-class
     sources compile as in :func:`compile_circuit`.  Entangler pairs outside
     ``available_pairs``, when given, are listed in ``unavailable_pairs``.
     """

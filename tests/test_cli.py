@@ -495,6 +495,17 @@ class TestArgumentsCheckedBeforeInput:
         assert r.output == "stdin (-) can be given as only one input\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("inputs", [("-", "b.stim"), ("b.stim", "-")])
+    def test_stdin_among_several_compile_inputs(self, runner, tmp_path, monkeypatch,
+                                                no_reads, inputs):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "b.stim").write_text("CX 0 1\n")
+        r = invoke(runner, "compile", "--target", "ecr", *inputs, input="CX 0 1\n")
+        assert r.exit_code == 3
+        assert r.output == "stdin (-) can only be compiled as the single input\n"
+        assert not list(tmp_path.glob("-.*.stim"))
+        assert not list(tmp_path.glob("b.*.stim"))
+
     @pytest.mark.parametrize("output", [None, "-"], ids=["no-output", "output-stdout"])
     def test_metadata_and_circuit_both_on_stdout(self, runner, tmp_path, monkeypatch,
                                                  output):
@@ -563,10 +574,79 @@ class TestGenerateSizeGuard:
         with pytest.raises(self.Built):
             invoke(runner, "generate", "surface-code", "--distance", "127")
 
+    def test_random_gate_bound(self, runner):
+        from recliff.cli import MAX_GENERATED_GATES
+
+        r = invoke(runner, "generate", "random-clifford", "--qubits", "4",
+                   "--entanglers", "100000000")
+        assert r.exit_code == 3
+        assert r.output == ("error: 4 qubits and 100000000 entangler layers exceed "
+                            f"the limit of {MAX_GENERATED_GATES} gates\n")
+        # 1024 x (1023 + 1) is exactly the bound, 1024 x (1024 + 1) is over it
+        assert MAX_GENERATED_GATES == 1024 * 1024
+        r = invoke(runner, "generate", "random-clifford", "--qubits", "1024",
+                   "--entanglers", "1024")
+        assert r.exit_code == 3 and r.output.count("\n") == 1
+        with pytest.raises(self.Built):
+            invoke(runner, "generate", "random-clifford", "--qubits", "1024",
+                   "--entanglers", "1023")
+
     def test_invalid_distance_still_named(self, runner):
         r = invoke(runner, "generate", "surface-code", "--distance", "-200")
         assert r.exit_code == 3
         assert r.output == "error: distance must be an odd integer >= 3\n"
+
+
+class TestUnwritableOutput:
+    """A path that cannot be written exits 2 with one line, like one that
+    cannot be read; exit 1 stays reserved for an inequivalent verify."""
+
+    @pytest.fixture
+    def src(self, tmp_path):
+        p = tmp_path / "a.stim"
+        p.write_text("CX 0 1\n")
+        return str(p)
+
+    @pytest.fixture
+    def bad(self, tmp_path):
+        return str(tmp_path / "missing" / "out")
+
+    def check(self, r, bad):
+        assert r.exit_code == 2
+        assert r.output == f"cannot write {bad}: No such file or directory\n"
+
+    def test_compile_output(self, runner, src, bad):
+        self.check(invoke(runner, "compile", "--target", "ecr", src, "-o", bad), bad)
+
+    def test_compile_metadata(self, runner, src, bad, tmp_path):
+        out = tmp_path / "a.ecr.stim"
+        r = invoke(runner, "compile", "--target", "ecr", src, "-o", str(out),
+                   "--metadata", bad)
+        self.check(r, bad)
+
+    def test_compile_batch(self, runner, src, tmp_path):
+        other = tmp_path / "b.stim"
+        other.write_text("CZ 0 1\n")
+        (tmp_path / "b.ecr.stim").mkdir()
+        r = invoke(runner, "compile", "--target", "ecr", src, str(other))
+        assert r.exit_code == 2
+        assert r.output.splitlines()[-1] == (
+            f"cannot write {tmp_path / 'b.ecr.stim'}: Is a directory")
+
+    def test_stats(self, runner, src, bad):
+        self.check(invoke(runner, "stats", src, "-o", bad), bad)
+
+    def test_compare(self, runner, src, bad):
+        self.check(invoke(runner, "compare", src, src, "-o", bad), bad)
+
+    def test_generate_surface_code(self, runner, bad):
+        self.check(invoke(runner, "generate", "surface-code", "--distance", "3", "-o", bad),
+                   bad)
+
+    def test_generate_random_clifford(self, runner, bad):
+        r = invoke(runner, "generate", "random-clifford", "--qubits", "3",
+                   "--entanglers", "2", "-o", bad)
+        self.check(r, bad)
 
 
 def test_library_imports_without_numpy():

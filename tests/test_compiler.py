@@ -34,7 +34,14 @@ from recliff import (
     two_qubit_count,
 )
 from recliff.cli import main
-from recliff.gates import NATIVE_SETS, PERM_IDENTITY, TARGET_ENTANGLERS, perm_apply, perm_invert
+from recliff.gates import (
+    CLASS_GATE_ORDER,
+    NATIVE_SETS,
+    PERM_IDENTITY,
+    TARGET_ENTANGLERS,
+    perm_apply,
+    perm_invert,
+)
 
 from conftest import (
     FAN_OUT_TEXT,
@@ -172,7 +179,7 @@ def apply_to_product(gate, qubits, p: PauliProduct) -> PauliProduct:
 class TestFixPropagation:
     def test_worked_example_insertions(self, worked_example):
         gs = builtin_gateset("ecr", "class6")
-        fixed, _ = fix_propagation(worked_example, gs)
+        fixed, _, _ = fix_propagation(worked_example, gs)
         assert wire_names(fixed, 0) == ["H", "ECR", "ECR"]
         assert wire_names(fixed, 1) == ["ECR", "H_YZ", "ECR"]
         assert wire_names(fixed, 2) == ["ECR", "H_XY", "ECR"]
@@ -181,7 +188,7 @@ class TestFixPropagation:
     def test_supports_match_after_fix(self, worked_example):
         gs = builtin_gateset("ecr", "class6")
         target = from_circuit(worked_example)
-        fixed, _ = fix_propagation(worked_example, gs)
+        fixed, _, _ = fix_propagation(worked_example, gs)
         got = from_circuit(fixed)
         for a, b in zip(got.images(), target.images()):
             assert (a.x | a.z) == (b.x | b.z)
@@ -189,8 +196,9 @@ class TestFixPropagation:
     @pytest.mark.parametrize("target", ["cx", "cz", "sqrt_xx", "ecr", "iswap"])
     def test_maps_equal_tableau_derived_maps(self, target):
         """The sweep's final maps are exactly what a tableau simulation of
-        the working circuit against the source would give (onto iswap, with
-        the virtual SWAPs of the swap-insertion mode in the working circuit)."""
+        the working circuit against the source would give (onto iswap, the
+        swap-insertion mode: against the source relabelled by the sweep's
+        wire permutation)."""
         gs = builtin_gateset(target, "class6")
         sources = [surface_code_syndrome_extraction(SurfaceCodeSpec(d)) for d in (3, 5, 7)]
         for seed in range(30):
@@ -199,15 +207,18 @@ class TestFixPropagation:
                 entangler=builtin(("CX", "CZ", "SQRT_XX", "ECR")[seed % 4]),
             )))
         for source in sources:
-            fixed, maps = fix_propagation(source, gs, virtual_swap=target == "iswap")
-            want = tableau_letter_maps(from_circuit(fixed), from_circuit(source))
+            fixed, maps, perm = fix_propagation(source, gs, virtual_swap=target == "iswap")
+            want = tableau_letter_maps(
+                from_circuit(fixed), from_circuit(source).relabel_wires(perm))
             assert [perm_invert(m) for m in maps] == want
+            if target != "iswap":
+                assert perm == tuple(range(source.n))
 
 
 class TestFixConjugation:
     def test_worked_example_appends(self, worked_example):
         gs = builtin_gateset("ecr", "class6")
-        fixed, maps = fix_propagation(worked_example, gs)
+        fixed, maps, _ = fix_propagation(worked_example, gs)
         done = fix_conjugation(fixed, maps)
         last = done.layers[-1]
         assert {(inst.gate.name, inst.qubits) for inst in last} == {
@@ -220,7 +231,7 @@ class TestFixConjugation:
 
     def test_error_when_propagation_not_fixed(self, worked_example):
         gs = builtin_gateset("ecr", "class6")
-        _, maps = fix_propagation(worked_example, gs)
+        _, maps, _ = fix_propagation(worked_example, gs)
         unfixed = fix_conjugation(initial_condition(worked_example, gs), maps)
         with pytest.raises(VerificationError):
             extract_frame(unfixed, from_circuit(worked_example))
@@ -611,6 +622,13 @@ def one_class_circuits(draw, max_n=6, max_layers=8):
     return Circuit.build(layers)
 
 
+def crosses_class(source, gs) -> bool:
+    return any(
+        inst.gate.arity == 2 and inst.gate.entangler_class != gs.entangler.entangler_class
+        for inst in source.instructions()
+    )
+
+
 class TestPipelineProperties:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -620,17 +638,37 @@ class TestPipelineProperties:
     )
     def test_folded_output_is_source_relabelled(self, source, target, natives):
         gs = builtin_gateset(target, natives)
-        crossing = any(
-            inst.gate.arity == 2 and inst.gate.entangler_class != gs.entangler.entangler_class
-            for inst in source.instructions()
-        )
-        entry = compile_with_iswap_heuristic if crossing else compile_circuit
+        entry = compile_with_iswap_heuristic if crosses_class(source, gs) else compile_circuit
         res = entry(source, gs, frame_mode="fold")
         assert from_circuit(res.circuit) == from_circuit(source).relabel_wires(res.permutation)
         assert two_qubit_count(res.circuit) == two_qubit_count(source)
         assert parse(emit(source)) == source
         # The dialect's qubit count is 1 + the largest index used.
         assert parse(emit(res.circuit)) == Circuit.build(res.circuit.layers)
+
+
+class TestNothingToFuse:
+    """The sweep and the conjugation fix never leave two single-qubit-only
+    layers next to each other, and each such layer holds one class gate per
+    wire, so a pass fusing adjacent basis changes would change nothing."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        one_class_circuits(),
+        st.sampled_from(sorted(TARGET_ENTANGLERS)),
+        st.sampled_from(sorted(NATIVE_SETS)),
+    )
+    def test_no_adjacent_single_qubit_layers(self, source, target, natives):
+        gs = builtin_gateset(target, natives)
+        virtual_swap = crosses_class(source, gs)
+        out = fix_conjugation(*fix_propagation(source, gs, virtual_swap=virtual_swap)[:2])
+        single_only = [all(inst.gate.arity == 1 for inst in layer) for layer in out.layers]
+        assert not any(a and b for a, b in zip(single_only, single_only[1:]))
+        for inst in out.instructions():
+            if inst.gate.arity == 2:
+                assert inst.gate is gs.entangler
+            else:
+                assert inst.gate.name in CLASS_GATE_ORDER and inst.gate.name != "I"
 
 
 class TestAvailablePairs:
