@@ -6,11 +6,18 @@ instruction per line, ``TICK`` separates layers, ``QUBIT_COORDS`` lines and
 several pairs on one line (``CX 0 1 2 3``).  ``ECR`` is a dialect extension.
 Measurements, resets, detectors and noise are rejected: circuits here are
 unitary.  Qubit count is 1 + the largest index used by an instruction.
+
+The public :class:`Instruction` and :class:`Circuit` constructors check
+arity, repeats, range and layer disjointness.  The parser checks each line
+once, and the compiler's stages build only from valid parts, so both use the
+unchecked :func:`_instruction` and :func:`_circuit`; the verification tableau
+still checks every gate's qubits as it applies it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .gates import GateDef, builtin
@@ -30,7 +37,7 @@ DIALECT_GATES = (
 _ALIASES = {"CNOT": "CX"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     """One gate application; qubit order encodes roles for asymmetric gates."""
 
@@ -75,7 +82,7 @@ class Circuit:
                     if q in used:
                         raise ValueError(f"qubit {q} used twice in one layer")
                     used.add(q)
-            norm.append(tuple(sorted(layer, key=lambda i: i.qubits)))
+            norm.append(tuple(sorted(layer, key=_by_qubits)))
         object.__setattr__(self, "layers", tuple(norm))
 
     @staticmethod
@@ -98,6 +105,30 @@ class Circuit:
 
     def is_empty(self) -> bool:
         return not self.layers
+
+
+_by_qubits = attrgetter("qubits")
+
+
+_set_gate = Instruction.gate.__set__  # slot descriptors, past the frozen __setattr__
+_set_qubits = Instruction.qubits.__set__
+
+
+def _instruction(gate: GateDef, qubits: tuple[int, ...]) -> Instruction:
+    """An instruction from parts already known to be valid: no checks."""
+    inst = object.__new__(Instruction)
+    _set_gate(inst, gate)
+    _set_qubits(inst, qubits)
+    return inst
+
+
+def _circuit(n: int, layers: Iterable[Iterable[Instruction]]) -> Circuit:
+    """A circuit from layers already known to be valid: sorts each layer by
+    qubits and drops empty ones, as :class:`Circuit` does, but checks nothing."""
+    c = object.__new__(Circuit)
+    c.__dict__.update(n=n, layers=tuple(
+        tuple(sorted(layer, key=_by_qubits)) for layer in layers if layer))
+    return c
 
 
 def parse(text: str) -> Circuit:
@@ -152,8 +183,8 @@ def parse(text: str) -> Circuit:
                     raise ParseError(f"line {lineno}: qubit {q} reused within a layer")
                 used.add(q)
                 max_q = max(max_q, q)
-            layers[-1].append(Instruction(gate, qs))
-    return Circuit.build(layers, n=max_q + 1)
+            layers[-1].append(_instruction(gate, qs))
+    return _circuit(max_q + 1, layers)
 
 
 def emit(c: Circuit) -> str:
@@ -196,9 +227,9 @@ def expand_ecr(c: Circuit) -> Circuit:
             out.append(layer)
             continue
         rest = [inst for inst in layer if inst.gate.name != "ECR"]
-        pre = [Instruction(s, (i.qubits[0],)) for i in ecrs]
-        pre += [Instruction(sx, (i.qubits[1],)) for i in ecrs]
-        mid = [Instruction(cx, i.qubits) for i in ecrs] + rest
-        post = [Instruction(x, (i.qubits[0],)) for i in ecrs]
-        out.extend([tuple(pre), tuple(mid), tuple(post)])
-    return Circuit(c.n, tuple(out))
+        pre = [_instruction(s, (i.qubits[0],)) for i in ecrs]
+        pre += [_instruction(sx, (i.qubits[1],)) for i in ecrs]
+        mid = [_instruction(cx, i.qubits) for i in ecrs] + rest
+        post = [_instruction(x, (i.qubits[0],)) for i in ecrs]
+        out.extend([pre, mid, post])
+    return _circuit(c.n, out)

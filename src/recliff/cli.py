@@ -10,6 +10,7 @@ stdin/stdout; stdin can be read only once.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -139,6 +140,10 @@ def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
     if metadata_path == "-" and output in (None, "-"):
         click.echo("--metadata - needs --output to name a file: both would go to stdout",
                    err=True)
+        sys.exit(EXIT_COMPILE)
+    if (output not in (None, "-") and metadata_path not in (None, "-")
+            and os.path.realpath(output) == os.path.realpath(metadata_path)):
+        click.echo(f"--output and --metadata name the same file: {output}", err=True)
         sys.exit(EXIT_COMPILE)
     gs = builtin_gateset(target, natives)
     sources = [(path, _load_circuit(path, max_qubits)) for path in inputs]

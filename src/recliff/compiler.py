@@ -15,7 +15,10 @@ is the minimal starting point), then repairs the skeleton in three stages:
     order fixes every generator's propagation at once.  The sweep emits the
     output circuit directly: in the swap-insertion mode it exchanges the two
     wires' output labels after each native entangler instead of emitting a
-    SWAP, so later gates land on the relabelled wires.
+    SWAP, so later gates land on the relabelled wires.  Letter
+    permutations are indices into precomputed apply/compose/invert tables
+    over the six of them, and what depends only on the gateset (insertion
+    choices, the native+SWAP composite) is derived once and kept on it.
 2.  Conjugation.  After the sweep each wire is off from the target by a pure
     letter permutation, the sweep's final letter map for that wire; one
     basis-change gate appended per wire removes it.  Single-qubit layers
@@ -28,6 +31,8 @@ is the minimal starting point), then repairs the skeleton in three stages:
 Both entry points run one pipeline.  Every compilation is verified against
 the full tableau of the source (relabelled by the wire permutation in the
 swap-insertion mode); a failed check raises, it is never reported silently.
+A compile simulates two tableaux, the source's and the output's; folding the
+frame applies its Pauli gates to the output's tableau and checks it again.
 """
 
 from __future__ import annotations
@@ -39,17 +44,20 @@ from typing import Iterable, Sequence
 from .pauli import Pauli, PauliProduct, support
 from . import tableau as tb
 from .tableau import Tableau, solve_frame
-from .circuit import Circuit, Instruction, depth, gate_counts, two_qubit_count
+from .circuit import (
+    Circuit, Instruction, _circuit, _instruction, depth, gate_counts, two_qubit_count,
+)
 from .gates import (
-    CLASS_GATE_ORDER,
+    CLASS_GATES,
+    PERM_APPLY,
+    PERM_COMPOSE,
+    PERM_INDEX,
+    PERM_INVERT,
+    PERMS,
     GateDef,
     GateSet,
-    PERM_IDENTITY,
     builtin,
     class_gate_for_perm,
-    perm_apply,
-    perm_compose,
-    perm_invert,
 )
 from .reporting import Report, report
 
@@ -86,22 +94,6 @@ def conjugation_lookup(
     third_src = Pauli(current[0] ^ current[1])
     mapping[third_src] = Pauli(target[0] ^ target[1])
     return class_gate_for_perm((mapping[Pauli.X], mapping[Pauli.Z]))
-
-
-def _choose_insertion(current: Pauli, wanted: Pauli, gs: GateSet) -> GateDef:
-    """Cheapest class gate whose letter map sends ``current`` to ``wanted``.
-
-    Cost is the length of the gate's full native identity including its
-    residual Pauli; ties resolve by the fixed precedence I < H_XY < H_YZ < H
-    < C_XYZ < C_ZYX.
-    """
-    candidates = []
-    for idx, name in enumerate(CLASS_GATE_ORDER):
-        g = builtin(name)
-        if perm_apply(g.perm, current) == wanted:
-            candidates.append((gs.insertion_cost(g), idx, g))
-    candidates.sort(key=lambda t: (t[0], t[1]))
-    return candidates[0][2]
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +142,9 @@ def initial_condition(source: Circuit, gs: GateSet) -> Circuit:
     native = gs.entangler
     layers = []
     for layer in source.layers:
-        kept = tuple(Instruction(native, inst.qubits) for inst in layer if inst.gate.arity == 2)
-        if kept:
-            layers.append(kept)
-    return Circuit(source.n, tuple(layers))
+        layers.append([_instruction(native, inst.qubits) for inst in layer
+                       if inst.gate.arity == 2])
+    return _circuit(source.n, layers)
 
 
 def _check_entangler_class(source: Circuit, gs: GateSet) -> None:
@@ -203,10 +194,10 @@ class _LayerBuilder:
         pos = bisect_left(self.single_layers, self.wire_last[wire] + 1)
         if pos < len(self.single_layers):
             idx = self.single_layers[pos]
-            self.layers[idx].append(Instruction(gate, (wire,)))
+            self.layers[idx].append(_instruction(gate, (wire,)))
         else:
             idx = len(self.layers)
-            self.layers.append([Instruction(gate, (wire,))])
+            self.layers.append([_instruction(gate, (wire,))])
             self.single_layers.append(idx)
         self.wire_last[wire] = idx
 
@@ -220,7 +211,7 @@ class _LayerBuilder:
                 self.wire_last[q] = idx
 
     def circuit(self) -> Circuit:
-        return Circuit(self.n, tuple(tuple(l) for l in self.layers))
+        return _circuit(self.n, self.layers)
 
 
 # ---------------------------------------------------------------------------
@@ -237,33 +228,26 @@ def _axis_letter(gate: GateDef, role: int) -> Pauli:
     return letter
 
 
-def _transfer_perms(
-    source_gate: GateDef, working_gate: GateDef, ua, ub
-):
+def _transfer_perms(source_gate: GateDef, working_gate: GateDef, ua: int, ub: int):
     """Per-wire letter permutations after a matched entangler pair.
 
     Computes m = bits(working) o (ua (x) ub) o bits(source)^-1 on the four
     generators and extracts the wire-local permutations.  Locality holds
-    whenever the axis constraints were enforced beforehand.
+    whenever the axis constraints were enforced beforehand.  Permutations
+    are indices into ``PERMS``.
     """
     inv_src = source_gate.bits16_inv
     out_bits = working_gate.bits16
+    apply_a, apply_b = PERM_APPLY[ua], PERM_APPLY[ub]
 
     def run(key: int) -> int:
         k = inv_src[key]
-        a_code = ((k >> 3) & 1) * 2 + ((k >> 2) & 1)
-        b_code = ((k >> 1) & 1) * 2 + (k & 1)
-        a_code = perm_apply(ua, a_code)
-        b_code = perm_apply(ub, b_code)
-        k = ((a_code >> 1) << 3) | ((a_code & 1) << 2) | ((b_code >> 1) << 1) | (b_code & 1)
-        return out_bits[k]
+        return out_bits[apply_a[k >> 2] << 2 | apply_b[k & 3]]
 
     xa, za, xb, zb = run(0b1000), run(0b0100), run(0b0010), run(0b0001)
     if (xa & 0b0011) or (za & 0b0011) or (xb & 0b1100) or (zb & 0b1100):
         raise AssertionError("entangler transfer produced a non-local dressing")
-    ua_new = (((xa >> 3) << 1) | (xa >> 2) & 1, ((za >> 3) << 1) | (za >> 2) & 1)
-    ub_new = (((xb >> 1) << 1) | (xb & 1), ((zb >> 1) << 1) | (zb & 1))
-    return ua_new, ub_new
+    return PERM_INDEX[xa >> 2, za >> 2], PERM_INDEX[xb, zb]
 
 
 def fix_propagation(
@@ -289,45 +273,51 @@ def fix_propagation(
     """
     n = source.n
     native = gs.entangler
-    if virtual_swap:
-        t = tb.identity(2)
-        t = tb.append_gate(t, native, (0, 1))
-        t = tb.append_gate(t, builtin("SWAP"), (0, 1))
-        working_gate = GateDef(f"{native.name}+SWAP", 2, t)
-    else:
-        working_gate = native
+    working_gate = gs._swap_composite if virtual_swap else native
+    want_a, want_b = _axis_letter(working_gate, 0), _axis_letter(working_gate, 1)
+    insertions = gs._insertions
+    undo = {p: PERM_INVERT[k] for p, k in PERM_INDEX.items()}  # gate.perm -> inverse index
+    axes: dict[GateDef, tuple[Pauli, Pauli]] = {}
+    transfers: dict[tuple, tuple[int, int]] = {}
 
-    u = [PERM_IDENTITY] * n  # indexed by source wire
+    u = [0] * n  # indexed by source wire; 0 is the identity permutation
     label = list(range(n))  # source wire -> output wire
     out = _LayerBuilder(n)
     for layer in source.layers:
-        entanglers = [inst for inst in layer if inst.gate.arity == 2]
+        entanglers = []
         for inst in layer:
             if inst.gate.arity == 1:
                 q = inst.qubits[0]
-                u[q] = perm_compose(u[q], perm_invert(inst.gate.perm))
+                u[q] = PERM_COMPOSE[u[q]][undo[inst.gate.perm]]
+            else:
+                entanglers.append(inst)
         if not entanglers:
             continue
         for inst in entanglers:
-            for role, wire in enumerate(inst.qubits):
-                want = _axis_letter(working_gate, role)
-                have = perm_apply(u[wire], _axis_letter(inst.gate, role))
+            gate = inst.gate
+            if gate not in axes:
+                axes[gate] = (_axis_letter(gate, 0), _axis_letter(gate, 1))
+            for wire, have_letter, want in zip(inst.qubits, axes[gate], (want_a, want_b)):
+                have = PERM_APPLY[u[wire]][have_letter]
                 if have != want:
-                    fix = _choose_insertion(have, want, gs)
-                    out.place_single(label[wire], fix)
-                    u[wire] = perm_compose(fix.perm, u[wire])
+                    fix = insertions[have, want]
+                    out.place_single(label[wire], CLASS_GATES[fix])
+                    u[wire] = PERM_COMPOSE[fix][u[wire]]
         out.place_layer([
-            Instruction(native, (label[inst.qubits[0]], label[inst.qubits[1]]))
+            _instruction(native, (label[inst.qubits[0]], label[inst.qubits[1]]))
             for inst in entanglers
         ])
         for inst in entanglers:
             a, b = inst.qubits
-            u[a], u[b] = _transfer_perms(inst.gate, working_gate, u[a], u[b])
+            key = (inst.gate, u[a], u[b])
+            if key not in transfers:
+                transfers[key] = _transfer_perms(inst.gate, working_gate, u[a], u[b])
+            u[a], u[b] = transfers[key]
             if virtual_swap:
                 label[a], label[b] = label[b], label[a]
-    maps = [PERM_IDENTITY] * n
+    maps = [PERMS[0]] * n
     for wire, o in enumerate(label):
-        maps[o] = u[wire]
+        maps[o] = PERMS[u[wire]]
     return out.circuit(), maps, tuple(label)
 
 
@@ -346,7 +336,7 @@ def fix_conjugation(working: Circuit, maps: Sequence) -> Circuit:
     for layer in working.layers:
         out.place_layer(layer)
     for wire, perm in enumerate(maps):
-        out.place_single(wire, class_gate_for_perm(perm_invert(perm)))
+        out.place_single(wire, CLASS_GATES[PERM_INVERT[PERM_INDEX[perm]]])
     return out.circuit()
 
 
@@ -356,25 +346,27 @@ def fix_conjugation(working: Circuit, maps: Sequence) -> Circuit:
 
 def _expand_classes(c: Circuit, gs: GateSet) -> Circuit:
     """Rewrite single-qubit gates over the native set, dropping residual Paulis."""
-    layers: list[tuple[Instruction, ...]] = []
+    layers: list[Sequence[Instruction]] = []
+    word_of: dict[GateDef, tuple[GateDef, ...]] = {}
     for layer in c.layers:
         if any(inst.gate.arity == 2 for inst in layer):
             layers.append(layer)
             continue
         words: dict[int, tuple[GateDef, ...]] = {}
         for inst in layer:
-            word, _residual = gs.decompose(inst.gate)
-            if word:
-                words[inst.qubits[0]] = word
+            gate = inst.gate
+            if gate not in word_of:
+                word_of[gate] = gs.decompose(gate)[0]
+            if word_of[gate]:
+                words[inst.qubits[0]] = word_of[gate]
         width = max((len(w) for w in words.values()), default=0)
         for k in range(width):
-            sub = [
-                Instruction(word[k], (q,))
+            layers.append([
+                _instruction(word[k], (q,))
                 for q, word in sorted(words.items())
                 if k < len(word)
-            ]
-            layers.append(tuple(sub))
-    return Circuit(c.n, tuple(layers))
+            ])
+    return _circuit(c.n, layers)
 
 
 def extract_frame(compiled: Circuit, target: Tableau) -> PauliProduct:
@@ -385,6 +377,11 @@ def extract_frame(compiled: Circuit, target: Tableau) -> PauliProduct:
     and shows both.  The returned frame, appended as a final Pauli layer, turns
     agreement up to signs into exact equality.
     """
+    return _verify(compiled, target)[1]
+
+
+def _verify(compiled: Circuit, target: Tableau) -> tuple[Tableau, PauliProduct]:
+    """:func:`extract_frame`, also returning the compiled circuit's tableau."""
     t = tb.from_circuit(compiled)
     ok, flips = tb.equal_up_to_sign(t, target)
     if not ok:
@@ -392,13 +389,7 @@ def extract_frame(compiled: Circuit, target: Tableau) -> PauliProduct:
             "compiled circuit does not match the target up to signs: "
             + tb.describe_difference(t, target, "the compiled circuit", "the target")
         )
-    return solve_frame(t, flips)
-
-
-def _frame_layer(frame: PauliProduct) -> tuple[Instruction, ...]:
-    return tuple(
-        Instruction(builtin(frame.local(q).letter), (q,)) for q in support(frame)
-    )
+    return t, solve_frame(t, flips)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +416,16 @@ def _compile(
 
     if two_qubit_count(final) != two_qubit_count(source):
         raise VerificationError("two-qubit count was not preserved")
-    frame = extract_frame(final, target)
+    verified, frame = _verify(final, target)
     if frame_mode == "fold":
-        if not frame.is_identity():
-            final = Circuit(final.n, final.layers + (_frame_layer(frame),))
-        if tb.from_circuit(final) != target:
+        # The folded layer's tableau is the verified one with the frame's
+        # Pauli gates applied, so the whole output is not simulated again.
+        layer = [_instruction(builtin(frame.local(q).letter), (q,)) for q in support(frame)]
+        for inst in layer:
+            verified._apply_gate(inst.gate, inst.qubits)
+        if layer:
+            final = _circuit(final.n, final.layers + (layer,))
+        if verified != target:
             raise VerificationError("frame folding did not produce exact equality")
     elif frame_mode == "none":
         if not frame.is_identity():

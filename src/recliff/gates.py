@@ -6,7 +6,8 @@ table mapping the local bit pattern of a Pauli product on the gate's wires
 to the conjugated pattern and sign, and reads off it:
 
 * the bitwise update rule the tableau applies to the rows of the gate's
-  wires (see :func:`_update_rule`),
+  wires (see :func:`_update_rule`), compiled once into a straight-line
+  kernel function (see :func:`_compile_kernel`),
 * the per-wire letters whose conjugation stays one-local (the commuting
   letter for CX-like gates, the wire-hopping letter for iSWAP-like ones),
   and from them the entangler class,
@@ -20,7 +21,8 @@ golden constant at import, so a sign-convention drift fails immediately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from functools import cached_property
+from typing import Callable, Literal, Sequence
 
 from .pauli import Pauli, PauliProduct
 from . import tableau as tb
@@ -81,6 +83,27 @@ def _update_rule(table: Sequence[int], signs: Sequence[int]) -> tuple:
     return linear, tuple(inputs_of(key) for key in range(len(anf)) if anf[key])
 
 
+def _compile_kernel(rule: tuple, arity: int) -> Callable[..., int]:
+    """The update rule as one straight-line function of the tableau rows.
+
+    ``kernel(xs, zs, a[, b])`` overwrites the X and Z rows of wires a (and b)
+    and returns the sign flip, so applying a gate costs one call and no loop
+    over the rule.  The source interpolates only the row indices of the rule.
+    """
+    linear, sign_terms = rule
+    rows = [f"{'xz'[i & 1]}s[{'ab'[i >> 1]}]" for i in range(2 * arity)]
+    body = [f"r{i} = {row}" for i, row in enumerate(rows)]
+    for k, inputs in enumerate(linear):
+        if inputs != (k,):
+            body.append(f"{rows[k]} = " + " ^ ".join(f"r{i}" for i in inputs))
+    flip = " ^ ".join("(" + " & ".join(f"r{i}" for i in term) + ")" for term in sign_terms)
+    body.append(f"return {flip or 0}")
+    params = ", ".join(["xs", "zs", "a", "b"][: 2 + arity])
+    namespace: dict = {}
+    exec(f"def kernel({params}):\n    " + "\n    ".join(body), namespace)
+    return namespace["kernel"]
+
+
 class GateDef:
     """A named Clifford gate with exact conjugation semantics.
 
@@ -93,7 +116,7 @@ class GateDef:
 
     __slots__ = (
         "name", "arity", "semantics", "entangler_class",
-        "rule", "perm", "bits16", "bits16_inv", "_one_local",
+        "rule", "kernel", "perm", "bits16", "bits16_inv", "_one_local",
     )
 
     def __init__(self, name: str, arity: int, semantics: Tableau):
@@ -118,6 +141,7 @@ class GateDef:
             table.append(sum(img.local(w) << s for w, s in enumerate(shifts)))
             signs.append(img.sign)
         self.rule = _update_rule(table, signs)
+        self.kernel = _compile_kernel(self.rule, arity)
         if arity == 1:
             self.perm: LetterPerm | None = (table[Pauli.X], table[Pauli.Z])
             self.entangler_class: EntanglerClass = "none"
@@ -240,14 +264,23 @@ def builtin(name: str) -> GateDef:
 
 #: The six single-qubit basis-change classes, in insertion precedence order.
 CLASS_GATE_ORDER = ("I", "H_XY", "H_YZ", "H", "C_XYZ", "C_ZYX")
+CLASS_GATES = tuple(_REGISTRY[name] for name in CLASS_GATE_ORDER)
+
+# Tables over the six letter permutations, indexed like CLASS_GATES: the
+# sweep looks permutations up here instead of evaluating them per gate.
+PERMS: tuple[LetterPerm, ...] = tuple(g.perm for g in CLASS_GATES)
+PERM_INDEX = {p: i for i, p in enumerate(PERMS)}
+PERM_APPLY = tuple(tuple(perm_apply(p, code) for code in range(4)) for p in PERMS)
+PERM_COMPOSE = tuple(tuple(PERM_INDEX[perm_compose(p, q)] for q in PERMS) for p in PERMS)
+PERM_INVERT = tuple(PERM_INDEX[perm_invert(p)] for p in PERMS)
 
 
 def class_gate_for_perm(perm: LetterPerm) -> GateDef:
     """The basis-change class gate realising a letter permutation."""
-    for name in CLASS_GATE_ORDER:
-        if builtin(name).perm == perm:
-            return builtin(name)
-    raise ValueError(f"no class gate for permutation {perm}")
+    try:
+        return CLASS_GATES[PERM_INDEX[perm]]
+    except KeyError:
+        raise ValueError(f"no class gate for permutation {perm}") from None
 
 
 @dataclass(frozen=True)
@@ -291,6 +324,30 @@ class GateSet:
         """Length of the gate's full native identity, residual Pauli included."""
         word, residual = self.decompose(class_gate)
         return len(word) + (0 if residual.is_identity() else 1)
+
+    # Derived once per gateset and kept on it, so they live as long as it does.
+
+    @cached_property
+    def _insertions(self) -> dict[tuple[int, int], int]:
+        """By ``(have, want)``: the CLASS_GATES index of the cheapest class gate
+        sending letter ``have`` to ``want``.  Cost is :meth:`insertion_cost`;
+        ties resolve by the precedence I < H_XY < H_YZ < H < C_XYZ < C_ZYX.
+        """
+        letters = (Pauli.X, Pauli.Y, Pauli.Z)
+        return {
+            (have, want): min(
+                (k for k in range(6) if PERM_APPLY[k][have] == want),
+                key=lambda k: (self.insertion_cost(CLASS_GATES[k]), k),
+            )
+            for have in letters for want in letters
+        }
+
+    @cached_property
+    def _swap_composite(self) -> GateDef:
+        """The entangler followed by a SWAP on the same pair, as one gate."""
+        t = tb.append_gate(tb.identity(2), self.entangler, (0, 1))
+        t = tb.append_gate(t, builtin("SWAP"), (0, 1))
+        return GateDef(f"{self.entangler.name}+SWAP", 2, t)
 
 
 def decompose_single_qubit(

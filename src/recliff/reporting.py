@@ -14,7 +14,7 @@ import io
 import json
 from dataclasses import dataclass
 
-from .circuit import Circuit, depth, gate_counts, two_qubit_count
+from .circuit import Circuit, depth
 
 X_TYPE = frozenset({"SQRT_X", "SQRT_X_DAG", "X", "Y", "H_YZ"})
 Z_TYPE = frozenset({"S", "S_DAG", "Z", "H_XY"})
@@ -56,27 +56,21 @@ class Report:
 
 
 def report(c: Circuit) -> Report:
-    counts = gate_counts(c)
-    x_type = sum(v for k, v in counts.items() if k in X_TYPE)
-    z_type = sum(v for k, v in counts.items() if k in Z_TYPE)
-    singles = sum(
-        v for k, v in counts.items() if _arity(k) == 1
-    )
+    counts: dict[str, int] = {}
+    singles = 0
+    for inst in c.instructions():
+        counts[inst.gate.name] = counts.get(inst.gate.name, 0) + 1
+        singles += inst.gate.arity == 1
+    total = sum(counts.values())
     return Report(
         counts=counts,
-        x_type_count=x_type,
-        z_type_count=z_type,
+        x_type_count=sum(v for k, v in counts.items() if k in X_TYPE),
+        z_type_count=sum(v for k, v in counts.items() if k in Z_TYPE),
         single_qubit_count=singles,
-        two_qubit_count=two_qubit_count(c),
+        two_qubit_count=total - singles,
         depth=depth(c),
-        total=sum(counts.values()),
+        total=total,
     )
-
-
-def _arity(name: str) -> int:
-    from .gates import builtin
-
-    return builtin(name).arity
 
 
 _CATEGORIES = ("x_type", "z_type", "single_qubit_total", "two_qubit", "total")

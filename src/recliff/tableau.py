@@ -11,7 +11,9 @@ generators (bit g is set when image g has an X, or Z, bit on q), plus one
 sign int (bit g set when image g carries a minus sign).  Generators are
 numbered in the interleaved order X_0, Z_0, X_1, Z_1, ...  A gate touches
 only the rows of its own wires, so applying it is a handful of word-wide
-XOR/AND operations on all 2n generators at once, whatever n is.  The
+XOR/AND operations on all 2n generators at once, whatever n is: each gate
+carries them as a straight-line kernel compiled from its update rule, which
+:meth:`Tableau._apply_gate` calls after checking the qubits.  The
 checks the compiler and the CLI make (letter and sign equality, the wire
 relabelling between two tableaux, the Pauli frame) also run on these rows.
 The generator-major boundary views (:meth:`Tableau.images`,
@@ -90,29 +92,23 @@ class Tableau:
     # -- mutation (private, used by the builders below) ---------------------
 
     def _apply_gate(self, gate: "GateDef", qubits: Sequence[int]) -> None:
-        if gate.arity != len(qubits):
+        n = self.n
+        if len(qubits) != gate.arity:
             raise ValueError(f"{gate.name} expects {gate.arity} qubits, got {len(qubits)}")
-        if len(set(qubits)) != len(qubits):
+        if gate.arity == 1:
+            (a,) = qubits
+            if not 0 <= a < n:
+                raise ValueError(f"qubit {a} out of range for n={n}")
+            self._sign ^= gate.kernel(self._x, self._z, a)
+            return
+        a, b = qubits
+        if a == b:
             raise ValueError(f"duplicate qubit in {gate.name} {qubits}")
-        for q in qubits:
-            if not 0 <= q < self.n:
-                raise ValueError(f"qubit {q} out of range for n={self.n}")
-        xs, zs = self._x, self._z
-        # Rows in the bit order of the gate's lookup key: x_a, z_a(, x_b, z_b).
-        rows = [r for q in qubits for r in (xs[q], zs[q])]
-        linear, sign_terms = gate.rule
-        flip = 0
-        for term in sign_terms:
-            acc = rows[term[0]]
-            for i in term[1:]:
-                acc &= rows[i]
-            flip ^= acc
-        self._sign ^= flip
-        for k, inputs in enumerate(linear):  # output k: X (even) or Z row of wire k // 2
-            acc = 0
-            for i in inputs:
-                acc ^= rows[i]
-            (zs if k & 1 else xs)[qubits[k >> 1]] = acc
+        if not 0 <= a < n:
+            raise ValueError(f"qubit {a} out of range for n={n}")
+        if not 0 <= b < n:
+            raise ValueError(f"qubit {b} out of range for n={n}")
+        self._sign ^= gate.kernel(self._x, self._z, a, b)
 
     def relabel_wires(self, sigma: Sequence[int]) -> "Tableau":
         """Relabel image supports by sigma, leaving generator indices alone.

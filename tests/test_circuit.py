@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recliff import (
     Circuit,
@@ -17,6 +18,7 @@ from recliff import (
     random_clifford_circuit,
     two_qubit_count,
 )
+from recliff.circuit import DIALECT_GATES
 
 from conftest import WORKED_EXAMPLE_TEXT
 
@@ -196,3 +198,59 @@ class TestLayerValidation:
     def test_empty_layers_dropped(self):
         c = Circuit(1, ((), (Instruction(builtin("H"), (0,)),), ()))
         assert depth(c) == 1
+
+
+# The checks the public constructors make, restated as predicates: pipeline
+# stages skip them, so the constructors must keep rejecting all of this.
+
+
+def malformed_instruction(gate, qubits) -> bool:
+    return (len(qubits) != gate.arity or len(set(qubits)) != len(qubits)
+            or any(q < 0 for q in qubits))
+
+
+def malformed_layers(n, layers) -> bool:
+    for layer in layers:
+        qubits = [q for inst in layer for q in inst.qubits]
+        if len(set(qubits)) != len(qubits) or any(q >= n for q in qubits):
+            return True
+    return False
+
+
+gate_names = st.sampled_from(sorted(DIALECT_GATES))
+
+
+@st.composite
+def any_instructions(draw):
+    return builtin(draw(gate_names)), tuple(draw(st.lists(st.integers(-3, 6), max_size=3)))
+
+
+@st.composite
+def valid_instructions(draw, max_q=6):
+    gate = builtin(draw(gate_names))
+    qubits = draw(st.lists(st.integers(0, max_q), min_size=gate.arity,
+                           max_size=gate.arity, unique=True))
+    return Instruction(gate, tuple(qubits))
+
+
+class TestPublicConstructorsStillCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(any_instructions())
+    def test_instruction(self, parts):
+        gate, qubits = parts
+        if malformed_instruction(gate, qubits):
+            with pytest.raises(ValueError):
+                Instruction(gate, qubits)
+        else:
+            assert Instruction(gate, qubits).qubits == qubits
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 7), st.lists(st.lists(valid_instructions(), max_size=4), max_size=4))
+    def test_circuit(self, n, layers):
+        layers = tuple(map(tuple, layers))
+        if malformed_layers(n, layers):
+            with pytest.raises(ValueError):
+                Circuit(n, layers)
+        else:
+            c = Circuit(n, layers)
+            assert sum(map(len, c.layers)) == sum(map(len, layers))

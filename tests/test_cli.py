@@ -523,6 +523,19 @@ class TestArgumentsCheckedBeforeInput:
         assert r.output == ("--metadata - needs --output to name a file: "
                             "both would go to stdout\n")
 
+    @pytest.mark.parametrize("metadata", ["{abs}", "same.out", "./sub/../same.out"],
+                             ids=["same-spelling", "relative", "dotted"])
+    def test_output_and_metadata_name_one_file(self, runner, tmp_path, monkeypatch,
+                                               no_reads, metadata):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        out = str(tmp_path / "same.out")
+        r = invoke(runner, "compile", "--target", "ecr", "a.stim", "-o", out,
+                   "--metadata", metadata.format(abs=out))
+        assert r.exit_code == 3
+        assert r.output == f"--output and --metadata name the same file: {out}\n"
+        assert not (tmp_path / "same.out").exists()
+
     def test_metadata_on_stdout_with_output_file(self, runner, tmp_path):
         src, out = tmp_path / "a.stim", tmp_path / "a.ecr.stim"
         src.write_text("CX 0 1\n")

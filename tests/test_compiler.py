@@ -679,3 +679,69 @@ class TestAvailablePairs:
         )
         assert res.permutation == (0, 1, 2)
         assert res.unavailable_pairs == ((1, 2),)
+
+
+class TestWorkCounts:
+    """Deterministic counts that keep the pipeline from redoing work."""
+
+    @pytest.fixture(scope="class")
+    def d5_text(self):
+        return emit(surface_code_syndrome_extraction(SurfaceCodeSpec(5)))
+
+    def test_no_checked_construction_inside_the_pipeline(self, monkeypatch, d5_text):
+        calls = []
+        for cls in (Instruction, Circuit):
+            def counted(self, check=cls.__post_init__):
+                calls.append(type(self).__name__)
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        Circuit(2, ((Instruction(builtin("CX"), (0, 1)),),))
+        assert calls == ["Instruction", "Circuit"]  # the counter sees public calls
+        calls.clear()
+        source = parse(d5_text)
+        for target in sorted(TARGET_ENTANGLERS):
+            gs = builtin_gateset(target)
+            for frame_mode in ("report", "fold"):
+                if gs.entangler.entangler_class == "cx_like":
+                    compile_circuit(source, gs, frame_mode=frame_mode)
+                compile_with_iswap_heuristic(source, gs, frame_mode=frame_mode)
+        assert calls == []
+
+    @pytest.mark.parametrize("frame_mode", ["report", "fold"])
+    @pytest.mark.parametrize("target,swap_mode", [("ecr", False), ("iswap", True)])
+    def test_two_simulations_per_compile(self, monkeypatch, d5_text, frame_mode,
+                                         target, swap_mode):
+        import recliff.tableau
+
+        calls = []
+        simulate = recliff.tableau.from_circuit
+
+        def counted(circuit):
+            calls.append(circuit)
+            return simulate(circuit)
+
+        monkeypatch.setattr(recliff.tableau, "from_circuit", counted)
+        source = parse(d5_text)
+        compile_one = compile_with_iswap_heuristic if swap_mode else compile_circuit
+        res = compile_one(source, builtin_gateset(target), frame_mode=frame_mode)
+        assert len(calls) == 2
+        assert not res.frame.is_identity()  # so fold has a layer to apply
+        if frame_mode == "fold":
+            assert simulate(res.circuit) == simulate(source).relabel_wires(res.permutation)
+
+    def test_gatesets_do_not_accumulate(self):
+        import gc
+
+        from recliff.gates import GateDef, GateSet
+
+        def live() -> int:
+            gc.collect()
+            return sum(isinstance(o, (GateDef, GateSet)) for o in gc.get_objects())
+
+        source = parse(FAN_OUT_TEXT)
+        compile_with_iswap_heuristic(source, builtin_gateset("iswap"))
+        before = live()
+        for _ in range(50):
+            compile_with_iswap_heuristic(source, builtin_gateset("iswap"))
+        assert live() <= before

@@ -2,11 +2,16 @@ import json
 
 from recliff import (
     Circuit,
+    GateDef,
+    GateSet,
     SurfaceCodeSpec,
+    append_gate,
+    builtin,
     builtin_gateset,
     compare,
     compile_circuit,
     gate_counts,
+    identity,
     parse,
     report,
     surface_code_syndrome_extraction,
@@ -43,6 +48,20 @@ class TestReport:
         res = compile_circuit(c, builtin_gateset("sqrt_xx", "s_sx"))
         rep = res.stats
         assert rep.x_type_count + rep.z_type_count == rep.single_qubit_count
+
+    def test_custom_gateset_counts(self):
+        # A CZ defined as H.CX.H under a name the builtin registry lacks.
+        t = identity(2)
+        for name, qubits in (("H", (1,)), ("CX", (0, 1)), ("H", (1,))):
+            t = append_gate(t, builtin(name), qubits)
+        gs = GateSet("mycz", GateDef("MYCZ", 2, t), (builtin("S"), builtin("SQRT_X")))
+        source = surface_code_syndrome_extraction(SurfaceCodeSpec(3))
+        res = compile_circuit(source, gs)
+        counts = res.stats.counts
+        assert set(counts) == {"MYCZ", "S", "SQRT_X"}
+        assert counts["MYCZ"] == res.stats.two_qubit_count == 24
+        assert res.stats.single_qubit_count == counts["S"] + counts["SQRT_X"]
+        assert res.stats.total == sum(counts.values())
 
     def test_json_schema(self):
         rep = report(parse("S 0\nTICK\nSQRT_X 0"))

@@ -29,6 +29,7 @@ from recliff import (
     surface_code_syndrome_extraction,
 )
 from recliff.circuit import DIALECT_GATES
+from recliff.gates import GateDef, GateSet
 from recliff.tableau import describe_difference, match_wires
 from recliff.cli import main as cli_main
 
@@ -269,6 +270,43 @@ def old_uint8_tableau(c: Circuit) -> list[PauliProduct]:
     return [PauliProduct(n, to_int(xs[g]), to_int(zs[g]), int(signs[g])) for g in range(2 * n)]
 
 
+def interpret_rule(t: Tableau, gate, qubits) -> None:
+    """The generic rule interpreter gates were applied with before each gate
+    compiled its rule into a kernel, kept as a reference."""
+    xs, zs = t._x, t._z
+    rows = [r for q in qubits for r in (xs[q], zs[q])]
+    linear, sign_terms = gate.rule
+    flip = 0
+    for term in sign_terms:
+        acc = rows[term[0]]
+        for i in term[1:]:
+            acc &= rows[i]
+        flip ^= acc
+    t._sign ^= flip
+    for k, inputs in enumerate(linear):
+        acc = 0
+        for i in inputs:
+            acc ^= rows[i]
+        (zs if k & 1 else xs)[qubits[k >> 1]] = acc
+
+
+def random_rows(rng: random.Random, n: int) -> Tableau:
+    """Arbitrary row ints, not a unitary tableau: kernels are bitwise."""
+    width = 2 * n
+    return Tableau(n, [rng.getrandbits(width) for _ in range(n)],
+                   [rng.getrandbits(width) for _ in range(n)], rng.getrandbits(width))
+
+
+@st.composite
+def composed_two_qubit_gates(draw):
+    """A two-qubit Clifford composed of up to eight dialect gates."""
+    t = identity(2)
+    for _ in range(draw(st.integers(1, 8))):
+        gate = builtin(draw(st.sampled_from(sorted(DIALECT_GATES))))
+        t = append_gate(t, gate, tuple(draw(st.permutations((0, 1))))[: gate.arity])
+    return GateDef("composed", 2, t)
+
+
 def acceptance_corpus() -> list[Circuit]:
     """Sources and compiled outputs of the kinds the acceptance suite checks."""
     corpus = [parse(WORKED_EXAMPLE_TEXT), parse(FAN_OUT_TEXT)]
@@ -328,6 +366,81 @@ class TestAgainstOracles:
         t = from_circuit(c)
         assert t.images() == old_uint8_tableau(c)
         assert Tableau.from_images(n, t.images()) == t
+
+
+class TestGateKernels:
+    @pytest.mark.parametrize("name", sorted(DIALECT_GATES))
+    def test_builtin_kernel_matches_rule_interpreter(self, name):
+        gate = builtin(name)
+        rng = random.Random(name)
+        for n in (2, 5, 70):
+            for _ in range(10):
+                qubits = tuple(rng.sample(range(n), gate.arity))
+                t = random_rows(rng, n)
+                want = t.copy()
+                interpret_rule(want, gate, qubits)
+                t._apply_gate(gate, qubits)
+                assert t == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(composed_two_qubit_gates(), st.randoms(use_true_random=False))
+    def test_composed_kernel_matches_rule_interpreter_and_uint8(self, gate, rng):
+        n = 5
+        a, b = rng.sample(range(n), 2)
+        t = random_rows(rng, n)
+        want = t.copy()
+        interpret_rule(want, gate, (a, b))
+        t._apply_gate(gate, (a, b))
+        assert t == want
+        h, s = builtin("H"), builtin("S")
+        layers = [[Instruction(h, (q,)) for q in range(n)],
+                  [Instruction(s, (q,)) for q in range(0, n, 2)],
+                  [Instruction(gate, (a, b))],
+                  [Instruction(builtin("CX"), (a, b))],
+                  [Instruction(gate, (b, a))]]
+        c = Circuit(n, tuple(map(tuple, layers)))
+        assert from_circuit(c).images() == old_uint8_tableau(c)
+
+    @pytest.mark.parametrize("name,qubits,message", [
+        ("H", (), "expects 1 qubits"),
+        ("H", (0, 1), "expects 1 qubits"),
+        ("H", (-1,), "out of range"),
+        ("H", (3,), "out of range"),
+        ("CX", (0,), "expects 2 qubits"),
+        ("CX", (0, 1, 2), "expects 2 qubits"),
+        ("CX", (1, 1), "duplicate qubit"),
+        ("CX", (-1, 0), "out of range"),
+        ("CX", (0, -3), "out of range"),
+        ("CX", (3, 0), "out of range"),
+        ("CX", (0, 3), "out of range"),
+    ])
+    def test_apply_gate_rejects_bad_qubits(self, name, qubits, message):
+        t = from_circuit(parse("H 0\nTICK\nCX 0 1\nS 2"))
+        before = t.copy()
+        with pytest.raises(ValueError, match=message):
+            t._apply_gate(builtin(name), qubits)
+        assert t == before
+
+    def test_gate_name_never_reaches_kernel_source(self):
+        name = "x'); import os; ('"
+        cz = identity(2)
+        for gate, qubits in (("H", (1,)), ("CX", (0, 1)), ("H", (1,))):
+            cz = append_gate(cz, builtin(gate), qubits)
+        gate = GateDef(name, 2, cz)
+        code = gate.kernel.__code__
+        assert not any(name in repr(part) for part in
+                       (code.co_consts, code.co_names, code.co_varnames))
+        rng = random.Random(3)
+        t = random_rows(rng, 4)
+        want = t.copy()
+        interpret_rule(want, gate, (2, 0))
+        t._apply_gate(gate, (2, 0))
+        assert t == want
+        gs = GateSet("named", gate, (builtin("S"), builtin("SQRT_X")))
+        source = parse(WORKED_EXAMPLE_TEXT)
+        res = compile_circuit(source, gs, frame_mode="fold")
+        assert res.stats.counts[name] == 4
+        assert from_circuit(res.circuit) == from_circuit(source)
 
 
 class TestRepresentation:
