@@ -5,13 +5,15 @@ instruction per line, ``TICK`` separates layers, ``QUBIT_COORDS`` lines and
 ``#`` comments are accepted and ignored, and two-qubit instructions may list
 several pairs on one line (``CX 0 1 2 3``).  ``ECR`` is a dialect extension.
 Measurements, resets, detectors and noise are rejected: circuits here are
-unitary.  Qubit count is 1 + the largest index used by an instruction.
+unitary.  Qubit count is 1 + the largest index used by an instruction, and a
+target longer than Python converts from text (4,300 digits) is an error.
 
 The public :class:`Instruction` and :class:`Circuit` constructors check
 arity, repeats, range and layer disjointness.  The parser checks each line
-once, and the compiler's stages build only from valid parts, so both use the
-unchecked :func:`_instruction` and :func:`_circuit`; the verification tableau
-still checks every gate's qubits as it applies it.
+once, at the cost of one gate-table lookup and a few string methods, and the
+compiler's stages build only from valid parts, so both skip those checks
+(:func:`_instruction`, :func:`_circuit`); the verification tableau still
+checks every gate's qubits as it applies it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ DIALECT_GATES = (
     "CX", "CZ", "SWAP", "ISWAP", "SQRT_XX", "CXSWAP", "CZSWAP", "ECR",
 )
 
-_ALIASES = {"CNOT": "CX"}
+#: Every name the parser accepts, aliases included, to its gate.
+_GATES = {**{name: builtin(name) for name in DIALECT_GATES}, "CNOT": builtin("CX")}
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,13 +113,14 @@ class Circuit:
 _by_qubits = attrgetter("qubits")
 
 
+_new = object.__new__
 _set_gate = Instruction.gate.__set__  # slot descriptors, past the frozen __setattr__
 _set_qubits = Instruction.qubits.__set__
 
 
 def _instruction(gate: GateDef, qubits: tuple[int, ...]) -> Instruction:
     """An instruction from parts already known to be valid: no checks."""
-    inst = object.__new__(Instruction)
+    inst = _new(Instruction)
     _set_gate(inst, gate)
     _set_qubits(inst, qubits)
     return inst
@@ -137,64 +141,76 @@ def parse(text: str) -> Circuit:
     Lines are split at ``"\\n"`` only.  Outside ``#`` comments the text must
     be ASCII, and qubit targets are ASCII decimal digits.
     """
-    layers: list[list[Instruction]] = [[]]
+    ascii_text = text.isascii()
+    layer: list[Instruction] = []
+    layers = [layer]
     used: set[int] = set()
-    max_q = -1
+    useds = [used]
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.isascii():
+        if "#" in raw:
+            raw = raw.partition("#")[0]
+        if not ascii_text and not raw.isascii():
             raise ParseError(f"line {lineno}: non-ASCII character outside a comment")
-        line = line.strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
-        name = tokens[0]
-        if name == "TICK":
-            if len(tokens) > 1:
-                raise ParseError(f"line {lineno}: TICK takes no arguments")
-            layers.append([])
-            used = set()
-            continue
-        if name.split("(", 1)[0] == "QUBIT_COORDS":
-            continue
-        if "(" in name:
-            raise ParseError(f"line {lineno}: parametric gate {name!r} not supported")
-        name = _ALIASES.get(name, name)
-        if name not in DIALECT_GATES:
+        gate = _GATES.get(tokens[0])
+        if gate is None:
+            name = tokens[0]
+            if name == "TICK":
+                if len(tokens) > 1:
+                    raise ParseError(f"line {lineno}: TICK takes no arguments")
+                layers.append(layer := [])
+                useds.append(used := set())
+                continue
+            if name.partition("(")[0] == "QUBIT_COORDS":
+                continue
+            if "(" in name:
+                raise ParseError(f"line {lineno}: parametric gate {name!r} not supported")
             raise ParseError(f"line {lineno}: unknown or unsupported gate {name!r}")
-        gate = builtin(name)
+        del tokens[0]
         # The line is ASCII, so isdigit() accepts exactly [0-9]+.
-        if not all(tok.isdigit() for tok in tokens[1:]):
-            raise ParseError(f"line {lineno}: malformed qubit target in {line!r}")
-        targets = [int(tok) for tok in tokens[1:]]
-        if not targets:
-            raise ParseError(f"line {lineno}: {name} needs at least one target")
+        if not "".join(tokens).isdigit():
+            if tokens:
+                raise ParseError(f"line {lineno}: malformed qubit target in {raw.strip()!r}")
+            raise ParseError(f"line {lineno}: {gate.name} needs at least one target")
+        try:
+            qs = [int(tokens[0])] if len(tokens) == 1 else [*map(int, tokens)]
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError(f"line {lineno}: qubit target of "
+                             f"{max(map(len, tokens))} digits is too long") from None
         if gate.arity == 1:
-            groups = [(q,) for q in targets]
-        else:
-            if len(targets) % 2 != 0:
-                raise ParseError(f"line {lineno}: odd number of targets for {name}")
-            groups = [tuple(targets[i : i + 2]) for i in range(0, len(targets), 2)]
-        for qs in groups:
-            if len(set(qs)) != len(qs):
-                raise ParseError(f"line {lineno}: repeated qubit within a pair")
             for q in qs:
                 if q in used:
                     raise ParseError(f"line {lineno}: qubit {q} reused within a layer")
                 used.add(q)
-                max_q = max(max_q, q)
-            layers[-1].append(_instruction(gate, qs))
-    return _circuit(max_q + 1, layers)
+                inst = _new(Instruction)  # _instruction inlined: the commonest line
+                _set_gate(inst, gate)
+                _set_qubits(inst, (q,))
+                layer.append(inst)
+        elif len(qs) & 1:
+            raise ParseError(f"line {lineno}: odd number of targets for {gate.name}")
+        else:
+            for pair in zip(qs[::2], qs[1::2]):
+                if pair[0] == pair[1]:
+                    raise ParseError(f"line {lineno}: repeated qubit within a pair")
+                for q in pair:
+                    if q in used:
+                        raise ParseError(f"line {lineno}: qubit {q} reused within a layer")
+                    used.add(q)
+                layer.append(_instruction(gate, pair))
+    return _circuit(1 + max(map(max, filter(None, useds)), default=-1), layers)
 
 
 def emit(c: Circuit) -> str:
     """Emit dialect text; round-trips through :func:`parse` layer-exactly."""
     if c.is_empty():
         return ""
-    blocks = []
-    for layer in c.layers:
-        blocks.append("\n".join(str(inst) for inst in layer))
-    return "\nTICK\n".join(blocks) + "\n"
+    return "\nTICK\n".join([
+        "\n".join([f"{i.gate.name} {i.qubits[0]}" if i.gate.arity == 1
+                   else f"{i.gate.name} {i.qubits[0]} {i.qubits[1]}" for i in layer])
+        for layer in c.layers
+    ]) + "\n"
 
 
 def gate_counts(c: Circuit) -> dict[str, int]:

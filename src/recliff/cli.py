@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -54,6 +55,12 @@ _max_qubits_option = click.option(
          "tableau is built.")
 
 
+def _fail(code: int, message: str) -> NoReturn:
+    """Write one line to stderr and exit with ``code``."""
+    click.echo(message, err=True)
+    sys.exit(code)
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -67,39 +74,49 @@ def _write_text(path: str | None, text: str) -> None:
         else:
             Path(path).write_text(text)
     except OSError as exc:
-        click.echo(f"cannot write {path or '-'}: {exc.strerror or exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        _fail(EXIT_PARSE, f"cannot write {path or '-'}: {exc.strerror or exc}")
 
 
 def _stdin_once(paths: tuple[str, ...]) -> None:
     """Exit before any input is read if ``-`` (stdin) is given twice."""
     if paths.count("-") > 1:
-        click.echo("stdin (-) can be given as only one input", err=True)
-        sys.exit(EXIT_COMPILE)
+        _fail(EXIT_COMPILE, "stdin (-) can be given as only one input")
+
+
+def _batch_outputs(inputs: tuple[str, ...], target: str) -> list[str]:
+    """Name each batch output before any input is read; exit on a clash."""
+    try:
+        outs = [str(Path(path).with_suffix(f".{target}.stim")) for path in inputs]
+    except ValueError as exc:
+        _fail(EXIT_COMPILE, f"cannot name a batch output: {exc}")
+    claimed = {os.path.realpath(path): f"input {path}" for path in inputs}
+    for path, out in zip(inputs, outs):
+        real = os.path.realpath(out)
+        if real in claimed:
+            _fail(EXIT_COMPILE, f"{path} -> {out} would overwrite {claimed[real]}")
+        claimed[real] = f"the output of {path}"
+    return outs
 
 
 def _size_guard(n: int) -> None:
     """Exit before any gate is built if a generated circuit is too large."""
     if n > DEFAULT_MAX_QUBITS:
-        click.echo(f"error: {n} qubits exceeds the limit of {DEFAULT_MAX_QUBITS}", err=True)
-        sys.exit(EXIT_COMPILE)
+        _fail(EXIT_COMPILE, f"error: {n} qubits exceeds the limit of {DEFAULT_MAX_QUBITS}")
 
 
 def _load_circuit(path: str, max_qubits: int | None = None) -> Circuit:
     try:
         circuit = parse(_read_text(path))
     except ParseError as exc:
-        click.echo(f"parse error in {path}: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        _fail(EXIT_PARSE, f"parse error in {path}: {exc}")
     except OSError as exc:
-        click.echo(f"cannot read {path}: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        _fail(EXIT_PARSE, f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
-        click.echo(f"cannot read {path}: not valid UTF-8 at byte {exc.start}", err=True)
-        sys.exit(EXIT_PARSE)
+        _fail(EXIT_PARSE, f"cannot read {path}: not valid UTF-8 at byte {exc.start}")
     if max_qubits is not None and circuit.n > max_qubits:
-        click.echo(f"{path}: {circuit.n} qubits exceeds --max-qubits {max_qubits}", err=True)
-        sys.exit(EXIT_COMPILE)
+        # Python may refuse to write a huge count in decimal (past 4,300 digits).
+        n = circuit.n if circuit.n < 2**64 else "2^64 or more"
+        _fail(EXIT_COMPILE, f"{path}: {n} qubits exceeds --max-qubits {max_qubits}")
     return circuit
 
 
@@ -131,20 +148,17 @@ def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
     """Compile circuit files onto the target gateset."""
     _stdin_once(inputs)
     if len(inputs) > 1 and "-" in inputs:
-        click.echo("stdin (-) can only be compiled as the single input", err=True)
-        sys.exit(EXIT_COMPILE)
+        _fail(EXIT_COMPILE, "stdin (-) can only be compiled as the single input")
     for option, value in (("--output", output), ("--metadata", metadata_path)):
         if len(inputs) > 1 and value is not None:
-            click.echo(f"{option} is only valid with a single input", err=True)
-            sys.exit(EXIT_COMPILE)
+            _fail(EXIT_COMPILE, f"{option} is only valid with a single input")
     if metadata_path == "-" and output in (None, "-"):
-        click.echo("--metadata - needs --output to name a file: both would go to stdout",
-                   err=True)
-        sys.exit(EXIT_COMPILE)
+        _fail(EXIT_COMPILE,
+              "--metadata - needs --output to name a file: both would go to stdout")
     if (output not in (None, "-") and metadata_path not in (None, "-")
             and os.path.realpath(output) == os.path.realpath(metadata_path)):
-        click.echo(f"--output and --metadata name the same file: {output}", err=True)
-        sys.exit(EXIT_COMPILE)
+        _fail(EXIT_COMPILE, f"--output and --metadata name the same file: {output}")
+    outs = _batch_outputs(inputs, target) if len(inputs) > 1 else [output]
     gs = builtin_gateset(target, natives)
     sources = [(path, _load_circuit(path, max_qubits)) for path in inputs]
 
@@ -155,13 +169,11 @@ def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
             for path, source in sources
         ]
     except VerificationError as exc:
-        click.echo(f"verification failure: {exc}", err=True)
-        sys.exit(EXIT_VERIFY)
+        _fail(EXIT_VERIFY, f"verification failure: {exc}")
     except (CompileError, ValueError) as exc:
-        click.echo(f"compilation error: {exc}", err=True)
-        sys.exit(EXIT_COMPILE)
+        _fail(EXIT_COMPILE, f"compilation error: {exc}")
 
-    for path, source, result in results:
+    for out, (path, source, result) in zip(outs, results):
         circuit = _expand_ecr_transform(result.circuit) if expand_ecr else result.circuit
         text = emit(circuit)
         if show_tableau:
@@ -169,11 +181,8 @@ def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
             click.echo(tb.pretty(tb.from_circuit(source)), err=True)
             click.echo("# compiled tableau", err=True)
             click.echo(tb.pretty(tb.from_circuit(result.circuit)), err=True)
-        if len(results) == 1:
-            _write_text(output, text)
-        else:
-            out = Path(path).with_suffix(f".{target}.stim")
-            _write_text(str(out), text)
+        _write_text(out, text)
+        if len(results) > 1:
             click.echo(f"{path} -> {out}", err=True)
         if metadata_path is not None:
             _write_text(metadata_path, json.dumps(result.metadata(source), indent=2) + "\n")
@@ -239,8 +248,7 @@ def cmd_generate_surface(distance, output):
         _size_guard(2 * distance * distance - 1)
         circuit = surface_code_syndrome_extraction(spec)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_COMPILE)
+        _fail(EXIT_COMPILE, f"error: {exc}")
     _write_text(output, emit(circuit))
 
 
@@ -268,8 +276,7 @@ def cmd_generate_random(qubits, layers, seed, entangler, output):
                              f"the limit of {MAX_GENERATED_GATES} gates")
         circuit = random_clifford_circuit(spec)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_COMPILE)
+        _fail(EXIT_COMPILE, f"error: {exc}")
     _write_text(output, emit(circuit))
 
 

@@ -4,12 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from recliff import (
     Circuit, FrameSolveError, PauliProduct, Tableau, commutes, conjugate_product, parse,
 )
+from recliff.circuit import DIALECT_GATES
+from recliff.gates import builtin
 from recliff.pauli import _phase_exponent
 
 # 4-qubit interleaved stabilizer-measurement circuit used as the golden
@@ -165,3 +168,69 @@ def worked_example_tableau() -> Tableau:
 @pytest.fixture
 def fan_out_circuit() -> Circuit:
     return parse(FAN_OUT_TEXT)
+
+
+# Dialect text for the parser and CLI fuzz tests.  Targets are small (so
+# pairs and layers collide), padded with leading zeros, or huge: 4,300
+# digits is the longest target Python converts from text.
+HUGE_TARGETS = ("9" * 4300, "9" * 4301, "0" * 4301 + "3")
+
+
+def _target(k: int) -> str:
+    if k < 48:
+        return str(k)
+    if k < 60:
+        return "0" * (k % 3 + 1) + str(k % 13)
+    return HUGE_TARGETS[k - 60]
+
+
+_targets = st.integers(0, 59 + len(HUGE_TARGETS)).map(_target)
+_spaces = st.sampled_from([" ", "  ", "\t", " \t "])
+_comments = st.sampled_from(["", " # note", "  # q\u00fcbit \u2028 \u0661", "#"])
+_other_lines = st.sampled_from([
+    "TICK", "TICK", "TICK\nTICK\nTICK", "", "   ", "# comment \u00e9", "QUBIT_COORDS(0, 1) 3",
+    "QUBIT_COORDS(2) 0 1",
+])
+
+
+@st.composite
+def _gate_lines(draw):
+    name = draw(st.sampled_from(sorted(DIALECT_GATES) + ["CNOT"]))
+    count = builtin(name).arity * draw(st.integers(1, 3))
+    tokens = [name, *draw(st.lists(_targets, min_size=count, max_size=count))]
+    line = "".join(tok + draw(_spaces) for tok in tokens[:-1]) + tokens[-1]
+    return draw(st.sampled_from(["", "", " ", "\t"])) + line + draw(_comments)
+
+
+@st.composite
+def dialect_texts(draw):
+    """Dialect text, often valid: every gate, CNOT, multi-target lines,
+    indents, QUBIT_COORDS, comments, blank lines, TICK runs, leading zeros, CRLF."""
+    lines = draw(st.lists(st.one_of(_gate_lines(), _other_lines), max_size=12))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+_inserts = st.sampled_from([
+    b"\x00", b"\xff", b"\xc3", "\u00e9".encode(), "\uff11".encode(), b"#", b"(", b" ",
+    b"\n", b"\r", b"-", b"TICK", b"9" * 4301,
+])
+
+
+@st.composite
+def mutated_texts(draw):
+    """UTF-8 bytes of dialect text after up to three byte-level mutations:
+    truncation, an inserted byte string, or a dropped or duplicated token."""
+    data = draw(dialect_texts()).encode()
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["truncate", "insert", "drop", "duplicate"]))
+        if op == "truncate":
+            data = data[:draw(st.integers(0, len(data)))]
+        elif op == "insert":
+            i = draw(st.integers(0, len(data)))
+            data = data[:i] + draw(_inserts) + data[i:]
+        else:
+            tokens = data.split(b" ")
+            i = draw(st.integers(0, len(tokens) - 1))
+            tokens[i:i + 1] = [] if op == "drop" else [tokens[i], tokens[i]]
+            data = b" ".join(tokens)
+    return data

@@ -18,9 +18,83 @@ from recliff import (
     random_clifford_circuit,
     two_qubit_count,
 )
-from recliff.circuit import DIALECT_GATES
+from recliff.circuit import DIALECT_GATES, _circuit, _instruction
 
-from conftest import WORKED_EXAMPLE_TEXT
+from conftest import HUGE_TARGETS, WORKED_EXAMPLE_TEXT, dialect_texts, mutated_texts
+
+
+# The parser and emitter as they were before the one-lookup-per-line
+# rewrite, kept as references: the library's must agree with them on
+# every text, error messages included.
+
+_ALIASES = {"CNOT": "CX"}
+
+
+def reference_parse(text: str) -> Circuit:
+    layers: list[list[Instruction]] = [[]]
+    used: set[int] = set()
+    max_q = -1
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.isascii():
+            raise ParseError(f"line {lineno}: non-ASCII character outside a comment")
+        line = line.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        name = tokens[0]
+        if name == "TICK":
+            if len(tokens) > 1:
+                raise ParseError(f"line {lineno}: TICK takes no arguments")
+            layers.append([])
+            used = set()
+            continue
+        if name.split("(", 1)[0] == "QUBIT_COORDS":
+            continue
+        if "(" in name:
+            raise ParseError(f"line {lineno}: parametric gate {name!r} not supported")
+        name = _ALIASES.get(name, name)
+        if name not in DIALECT_GATES:
+            raise ParseError(f"line {lineno}: unknown or unsupported gate {name!r}")
+        gate = builtin(name)
+        if not all(tok.isdigit() for tok in tokens[1:]):
+            raise ParseError(f"line {lineno}: malformed qubit target in {line!r}")
+        targets = [int(tok) for tok in tokens[1:]]
+        if not targets:
+            raise ParseError(f"line {lineno}: {name} needs at least one target")
+        if gate.arity == 1:
+            groups = [(q,) for q in targets]
+        else:
+            if len(targets) % 2 != 0:
+                raise ParseError(f"line {lineno}: odd number of targets for {name}")
+            groups = [tuple(targets[i : i + 2]) for i in range(0, len(targets), 2)]
+        for qs in groups:
+            if len(set(qs)) != len(qs):
+                raise ParseError(f"line {lineno}: repeated qubit within a pair")
+            for q in qs:
+                if q in used:
+                    raise ParseError(f"line {lineno}: qubit {q} reused within a layer")
+                used.add(q)
+                max_q = max(max_q, q)
+            layers[-1].append(_instruction(gate, qs))
+    return _circuit(max_q + 1, layers)
+
+
+def reference_emit(c: Circuit) -> str:
+    if c.is_empty():
+        return ""
+    blocks = []
+    for layer in c.layers:
+        blocks.append("\n".join(str(inst) for inst in layer))
+    return "\nTICK\n".join(blocks) + "\n"
+
+
+def outcome(parser, text):
+    """What parsing gives: the circuit, or the error's type and message."""
+    try:
+        return parser(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 class TestParse:
@@ -117,6 +191,57 @@ class TestParse:
 
     def test_leading_zeros_are_decimal(self):
         assert parse("H 007").n == 8
+
+    def test_target_past_the_int_conversion_limit(self):
+        assert parse(f"H {HUGE_TARGETS[0]}").n == 10**4300
+        assert parse(f"H 0\nCX 1 {'0' * 4299}3\n").n == 4
+        for text in (f"H 0\nTICK\nCX 1 {HUGE_TARGETS[1]}", f"CX 1 {HUGE_TARGETS[2]} 2 4\n"):
+            with pytest.raises(ParseError,
+                               match=r"^line \d: qubit target of \d+ digits is too long$"):
+                parse(text)
+
+
+class TestAgainstReference:
+    """parse and emit match the references above, case by case."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(dialect_texts(), mutated_texts().map(
+        lambda data: data.decode("utf-8", errors="replace"))))
+    def test_parse(self, text):
+        want = outcome(reference_parse, text)
+        if isinstance(want, tuple) and want[0] is ValueError:
+            # The reference let Python's int() limit escape as a bare ValueError.
+            assert "integer string conversion" in want[1]
+            with pytest.raises(ParseError, match="too long"):
+                parse(text)
+        else:
+            assert outcome(parse, text) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(dialect_texts())
+    def test_emit_of_parsed(self, text):
+        c = outcome(parse, text)
+        if isinstance(c, Circuit):
+            assert emit(c) == reference_emit(c)
+            assert parse(emit(c)) == c
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_emit_of_constructed(self, data):
+        n = data.draw(st.integers(0, 8))
+        layers = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            free = data.draw(st.permutations(range(n)))
+            layer = []
+            while data.draw(st.booleans()):
+                gate = builtin(data.draw(gate_names))
+                if gate.arity > len(free):
+                    break
+                layer.append(Instruction(gate, tuple(free[:gate.arity])))
+                free = free[gate.arity:]
+            layers.append(tuple(layer))
+        c = Circuit(n, tuple(layers))
+        assert emit(c) == reference_emit(c)
 
 
 class TestEmit:

@@ -26,7 +26,7 @@ from recliff import (
 )
 from recliff.cli import main
 
-from conftest import WORKED_EXAMPLE_TEXT, reference_solve_frame
+from conftest import HUGE_TARGETS, WORKED_EXAMPLE_TEXT, mutated_texts, reference_solve_frame
 
 
 @pytest.fixture
@@ -439,6 +439,25 @@ class TestMalformedInput:
         assert r.exit_code == 2
         assert r.output == "cannot read -: not valid UTF-8 at byte 0\n"
 
+    @pytest.mark.parametrize("args", [
+        ["compile", "--target", "ecr"], ["verify", "{ok}"], ["stats"], ["compare", "{ok}"],
+    ], ids=lambda a: a[0])
+    def test_target_too_long_exit_2(self, runner, tmp_path, args):
+        ok, src = tmp_path / "ok.stim", tmp_path / "long.stim"
+        ok.write_text("H 0\n")
+        src.write_text(f"H 0\nTICK\nCX 1 {HUGE_TARGETS[1]}\n")
+        r = invoke(runner, *[a.format(ok=ok) for a in args], str(src))
+        assert r.exit_code == 2
+        assert r.output == (f"parse error in {src}: "
+                            "line 3: qubit target of 4301 digits is too long\n")
+
+    def test_count_too_large_to_print_exit_3(self, runner, tmp_path):
+        src = tmp_path / "big.stim"
+        src.write_text(f"H {HUGE_TARGETS[0]}\n")
+        r = invoke(runner, "compile", "--target", "ecr", str(src))
+        assert r.exit_code == 3
+        assert r.output == f"{src}: 2^64 or more qubits exceeds --max-qubits 32768\n"
+
     def test_non_ascii_target_exit_2(self, runner, tmp_path):
         src = tmp_path / "bad.stim"
         src.write_text("H \uff11\n", encoding="utf-8")
@@ -535,6 +554,21 @@ class TestArgumentsCheckedBeforeInput:
         assert r.exit_code == 3
         assert r.output == f"--output and --metadata name the same file: {out}\n"
         assert not (tmp_path / "same.out").exists()
+
+    @pytest.mark.parametrize("inputs,line", [
+        (("a.stim", "a.txt"), "a.txt -> a.ecr.stim would overwrite the output of a.stim"),
+        (("a.ecr.stim", "a.ecr"), "a.ecr -> a.ecr.stim would overwrite input a.ecr.stim"),
+        (("a.stim", "./sub/../a.stim"),
+         "./sub/../a.stim -> sub/../a.ecr.stim would overwrite the output of a.stim"),
+        ((".", "a.stim"), "cannot name a batch output: PosixPath('.') has an empty name"),
+    ], ids=["two-inputs-one-output", "output-is-an-input", "dotted", "empty-name"])
+    def test_batch_outputs_clash(self, runner, tmp_path, monkeypatch, no_reads, inputs, line):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        r = invoke(runner, "compile", "--target", "ecr", *inputs)
+        assert r.exit_code == 3
+        assert r.output == line + "\n"
+        assert not list(tmp_path.glob("*.ecr*"))
 
     def test_metadata_on_stdout_with_output_file(self, runner, tmp_path):
         src, out = tmp_path / "a.stim", tmp_path / "a.ecr.stim"
@@ -660,6 +694,36 @@ class TestUnwritableOutput:
         r = invoke(runner, "generate", "random-clifford", "--qubits", "3",
                    "--entanglers", "2", "-o", bad)
         self.check(r, bad)
+
+
+class TestFuzzedInput:
+    """Mutated dialect files on every command that reads circuits: a
+    documented exit code, at most one line on stderr and no traceback."""
+
+    @pytest.fixture(scope="class")
+    def other(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "other.stim"
+        path.write_text("CX 0 1\nTICK\nH 0\n")
+        return str(path)
+
+    COMMANDS = {
+        "compile": ["compile", "--max-qubits", "64", "--target", "ecr", "-"],
+        "compile-swap": ["compile", "--max-qubits", "64", "--target", "iswap",
+                         "--iswap-heuristic", "--frame", "fold", "-"],
+        "verify": ["verify", "--max-qubits", "64", "--up-to-frame", "-", "{other}"],
+        "stats": ["stats", "-"],
+        "compare": ["compare", "{other}", "-"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=mutated_texts())
+    def test_exit_code_and_one_line(self, command, other, data):
+        args = [a.format(other=other) for a in self.COMMANDS[command]]
+        r = CliRunner().invoke(main, args, input=data)
+        assert r.exception is None or isinstance(r.exception, SystemExit), r.exc_info
+        assert r.exit_code in (0, 1, 2, 3, 4)
+        assert r.stderr.count("\n") <= 1 and "Traceback" not in r.output
 
 
 def test_library_imports_without_numpy():

@@ -708,6 +708,54 @@ class TestWorkCounts:
                 compile_with_iswap_heuristic(source, gs, frame_mode=frame_mode)
         assert calls == []
 
+    @pytest.fixture(scope="class")
+    def d5_outputs(self, d5_text):
+        source = parse(d5_text)
+        outputs = [source]
+        for target in sorted(TARGET_ENTANGLERS):
+            gs = builtin_gateset(target)
+            if gs.entangler.entangler_class == "cx_like":
+                outputs.append(compile_circuit(source, gs).circuit)
+            outputs.append(compile_with_iswap_heuristic(source, gs).circuit)
+        return outputs
+
+    def test_no_gate_lookup_inside_parse(self, monkeypatch, d5_text):
+        import recliff.circuit
+        import recliff.gates
+
+        calls = []
+        for module in (recliff.gates, recliff.circuit):
+            def counted(name, lookup=module.builtin):
+                calls.append(name)
+                return lookup(name)
+
+            monkeypatch.setattr(module, "builtin", counted)
+        recliff.gates.builtin("CX")
+        assert calls == ["CX"]  # the counter sees calls
+        calls.clear()
+        parse(d5_text + "TICK\nCNOT 0 1\n")
+        assert calls == []
+
+    def test_no_instruction_str_inside_emit(self, monkeypatch, d5_outputs):
+        calls = []
+
+        def counted(self, to_text=Instruction.__str__):
+            calls.append(self)
+            return to_text(self)
+
+        monkeypatch.setattr(Instruction, "__str__", counted)
+        assert str(next(d5_outputs[0].instructions())) == "H 25"
+        assert len(calls) == 1  # the counter sees calls
+        calls.clear()
+        for c in d5_outputs:
+            emit(c)
+        assert calls == []
+
+    def test_outputs_round_trip(self, d5_outputs):
+        assert len(d5_outputs) == 10  # the source, 4 standard and 5 swap-mode compiles
+        for c in d5_outputs:
+            assert parse(emit(c)) == c
+
     @pytest.mark.parametrize("frame_mode", ["report", "fold"])
     @pytest.mark.parametrize("target,swap_mode", [("ecr", False), ("iswap", True)])
     def test_two_simulations_per_compile(self, monkeypatch, d5_text, frame_mode,
