@@ -52,9 +52,6 @@ from .compiler import (
     compile_with_iswap_heuristic,
     conjugation_lookup,
     extract_frame,
-    fix_conjugation,
-    fix_propagation,
-    initial_condition,
 )
 from .generators import (
     RandomCircuitSpec,
@@ -100,12 +97,9 @@ __all__ = [
     "equal_up_to_sign",
     "expand_ecr",
     "extract_frame",
-    "fix_conjugation",
-    "fix_propagation",
     "from_circuit",
     "gate_counts",
     "identity",
-    "initial_condition",
     "parse",
     "pretty",
     "random_clifford_circuit",

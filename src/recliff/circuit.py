@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator
 
-from .gates import GateDef, builtin
+from .gates import ALIASES, GateDef, builtin
 
 
 class ParseError(ValueError):
@@ -37,7 +37,7 @@ DIALECT_GATES = (
 )
 
 #: Every name the parser accepts, aliases included, to its gate.
-_GATES = {**{name: builtin(name) for name in DIALECT_GATES}, "CNOT": builtin("CX")}
+_GATES = {name: builtin(name) for name in (*DIALECT_GATES, *ALIASES)}
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,6 +23,7 @@ from .tableau import solve_frame
 from .circuit import Circuit, ParseError, emit, parse
 from .circuit import expand_ecr as _expand_ecr_transform
 from .compiler import (
+    FRAME_MODES,
     CompileError,
     VerificationError,
     compile_circuit,
@@ -62,9 +63,10 @@ def _fail(code: int, message: str) -> NoReturn:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    """The file's bytes, or stdin's, as strict UTF-8: no newline translation
+    and no locale-dependent decoding, so a file and stdin read alike."""
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    return data.decode("utf-8")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -131,7 +133,7 @@ def main() -> None:
 @click.option("--target", required=True, type=click.Choice(sorted(TARGET_ENTANGLERS)))
 @click.option("--natives", default="s_sx", type=click.Choice(sorted(NATIVE_SETS)))
 @click.option("--frame", "frame_mode", default="report",
-              type=click.Choice(["report", "fold", "none"]))
+              type=click.Choice(FRAME_MODES))
 @click.option("--iswap-heuristic", is_flag=True,
               help="Allow crossing entangler class via virtual SWAP insertion.")
 @click.option("--expand-ecr", is_flag=True,

@@ -1,45 +1,43 @@
 """Retarget unitary stabilizer circuits onto a native gateset.
 
-The pipeline replaces every source entangler with the native entangler on the
-same qubit pair (the skeleton; the two-qubit count is already forced, so this
-is the minimal starting point), then repairs the skeleton in three stages:
+One sweep over the source builds the output.  Each source entangler becomes
+the native entangler on the same qubit pair and in the same layer (the
+two-qubit count is forced, so this skeleton is minimal); the sweep adds only
+single-qubit basis changes, placed by one layer builder:
 
-1.  Propagation.  Walk the matched circuits once, tracking for each wire the
-    Pauli-letter permutation that relates the source's instantaneous
-    conjugation to the working circuit's.  A two-qubit Clifford leaves one
-    input letter per wire un-spread (Z on a CX control, X on its target, X on
-    both wires of the XX interaction, and so on); the wire's permutation must
-    carry the source gate's protected letter onto the native gate's.  Where it
-    does not, a basis-change gate inserted immediately before the entangler
-    repairs it.  The constraint is per-wire separable, so one sweep in time
-    order fixes every generator's propagation at once.  The sweep emits the
-    output circuit directly: in the swap-insertion mode it exchanges the two
-    wires' output labels after each native entangler instead of emitting a
-    SWAP, so later gates land on the relabelled wires.  Letter
-    permutations are indices into precomputed apply/compose/invert tables
-    over the six of them, and what depends only on the gateset (insertion
-    choices, the native+SWAP composite) is derived once and kept on it.
-2.  Conjugation.  After the sweep each wire is off from the target by a pure
-    letter permutation, the sweep's final letter map for that wire; one
-    basis-change gate appended per wire removes it.  Single-qubit layers
-    never end up adjacent, so nothing needs fusing.
-3.  Frame.  Basis-change gates are rewritten over the gateset's single-qubit
-    natives (their residual Paulis are dropped), and the remaining
-    per-generator sign differences are solved into a single Pauli correction,
-    reported as the frame or optionally folded in as a final Pauli layer.
+1.  Propagation.  For each wire the sweep tracks the Pauli-letter
+    permutation relating the source's instantaneous conjugation to the
+    output's.  A two-qubit Clifford leaves one input letter per wire
+    un-spread (Z on a CX control, X on its target, X on both wires of the XX
+    interaction, and so on); the wire's permutation must carry the source
+    gate's protected letter onto the native gate's.  Where it does not, a
+    basis change inserted just before the entangler repairs it.  The
+    constraint is per-wire separable, so one sweep in time order fixes every
+    generator's propagation at once.  In the swap-insertion mode the sweep
+    exchanges the pair's output labels after each native entangler instead
+    of emitting a SWAP, so later gates land on the relabelled wires.
+2.  Conjugation.  After the last layer each wire is off from the source by a
+    pure letter permutation; one basis change appended per wire removes it.
+    Single-qubit layers never end up adjacent, so nothing needs fusing.
+3.  Native words.  The builder writes each basis change as its native word,
+    dropping the word's residual Pauli.  Words, insertion choices and the
+    native+SWAP composite depend only on the gateset and are kept on it.
+4.  Frame.  The output is verified against the source's tableau (relabelled
+    by the wire permutation in the swap-insertion mode); a failed check
+    raises.  The remaining per-generator sign differences are solved into one
+    Pauli correction, reported as the frame or folded in as a final layer.
 
-Both entry points run one pipeline.  Every compilation is verified against
-the full tableau of the source (relabelled by the wire permutation in the
-swap-insertion mode); a failed check raises, it is never reported silently.
-A compile simulates two tableaux, the source's and the output's; folding the
-frame applies its Pauli gates to the output's tableau and checks it again.
+Both entry points run this pipeline; only one lets the source cross
+entangler classes.  A compile simulates two tableaux, the source's and the
+output's; folding the frame applies its Pauli gates to the output's tableau
+and checks it again.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .pauli import Pauli, PauliProduct, support
 from . import tableau as tb
@@ -48,7 +46,6 @@ from .circuit import (
     Circuit, Instruction, _circuit, _instruction, depth, gate_counts, two_qubit_count,
 )
 from .gates import (
-    CLASS_GATES,
     PERM_APPLY,
     PERM_COMPOSE,
     PERM_INDEX,
@@ -58,6 +55,7 @@ from .gates import (
     GateSet,
     builtin,
     class_gate_for_perm,
+    perm_invert,
 )
 from .reporting import Report, report
 
@@ -111,7 +109,6 @@ class CompilationResult:
     permutation: tuple[int, ...]
     gateset: str
     frame_mode: str
-    unavailable_pairs: tuple[tuple[int, int], ...] = ()
 
     def metadata(self, source: Circuit) -> dict:
         return {
@@ -127,95 +124,100 @@ class CompilationResult:
 
 
 # ---------------------------------------------------------------------------
-# Stage 1: skeleton
+# Entangler-class check
 
 
-def initial_condition(source: Circuit, gs: GateSet) -> Circuit:
-    """Native-entangler skeleton: one native entangler per source entangler.
+def _crosses_class(source: Circuit, gs: GateSet, may_cross: bool) -> bool:
+    """Whether the sweep must run in the swap-insertion mode.
 
-    Qubit pairs, their order (roles) and the entangler layer structure are
-    preserved; single-qubit gates are dropped.  The source's entanglers must
-    share the native entangler's class; crossing classes needs the
-    swap-insertion mode.
+    Raises :class:`CompileError` for a source the entry point cannot compile.
+    Unless ``may_cross``, it names the first source entangler whose class
+    differs from the native entangler's; with ``may_cross``, the source's
+    entanglers must be all CX-like or all iSWAP-like.
     """
-    _check_entangler_class(source, gs)
     native = gs.entangler
-    layers = []
-    for layer in source.layers:
-        layers.append([_instruction(native, inst.qubits) for inst in layer
-                       if inst.gate.arity == 2])
-    return _circuit(source.n, layers)
-
-
-def _check_entangler_class(source: Circuit, gs: GateSet) -> None:
-    """Raise :class:`CompileError` at the first source entangler whose class
-    differs from the native entangler's."""
-    native = gs.entangler
-    for inst in source.instructions():
-        if inst.gate.arity == 1:
-            continue
-        cls = inst.gate.entangler_class
+    gates = [g for g in dict.fromkeys(inst.gate for inst in source.instructions())
+             if g.arity == 2]
+    if may_cross:
+        classes = {gate.entangler_class for gate in gates}
+        if "swap_like" in classes or "none" in classes:
+            raise CompileError("source entanglers must be cx-like or iswap-like")
+        if len(classes) > 1:
+            raise CompileError("mixed-class sources are not supported")
+        return bool(classes - {native.entangler_class})
+    for gate in gates:
+        cls = gate.entangler_class
         if cls == "swap_like":
             raise CompileError(
-                f"{inst.gate.name} is a swap-like gate; "
-                "swap compilation is not supported"
+                f"{gate.name} is a swap-like gate; swap compilation is not supported"
             )
         if cls != native.entangler_class:
             raise CompileError(
-                f"source entangler {inst.gate.name} is {cls} but the "
+                f"source entangler {gate.name} is {cls} but the "
                 f"{gs.name} gateset entangler {native.name} is "
                 f"{native.entangler_class}; use the iswap heuristic mode"
             )
+    return False
 
 
 # ---------------------------------------------------------------------------
-# Layer builder shared by the sweep and the conjugation fix
+# Layer builder
 
 
 class _LayerBuilder:
-    """Accumulates output layers, packing single-qubit gates greedily.
+    """Accumulates output layers, packing single-qubit basis changes greedily.
 
-    A single-qubit gate destined to sit before the next entangler layer merges
+    A basis change destined to sit before the next entangler layer merges
     into the earliest existing single-qubit layer after the wire's previous
-    gate, so independent fixes share layers and depth stays low.
+    gate, so independent fixes share layers and depth stays low.  Basis
+    changes are held as CLASS_GATES indices, ``{wire: index}`` per
+    single-qubit layer, and written out as native words at the end.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, words: Sequence[tuple[GateDef, ...]]):
         self.n = n
-        self.layers: list[list[Instruction]] = []
+        self.words = words  # native word of each CLASS_GATES index
+        self.layers: list[list[Instruction] | dict[int, int]] = []
         self.wire_last = [-1] * n
-        self.single_layers: list[int] = []  # ascending indices of single-only layers
+        self.single_layers: list[int] = []  # ascending indices of single-qubit layers
 
-    def place_single(self, wire: int, gate: GateDef) -> None:
-        if gate.name == "I":
+    def place_single(self, wire: int, k: int) -> None:
+        if not k:  # the identity class
             return
         # No layer after wire_last[wire] touches the wire, so the first
-        # single-only layer there takes the gate.
+        # single-qubit layer there takes the gate.
         pos = bisect_left(self.single_layers, self.wire_last[wire] + 1)
         if pos < len(self.single_layers):
             idx = self.single_layers[pos]
-            self.layers[idx].append(_instruction(gate, (wire,)))
+            self.layers[idx][wire] = k
         else:
             idx = len(self.layers)
-            self.layers.append([_instruction(gate, (wire,))])
+            self.layers.append({wire: k})
             self.single_layers.append(idx)
         self.wire_last[wire] = idx
 
-    def place_layer(self, insts: Sequence[Instruction]) -> None:
+    def place_layer(self, insts: list[Instruction]) -> None:
         idx = len(self.layers)
-        self.layers.append(list(insts))
-        if all(i.gate.arity == 1 for i in insts):
-            self.single_layers.append(idx)
+        self.layers.append(insts)
         for inst in insts:
             for q in inst.qubits:
                 self.wire_last[q] = idx
 
     def circuit(self) -> Circuit:
-        return _circuit(self.n, self.layers)
+        layers: list[list[Instruction]] = []
+        for layer in self.layers:
+            if isinstance(layer, list):
+                layers.append(layer)
+                continue
+            words = [(q, self.words[k]) for q, k in layer.items()]
+            for step in range(max(len(word) for _, word in words)):
+                layers.append([_instruction(word[step], (q,))
+                               for q, word in words if step < len(word)])
+        return _circuit(self.n, layers)
 
 
 # ---------------------------------------------------------------------------
-# Stage 2: propagation sweep (exact, source-instantaneous reference)
+# The sweep (exact, source-instantaneous reference)
 
 
 def _axis_letter(gate: GateDef, role: int) -> Pauli:
@@ -250,39 +252,31 @@ def _transfer_perms(source_gate: GateDef, working_gate: GateDef, ua: int, ub: in
     return PERM_INDEX[xa >> 2, za >> 2], PERM_INDEX[xb, zb]
 
 
-def fix_propagation(
-    source: Circuit,
-    gs: GateSet,
-    *,
-    virtual_swap: bool = False,
-) -> tuple[Circuit, list, tuple[int, ...]]:
-    """Build the propagation-fixed circuit, its per-wire letter maps and the
-    wire permutation.
+def _sweep(
+    source: Circuit, gs: GateSet, virtual_swap: bool
+) -> tuple[Circuit, tuple[int, ...]]:
+    """The native output circuit and the wire permutation, in one walk.
 
-    The sweep tracks, per wire, the letter permutation sending the source's
-    instantaneous conjugation to the working circuit's, and inserts a
-    basis change before an entangler wherever the permutation does not carry
-    the source gate's protected letter onto the native gate's.  The returned
-    maps are those permutations after the last layer, indexed by output wire.
-
-    With ``virtual_swap`` the working entangler is the native entangler
-    followed by a SWAP on the same pair.  No SWAP is emitted: the sweep
-    exchanges the pair's output labels instead, so later gates land on the
-    relabelled wires.  The permutation sends each source wire to its output
-    wire; it is the identity otherwise.
+    Inserts a basis change before an entangler wherever a wire's letter
+    permutation does not carry the source gate's protected letter onto the
+    native gate's, then appends to each wire the basis change undoing the
+    permutation left on it.  With ``virtual_swap`` the working entangler is
+    the native entangler followed by a SWAP; none is emitted, the pair's
+    output labels are exchanged instead.  The permutation sends each source
+    wire to its output wire; it is the identity otherwise.
     """
     n = source.n
     native = gs.entangler
     working_gate = gs._swap_composite if virtual_swap else native
     want_a, want_b = _axis_letter(working_gate, 0), _axis_letter(working_gate, 1)
     insertions = gs._insertions
-    undo = {p: PERM_INVERT[k] for p, k in PERM_INDEX.items()}  # gate.perm -> inverse index
+    undo = {p: PERM_INDEX[perm_invert(p)] for p in PERMS}  # gate.perm -> inverse index
     axes: dict[GateDef, tuple[Pauli, Pauli]] = {}
     transfers: dict[tuple, tuple[int, int]] = {}
 
     u = [0] * n  # indexed by source wire; 0 is the identity permutation
     label = list(range(n))  # source wire -> output wire
-    out = _LayerBuilder(n)
+    out = _LayerBuilder(n, [word for word, _ in gs._class_words])
     for layer in source.layers:
         entanglers = []
         for inst in layer:
@@ -301,7 +295,7 @@ def fix_propagation(
                 have = PERM_APPLY[u[wire]][have_letter]
                 if have != want:
                     fix = insertions[have, want]
-                    out.place_single(label[wire], CLASS_GATES[fix])
+                    out.place_single(label[wire], fix)
                     u[wire] = PERM_COMPOSE[fix][u[wire]]
         out.place_layer([
             _instruction(native, (label[inst.qubits[0]], label[inst.qubits[1]]))
@@ -315,58 +309,14 @@ def fix_propagation(
             u[a], u[b] = transfers[key]
             if virtual_swap:
                 label[a], label[b] = label[b], label[a]
-    maps = [PERMS[0]] * n
-    for wire, o in enumerate(label):
-        maps[o] = PERMS[u[wire]]
-    return out.circuit(), maps, tuple(label)
+    # Conjugation fix: each wire is now off from the source by u alone.
+    for wire, k in enumerate(u):
+        out.place_single(label[wire], PERM_INVERT[k])
+    return out.circuit(), tuple(label)
 
 
 # ---------------------------------------------------------------------------
-# Stage 3: conjugation fix
-
-
-def fix_conjugation(working: Circuit, maps: Sequence) -> Circuit:
-    """Append one basis-change gate per wire undoing its final letter map.
-
-    ``maps`` are the per-wire permutations returned by
-    :func:`fix_propagation`; after the sweep each wire differs from the
-    source only by that permutation.
-    """
-    out = _LayerBuilder(working.n)
-    for layer in working.layers:
-        out.place_layer(layer)
-    for wire, perm in enumerate(maps):
-        out.place_single(wire, CLASS_GATES[PERM_INVERT[PERM_INDEX[perm]]])
-    return out.circuit()
-
-
-# ---------------------------------------------------------------------------
-# Stage 4: native expansion and frame extraction
-
-
-def _expand_classes(c: Circuit, gs: GateSet) -> Circuit:
-    """Rewrite single-qubit gates over the native set, dropping residual Paulis."""
-    layers: list[Sequence[Instruction]] = []
-    word_of: dict[GateDef, tuple[GateDef, ...]] = {}
-    for layer in c.layers:
-        if any(inst.gate.arity == 2 for inst in layer):
-            layers.append(layer)
-            continue
-        words: dict[int, tuple[GateDef, ...]] = {}
-        for inst in layer:
-            gate = inst.gate
-            if gate not in word_of:
-                word_of[gate] = gs.decompose(gate)[0]
-            if word_of[gate]:
-                words[inst.qubits[0]] = word_of[gate]
-        width = max((len(w) for w in words.values()), default=0)
-        for k in range(width):
-            layers.append([
-                _instruction(word[k], (q,))
-                for q, word in sorted(words.items())
-                if k < len(word)
-            ])
-    return _circuit(c.n, layers)
+# Verification and frame extraction
 
 
 def extract_frame(compiled: Circuit, target: Tableau) -> PauliProduct:
@@ -397,20 +347,14 @@ def _verify(compiled: Circuit, target: Tableau) -> tuple[Tableau, PauliProduct]:
 
 
 def _compile(
-    source: Circuit,
-    gs: GateSet,
-    frame_mode: str,
-    virtual_swap: bool,
-    available_pairs: Iterable[tuple[int, int]] | None = None,
+    source: Circuit, gs: GateSet, frame_mode: str, may_cross: bool
 ) -> CompilationResult:
     """The one pipeline behind both entry points; every result is verified."""
     if frame_mode not in FRAME_MODES:
         raise ValueError(f"frame_mode must be one of {FRAME_MODES}")
+    virtual_swap = _crosses_class(source, gs, may_cross)
     target = tb.from_circuit(source)
-    if not virtual_swap:
-        _check_entangler_class(source, gs)
-    working, maps, permutation = fix_propagation(source, gs, virtual_swap=virtual_swap)
-    final = _expand_classes(fix_conjugation(working, maps), gs)
+    final, permutation = _sweep(source, gs, virtual_swap)
     if virtual_swap:
         target = target.relabel_wires(permutation)
 
@@ -432,14 +376,6 @@ def _compile(
             raise CompileError(
                 f"frame mode 'none' but the compilation needs frame {frame}"
             )
-    flagged: list[tuple[int, int]] = []
-    if available_pairs is not None:
-        allowed = {tuple(sorted(p)) for p in available_pairs}
-        for inst in final.instructions():
-            if inst.gate.arity == 2:
-                pair = tuple(sorted(inst.qubits))
-                if pair not in allowed and pair not in flagged:
-                    flagged.append(pair)
     return CompilationResult(
         circuit=final,
         frame=frame,
@@ -448,7 +384,6 @@ def _compile(
         permutation=permutation,
         gateset=gs.name,
         frame_mode=frame_mode,
-        unavailable_pairs=tuple(flagged),
     )
 
 
@@ -472,7 +407,6 @@ def compile_with_iswap_heuristic(
     gs: GateSet,
     *,
     frame_mode: str = "report",
-    available_pairs: Iterable[tuple[int, int]] | None = None,
 ) -> CompilationResult:
     """Cross-class compilation via virtual SWAP insertion.
 
@@ -481,19 +415,6 @@ def compile_with_iswap_heuristic(
     emits only the native entangler and relabels the pair's later gates in
     place of the SWAP.  The result verifies against the target up to signs
     and the accumulated wire relabelling, which the result carries.  Same-class
-    sources compile as in :func:`compile_circuit`.  Entangler pairs outside
-    ``available_pairs``, when given, are listed in ``unavailable_pairs``.
+    sources compile as in :func:`compile_circuit`.
     """
-    native = gs.entangler
-    source_classes = {
-        inst.gate.entangler_class
-        for inst in source.instructions()
-        if inst.gate.arity == 2
-    }
-    if "swap_like" in source_classes or "none" in source_classes:
-        raise CompileError("source entanglers must be cx-like or iswap-like")
-    opposite = "cx_like" if native.entangler_class == "iswap_like" else "iswap_like"
-    crossing = bool(source_classes) and source_classes != {native.entangler_class}
-    if crossing and source_classes != {opposite}:
-        raise CompileError("mixed-class sources are not supported")
-    return _compile(source, gs, frame_mode, crossing, available_pairs)
+    return _compile(source, gs, frame_mode, True)

@@ -20,7 +20,7 @@ golden constant at import, so a sign-convention drift fails immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Literal, Sequence
 
@@ -252,12 +252,14 @@ def _composed_from(reg, name, steps):
 _REGISTRY = _build_registry()
 
 
+#: Other names for built-in gates, accepted by :func:`builtin` and the parser.
+ALIASES = {"CNOT": "CX"}
+
+
 def builtin(name: str) -> GateDef:
-    """Look up a built-in gate by its canonical (stim-style) name."""
-    alias = {"CNOT": "CX"}
-    key = alias.get(name, name)
+    """Look up a built-in gate by its canonical (stim-style) name or an alias."""
     try:
-        return _REGISTRY[key]
+        return _REGISTRY[ALIASES.get(name, name)]
     except KeyError:
         raise ValueError(f"unknown gate: {name!r}") from None
 
@@ -290,7 +292,6 @@ class GateSet:
     name: str
     entangler: GateDef
     single_qubit_natives: tuple[GateDef, ...]
-    _decomp_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.entangler.arity != 2:
@@ -317,27 +318,27 @@ class GateSet:
                 f"(got {len(reached)} of 6 classes)"
             )
 
-    def decompose(self, g: GateDef) -> tuple[tuple[GateDef, ...], PauliProduct]:
-        return decompose_single_qubit(g, self)
-
-    def insertion_cost(self, class_gate: GateDef) -> int:
-        """Length of the gate's full native identity, residual Pauli included."""
-        word, residual = self.decompose(class_gate)
-        return len(word) + (0 if residual.is_identity() else 1)
-
     # Derived once per gateset and kept on it, so they live as long as it does.
+
+    @cached_property
+    def _class_words(self) -> tuple[tuple[tuple[GateDef, ...], PauliProduct], ...]:
+        """:func:`decompose_single_qubit` of each of the six CLASS_GATES."""
+        return tuple(decompose_single_qubit(g, self) for g in CLASS_GATES)
 
     @cached_property
     def _insertions(self) -> dict[tuple[int, int], int]:
         """By ``(have, want)``: the CLASS_GATES index of the cheapest class gate
-        sending letter ``have`` to ``want``.  Cost is :meth:`insertion_cost`;
-        ties resolve by the precedence I < H_XY < H_YZ < H < C_XYZ < C_ZYX.
+        sending letter ``have`` to ``want``.  Cost is the length of the gate's
+        full native identity, residual Pauli included; ties resolve by the
+        precedence I < H_XY < H_YZ < H < C_XYZ < C_ZYX.
         """
+        cost = [len(word) + (0 if residual.is_identity() else 1)
+                for word, residual in self._class_words]
         letters = (Pauli.X, Pauli.Y, Pauli.Z)
         return {
             (have, want): min(
                 (k for k in range(6) if PERM_APPLY[k][have] == want),
-                key=lambda k: (self.insertion_cost(CLASS_GATES[k]), k),
+                key=lambda k: (cost[k], k),
             )
             for have in letters for want in letters
         }
@@ -361,10 +362,6 @@ def decompose_single_qubit(
     """
     if g.arity != 1:
         raise ValueError("decompose_single_qubit expects a single-qubit gate")
-    cache_key = (g.name, g.perm, g.semantics.key())
-    if cache_key in natives._decomp_cache:
-        return natives._decomp_cache[cache_key]
-
     words: dict[LetterPerm, tuple[GateDef, ...]] = {PERM_IDENTITY: ()}
     queue: list[LetterPerm] = [PERM_IDENTITY]
     while queue and g.perm not in words:
@@ -391,9 +388,7 @@ def decompose_single_qubit(
     check._apply_gate(_pauli_gate(residual), (0,))
     if check != g.semantics:
         raise AssertionError(f"decomposition of {g.name} failed exactness check")
-    result = (word, residual)
-    natives._decomp_cache[cache_key] = result
-    return result
+    return word, residual
 
 
 def _pauli_gate(p: PauliProduct) -> GateDef:

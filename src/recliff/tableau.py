@@ -73,10 +73,6 @@ class Tableau:
             -1 if (self._sign >> g) & 1 else 1,
         )
 
-    def key(self) -> tuple:
-        """Hashable exact state (signs included), for dictionaries of tableaux."""
-        return (self.n, tuple(self._x), tuple(self._z), self._sign)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tableau):
             return NotImplemented

@@ -466,6 +466,43 @@ class TestMalformedInput:
         assert r.output.count("\n") == 1 and "non-ASCII" in r.output
 
 
+class TestFileAndStdinReadAlike:
+    """A file and stdin holding the same bytes get the same verdict: both are
+    read as bytes and decoded as strict UTF-8, whatever the locale."""
+
+    CR = b"H 0\rH 1\n"
+
+    def test_carriage_return_in_file_exit_2(self, runner, tmp_path):
+        src = tmp_path / "cr.stim"
+        src.write_bytes(self.CR)
+        r = invoke(runner, "stats", str(src))
+        assert r.exit_code == 2
+        assert r.output.startswith(f"parse error in {src}: line 1: malformed qubit target")
+
+    def test_carriage_return_on_stdin_exit_2(self, runner):
+        r = invoke(runner, "stats", "-", input=self.CR)
+        assert r.exit_code == 2
+        assert r.output.startswith("parse error in -: line 1: malformed qubit target")
+
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_invalid_utf8_in_comment_under_c_locale(self, tmp_path, via):
+        # CliRunner decodes input itself, so the locale's decoding of stdin
+        # shows only in a real process.
+        data = b"H 0 # \xff\n"
+        src = tmp_path / "bad.stim"
+        src.write_bytes(data)
+        arg = str(src) if via == "file" else "-"
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+        env.update(LC_ALL="C", PYTHONPATH=str(Path(recliff.__file__).resolve().parents[1]))
+        r = subprocess.run(
+            [sys.executable, "-c", "from recliff.cli import main; main()", "stats", arg],
+            input=data, capture_output=True, env=env, timeout=60,
+        )
+        assert r.returncode == 2
+        assert r.stderr == f"cannot read {arg}: not valid UTF-8 at byte 6\n".encode()
+        assert r.stdout == b""
+
 class TestThinAdapter:
     def test_compile_output_equals_library_call(self, runner, tmp_path):
         from recliff import builtin_gateset, compile_circuit, emit, parse

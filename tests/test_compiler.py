@@ -8,6 +8,7 @@ import recliff.compiler
 from recliff import (
     Circuit,
     CompileError,
+    GateDef,
     Instruction,
     Pauli,
     PauliProduct,
@@ -23,11 +24,9 @@ from recliff import (
     depth,
     emit,
     extract_frame,
-    fix_conjugation,
-    fix_propagation,
     from_circuit,
     gate_counts,
-    initial_condition,
+    identity,
     parse,
     random_clifford_circuit,
     surface_code_syndrome_extraction,
@@ -40,7 +39,6 @@ from recliff.gates import (
     PERM_IDENTITY,
     TARGET_ENTANGLERS,
     perm_apply,
-    perm_invert,
 )
 
 from conftest import (
@@ -87,10 +85,36 @@ class TestConjugationLookup:
             conjugation_lookup((Pauli.I, Pauli.Z), (Pauli.X, Pauli.Z))
 
 
+def skeleton(source: Circuit, gs) -> Circuit:
+    """The source's entanglers as native entanglers, single-qubit gates dropped."""
+    return Circuit(source.n, tuple(
+        tuple(Instruction(gs.entangler, inst.qubits) for inst in layer if inst.gate.arity == 2)
+        for layer in source.layers
+    ))
+
+
+def entanglers_only(c: Circuit) -> Circuit:
+    return Circuit(c.n, tuple(
+        tuple(inst for inst in layer if inst.gate.arity == 2) for layer in c.layers
+    ))
+
+
+@pytest.fixture
+def no_wire_fix(monkeypatch):
+    """Stop the sweep's conjugation fix from placing anything: the sweep reads
+    PERM_INVERT only for the fix appended to each wire, and all zeros makes
+    every fix the identity class."""
+    monkeypatch.setattr(recliff.compiler, "PERM_INVERT", (0,) * 6)
+
+
 class TestInitialCondition:
+    """The output's entanglers are the initial condition: the native
+    entangler on each source entangler's pair, roles and layer kept."""
+
     def test_worked_example_skeleton(self, worked_example):
         gs = builtin_gateset("ecr")
-        skel = initial_condition(worked_example, gs)
+        skel = entanglers_only(compile_circuit(worked_example, gs).circuit)
+        assert skel == skeleton(worked_example, gs)
         assert gate_counts(skel) == {"ECR": 4}
         assert depth(skel) == 3
         assert [inst.qubits for inst in skel.instructions()] == [
@@ -99,24 +123,24 @@ class TestInitialCondition:
 
     def test_zero_entanglers(self):
         gs = builtin_gateset("cz")
-        skel = initial_condition(parse("H 0\nS 1"), gs)
+        skel = entanglers_only(compile_circuit(parse("H 0\nS 1"), gs).circuit)
         assert skel.is_empty()
 
     def test_surface_code_d3_to_sqrt_xx(self):
-        from recliff import SurfaceCodeSpec, surface_code_syndrome_extraction
-
         c = surface_code_syndrome_extraction(SurfaceCodeSpec(3))
-        skel = initial_condition(c, builtin_gateset("sqrt_xx"))
+        gs = builtin_gateset("sqrt_xx")
+        skel = entanglers_only(compile_circuit(c, gs).circuit)
+        assert skel == skeleton(c, gs)
         assert gate_counts(skel) == {"SQRT_XX": 24}
         assert depth(skel) == 4
 
     def test_class_mismatch_needs_heuristic(self):
         with pytest.raises(CompileError, match="heuristic"):
-            initial_condition(parse("ISWAP 0 1"), builtin_gateset("ecr"))
+            compile_circuit(parse("ISWAP 0 1"), builtin_gateset("ecr"))
 
     def test_swap_rejected(self):
         with pytest.raises(CompileError, match="swap"):
-            initial_condition(parse("SWAP 0 1"), builtin_gateset("cx"))
+            compile_circuit(parse("SWAP 0 1"), builtin_gateset("cx"))
 
 
 def wire_names(circuit, wire):
@@ -177,29 +201,34 @@ def apply_to_product(gate, qubits, p: PauliProduct) -> PauliProduct:
 
 
 class TestFixPropagation:
-    def test_worked_example_insertions(self, worked_example):
+    """The sweep with its conjugation fix stopped: with class6 natives each
+    basis change is written as itself, so this is the propagation-fixed
+    circuit before the appends."""
+
+    def test_worked_example_insertions(self, worked_example, no_wire_fix):
         gs = builtin_gateset("ecr", "class6")
-        fixed, _, _ = fix_propagation(worked_example, gs)
+        fixed, _ = recliff.compiler._sweep(worked_example, gs, False)
         assert wire_names(fixed, 0) == ["H", "ECR", "ECR"]
         assert wire_names(fixed, 1) == ["ECR", "H_YZ", "ECR"]
         assert wire_names(fixed, 2) == ["ECR", "H_XY", "ECR"]
         assert wire_names(fixed, 3) == ["ECR", "ECR"]
 
-    def test_supports_match_after_fix(self, worked_example):
+    def test_supports_match_after_fix(self, worked_example, no_wire_fix):
         gs = builtin_gateset("ecr", "class6")
         target = from_circuit(worked_example)
-        fixed, _, _ = fix_propagation(worked_example, gs)
+        fixed, _ = recliff.compiler._sweep(worked_example, gs, False)
         got = from_circuit(fixed)
         for a, b in zip(got.images(), target.images()):
             assert (a.x | a.z) == (b.x | b.z)
 
     @pytest.mark.parametrize("target", ["cx", "cz", "sqrt_xx", "ecr", "iswap"])
-    def test_maps_equal_tableau_derived_maps(self, target):
-        """The sweep's final maps are exactly what a tableau simulation of
-        the working circuit against the source would give (onto iswap, the
-        swap-insertion mode: against the source relabelled by the sweep's
-        wire permutation)."""
+    def test_maps_equal_tableau_derived_maps(self, target, monkeypatch):
+        """Each wire's appended fix is exactly the letter map a tableau
+        simulation of the propagation-fixed circuit against the source gives
+        (onto iswap, the swap-insertion mode: against the source relabelled
+        by the sweep's wire permutation)."""
         gs = builtin_gateset(target, "class6")
+        virtual_swap = target == "iswap"
         sources = [surface_code_syndrome_extraction(SurfaceCodeSpec(d)) for d in (3, 5, 7)]
         for seed in range(30):
             sources.append(random_clifford_circuit(RandomCircuitSpec(
@@ -207,10 +236,19 @@ class TestFixPropagation:
                 entangler=builtin(("CX", "CZ", "SQRT_XX", "ECR")[seed % 4]),
             )))
         for source in sources:
-            fixed, maps, perm = fix_propagation(source, gs, virtual_swap=target == "iswap")
+            done, perm = recliff.compiler._sweep(source, gs, virtual_swap)
+            with monkeypatch.context() as m:
+                m.setattr(recliff.compiler, "PERM_INVERT", (0,) * 6)
+                fixed, fixed_perm = recliff.compiler._sweep(source, gs, virtual_swap)
+            assert fixed_perm == perm
             want = tableau_letter_maps(
                 from_circuit(fixed), from_circuit(source).relabel_wires(perm))
-            assert [perm_invert(m) for m in maps] == want
+            for wire in range(source.n):
+                before, after = fixed.wire_gates(wire), done.wire_gates(wire)
+                assert after[:len(before)] == before
+                appended = after[len(before):]
+                assert len(appended) <= 1
+                assert (appended[0].gate.perm if appended else PERM_IDENTITY) == want[wire]
             if target != "iswap":
                 assert perm == tuple(range(source.n))
 
@@ -218,31 +256,32 @@ class TestFixPropagation:
 class TestFixConjugation:
     def test_worked_example_appends(self, worked_example):
         gs = builtin_gateset("ecr", "class6")
-        fixed, maps, _ = fix_propagation(worked_example, gs)
-        done = fix_conjugation(fixed, maps)
+        done = compile_circuit(worked_example, gs).circuit
         last = done.layers[-1]
         assert {(inst.gate.name, inst.qubits) for inst in last} == {
             ("H", (0,)), ("H_XY", (1,)), ("H_YZ", (2,)),
         }
 
-    def test_no_append_when_already_aligned(self, worked_example):
-        maps = [PERM_IDENTITY] * worked_example.n
-        assert fix_conjugation(worked_example, maps) == worked_example
+    def test_no_append_when_already_aligned(self):
+        source = parse("CX 0 1\nTICK\nCX 1 2\nTICK\nCX 0 1")
+        for natives in sorted(NATIVE_SETS):
+            assert compile_circuit(source, builtin_gateset("cx", natives)).circuit == source
 
     def test_error_when_propagation_not_fixed(self, worked_example):
         gs = builtin_gateset("ecr", "class6")
-        _, maps, _ = fix_propagation(worked_example, gs)
-        unfixed = fix_conjugation(initial_condition(worked_example, gs), maps)
+        appends = compile_circuit(worked_example, gs).circuit.layers[-1]
+        skel = skeleton(worked_example, gs)
+        unfixed = Circuit(skel.n, skel.layers + (appends,))
         with pytest.raises(VerificationError):
             extract_frame(unfixed, from_circuit(worked_example))
 
     def test_error_names_first_disagreeing_generator(self, worked_example):
         gs = builtin_gateset("ecr", "class6")
-        skeleton = initial_condition(worked_example, gs)
-        got, want = from_circuit(skeleton).images(), from_circuit(worked_example).images()
+        skel = skeleton(worked_example, gs)
+        got, want = from_circuit(skel).images(), from_circuit(worked_example).images()
         g = next(g for g, (a, b) in enumerate(zip(got, want)) if (a.x, a.z) != (b.x, b.z))
         with pytest.raises(VerificationError) as info:
-            extract_frame(skeleton, from_circuit(worked_example))
+            extract_frame(skel, from_circuit(worked_example))
         assert str(info.value) == (
             "compiled circuit does not match the target up to signs: "
             f"generator {'XZ'[g % 2]}{g // 2} maps to {got[g]} in the compiled circuit "
@@ -251,32 +290,76 @@ class TestFixConjugation:
 
 
 class TestClassCheckBuildsNoSkeleton:
-    """The pipeline checks entangler classes without building the skeleton."""
+    """A source of the wrong class is rejected before the pipeline simulates
+    a tableau or starts the sweep."""
 
     @pytest.fixture(autouse=True)
-    def no_skeleton(self, monkeypatch):
-        def refuse(source, gs):
-            raise AssertionError("the skeleton circuit was built")
+    def nothing_built(self, monkeypatch):
+        import recliff.tableau
 
-        monkeypatch.setattr(recliff.compiler, "initial_condition", refuse)
+        def refuse(*args):
+            raise AssertionError("the pipeline went past the class check")
 
-    def test_compile_runs(self, worked_example):
-        res = compile_circuit(worked_example, builtin_gateset("ecr"))
-        assert str(res.frame) == "+X2"
+        monkeypatch.setattr(recliff.tableau, "from_circuit", refuse)
+        monkeypatch.setattr(recliff.compiler, "_sweep", refuse)
 
     def test_wrong_class_still_rejected(self):
         with pytest.raises(CompileError, match="heuristic"):
             compile_circuit(parse("ISWAP 0 1"), builtin_gateset("ecr"))
         with pytest.raises(CompileError, match="swap"):
             compile_circuit(parse("SWAP 0 1"), builtin_gateset("cx"))
+        with pytest.raises(CompileError, match="mixed"):
+            compile_with_iswap_heuristic(parse("CX 0 1\nTICK\nISWAP 1 2"),
+                                         builtin_gateset("ecr"))
 
+
+class TestClassCheck:
+    """Every entangler-class rejection of both entry points, with its message."""
+
+    def test_mismatch_names_the_first_offending_gate(self):
+        source = parse("CX 0 1\nTICK\nISWAP 1 2\nTICK\nCXSWAP 0 1")
+        with pytest.raises(CompileError) as info:
+            compile_circuit(source, builtin_gateset("ecr"))
+        assert str(info.value) == (
+            "source entangler ISWAP is iswap_like but the ecr gateset entangler ECR "
+            "is cx_like; use the iswap heuristic mode"
+        )
+
+    @pytest.mark.parametrize("entry,message", [
+        (compile_circuit, "SWAP is a swap-like gate; swap compilation is not supported"),
+        (compile_with_iswap_heuristic, "source entanglers must be cx-like or iswap-like"),
+    ])
+    def test_swap_like_rejected_in_both_modes(self, entry, message):
+        with pytest.raises(CompileError) as info:
+            entry(parse("CX 0 1\nTICK\nSWAP 1 2"), builtin_gateset("ecr"))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("entry,message", [
+        (compile_circuit, "source entangler II is none but the ecr gateset entangler "
+                          "ECR is cx_like; use the iswap heuristic mode"),
+        (compile_with_iswap_heuristic, "source entanglers must be cx-like or iswap-like"),
+    ])
+    def test_none_class_entangler_rejected_in_both_modes(self, entry, message):
+        product = GateDef("II", 2, identity(2))
+        assert product.entangler_class == "none"
+        source = Circuit(2, ((Instruction(product, (0, 1)),),))
+        with pytest.raises(CompileError) as info:
+            entry(source, builtin_gateset("ecr"))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("target", ["ecr", "iswap"])
+    def test_heuristic_rejects_mixed_classes(self, target):
+        source = parse("CX 0 1\nTICK\nISWAP 1 2")
+        with pytest.raises(CompileError) as info:
+            compile_with_iswap_heuristic(source, builtin_gateset(target))
+        assert str(info.value) == "mixed-class sources are not supported"
 
 class TestSabotagedConjugationFix:
     """With the conjugation fix disabled, no entry point returns a result."""
 
     @pytest.fixture(autouse=True)
-    def skip_conjugation_fix(self, monkeypatch):
-        monkeypatch.setattr(recliff.compiler, "fix_conjugation", lambda working, maps: working)
+    def skip_conjugation_fix(self, no_wire_fix):
+        pass
 
     def test_compile_circuit_raises(self, worked_example):
         with pytest.raises(VerificationError):
@@ -497,13 +580,6 @@ class TestIswapHeuristic:
         assert res.permutation == (0, 1)
         assert from_circuit(res.circuit) == from_circuit(source)
 
-    def test_unavailable_pairs_flagged(self, fan_out_circuit):
-        gs = builtin_gateset("iswap", "s_sx")
-        res = compile_with_iswap_heuristic(
-            fan_out_circuit, gs, available_pairs=[(0, 1), (1, 2), (2, 3)]
-        )
-        assert res.unavailable_pairs == ((3, 4),)
-
     def test_swap_source_rejected(self):
         with pytest.raises(CompileError):
             compile_with_iswap_heuristic(parse("SWAP 0 1"), builtin_gateset("iswap"))
@@ -648,9 +724,9 @@ class TestPipelineProperties:
 
 
 class TestNothingToFuse:
-    """The sweep and the conjugation fix never leave two single-qubit-only
-    layers next to each other, and each such layer holds one class gate per
-    wire, so a pass fusing adjacent basis changes would change nothing."""
+    """Compile output leaves nothing for a pass fusing basis changes: the
+    sweep never puts two single-qubit-only layers next to each other, and
+    each holds one class gate per wire, written as one native word."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -660,25 +736,21 @@ class TestNothingToFuse:
     )
     def test_no_adjacent_single_qubit_layers(self, source, target, natives):
         gs = builtin_gateset(target, natives)
-        virtual_swap = crosses_class(source, gs)
-        out = fix_conjugation(*fix_propagation(source, gs, virtual_swap=virtual_swap)[:2])
-        single_only = [all(inst.gate.arity == 1 for inst in layer) for layer in out.layers]
-        assert not any(a and b for a, b in zip(single_only, single_only[1:]))
+        entry = compile_with_iswap_heuristic if crosses_class(source, gs) else compile_circuit
+        out = entry(source, gs).circuit
+        # A class gate's word is one class6 native or at most three s_sx natives.
+        longest = 1 if natives == "class6" else 3
+        run = 0
+        for layer in out.layers:
+            run = run + 1 if all(inst.gate.arity == 1 for inst in layer) else 0
+            assert run <= longest
         for inst in out.instructions():
             if inst.gate.arity == 2:
                 assert inst.gate is gs.entangler
-            else:
+            elif natives == "class6":
                 assert inst.gate.name in CLASS_GATE_ORDER and inst.gate.name != "I"
-
-
-class TestAvailablePairs:
-    def test_same_class_source_is_flagged_too(self):
-        source = parse("ISWAP 0 1\nTICK\nISWAP 1 2")
-        res = compile_with_iswap_heuristic(
-            source, builtin_gateset("iswap"), available_pairs=[(1, 0)]
-        )
-        assert res.permutation == (0, 1, 2)
-        assert res.unavailable_pairs == ((1, 2),)
+            else:
+                assert inst.gate in gs.single_qubit_natives
 
 
 class TestWorkCounts:
@@ -777,6 +849,38 @@ class TestWorkCounts:
         assert not res.frame.is_identity()  # so fold has a layer to apply
         if frame_mode == "fold":
             assert simulate(res.circuit) == simulate(source).relabel_wires(res.permutation)
+
+    @pytest.mark.parametrize("target,swap_mode", [("ecr", False), ("iswap", True)])
+    def test_one_output_circuit_per_compile(self, monkeypatch, d5_text, target, swap_mode):
+        calls = []
+        build = recliff.compiler._circuit
+
+        def counted(n, layers):
+            calls.append(n)
+            return build(n, layers)
+
+        monkeypatch.setattr(recliff.compiler, "_circuit", counted)
+        source = parse(d5_text)
+        compile_one = compile_with_iswap_heuristic if swap_mode else compile_circuit
+        compile_one(source, builtin_gateset(target), frame_mode="report")
+        assert len(calls) == 1
+
+    def test_class_words_decomposed_once_per_gateset(self, monkeypatch, d5_text):
+        import recliff.gates
+
+        calls = []
+        decompose = recliff.gates.decompose_single_qubit
+
+        def counted(g, natives):
+            calls.append(g)
+            return decompose(g, natives)
+
+        monkeypatch.setattr(recliff.gates, "decompose_single_qubit", counted)
+        source = parse(d5_text)
+        gs = builtin_gateset("ecr")
+        for _ in range(50):
+            compile_circuit(source, gs)
+        assert len(calls) <= 6
 
     def test_gatesets_do_not_accumulate(self):
         import gc
