@@ -16,15 +16,13 @@ from .pauli import (
     support,
 )
 from .tableau import (
-    FrameSolveError,
     Tableau,
     append_gate,
+    certify,
     conjugate_product,
-    equal_up_to_sign,
     from_circuit,
     identity,
     pretty,
-    solve_frame,
 )
 from .gates import (
     GateDef,
@@ -70,7 +68,6 @@ __all__ = [
     "CompilationResult",
     "CompileError",
     "Comparison",
-    "FrameSolveError",
     "GateDef",
     "GateSet",
     "Instruction",
@@ -85,6 +82,7 @@ __all__ = [
     "append_gate",
     "builtin",
     "builtin_gateset",
+    "certify",
     "commutes",
     "compare",
     "compile_circuit",
@@ -94,7 +92,6 @@ __all__ = [
     "decompose_single_qubit",
     "depth",
     "emit",
-    "equal_up_to_sign",
     "expand_ecr",
     "extract_frame",
     "from_circuit",
@@ -104,7 +101,6 @@ __all__ = [
     "pretty",
     "random_clifford_circuit",
     "report",
-    "solve_frame",
     "support",
     "surface_code_syndrome_extraction",
     "two_qubit_count",

@@ -19,7 +19,6 @@ import click
 
 from . import __version__
 from . import tableau as tb
-from .tableau import solve_frame
 from .circuit import Circuit, ParseError, emit, parse
 from .circuit import expand_ecr as _expand_ecr_transform
 from .compiler import (
@@ -42,8 +41,13 @@ EXIT_PARSE = 2
 EXIT_COMPILE = 3
 EXIT_VERIFY = 4
 
-#: A tableau holds 4n^2 bits, n^2/2 bytes: 0.5 GiB at this many qubits.
+#: A tableau holds 4n^2 bits, n^2/2 bytes: 0.5 GiB at this many qubits.  A
+#: compile, and a verify that succeeds, holds one tableau.
 DEFAULT_MAX_QUBITS = 32768
+
+#: ``compile --show-tableau`` prints two tables of 2n^2 cells: about 6 MB of
+#: text at this many qubits.  Larger inputs are refused before any tableau.
+MAX_SHOWN_QUBITS = 512
 
 #: Bound on qubits x (entangler layers + 1) for ``generate random-clifford``,
 #: the number of gate slots its circuit may fill.
@@ -163,6 +167,10 @@ def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
     outs = _batch_outputs(inputs, target) if len(inputs) > 1 else [output]
     gs = builtin_gateset(target, natives)
     sources = [(path, _load_circuit(path, max_qubits)) for path in inputs]
+    for path, source in sources:
+        if show_tableau and source.n > MAX_SHOWN_QUBITS:
+            _fail(EXIT_COMPILE, f"{path}: {source.n} qubits exceeds the --show-tableau "
+                                f"limit of {MAX_SHOWN_QUBITS}")
 
     compile_one = compile_with_iswap_heuristic if iswap_heuristic else compile_circuit
     try:
@@ -197,7 +205,7 @@ def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
 @click.option("--up-to-frame", is_flag=True,
               help="Accept per-generator sign differences; print the frame witness.")
 @click.option("--up-to-permutation", is_flag=True,
-              help="Accept a wire relabelling, found by matching the tableaux' "
+              help="Accept a wire relabelling, read off the certificate's "
                    "qubit rows; print the permutation witness.")
 @_max_qubits_option
 def cmd_verify(file_a, file_b, up_to_frame, up_to_permutation, max_qubits):
@@ -208,30 +216,21 @@ def cmd_verify(file_a, file_b, up_to_frame, up_to_permutation, max_qubits):
     if a.n != b.n:
         click.echo(f"not equivalent: qubit counts differ ({a.n} vs {b.n})")
         sys.exit(1)
-    ta = tb.from_circuit(a)
-    t_b = tb.from_circuit(b)
-
-    witness = ""
-    if up_to_permutation:
-        sigma = tb.match_wires(ta, t_b)
-        if sigma is None:
-            click.echo("not equivalent")
-            sys.exit(1)
-        t_b = t_b.relabel_wires(sigma)
-        witness = f"permutation {list(sigma)}"
-    if up_to_frame:
-        ok, flips = tb.equal_up_to_sign(ta, t_b)
-        if ok:
-            frame = solve_frame(ta, flips)
-            click.echo(f"equivalent up to frame {frame}" + (f" and {witness}" if witness else ""))
+    cert = tb.certify(a, b)
+    if cert is not None:
+        sigma, frame = cert
+        if ((up_to_permutation or sigma == tuple(range(a.n)))
+                and (up_to_frame or frame.is_identity())):
+            witness = " and ".join(
+                ([f"frame {frame}"] if up_to_frame else [])
+                + ([f"permutation {list(sigma)}"] if up_to_permutation else []))
+            click.echo(f"equivalent up to {witness}" if witness else "equivalent")
             sys.exit(0)
-    elif ta == t_b:
-        click.echo("equivalent" + (f" up to {witness}" if witness else ""))
-        sys.exit(0)
     if up_to_permutation:
         click.echo("not equivalent")
     else:
-        click.echo(f"not equivalent: {tb.describe_difference(ta, t_b, file_a, file_b)}")
+        diff = tb.describe_difference(tb.from_circuit(a), tb.from_circuit(b), file_a, file_b)
+        click.echo(f"not equivalent: {diff}")
     sys.exit(1)
 
 

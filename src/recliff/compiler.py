@@ -22,29 +22,28 @@ single-qubit basis changes, placed by one layer builder:
 3.  Native words.  The builder writes each basis change as its native word,
     dropping the word's residual Pauli.  Words, insertion choices and the
     native+SWAP composite depend only on the gateset and are kept on it.
-4.  Frame.  The output is verified against the source's tableau (relabelled
-    by the wire permutation in the swap-insertion mode); a failed check
-    raises.  The remaining per-generator sign differences are solved into one
-    Pauli correction, reported as the frame or folded in as a final layer.
+4.  Frame.  The output is certified against the source on one tableau:
+    the source's inverse, then the output, must leave a Pauli times the
+    sweep's wire permutation (the identity outside the swap-insertion mode);
+    a failed check raises.  The Pauli, read off the tableau's signs, is the
+    frame, reported or folded in as a final layer.
 
 Both entry points run this pipeline; only one lets the source cross
-entangler classes.  A compile simulates two tableaux, the source's and the
-output's; folding the frame applies its Pauli gates to the output's tableau
-and checks it again.
+entangler classes.  A compile simulates one tableau; folding the frame
+applies its Pauli gates to that tableau, which must then have no signs left.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from .pauli import Pauli, PauliProduct, support
 from . import tableau as tb
-from .tableau import Tableau, solve_frame
-from .circuit import (
-    Circuit, Instruction, _circuit, _instruction, depth, gate_counts, two_qubit_count,
-)
+from .tableau import Tableau
+from .circuit import Circuit, Instruction, _circuit, _instruction, depth, gate_counts
 from .gates import (
     PERM_APPLY,
     PERM_COMPOSE,
@@ -127,8 +126,9 @@ class CompilationResult:
 # Entangler-class check
 
 
-def _crosses_class(source: Circuit, gs: GateSet, may_cross: bool) -> bool:
-    """Whether the sweep must run in the swap-insertion mode.
+def _crosses_class(source: Circuit, gs: GateSet, may_cross: bool) -> tuple[bool, int]:
+    """Whether the sweep must run in the swap-insertion mode, and the
+    source's two-qubit gate count.
 
     Raises :class:`CompileError` for a source the entry point cannot compile.
     Unless ``may_cross``, it names the first source entangler whose class
@@ -136,15 +136,16 @@ def _crosses_class(source: Circuit, gs: GateSet, may_cross: bool) -> bool:
     entanglers must be all CX-like or all iSWAP-like.
     """
     native = gs.entangler
-    gates = [g for g in dict.fromkeys(inst.gate for inst in source.instructions())
-             if g.arity == 2]
+    counts = Counter(inst.gate for inst in source.instructions())
+    gates = [g for g in counts if g.arity == 2]
+    entanglers = sum(counts[g] for g in gates)
     if may_cross:
         classes = {gate.entangler_class for gate in gates}
         if "swap_like" in classes or "none" in classes:
             raise CompileError("source entanglers must be cx-like or iswap-like")
         if len(classes) > 1:
             raise CompileError("mixed-class sources are not supported")
-        return bool(classes - {native.entangler_class})
+        return bool(classes - {native.entangler_class}), entanglers
     for gate in gates:
         cls = gate.entangler_class
         if cls == "swap_like":
@@ -157,7 +158,7 @@ def _crosses_class(source: Circuit, gs: GateSet, may_cross: bool) -> bool:
                 f"{gs.name} gateset entangler {native.name} is "
                 f"{native.entangler_class}; use the iswap heuristic mode"
             )
-    return False
+    return False, entanglers
 
 
 # ---------------------------------------------------------------------------
@@ -319,27 +320,38 @@ def _sweep(
 # Verification and frame extraction
 
 
-def extract_frame(compiled: Circuit, target: Tableau) -> PauliProduct:
-    """Verify the compiled circuit and solve the Pauli frame against the target.
+def extract_frame(compiled: Circuit, source: Circuit) -> PauliProduct:
+    """Verify the compiled circuit against the source and read off the frame.
 
-    Raises :class:`VerificationError` unless the two tableaux agree letter
-    for letter; its message names the first generator whose images differ
-    and shows both.  The returned frame, appended as a final Pauli layer, turns
-    agreement up to signs into exact equality.
+    Raises :class:`VerificationError` unless the two agree up to signs; its
+    message names the first generator whose images differ and shows both.
+    The returned frame, appended as a final Pauli layer, turns agreement up
+    to signs into exact equality.
     """
-    return _verify(compiled, target)[1]
+    return _certify(compiled, source, tuple(range(source.n)))[1]
 
 
-def _verify(compiled: Circuit, target: Tableau) -> tuple[Tableau, PauliProduct]:
-    """:func:`extract_frame`, also returning the compiled circuit's tableau."""
-    t = tb.from_circuit(compiled)
-    ok, flips = tb.equal_up_to_sign(t, target)
-    if not ok:
+def _certify(
+    compiled: Circuit, source: Circuit, permutation: tuple[int, ...]
+) -> tuple[Tableau, PauliProduct]:
+    """The certificate tableau of the compiled circuit against the source,
+    and the frame read off it.
+
+    Raises :class:`VerificationError` unless the compiled circuit is the
+    source relabelled by ``permutation`` up to a Pauli frame.  Only then are
+    the two circuits simulated apart, to name the first generator whose
+    images differ.
+    """
+    t = tb._between(compiled, source)
+    cert = None if t is None else t._pauli_permutation()
+    if cert is None or cert[0] != permutation:
+        target = tb.from_circuit(source).relabel_wires(permutation)
         raise VerificationError(
             "compiled circuit does not match the target up to signs: "
-            + tb.describe_difference(t, target, "the compiled circuit", "the target")
+            + tb.describe_difference(tb.from_circuit(compiled), target,
+                                     "the compiled circuit", "the target")
         )
-    return t, solve_frame(t, flips)
+    return t, cert[1]
 
 
 # ---------------------------------------------------------------------------
@@ -352,34 +364,31 @@ def _compile(
     """The one pipeline behind both entry points; every result is verified."""
     if frame_mode not in FRAME_MODES:
         raise ValueError(f"frame_mode must be one of {FRAME_MODES}")
-    virtual_swap = _crosses_class(source, gs, may_cross)
-    target = tb.from_circuit(source)
+    virtual_swap, entanglers = _crosses_class(source, gs, may_cross)
     final, permutation = _sweep(source, gs, virtual_swap)
-    if virtual_swap:
-        target = target.relabel_wires(permutation)
-
-    if two_qubit_count(final) != two_qubit_count(source):
-        raise VerificationError("two-qubit count was not preserved")
-    verified, frame = _verify(final, target)
+    t, frame = _certify(final, source, permutation)
     if frame_mode == "fold":
-        # The folded layer's tableau is the verified one with the frame's
+        # The folded layer's tableau is the certificate with the frame's
         # Pauli gates applied, so the whole output is not simulated again.
         layer = [_instruction(builtin(frame.local(q).letter), (q,)) for q in support(frame)]
         for inst in layer:
-            verified._apply_gate(inst.gate, inst.qubits)
+            t._apply_gate(inst.gate, inst.qubits)
         if layer:
             final = _circuit(final.n, final.layers + (layer,))
-        if verified != target:
+        if t._sign:
             raise VerificationError("frame folding did not produce exact equality")
     elif frame_mode == "none":
         if not frame.is_identity():
             raise CompileError(
                 f"frame mode 'none' but the compilation needs frame {frame}"
             )
+    stats = report(final)
+    if stats.two_qubit_count != entanglers:
+        raise VerificationError("two-qubit count was not preserved")
     return CompilationResult(
         circuit=final,
         frame=frame,
-        stats=report(final),
+        stats=stats,
         verified=True,
         permutation=permutation,
         gateset=gs.name,
@@ -397,7 +406,7 @@ def compile_circuit(
 
     The output contains only gateset gates (plus a final Pauli layer when
     ``frame_mode="fold"``), preserves the two-qubit count and pairing exactly,
-    and is verified by rebuilding its tableau; verification failure raises.
+    and is certified against the source on one tableau; a failure raises.
     """
     return _compile(source, gs, frame_mode, False)
 

@@ -7,7 +7,8 @@ to the conjugated pattern and sign, and reads off it:
 
 * the bitwise update rule the tableau applies to the rows of the gate's
   wires (see :func:`_update_rule`), compiled once into a straight-line
-  kernel function (see :func:`_compile_kernel`),
+  kernel function (see :func:`_compile_kernel`), and the same for the
+  gate's inverse, whose table is the forward one read backwards,
 * the per-wire letters whose conjugation stays one-local (the commuting
   letter for CX-like gates, the wire-hopping letter for iSWAP-like ones),
   and from them the entangler class,
@@ -116,7 +117,7 @@ class GateDef:
 
     __slots__ = (
         "name", "arity", "semantics", "entangler_class",
-        "rule", "kernel", "perm", "bits16", "bits16_inv", "_one_local",
+        "rule", "kernel", "kernel_inv", "perm", "bits16", "bits16_inv", "_one_local",
     )
 
     def __init__(self, name: str, arity: int, semantics: Tableau):
@@ -142,6 +143,12 @@ class GateDef:
             signs.append(img.sign)
         self.rule = _update_rule(table, signs)
         self.kernel = _compile_kernel(self.rule, arity)
+        # G P G^-1 = s Q gives G^-1 Q G = s P: the inverse maps each image
+        # back to its key, with the same sign.
+        inv, inv_signs = [0] * len(table), [1] * len(table)
+        for key, (img, sign) in enumerate(zip(table, signs)):
+            inv[img], inv_signs[img] = key, sign
+        self.kernel_inv = _compile_kernel(_update_rule(inv, inv_signs), arity)
         if arity == 1:
             self.perm: LetterPerm | None = (table[Pauli.X], table[Pauli.Z])
             self.entangler_class: EntanglerClass = "none"
@@ -150,9 +157,6 @@ class GateDef:
             self._one_local: tuple[Pauli | None, ...] = (None, None)
             return
         self.perm = None
-        inv = [0] * 16
-        for k, v in enumerate(table):
-            inv[v] = k
         self.bits16 = tuple(table)
         self.bits16_inv = tuple(inv)
         # Where each single-letter input lands: the per-wire letters whose
@@ -356,7 +360,8 @@ def decompose_single_qubit(
 ) -> tuple[tuple[GateDef, ...], PauliProduct]:
     """Shortest native word equal to g up to a trailing Pauli.
 
-    Returns ``(word, residual)`` with g == word followed by residual, exactly.
+    Returns ``(word, residual)`` with g == word followed by residual, exactly:
+    the residual is read off the certificate of g against the word.
     The search is breadth-first over basis-change classes in the order the
     natives are listed, so ties resolve deterministically.
     """
@@ -377,22 +382,15 @@ def decompose_single_qubit(
             f"cannot realise {g.name}"
         )
     word = words[g.perm]
+    from .circuit import _circuit, _instruction  # circuit imports this module
 
-    t = tb.identity(1)
-    for step in word:
-        t = tb.append_gate(t, step, (0,))
-    # The word has g's letters, so the residual is the frame fixing the signs.
-    residual = tb.solve_frame(t, t._sign ^ g.semantics._sign)
-
-    check = t.copy()
-    check._apply_gate(_pauli_gate(residual), (0,))
-    if check != g.semantics:
-        raise AssertionError(f"decomposition of {g.name} failed exactness check")
+    # The word has g's letters, so g is the word followed by a Pauli, which
+    # the certificate of g against the word reads off its signs.
+    _, residual = tb.certify(
+        _circuit(1, ((_instruction(g, (0,)),),)),
+        _circuit(1, tuple((_instruction(step, (0,)),) for step in word)),
+    )
     return word, residual
-
-
-def _pauli_gate(p: PauliProduct) -> GateDef:
-    return builtin(p.local(0).letter) if not p.is_identity() else builtin("I")
 
 
 #: Built-in gateset names accepted by the CLI and the compiler helpers.

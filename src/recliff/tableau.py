@@ -12,12 +12,18 @@ sign int (bit g set when image g carries a minus sign).  Generators are
 numbered in the interleaved order X_0, Z_0, X_1, Z_1, ...  A gate touches
 only the rows of its own wires, so applying it is a handful of word-wide
 XOR/AND operations on all 2n generators at once, whatever n is: each gate
-carries them as a straight-line kernel compiled from its update rule, which
-:meth:`Tableau._apply_gate` calls after checking the qubits.  The
-checks the compiler and the CLI make (letter and sign equality, the wire
-relabelling between two tableaux, the Pauli frame) also run on these rows.
-The generator-major boundary views (:meth:`Tableau.images`,
-:meth:`Tableau.from_images`, :func:`pretty`) read and set single row bits.
+carries them, and those of its inverse, as straight-line kernels compiled
+from its update rule, which :meth:`Tableau._apply_gate` calls after checking
+the qubits.
+
+A Clifford's inverse is again a tableau, so one simulation certifies two
+circuits against each other (:func:`certify`): b's inverse, then a, folded
+onto one tableau, leaves the map a b^-1.  It is a Pauli times a wire
+relabelling exactly when a and b agree up to a frame and a relabelling,
+and then every row is a single bit: the relabelling is read off the rows
+and the frame off the signs, with no solve.  The generator-major boundary
+views (:meth:`Tableau.images`, :meth:`Tableau.from_images`, :func:`pretty`)
+read and set single row bits.
 """
 
 from __future__ import annotations
@@ -87,15 +93,18 @@ class Tableau:
 
     # -- mutation (private, used by the builders below) ---------------------
 
-    def _apply_gate(self, gate: "GateDef", qubits: Sequence[int]) -> None:
+    def _apply_gate(
+        self, gate: "GateDef", qubits: Sequence[int], inverse: bool = False
+    ) -> None:
         n = self.n
+        kernel = gate.kernel_inv if inverse else gate.kernel
         if len(qubits) != gate.arity:
             raise ValueError(f"{gate.name} expects {gate.arity} qubits, got {len(qubits)}")
         if gate.arity == 1:
             (a,) = qubits
             if not 0 <= a < n:
                 raise ValueError(f"qubit {a} out of range for n={n}")
-            self._sign ^= gate.kernel(self._x, self._z, a)
+            self._sign ^= kernel(self._x, self._z, a)
             return
         a, b = qubits
         if a == b:
@@ -104,7 +113,7 @@ class Tableau:
             raise ValueError(f"qubit {a} out of range for n={n}")
         if not 0 <= b < n:
             raise ValueError(f"qubit {b} out of range for n={n}")
-        self._sign ^= gate.kernel(self._x, self._z, a, b)
+        self._sign ^= kernel(self._x, self._z, a, b)
 
     def relabel_wires(self, sigma: Sequence[int]) -> "Tableau":
         """Relabel image supports by sigma, leaving generator indices alone.
@@ -122,6 +131,27 @@ class Tableau:
         return Tableau(self.n, x, z, self._sign)
 
     # -- checks -------------------------------------------------------------
+
+    def _pauli_permutation(self) -> tuple[tuple[int, ...], PauliProduct] | None:
+        """``(permutation, frame)`` when this is a Pauli times a relabelling.
+
+        Such a map sends X_j to +-X_q and Z_j to +-Z_q with q =
+        permutation[j], so row q holds the single bits 2j (X) and 2j + 1 (Z).
+        X_j's sign flips where the frame has a Z (or Y) on q, Z_j's where it
+        has an X (or Y).  None when any row holds anything else.
+        """
+        n = self.n
+        signs = f"{self._sign:0{2 * n}b}"[::-1]  # signs[g]: generator g's sign bit
+        sigma = [0] * n
+        fx, fz = ["0"] * n, ["0"] * n
+        for q, (xq, zq) in enumerate(zip(self._x, self._z)):
+            g = xq.bit_length() - 1  # odd for an empty row too
+            if g & 1 or xq.bit_count() != 1 or zq.bit_length() != g + 2 or zq.bit_count() != 1:
+                return None
+            sigma[g >> 1] = q
+            fz[q], fx[q] = signs[g], signs[g + 1]
+        frame = PauliProduct(n, int("0" + "".join(fx)[::-1], 2), int("0" + "".join(fz)[::-1], 2))
+        return tuple(sigma), frame
 
     def is_symplectic(self) -> bool:
         """Pairwise (anti)commutation matches a valid generating set."""
@@ -157,6 +187,36 @@ def from_circuit(circuit: "Circuit") -> Tableau:
     return t
 
 
+def _between(a: "Circuit", b: "Circuit") -> Tableau | None:
+    """The tableau of b's inverse followed by a, the map a b^-1; None when
+    the two have different qubit counts."""
+    if a.n != b.n:
+        return None
+    t = identity(a.n)
+    for layer in reversed(b.layers):
+        for inst in layer:
+            t._apply_gate(inst.gate, inst.qubits, inverse=True)
+    for layer in a.layers:
+        for inst in layer:
+            t._apply_gate(inst.gate, inst.qubits)
+    return t
+
+
+def certify(a: "Circuit", b: "Circuit") -> tuple[tuple[int, ...], PauliProduct] | None:
+    """How circuit a differs from circuit b, from one simulation.
+
+    Returns ``(permutation, frame)`` when a equals b followed by a wire
+    relabelling and then a Pauli product: the relabelling takes b's wire j
+    to a's wire ``permutation[j]``, as :meth:`Tableau.relabel_wires` moves
+    image supports, and the frame (sign +1) acts on a's wires.  With the
+    identity permutation, a and b are equivalent up to the frame, and
+    equivalent outright when the frame is the identity too.  Returns None
+    when a and b differ in any other way, or in qubit count.
+    """
+    t = _between(a, b)
+    return None if t is None else t._pauli_permutation()
+
+
 def conjugate_product(t: Tableau, p: PauliProduct) -> PauliProduct:
     """Image of an arbitrary Pauli product under the tableau's circuit.
 
@@ -184,36 +244,6 @@ def conjugate_product(t: Tableau, p: PauliProduct) -> PauliProduct:
     return PauliProduct(n, acc.x, acc.z, 1 if exponent == 0 else -1)
 
 
-def equal_up_to_sign(t1: Tableau, t2: Tableau) -> tuple[bool, int | None]:
-    """Letter-exact equality; on success also the per-generator sign flips.
-
-    Returns ``(True, flips)`` when all supports and local Paulis match, where
-    bit g of the int ``flips`` is set exactly when the signs of generator g
-    disagree.  Returns ``(False, None)`` otherwise.
-    """
-    if t1.n != t2.n or t1._x != t2._x or t1._z != t2._z:
-        return False, None
-    return True, t1._sign ^ t2._sign
-
-
-def match_wires(t1: Tableau, t2: Tableau) -> tuple[int, ...] | None:
-    """The wire relabelling sigma making ``t2.relabel_wires(sigma)`` letter-equal to t1.
-
-    A relabelling moves whole qubit rows and leaves the signs alone.  The
-    [X|Z] matrix of a unitary tableau is invertible, so the row pairs
-    (x[q], z[q]) of t1 are distinct and sigma, when it exists, is unique:
-    one dictionary lookup per qubit of t2 finds it.  Returns None when no
-    relabelling makes the letters agree.
-    """
-    if t1.n != t2.n:
-        return None
-    wire_of = {pair: q for q, pair in enumerate(zip(t1._x, t1._z))}
-    sigma = tuple(wire_of.get(pair, -1) for pair in zip(t2._x, t2._z))
-    if -1 in sigma or len(set(sigma)) != t1.n:
-        return None
-    return sigma
-
-
 def describe_difference(t1: Tableau, t2: Tableau, name1: str, name2: str) -> str:
     """One line naming the first generator whose images differ, with both images.
 
@@ -237,48 +267,6 @@ def describe_difference(t1: Tableau, t2: Tableau, name1: str, name2: str) -> str
     if not letters:
         line += "; only signs differ, which a Pauli frame fixes"
     return line
-
-
-class FrameSolveError(ValueError):
-    """The frame system is inconsistent: the input was not a unitary tableau."""
-
-
-def solve_frame(t: Tableau, flips: int) -> PauliProduct:
-    """Pauli product F anticommuting with exactly the flagged generator images.
-
-    Bit g of ``flips`` flags generator g, in the order X_0, Z_0, X_1, ...
-
-    The images of a unitary tableau form a symplectic basis, so the GF(2)
-    system has the closed-form solution
-
-        F = prod_j image(X_j)^{flip(Z_j)} * image(Z_j)^{flip(X_j)}
-
-    (the symplectic pairing is the dual basis pairing).  On the qubit rows,
-    with m the flip mask with each (X_j, Z_j) bit pair swapped, F's letters
-    are F.x_q = parity(x[q] & m) and F.z_q = parity(z[q] & m).  The same
-    pass checks the result: the XOR of z[q] over F's X qubits and of x[q]
-    over its Z qubits is the set of generators F anticommutes with, and it
-    must equal the flip mask.  The result has sign +1; F is unique up to
-    global phase.
-    """
-    if flips < 0 or flips >> 2 * t.n:
-        raise ValueError(f"flip mask {flips:#x} must lie in 0 .. 2**{2 * t.n} - 1")
-    even = ((1 << 2 * t.n) - 1) // 3  # bits 0, 2, 4, ...: the X_j generators
-    m = ((flips & even) << 1) | ((flips >> 1) & even)
-    fx = fz = anticommuting = 0
-    for q, (xq, zq) in enumerate(zip(t._x, t._z)):
-        if (xq & m).bit_count() & 1:
-            fx |= 1 << q
-            anticommuting ^= zq
-        if (zq & m).bit_count() & 1:
-            fz |= 1 << q
-            anticommuting ^= xq
-    if anticommuting != flips:
-        raise FrameSolveError(
-            "no Pauli frame realises the requested sign flips; "
-            "generator images do not form a symplectic basis"
-        )
-    return PauliProduct(t.n, fx, fz)
 
 
 def pretty(t: Tableau) -> str:

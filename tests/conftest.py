@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from recliff import (
-    Circuit, FrameSolveError, PauliProduct, Tableau, commutes, conjugate_product, parse,
+    Circuit, Instruction, PauliProduct, Tableau, commutes, conjugate_product, from_circuit, parse,
 )
 from recliff.circuit import DIALECT_GATES
 from recliff.gates import builtin
@@ -137,6 +137,85 @@ def multiply(a: PauliProduct, b: PauliProduct) -> PauliProduct:
     return PauliProduct(a.n, a.x ^ b.x, a.z ^ b.z, sign)
 
 
+# ---------------------------------------------------------------------------
+# The two-tableau oracle: the checks `certify` replaced in the library, kept
+# row-native as they were, to compare its verdicts, frames and permutations.
+
+
+class FrameSolveError(ValueError):
+    """The frame system is inconsistent: the input was not a unitary tableau."""
+
+
+def equal_up_to_sign(t1: Tableau, t2: Tableau) -> tuple[bool, int | None]:
+    """Letter-exact equality; on success also the per-generator sign flips.
+
+    Returns ``(True, flips)`` when all supports and local Paulis match, where
+    bit g of the int ``flips`` is set exactly when the signs of generator g
+    disagree.  Returns ``(False, None)`` otherwise.
+    """
+    if t1.n != t2.n or t1._x != t2._x or t1._z != t2._z:
+        return False, None
+    return True, t1._sign ^ t2._sign
+
+
+def match_wires(t1: Tableau, t2: Tableau) -> tuple[int, ...] | None:
+    """The wire relabelling sigma making ``t2.relabel_wires(sigma)`` letter-equal to t1.
+
+    The [X|Z] matrix of a unitary tableau is invertible, so the row pairs
+    (x[q], z[q]) of t1 are distinct and sigma, when it exists, is unique.
+    Returns None when no relabelling makes the letters agree.
+    """
+    if t1.n != t2.n:
+        return None
+    wire_of = {pair: q for q, pair in enumerate(zip(t1._x, t1._z))}
+    sigma = tuple(wire_of.get(pair, -1) for pair in zip(t2._x, t2._z))
+    if -1 in sigma or len(set(sigma)) != t1.n:
+        return None
+    return sigma
+
+
+def solve_frame(t: Tableau, flips: int) -> PauliProduct:
+    """Pauli product F anticommuting with exactly the flagged generator images.
+
+    Bit g of ``flips`` flags generator g, in the order X_0, Z_0, X_1, ...  The
+    images form a symplectic basis, so F = prod_j image(X_j)^{flip(Z_j)} *
+    image(Z_j)^{flip(X_j)}; on the rows, with m the flip mask with each
+    (X_j, Z_j) bit pair swapped, F.x_q = parity(x[q] & m) and F.z_q =
+    parity(z[q] & m).  The same pass checks that F anticommutes with exactly
+    the flagged images.  The result has sign +1.
+    """
+    if flips < 0 or flips >> 2 * t.n:
+        raise ValueError(f"flip mask {flips:#x} must lie in 0 .. 2**{2 * t.n} - 1")
+    even = ((1 << 2 * t.n) - 1) // 3  # bits 0, 2, 4, ...: the X_j generators
+    m = ((flips & even) << 1) | ((flips >> 1) & even)
+    fx = fz = anticommuting = 0
+    for q, (xq, zq) in enumerate(zip(t._x, t._z)):
+        if (xq & m).bit_count() & 1:
+            fx |= 1 << q
+            anticommuting ^= zq
+        if (zq & m).bit_count() & 1:
+            fz |= 1 << q
+            anticommuting ^= xq
+    if anticommuting != flips:
+        raise FrameSolveError(
+            "no Pauli frame realises the requested sign flips; "
+            "generator images do not form a symplectic basis"
+        )
+    return PauliProduct(t.n, fx, fz)
+
+
+def oracle_certificate(a: Circuit, b: Circuit):
+    """``(permutation, frame)`` from two simulations, a wire match and a frame
+    solve, or None: what ``certify(a, b)`` must return."""
+    ta, t_b = from_circuit(a), from_circuit(b)
+    sigma = match_wires(ta, t_b)
+    if sigma is None:
+        return None
+    ok, flips = equal_up_to_sign(ta, t_b.relabel_wires(sigma))
+    assert ok
+    return sigma, solve_frame(ta, flips)
+
+
 def reference_solve_frame(images, flips: int):
     """The generator-major frame solve the row-native ``solve_frame`` replaced:
     multiply the images the closed form selects, then check commutation
@@ -234,3 +313,48 @@ def mutated_texts(draw):
             tokens[i:i + 1] = [] if op == "drop" else [tokens[i], tokens[i]]
             data = b" ".join(tokens)
     return data
+
+
+GATES_1Q = ("X", "Y", "Z", "H", "S", "S_DAG", "SQRT_X", "SQRT_X_DAG",
+            "H_XY", "H_YZ", "C_XYZ", "C_ZYX")
+GATES_2Q = ("CX", "CZ", "SQRT_XX", "ECR", "ISWAP", "CXSWAP", "CZSWAP", "SWAP")
+
+
+@st.composite
+def relabelled_pairs(draw, max_n=6, relabel=True):
+    """(A, B) where B is A followed by a SWAP network relabelling its output
+    wires (unless not ``relabel``), sometimes with one gate of B changed or
+    a Pauli layer appended."""
+    n = draw(st.integers(1, max_n))
+    layers = [[Instruction(builtin(draw(st.sampled_from(GATES_1Q))), (q,)) for q in range(n)]]
+    for _ in range(draw(st.integers(0, 6))):
+        order = draw(st.permutations(range(n)))
+        pairs = draw(st.integers(0, n // 2))
+        layer = [Instruction(builtin(draw(st.sampled_from(GATES_2Q))),
+                             (order[2 * i], order[2 * i + 1])) for i in range(pairs)]
+        layer += [Instruction(builtin(draw(st.sampled_from(GATES_1Q))), (q,))
+                  for q in order[2 * pairs:] if draw(st.booleans())]
+        if layer:
+            layers.append(layer)
+    a = Circuit(n, tuple(tuple(l) for l in layers))
+    wires = list(range(n))
+    swaps = []
+    for i, target in enumerate(draw(st.permutations(range(n))) if relabel else range(n)):
+        j = wires.index(target)
+        if j != i:
+            wires[i], wires[j] = wires[j], wires[i]
+            swaps.append((Instruction(builtin("SWAP"), (i, j)),))
+    b_layers = [list(l) for l in layers] + [list(l) for l in swaps]
+    change = draw(st.sampled_from(("none", "gate", "paulis")))
+    if change == "gate":
+        li = draw(st.integers(0, len(b_layers) - 1))
+        k = draw(st.integers(0, len(b_layers[li]) - 1))
+        old = b_layers[li][k]
+        names = GATES_1Q if old.gate.arity == 1 else GATES_2Q
+        name = draw(st.sampled_from([g for g in names if g != old.gate.name]))
+        b_layers[li][k] = Instruction(builtin(name), old.qubits)
+    elif change == "paulis":
+        b_layers.append([Instruction(builtin(draw(st.sampled_from("XYZ"))), (q,))
+                         for q in range(n) if draw(st.booleans())])
+    b = Circuit(n, tuple(tuple(l) for l in b_layers if l))
+    return a, b

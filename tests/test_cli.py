@@ -12,21 +12,21 @@ from hypothesis import given, settings, strategies as st
 
 import recliff
 from recliff import (
-    Circuit,
-    Instruction,
     SurfaceCodeSpec,
-    builtin,
     builtin_gateset,
     compile_with_iswap_heuristic,
     emit,
-    equal_up_to_sign,
     from_circuit,
     parse,
     surface_code_syndrome_extraction,
 )
 from recliff.cli import main
+from recliff.tableau import describe_difference
 
-from conftest import HUGE_TARGETS, WORKED_EXAMPLE_TEXT, mutated_texts, reference_solve_frame
+from conftest import (
+    HUGE_TARGETS, WORKED_EXAMPLE_TEXT, equal_up_to_sign, mutated_texts, reference_solve_frame,
+    relabelled_pairs,
+)
 
 
 @pytest.fixture
@@ -261,48 +261,60 @@ def brute_force_verdict(ta, t_b, up_to_frame):
     return 1, "not equivalent\n"
 
 
-GATES_1Q = ("X", "Y", "Z", "H", "S", "S_DAG", "SQRT_X", "SQRT_X_DAG",
-            "H_XY", "H_YZ", "C_XYZ", "C_ZYX")
-GATES_2Q = ("CX", "CZ", "SQRT_XX", "ECR", "ISWAP", "CXSWAP", "CZSWAP", "SWAP")
+def two_tableau_verdict(ta, t_b, up_to_frame, name_a, name_b):
+    """What verify printed when it compared the two tableaux directly,
+    without --up-to-permutation."""
+    if up_to_frame:
+        ok, flips = equal_up_to_sign(ta, t_b)
+        if ok:
+            return 0, f"equivalent up to frame {reference_solve_frame(ta.images(), flips)}\n"
+    elif ta == t_b:
+        return 0, "equivalent\n"
+    return 1, f"not equivalent: {describe_difference(ta, t_b, name_a, name_b)}\n"
 
 
-@st.composite
-def relabelled_pairs(draw, max_n=6):
-    """(A, B) where B is A followed by a SWAP network relabelling its output
-    wires, sometimes with one gate of B changed or a Pauli layer appended."""
-    n = draw(st.integers(1, max_n))
-    layers = [[Instruction(builtin(draw(st.sampled_from(GATES_1Q))), (q,)) for q in range(n)]]
-    for _ in range(draw(st.integers(0, 6))):
-        order = draw(st.permutations(range(n)))
-        pairs = draw(st.integers(0, n // 2))
-        layer = [Instruction(builtin(draw(st.sampled_from(GATES_2Q))),
-                             (order[2 * i], order[2 * i + 1])) for i in range(pairs)]
-        layer += [Instruction(builtin(draw(st.sampled_from(GATES_1Q))), (q,))
-                  for q in order[2 * pairs:] if draw(st.booleans())]
-        if layer:
-            layers.append(layer)
-    a = Circuit(n, tuple(tuple(l) for l in layers))
-    wires = list(range(n))
-    swaps = []
-    for i, target in enumerate(draw(st.permutations(range(n)))):
-        j = wires.index(target)
-        if j != i:
-            wires[i], wires[j] = wires[j], wires[i]
-            swaps.append((Instruction(builtin("SWAP"), (i, j)),))
-    b_layers = [list(l) for l in layers] + [list(l) for l in swaps]
-    change = draw(st.sampled_from(("none", "gate", "paulis")))
-    if change == "gate":
-        li = draw(st.integers(0, len(b_layers) - 1))
-        k = draw(st.integers(0, len(b_layers[li]) - 1))
-        old = b_layers[li][k]
-        names = GATES_1Q if old.gate.arity == 1 else GATES_2Q
-        name = draw(st.sampled_from([g for g in names if g != old.gate.name]))
-        b_layers[li][k] = Instruction(builtin(name), old.qubits)
-    elif change == "paulis":
-        b_layers.append([Instruction(builtin(draw(st.sampled_from("XYZ"))), (q,))
-                         for q in range(n) if draw(st.booleans())])
-    b = Circuit(n, tuple(tuple(l) for l in b_layers if l))
-    return a, b
+def run_verify(a, b, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        pa, pb = Path(tmp, "a.stim"), Path(tmp, "b.stim")
+        pa.write_text(emit(a))
+        pb.write_text(emit(b))
+        r = CliRunner().invoke(main, ["verify", str(pa), str(pb), *flags],
+                               catch_exceptions=False)
+    return (r.exit_code, r.output.replace(str(pa), "a.stim").replace(str(pb), "b.stim"))
+
+
+class TestVerifyAgainstTwoTableaux:
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(relabelled_pairs(), relabelled_pairs(relabel=False)),
+           st.booleans(), st.booleans())
+    def test_same_exit_and_line_without_permutation(self, pair, up_to_frame, swapped):
+        a, b = pair[::-1] if swapped else pair
+        flags = ["--up-to-frame"] if up_to_frame else []
+        want = two_tableau_verdict(from_circuit(a), from_circuit(b), up_to_frame,
+                                   "a.stim", "b.stim")
+        assert run_verify(a, b, flags) == want
+
+
+class TestVerifyWork:
+    @pytest.mark.parametrize("flags", [[], ["--up-to-frame"], ["--up-to-permutation"],
+                                       ["--up-to-frame", "--up-to-permutation"]])
+    def test_success_builds_one_tableau(self, monkeypatch, flags):
+        import recliff.tableau
+
+        built, blank = [], recliff.tableau.identity
+
+        def counted(n):
+            built.append(n)
+            return blank(n)
+
+        def refuse(circuit):
+            raise AssertionError("a circuit was simulated on its own")
+
+        monkeypatch.setattr(recliff.tableau, "identity", counted)
+        monkeypatch.setattr(recliff.tableau, "from_circuit", refuse)
+        a = parse(WORKED_EXAMPLE_TEXT)
+        code, out = run_verify(a, a, flags)
+        assert (code, built) == (0, [4]), out
 
 
 class TestWireMatchingAgainstSearch:
@@ -311,14 +323,8 @@ class TestWireMatchingAgainstSearch:
     def test_same_exit_and_line_as_relabelling_search(self, pair, up_to_frame):
         a, b = pair
         flags = ["--up-to-permutation"] + (["--up-to-frame"] if up_to_frame else [])
-        with tempfile.TemporaryDirectory() as tmp:
-            pa, pb = Path(tmp, "a.stim"), Path(tmp, "b.stim")
-            pa.write_text(emit(a))
-            pb.write_text(emit(b))
-            r = CliRunner().invoke(main, ["verify", str(pa), str(pb), *flags],
-                                   catch_exceptions=False)
         want = brute_force_verdict(from_circuit(a), from_circuit(b), up_to_frame)
-        assert (r.exit_code, r.output) == want
+        assert run_verify(a, b, flags) == want
 
 
 class TestQubitLimit:
@@ -348,6 +354,25 @@ class TestQubitLimit:
         r = invoke(runner, "verify", "--max-qubits", "5", str(six_qubits), str(six_qubits))
         assert r.exit_code == 3
         assert "6 qubits exceeds --max-qubits 5" in r.output
+
+    def test_show_tableau_over_limit_exit_3(self, runner, tmp_path, no_tableaux):
+        from recliff.cli import MAX_SHOWN_QUBITS
+
+        src = tmp_path / "wide.stim"
+        src.write_text(f"H {MAX_SHOWN_QUBITS}\n")
+        r = invoke(runner, "compile", "--target", "ecr", "--show-tableau", str(src))
+        assert r.exit_code == 3
+        assert r.output == (f"{src}: {MAX_SHOWN_QUBITS + 1} qubits exceeds the "
+                            f"--show-tableau limit of {MAX_SHOWN_QUBITS}\n")
+
+    def test_show_tableau_at_limit_runs(self, runner, six_qubits, monkeypatch):
+        monkeypatch.setattr("recliff.cli.MAX_SHOWN_QUBITS", 6)
+        r = invoke(runner, "compile", "--target", "ecr", "--show-tableau", str(six_qubits))
+        assert r.exit_code == 0
+        assert "# compiled tableau" in r.output
+        monkeypatch.setattr("recliff.cli.MAX_SHOWN_QUBITS", 5)
+        r = invoke(runner, "compile", "--target", "ecr", "--show-tableau", str(six_qubits))
+        assert r.exit_code == 3
 
     def test_at_limit_runs(self, runner, six_qubits):
         r = invoke(runner, "compile", "--target", "ecr", "--max-qubits", "6", str(six_qubits))

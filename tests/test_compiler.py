@@ -273,7 +273,7 @@ class TestFixConjugation:
         skel = skeleton(worked_example, gs)
         unfixed = Circuit(skel.n, skel.layers + (appends,))
         with pytest.raises(VerificationError):
-            extract_frame(unfixed, from_circuit(worked_example))
+            extract_frame(unfixed, worked_example)
 
     def test_error_names_first_disagreeing_generator(self, worked_example):
         gs = builtin_gateset("ecr", "class6")
@@ -281,7 +281,7 @@ class TestFixConjugation:
         got, want = from_circuit(skel).images(), from_circuit(worked_example).images()
         g = next(g for g, (a, b) in enumerate(zip(got, want)) if (a.x, a.z) != (b.x, b.z))
         with pytest.raises(VerificationError) as info:
-            extract_frame(skel, from_circuit(worked_example))
+            extract_frame(skel, worked_example)
         assert str(info.value) == (
             "compiled circuit does not match the target up to signs: "
             f"generator {'XZ'[g % 2]}{g // 2} maps to {got[g]} in the compiled circuit "
@@ -300,6 +300,7 @@ class TestClassCheckBuildsNoSkeleton:
         def refuse(*args):
             raise AssertionError("the pipeline went past the class check")
 
+        monkeypatch.setattr(recliff.tableau, "identity", refuse)
         monkeypatch.setattr(recliff.tableau, "from_circuit", refuse)
         monkeypatch.setattr(recliff.compiler, "_sweep", refuse)
 
@@ -388,15 +389,41 @@ class TestSabotagedConjugationFix:
         assert r.output.count("\n") == 1
 
 
+class TestSabotagedCertificate:
+    """A wrong permutation or a wrong folded layer is caught by the one
+    certificate tableau."""
+
+    @pytest.mark.parametrize("swap_mode", [False, True])
+    def test_wrong_permutation_rejected(self, monkeypatch, fan_out_circuit, swap_mode):
+        sweep = recliff.compiler._sweep
+
+        def reversed_labels(*args):
+            circuit, permutation = sweep(*args)
+            return circuit, permutation[::-1]
+
+        monkeypatch.setattr(recliff.compiler, "_sweep", reversed_labels)
+        gs = builtin_gateset("iswap" if swap_mode else "ecr")
+        compile_one = compile_with_iswap_heuristic if swap_mode else compile_circuit
+        with pytest.raises(VerificationError, match="does not match the target"):
+            compile_one(fan_out_circuit, gs)
+
+    def test_wrong_folded_layer_rejected(self, monkeypatch, worked_example):
+        real = recliff.compiler.builtin
+        monkeypatch.setattr(recliff.compiler, "builtin",
+                            lambda name: real({"X": "Z", "Z": "X"}.get(name, name)))
+        with pytest.raises(VerificationError, match="^frame folding did not produce"):
+            compile_circuit(worked_example, builtin_gateset("ecr"), frame_mode="fold")
+
+
 class TestExtractFrame:
     def test_worked_example_frame(self, worked_example):
         res = compile_circuit(worked_example, builtin_gateset("ecr", "s_sx"))
         assert str(res.frame) == "+X2"
-        assert extract_frame(res.circuit, from_circuit(worked_example)) == res.frame
+        assert extract_frame(res.circuit, worked_example) == res.frame
 
     def test_exact_compilation_gives_identity(self):
         source = parse("CX 0 1")
-        assert extract_frame(source, from_circuit(source)).is_identity()
+        assert extract_frame(source, source).is_identity()
 
     def test_random_cz_compilations_fold_validated(self):
         gs = builtin_gateset("cz", "s_sx")
@@ -410,7 +437,7 @@ class TestExtractFrame:
 
     def test_precondition_violated(self, worked_example):
         with pytest.raises(Exception):
-            extract_frame(parse("H 0"), from_circuit(parse("S 0")))
+            extract_frame(parse("H 0"), parse("S 0"))
 
 
 class TestCompile:
@@ -830,25 +857,42 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("frame_mode", ["report", "fold"])
     @pytest.mark.parametrize("target,swap_mode", [("ecr", False), ("iswap", True)])
-    def test_two_simulations_per_compile(self, monkeypatch, d5_text, frame_mode,
-                                         target, swap_mode):
+    def test_one_tableau_per_compile(self, monkeypatch, d5_text, frame_mode,
+                                     target, swap_mode):
         import recliff.tableau
 
-        calls = []
-        simulate = recliff.tableau.from_circuit
+        source = parse(d5_text)
+        built, simulated = [], []
+        blank, simulate = recliff.tableau.identity, recliff.tableau.from_circuit
 
-        def counted(circuit):
-            calls.append(circuit)
+        def counted_identity(n):
+            built.append(n)
+            return blank(n)
+
+        def counted_simulation(circuit):
+            simulated.append(circuit)
             return simulate(circuit)
 
-        monkeypatch.setattr(recliff.tableau, "from_circuit", counted)
-        source = parse(d5_text)
+        monkeypatch.setattr(recliff.tableau, "identity", counted_identity)
+        monkeypatch.setattr(recliff.tableau, "from_circuit", counted_simulation)
         compile_one = compile_with_iswap_heuristic if swap_mode else compile_circuit
         res = compile_one(source, builtin_gateset(target), frame_mode=frame_mode)
-        assert len(calls) == 2
+        assert built.count(source.n) == 1
+        assert simulated == []
         assert not res.frame.is_identity()  # so fold has a layer to apply
         if frame_mode == "fold":
             assert simulate(res.circuit) == simulate(source).relabel_wires(res.permutation)
+
+    def test_two_qubit_count_checked_against_the_class_check(self, monkeypatch, d5_text):
+        crosses = recliff.compiler._crosses_class
+
+        def one_more(*args):
+            virtual_swap, entanglers = crosses(*args)
+            return virtual_swap, entanglers + 1
+
+        monkeypatch.setattr(recliff.compiler, "_crosses_class", one_more)
+        with pytest.raises(VerificationError, match="^two-qubit count was not preserved$"):
+            compile_circuit(parse(d5_text), builtin_gateset("ecr"))
 
     @pytest.mark.parametrize("target,swap_mode", [("ecr", False), ("iswap", True)])
     def test_one_output_circuit_per_compile(self, monkeypatch, d5_text, target, swap_mode):

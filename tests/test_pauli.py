@@ -5,19 +5,18 @@ import numpy as np
 import pytest
 
 from recliff import (
-    FrameSolveError,
     Pauli,
     PauliProduct,
     Tableau,
+    certify,
     commutes,
-    solve_frame,
     support,
 )
 from recliff.pauli import _phase_exponent
 from recliff.tableau import from_circuit, identity
-from recliff import builtin, random_clifford_circuit, RandomCircuitSpec
+from recliff import Circuit, Instruction, builtin, random_clifford_circuit, RandomCircuitSpec
 
-from conftest import multiply, reference_solve_frame
+from conftest import FrameSolveError, multiply, reference_solve_frame, solve_frame
 from matrix_oracle import pauli_matrix
 
 
@@ -171,6 +170,9 @@ def _random_tableau(n, seed):
 
 
 class TestSolveFrame:
+    """The two-tableau oracle's frame solve, against brute force and the
+    generator-major reference."""
+
     def test_all_positive_gives_identity(self):
         t = _random_tableau(3, seed=5)
         f = solve_frame(t, 0)
@@ -234,6 +236,53 @@ class TestSolveFrame:
             solve_frame(Tableau.from_images(1, images), flips)
         with pytest.raises(FrameSolveError):
             reference_solve_frame(images, flips)
+
+
+class TestFrameReadout:
+    """The certificate reads the frame off its signs; the oracle solves it."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_every_sign_pattern_of_a_relabelling(self, n):
+        for sigma in itertools.permutations(range(n)):
+            rows = identity(n).relabel_wires(sigma)
+            for flips in range(2 ** (2 * n)):
+                t = Tableau(n, rows._x, rows._z, flips)
+                assert t._pauli_permutation() == (sigma, solve_frame(t, flips))
+
+    def test_random_sign_patterns(self):
+        rng = random.Random(78)
+        for n in (5, 17, 70):
+            sigma = tuple(rng.sample(range(n), n))
+            rows = identity(n).relabel_wires(sigma)
+            for _ in range(20):
+                flips = rng.getrandbits(2 * n)
+                t = Tableau(n, rows._x, rows._z, flips)
+                assert t._pauli_permutation() == (sigma, solve_frame(t, flips))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_appended_pauli_layer(self, n):
+        spec = RandomCircuitSpec(n=n, entangler_layers=3, seed=30 + n, entangler=builtin("CX"))
+        c = random_clifford_circuit(spec)
+        t = from_circuit(c)
+        for x in range(2 ** n):
+            for z in range(2 ** n):
+                frame = PauliProduct(n, x, z)
+                layer = tuple(Instruction(builtin(frame.local(q).letter), (q,))
+                              for q in support(frame))
+                framed = Circuit(n, c.layers + (layer,))
+                flips = t._sign ^ from_circuit(framed)._sign
+                assert certify(framed, c) == (tuple(range(n)), frame)
+                assert solve_frame(t, flips) == frame
+
+    def test_rows_that_are_not_single_bits(self):
+        assert Tableau(1, [0b11], [0b10], 0)._pauli_permutation() is None  # X0 -> Y0
+        assert Tableau(1, [0b10], [0b01], 0)._pauli_permutation() is None  # H
+        assert Tableau(1, [0], [0b11], 0)._pauli_permutation() is None
+        # Rows no unitary tableau has: the readout checks every row itself.
+        two_bit_x = Tableau(2, [0b0101, 0b0001], [0b1000, 0b0010], 0)
+        assert two_bit_x._pauli_permutation() is None
+        x_on_a_z_bit = Tableau(2, [0b0010, 0b0001], [0b0100, 0b0010], 0)
+        assert x_on_a_z_bit._pauli_permutation() is None
 
 
 # Exponent of i in the single-qubit product a*b, with Y = i*X*Z, indexed by

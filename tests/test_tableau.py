@@ -15,12 +15,12 @@ from recliff import (
     append_gate,
     builtin,
     builtin_gateset,
+    certify,
     commutes,
     compile_circuit,
     compile_with_iswap_heuristic,
     conjugate_product,
     emit,
-    equal_up_to_sign,
     from_circuit,
     identity,
     parse,
@@ -29,8 +29,8 @@ from recliff import (
     surface_code_syndrome_extraction,
 )
 from recliff.circuit import DIALECT_GATES
-from recliff.gates import GateDef, GateSet
-from recliff.tableau import describe_difference, match_wires
+from recliff.gates import NATIVE_SETS, TARGET_ENTANGLERS, GateDef, GateSet
+from recliff.tableau import describe_difference
 from recliff.cli import main as cli_main
 
 from conftest import (
@@ -41,10 +41,17 @@ from conftest import (
     WORKED_EXAMPLE_IMAGES,
     WORKED_EXAMPLE_TEXT,
     COMPILED_SIGNS,
+    GATES_1Q,
+    GATES_2Q,
+    equal_up_to_sign,
     images_tableau,
+    match_wires,
+    oracle_certificate,
     reference_lut,
+    relabelled_pairs,
 )
 from matrix_oracle import circuit_unitary, conjugate, pauli_matrix
+from test_golden import golden_sources
 
 
 def pp(text, n):
@@ -307,6 +314,40 @@ def composed_two_qubit_gates(draw):
     return GateDef("composed", 2, t)
 
 
+def inverse_gate(gate: GateDef) -> GateDef:
+    """The gate's inverse found by search: the image of generator P under
+    G^-1 is sQ for the product Q that G sends to sP."""
+    n = gate.arity
+    images = []
+    for g in range(2 * n):
+        want = (1 << g // 2, 0) if g % 2 == 0 else (0, 1 << g // 2)
+        images += [PauliProduct(n, x, z, img.sign)
+                   for x in range(2 ** n) for z in range(2 ** n)
+                   for img in [conjugate_product(gate.semantics, PauliProduct(n, x, z))]
+                   if (img.x, img.z) == want]
+    return GateDef(f"{gate.name}^-1", n, Tableau.from_images(n, images))
+
+
+def assert_inverse_kernel(gate: GateDef, rng: random.Random) -> None:
+    """The inverse kernel restores random rows and signs after the kernel,
+    and applies the rule of the searched inverse."""
+    inverse = inverse_gate(gate)
+    wires = tuple(range(gate.arity))
+    both = append_gate(append_gate(identity(gate.arity), gate, wires), inverse, wires)
+    assert both == identity(gate.arity)
+    for n in (2, 5, 70):
+        qubits = tuple(rng.sample(range(n), gate.arity))
+        t = random_rows(rng, n)
+        before = t.copy()
+        t._apply_gate(gate, qubits)
+        t._apply_gate(gate, qubits, inverse=True)
+        assert t == before
+        want = t.copy()
+        interpret_rule(want, inverse, qubits)
+        t._apply_gate(gate, qubits, inverse=True)
+        assert t == want
+
+
 def acceptance_corpus() -> list[Circuit]:
     """Sources and compiled outputs of the kinds the acceptance suite checks."""
     corpus = [parse(WORKED_EXAMPLE_TEXT), parse(FAN_OUT_TEXT)]
@@ -400,6 +441,15 @@ class TestGateKernels:
                   [Instruction(gate, (b, a))]]
         c = Circuit(n, tuple(map(tuple, layers)))
         assert from_circuit(c).images() == old_uint8_tableau(c)
+
+    @pytest.mark.parametrize("name", sorted(DIALECT_GATES))
+    def test_builtin_inverse_kernel_undoes_the_kernel(self, name):
+        assert_inverse_kernel(builtin(name), random.Random(name + "^-1"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(composed_two_qubit_gates(), st.randoms(use_true_random=False))
+    def test_composed_inverse_kernel_undoes_the_kernel(self, gate, rng):
+        assert_inverse_kernel(gate, rng)
 
     @pytest.mark.parametrize("name,qubits,message", [
         ("H", (), "expects 1 qubits"),
@@ -502,6 +552,51 @@ class TestRepresentation:
             "generator Z0 maps to +Z0 in a but to -Z0 in b; "
             "only signs differ, which a Pauli frame fixes")
         assert describe_difference(a, identity(3), "a", "b") == "a has 2 qubits but b has 3"
+
+
+class TestCertificateAgainstOracle:
+    """``certify`` gives the verdict, frame and permutation that two
+    simulations, a wire match and a frame solve give."""
+
+    def test_golden_corpus(self):
+        for source in golden_sources():
+            for target in sorted(TARGET_ENTANGLERS):
+                for natives in sorted(NATIVE_SETS):
+                    res = compile_with_iswap_heuristic(source, builtin_gateset(target, natives))
+                    cert = certify(res.circuit, source)
+                    assert cert == oracle_certificate(res.circuit, source)
+                    assert cert == (res.permutation, res.frame)
+
+    @settings(max_examples=150, deadline=None)
+    @given(relabelled_pairs())
+    def test_relabelled_pairs(self, pair):
+        a, b = pair
+        assert certify(a, b) == oracle_certificate(a, b)
+        assert certify(b, a) == oracle_certificate(b, a)
+
+    def test_single_gate_mutants_of_swap_mode_outputs(self):
+        rng = random.Random(12)
+        verdicts = set()
+        for seed in range(8):
+            source = random_clifford_circuit(RandomCircuitSpec(
+                n=3 + seed % 5, entangler_layers=4, seed=9100 + seed,
+                entangler=builtin(("CX", "CZ")[seed % 2])))
+            gs = builtin_gateset("iswap", ("s_sx", "class6")[seed % 2])
+            out = compile_with_iswap_heuristic(source, gs).circuit
+            for li, layer in enumerate(out.layers):
+                for k, inst in enumerate(layer):
+                    names = GATES_1Q if inst.gate.arity == 1 else GATES_2Q
+                    for name in rng.sample([g for g in names if g != inst.gate.name], 3):
+                        layers = [list(l) for l in out.layers]
+                        layers[li][k] = Instruction(builtin(name), inst.qubits)
+                        mutant = Circuit(out.n, tuple(map(tuple, layers)))
+                        cert = certify(mutant, source)
+                        assert cert == oracle_certificate(mutant, source)
+                        verdicts.add(cert is None)
+        assert verdicts == {True, False}
+
+    def test_sizes_differ(self):
+        assert certify(parse("H 0"), parse("H 1")) is None
 
 
 def test_verify_rejects_one_mutated_single_qubit_gate(tmp_path):
