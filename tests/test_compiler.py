@@ -857,8 +857,10 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("frame_mode", ["report", "fold"])
     @pytest.mark.parametrize("target,swap_mode", [("ecr", False), ("iswap", True)])
-    def test_one_tableau_per_compile(self, monkeypatch, d5_text, frame_mode,
-                                     target, swap_mode):
+    def test_two_simulations_per_compile(self, monkeypatch, d5_text, frame_mode,
+                                         target, swap_mode):
+        """The source's inverse and then the output are simulated onto one
+        n-qubit tableau; no circuit gets a tableau of its own."""
         import recliff.tableau
 
         source = parse(d5_text)
