@@ -20,8 +20,10 @@ single-qubit basis changes, placed by one layer builder:
     pure letter permutation; one basis change appended per wire removes it.
     Single-qubit layers never end up adjacent, so nothing needs fusing.
 3.  Native words.  The builder writes each basis change as its native word,
-    dropping the word's residual Pauli.  Words, insertion choices and the
-    native+SWAP composite depend only on the gateset and are kept on it.
+    dropping the word's residual Pauli.  Words and insertion choices depend
+    only on the gateset and are kept on it; a builtin gateset is shared, so
+    they are derived once per process.  The swap-insertion mode reads the
+    native's table with its output wires exchanged and builds no gate.
 4.  Frame.  The output is certified against the source on one tableau:
     the source's inverse, then the output, must leave a Pauli times the
     sweep's wire permutation (the identity outside the swap-insertion mode);
@@ -54,7 +56,6 @@ from .gates import (
     GateSet,
     builtin,
     class_gate_for_perm,
-    perm_invert,
 )
 from .reporting import Report, report
 
@@ -231,16 +232,15 @@ def _axis_letter(gate: GateDef, role: int) -> Pauli:
     return letter
 
 
-def _transfer_perms(source_gate: GateDef, working_gate: GateDef, ua: int, ub: int):
+def _transfer_perms(source_gate: GateDef, out_bits: Sequence[int], ua: int, ub: int):
     """Per-wire letter permutations after a matched entangler pair.
 
-    Computes m = bits(working) o (ua (x) ub) o bits(source)^-1 on the four
-    generators and extracts the wire-local permutations.  Locality holds
-    whenever the axis constraints were enforced beforehand.  Permutations
-    are indices into ``PERMS``.
+    Computes m = out_bits o (ua (x) ub) o bits(source)^-1, ``out_bits`` being
+    the working entangler's table, on the four generators and extracts the
+    wire-local permutations.  Locality holds whenever the axis constraints
+    were enforced beforehand.  Permutations are indices into ``PERMS``.
     """
     inv_src = source_gate.bits16_inv
-    out_bits = working_gate.bits16
     apply_a, apply_b = PERM_APPLY[ua], PERM_APPLY[ub]
 
     def run(key: int) -> int:
@@ -253,6 +253,9 @@ def _transfer_perms(source_gate: GateDef, working_gate: GateDef, ua: int, ub: in
     return PERM_INDEX[xa >> 2, za >> 2], PERM_INDEX[xb, zb]
 
 
+_UNDO = {p: PERM_INVERT[k] for k, p in enumerate(PERMS)}  # gate.perm -> inverse index
+
+
 def _sweep(
     source: Circuit, gs: GateSet, virtual_swap: bool
 ) -> tuple[Circuit, tuple[int, ...]]:
@@ -262,16 +265,18 @@ def _sweep(
     permutation does not carry the source gate's protected letter onto the
     native gate's, then appends to each wire the basis change undoing the
     permutation left on it.  With ``virtual_swap`` the working entangler is
-    the native entangler followed by a SWAP; none is emitted, the pair's
-    output labels are exchanged instead.  The permutation sends each source
-    wire to its output wire; it is the identity otherwise.
+    the native followed by a SWAP: the native's table with its output wires
+    exchanged, and the native's one-local letters.  No SWAP is emitted; the
+    pair's output labels are exchanged instead.  The permutation sends each
+    source wire to its output wire; it is the identity otherwise.
     """
     n = source.n
     native = gs.entangler
-    working_gate = gs._swap_composite if virtual_swap else native
-    want_a, want_b = _axis_letter(working_gate, 0), _axis_letter(working_gate, 1)
+    working_bits = native.bits16
+    if virtual_swap:
+        working_bits = tuple((t & 3) << 2 | t >> 2 for t in working_bits)
+    want_a, want_b = _axis_letter(native, 0), _axis_letter(native, 1)
     insertions = gs._insertions
-    undo = {p: PERM_INDEX[perm_invert(p)] for p in PERMS}  # gate.perm -> inverse index
     axes: dict[GateDef, tuple[Pauli, Pauli]] = {}
     transfers: dict[tuple, tuple[int, int]] = {}
 
@@ -283,7 +288,7 @@ def _sweep(
         for inst in layer:
             if inst.gate.arity == 1:
                 q = inst.qubits[0]
-                u[q] = PERM_COMPOSE[u[q]][undo[inst.gate.perm]]
+                u[q] = PERM_COMPOSE[u[q]][_UNDO[inst.gate.perm]]
             else:
                 entanglers.append(inst)
         if not entanglers:
@@ -306,7 +311,7 @@ def _sweep(
             a, b = inst.qubits
             key = (inst.gate, u[a], u[b])
             if key not in transfers:
-                transfers[key] = _transfer_perms(inst.gate, working_gate, u[a], u[b])
+                transfers[key] = _transfer_perms(inst.gate, working_bits, u[a], u[b])
             u[a], u[b] = transfers[key]
             if virtual_swap:
                 label[a], label[b] = label[b], label[a]
@@ -419,11 +424,11 @@ def compile_with_iswap_heuristic(
 ) -> CompilationResult:
     """Cross-class compilation via virtual SWAP insertion.
 
-    A SWAP after each native entangler makes the composite match the source's
-    entangler class.  The standard pipeline runs against the composites, but
-    emits only the native entangler and relabels the pair's later gates in
-    place of the SWAP.  The result verifies against the target up to signs
-    and the accumulated wire relabelling, which the result carries.  Same-class
-    sources compile as in :func:`compile_circuit`.
+    A SWAP after each native entangler makes the pair match the source's
+    entangler class.  The standard pipeline runs against the native's table
+    with its output wires exchanged, but emits only the native entangler and
+    relabels the pair's later gates in place of the SWAP.  The result
+    verifies against the target up to signs and the wire relabelling it
+    carries.  Same-class sources compile as in :func:`compile_circuit`.
     """
     return _compile(source, gs, frame_mode, True)

@@ -51,11 +51,6 @@ def perm_compose(p: LetterPerm, q: LetterPerm) -> LetterPerm:
     return (perm_apply(p, q[0]), perm_apply(p, q[1]))
 
 
-def perm_invert(p: LetterPerm) -> LetterPerm:
-    inv = {perm_apply(p, c): c for c in (Pauli.X, Pauli.Y, Pauli.Z)}
-    return (inv[Pauli.X], inv[Pauli.Z])
-
-
 def _update_rule(table: Sequence[int], signs: Sequence[int]) -> tuple:
     """Bitwise tableau update ``(linear, sign_terms)`` read off a gate's table.
 
@@ -278,7 +273,7 @@ PERMS: tuple[LetterPerm, ...] = tuple(g.perm for g in CLASS_GATES)
 PERM_INDEX = {p: i for i, p in enumerate(PERMS)}
 PERM_APPLY = tuple(tuple(perm_apply(p, code) for code in range(4)) for p in PERMS)
 PERM_COMPOSE = tuple(tuple(PERM_INDEX[perm_compose(p, q)] for q in PERMS) for p in PERMS)
-PERM_INVERT = tuple(PERM_INDEX[perm_invert(p)] for p in PERMS)
+PERM_INVERT = tuple(row.index(0) for row in PERM_COMPOSE)  # 0 is the identity
 
 
 def class_gate_for_perm(perm: LetterPerm) -> GateDef:
@@ -322,7 +317,8 @@ class GateSet:
                 f"(got {len(reached)} of 6 classes)"
             )
 
-    # Derived once per gateset and kept on it, so they live as long as it does.
+    # Derived once per gateset and kept on it, so they live as long as it
+    # does; a builtin gateset is shared, so once per process.
 
     @cached_property
     def _class_words(self) -> tuple[tuple[tuple[GateDef, ...], PauliProduct], ...]:
@@ -346,13 +342,6 @@ class GateSet:
             )
             for have in letters for want in letters
         }
-
-    @cached_property
-    def _swap_composite(self) -> GateDef:
-        """The entangler followed by a SWAP on the same pair, as one gate."""
-        t = tb.append_gate(tb.identity(2), self.entangler, (0, 1))
-        t = tb.append_gate(t, builtin("SWAP"), (0, 1))
-        return GateDef(f"{self.entangler.name}+SWAP", 2, t)
 
 
 def decompose_single_qubit(
@@ -408,16 +397,22 @@ NATIVE_SETS = {
 }
 
 
+_GATESETS: dict[tuple[str, str], GateSet] = {}  # filled on first use
+
+
 def builtin_gateset(target: str, natives: str = "s_sx") -> GateSet:
-    """A named gateset, e.g. ``builtin_gateset("ecr", "s_sx")``."""
+    """A named gateset, e.g. ``builtin_gateset("ecr", "s_sx")``: one shared
+    gateset per name pair, as :func:`builtin` returns one gate per name."""
+    if (target, natives) in _GATESETS:
+        return _GATESETS[target, natives]
     if target not in TARGET_ENTANGLERS:
         raise ValueError(f"unknown target gateset {target!r}; "
                          f"choose from {sorted(TARGET_ENTANGLERS)}")
     if natives not in NATIVE_SETS:
         raise ValueError(f"unknown native set {natives!r}; "
                          f"choose from {sorted(NATIVE_SETS)}")
-    return GateSet(
+    return _GATESETS.setdefault((target, natives), GateSet(
         name=target,
         entangler=builtin(TARGET_ENTANGLERS[target]),
         single_qubit_natives=tuple(builtin(n) for n in NATIVE_SETS[natives]),
-    )
+    ))

@@ -928,6 +928,58 @@ class TestWorkCounts:
             compile_circuit(source, gs)
         assert len(calls) <= 6
 
+    def test_no_gate_built_inside_a_compile(self, monkeypatch, d5_text):
+        """Builtin gates and gatesets are shared, and the swap-insertion mode
+        reads the native's table with its wires exchanged: no compile, in
+        either mode, defines a gate."""
+        cx_source = parse(d5_text)
+        iswap_source = compile_with_iswap_heuristic(cx_source, builtin_gateset("iswap")).circuit
+        calls = []
+
+        def counted(self, *args, define=GateDef.__init__):
+            calls.append(args[0])
+            define(self, *args)
+
+        monkeypatch.setattr(GateDef, "__init__", counted)
+        GateDef("CZ2", 2, builtin("CZ").semantics)
+        assert calls == ["CZ2"]  # the counter sees public calls
+        calls.clear()
+        for target in sorted(TARGET_ENTANGLERS):
+            for natives in sorted(NATIVE_SETS):
+                gs = builtin_gateset(target, natives)
+                for source, cls in ((cx_source, "cx_like"), (iswap_source, "iswap_like")):
+                    if gs.entangler.entangler_class == cls:
+                        compile_circuit(source, gs)
+                    compile_with_iswap_heuristic(source, gs, frame_mode="fold")
+        assert calls == []
+
+    def test_builtin_gatesets_are_shared(self):
+        for target in TARGET_ENTANGLERS:
+            for natives in NATIVE_SETS:
+                assert builtin_gateset(target, natives) is builtin_gateset(target, natives)
+        assert builtin_gateset("ecr") is builtin_gateset("ecr", "s_sx")
+
+    def test_class_words_derived_once_across_cli_requests(self, monkeypatch, tmp_path):
+        import recliff.gates
+
+        calls = []
+        decompose = recliff.gates.decompose_single_qubit
+
+        def counted(g, natives):
+            calls.append(g)
+            return decompose(g, natives)
+
+        monkeypatch.setattr(recliff.gates, "decompose_single_qubit", counted)
+        # Start from no shared gatesets, so the first request derives the words.
+        monkeypatch.setattr(recliff.gates, "_GATESETS", {}, raising=False)
+        src = tmp_path / "fan_out.stim"
+        src.write_text(FAN_OUT_TEXT)
+        for _ in range(2):
+            r = CliRunner().invoke(main, ["compile", "--target", "iswap", "--natives", "class6",
+                                          "--iswap-heuristic", str(src)])
+            assert r.exit_code == 0, r.output
+        assert len(calls) == 6  # the six class words, for the first request only
+
     def test_gatesets_do_not_accumulate(self):
         import gc
 

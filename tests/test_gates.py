@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import recliff.compiler
 from recliff import (
     GateSet,
     Pauli,
@@ -10,12 +11,14 @@ from recliff import (
     append_gate,
     builtin,
     builtin_gateset,
+    compile_with_iswap_heuristic,
     conjugate_product,
     decompose_single_qubit,
     identity,
+    parse,
 )
 from recliff.circuit import DIALECT_GATES
-from recliff.gates import GateDef
+from recliff.gates import TARGET_ENTANGLERS, GateDef
 
 from conftest import ECR_IMAGES, SQRT_XX_IMAGES, images_tableau, reference_lut
 from matrix_oracle import UNITARIES, conjugate, pauli_matrix
@@ -294,6 +297,36 @@ class TestAgainstGeneratorMajorDefinition:
         fixed, one_local = old_wire_letters(g)
         assert [g.one_local_letter(w) for w in (0, 1)] == one_local
         assert g.entangler_class == old_classify(g, fixed)
+
+
+class TestSwapInsertionTable:
+    """The swap-insertion sweep reads the native's table with its output
+    wires exchanged in place of the native+SWAP composite gate."""
+
+    @pytest.mark.parametrize("target", sorted(TARGET_ENTANGLERS))
+    def test_matches_the_composite(self, monkeypatch, target):
+        native = builtin_gateset(target).entangler
+        t = append_gate(append_gate(identity(2), native, (0, 1)), builtin("SWAP"), (0, 1))
+        composite = GateDef(f"{native.name}+SWAP", 2, t)
+        assert composite.bits16 == tuple((b & 3) << 2 | b >> 2 for b in native.bits16)
+        assert [composite.one_local_letter(w) for w in (0, 1)] == \
+            [native.one_local_letter(w) for w in (0, 1)]
+        other = {"cx_like": "iswap_like", "iswap_like": "cx_like"}
+        assert composite.entangler_class == other[native.entangler_class]
+
+        tables = []
+        transfer = recliff.compiler._transfer_perms
+
+        def counted(source_gate, out_bits, ua, ub):
+            tables.append(out_bits)
+            return transfer(source_gate, out_bits, ua, ub)
+
+        monkeypatch.setattr(recliff.compiler, "_transfer_perms", counted)
+        source_gate = "CX" if native.entangler_class == "iswap_like" else "ISWAP"
+        source = parse(f"H 0\nTICK\n{source_gate} 0 1\nTICK\n{source_gate} 1 2\n")
+        res = compile_with_iswap_heuristic(source, builtin_gateset(target))
+        assert res.permutation != (0, 1, 2)  # the swap-insertion mode ran
+        assert tables and all(table == composite.bits16 for table in tables)
 
 
 class TestGateSet:
