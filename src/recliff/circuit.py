@@ -10,10 +10,11 @@ target longer than Python converts from text (4,300 digits) is an error.
 
 The public :class:`Instruction` and :class:`Circuit` constructors check
 arity, repeats, range and layer disjointness.  The parser checks each line
-once, at the cost of one gate-table lookup and a few string methods, and the
-compiler's stages build only from valid parts, so both skip those checks
-(:func:`_instruction`, :func:`_circuit`); the verification tableau still
-checks every gate's qubits as it applies it.
+once: a line as :func:`emit` writes it costs a partition, a gate-table
+lookup and an ``int`` per target, and any other line a split.  The parser
+and the compiler's stages, which build only from valid parts, skip the
+constructors' checks (:func:`_instruction`, :func:`_circuit`); the
+verification tableau still checks every gate's qubits as it applies it.
 """
 
 from __future__ import annotations
@@ -139,7 +140,11 @@ def parse(text: str) -> Circuit:
     """Parse dialect text into a circuit.
 
     Lines are split at ``"\\n"`` only.  Outside ``#`` comments the text must
-    be ASCII, and qubit targets are ASCII decimal digits.
+    be ASCII, and qubit targets are ASCII decimal digits.  In ASCII text a
+    canonical line (``NAME q``, ``NAME a b`` or ``TICK``, single spaces) that
+    reuses no qubit is read at once; every other line (comments, tabs, ``\\r``,
+    extra spaces, several pairs, ``QUBIT_COORDS``, errors, targets ``int``
+    refuses) takes the general path, with the same result or error.
     """
     ascii_text = text.isascii()
     layer: list[Instruction] = []
@@ -147,6 +152,33 @@ def parse(text: str) -> Circuit:
     used: set[int] = set()
     useds = [used]
     for lineno, raw in enumerate(text.split("\n"), start=1):
+        if ascii_text:  # the canonical lines emit writes: NAME q, NAME a b, TICK
+            name, _, rest = raw.partition(" ")
+            gate = _GATES.get(name)
+            try:
+                if gate is None:
+                    if raw == "TICK":
+                        layers.append(layer := [])
+                        useds.append(used := set())
+                        continue
+                elif gate.arity == 1:
+                    if rest.isdigit() and (a := int(rest)) not in used:
+                        used.add(a)
+                        inst = _new(Instruction)  # _instruction inlined: the commonest line
+                        _set_gate(inst, gate)
+                        _set_qubits(inst, (a,))
+                        layer.append(inst)
+                        continue
+                else:
+                    a, _, b = rest.partition(" ")
+                    if (a.isdigit() and b.isdigit() and (a := int(a)) != (b := int(b))
+                            and a not in used and b not in used):
+                        used.add(a)
+                        used.add(b)
+                        layer.append(_instruction(gate, (a, b)))
+                        continue
+            except ValueError:  # past sys.get_int_max_str_digits(): said below
+                pass
         if "#" in raw:
             raw = raw.partition("#")[0]
         if not ascii_text and not raw.isascii():
@@ -184,10 +216,7 @@ def parse(text: str) -> Circuit:
                 if q in used:
                     raise ParseError(f"line {lineno}: qubit {q} reused within a layer")
                 used.add(q)
-                inst = _new(Instruction)  # _instruction inlined: the commonest line
-                _set_gate(inst, gate)
-                _set_qubits(inst, (q,))
-                layer.append(inst)
+                layer.append(_instruction(gate, (q,)))
         elif len(qs) & 1:
             raise ParseError(f"line {lineno}: odd number of targets for {gate.name}")
         else:

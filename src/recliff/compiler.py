@@ -376,8 +376,7 @@ def _compile(
         # The folded layer's tableau is the certificate with the frame's
         # Pauli gates applied, so the whole output is not simulated again.
         layer = [_instruction(builtin(frame.local(q).letter), (q,)) for q in support(frame)]
-        for inst in layer:
-            t._apply_gate(inst.gate, inst.qubits)
+        t._apply_layers((layer,))
         if layer:
             final = _circuit(final.n, final.layers + (layer,))
         if t._sign:

@@ -122,21 +122,18 @@ class PauliProduct:
         head = "+" if self.sign > 0 else "-"
         if self.is_identity():
             return head + "I"
-        terms = [f"{self.local(j).letter}{j}" for j in support(self)]
-        return head + "*".join(terms)
+        # Bit strings, least significant first, read each term in O(1).
+        xs, zs = f"{self.x:0{self.n}b}"[::-1], f"{self.z:0{self.n}b}"[::-1]
+        return head + "*".join([f"{_LETTERS[xs[j], zs[j]]}{j}" for j in support(self)])
+
+
+_LETTERS = {("1", "0"): "X", ("0", "1"): "Z", ("1", "1"): "Y"}
 
 
 def support(p: PauliProduct) -> tuple[int, ...]:
     """Qubit indices where the product is non-identity, ascending."""
-    bits = p.x | p.z
-    out = []
-    j = 0
-    while bits:
-        if bits & 1:
-            out.append(j)
-        bits >>= 1
-        j += 1
-    return tuple(out)
+    bits = f"{p.x | p.z:b}"[::-1]  # bit j at index j: one linear pass
+    return tuple([j for j, bit in enumerate(bits) if bit == "1"])
 
 
 def commutes(a: PauliProduct, b: PauliProduct) -> bool:

@@ -13,8 +13,10 @@ numbered in the interleaved order X_0, Z_0, X_1, Z_1, ...  A gate touches
 only the rows of its own wires, so applying it is a handful of word-wide
 XOR/AND operations on all 2n generators at once, whatever n is: each gate
 carries them, and those of its inverse, as straight-line kernels compiled
-from its update rule, which :meth:`Tableau._apply_gate` calls after checking
-the qubits.
+from its update rule.  :meth:`Tableau._apply_layers` applies a whole circuit
+in one loop and checks each gate's qubits before calling its kernel; every
+builder here, and :meth:`Tableau._apply_gate` for a single gate, goes
+through it, so those checks are written once.
 
 A Clifford's inverse is again a tableau, so one simulation certifies two
 circuits against each other (:func:`certify`): b's inverse, then a, folded
@@ -28,13 +30,17 @@ read and set single row bits.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from collections import namedtuple
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .pauli import PauliProduct, _phase_exponent, commutes
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .circuit import Circuit
+    from .circuit import Circuit, Instruction
     from .gates import GateDef
+
+
+_Step = namedtuple("_Step", "gate qubits")  # a lone gate, shaped as an instruction
 
 
 class Tableau:
@@ -93,27 +99,42 @@ class Tableau:
 
     # -- mutation (private, used by the builders below) ---------------------
 
-    def _apply_gate(
-        self, gate: "GateDef", qubits: Sequence[int], inverse: bool = False
+    def _apply_gate(self, gate: GateDef, qubits: Sequence[int], inverse: bool = False) -> None:
+        self._apply_layers(((_Step(gate, qubits),),), inverse)
+
+    def _apply_layers(
+        self, layers: Sequence[Iterable[Instruction]], inverse: bool = False
     ) -> None:
-        n = self.n
-        kernel = gate.kernel_inv if inverse else gate.kernel
-        if len(qubits) != gate.arity:
-            raise ValueError(f"{gate.name} expects {gate.arity} qubits, got {len(qubits)}")
-        if gate.arity == 1:
-            (a,) = qubits
-            if not 0 <= a < n:
-                raise ValueError(f"qubit {a} out of range for n={n}")
-            self._sign ^= kernel(self._x, self._z, a)
-            return
-        a, b = qubits
-        if a == b:
-            raise ValueError(f"duplicate qubit in {gate.name} {qubits}")
-        if not 0 <= a < n:
-            raise ValueError(f"qubit {a} out of range for n={n}")
-        if not 0 <= b < n:
-            raise ValueError(f"qubit {b} out of range for n={n}")
-        self._sign ^= kernel(self._x, self._z, a, b)
+        """Fold the layers' gates onto the output side in time order, or with
+        ``inverse`` their inverses from the last layer back.  Each gate's arity,
+        distinct qubits and range are checked before its kernel runs, so a
+        rejected gate changes nothing, though the gates before it stay applied.
+        """
+        n, xs, zs, sign = self.n, self._x, self._z, self._sign
+        try:
+            for layer in reversed(layers) if inverse else layers:
+                for inst in layer:
+                    gate, qubits = inst.gate, inst.qubits
+                    kernel = gate.kernel_inv if inverse else gate.kernel
+                    if len(qubits) != gate.arity:
+                        raise ValueError(
+                            f"{gate.name} expects {gate.arity} qubits, got {len(qubits)}")
+                    if gate.arity == 1:
+                        (a,) = qubits
+                        if not 0 <= a < n:
+                            raise ValueError(f"qubit {a} out of range for n={n}")
+                        sign ^= kernel(xs, zs, a)
+                        continue
+                    a, b = qubits
+                    if a == b:
+                        raise ValueError(f"duplicate qubit in {gate.name} {qubits}")
+                    if not 0 <= a < n:
+                        raise ValueError(f"qubit {a} out of range for n={n}")
+                    if not 0 <= b < n:
+                        raise ValueError(f"qubit {b} out of range for n={n}")
+                    sign ^= kernel(xs, zs, a, b)
+        finally:
+            self._sign = sign
 
     def relabel_wires(self, sigma: Sequence[int]) -> "Tableau":
         """Relabel image supports by sigma, leaving generator indices alone.
@@ -181,9 +202,7 @@ def append_gate(t: Tableau, gate: "GateDef", qubits: Sequence[int]) -> Tableau:
 def from_circuit(circuit: "Circuit") -> Tableau:
     """Fold every instruction of the circuit, in time order, over identity(n)."""
     t = identity(circuit.n)
-    for layer in circuit.layers:
-        for inst in layer:
-            t._apply_gate(inst.gate, inst.qubits)
+    t._apply_layers(circuit.layers)
     return t
 
 
@@ -193,12 +212,8 @@ def _between(a: "Circuit", b: "Circuit") -> Tableau | None:
     if a.n != b.n:
         return None
     t = identity(a.n)
-    for layer in reversed(b.layers):
-        for inst in layer:
-            t._apply_gate(inst.gate, inst.qubits, inverse=True)
-    for layer in a.layers:
-        for inst in layer:
-            t._apply_gate(inst.gate, inst.qubits)
+    t._apply_layers(b.layers, inverse=True)
+    t._apply_layers(a.layers)
     return t
 
 

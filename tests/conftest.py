@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from recliff import (
-    Circuit, Instruction, PauliProduct, Tableau, commutes, conjugate_product, from_circuit, parse,
+    Circuit, Instruction, ParseError, PauliProduct, Tableau, commutes, conjugate_product,
+    from_circuit, parse,
 )
-from recliff.circuit import DIALECT_GATES
+from recliff.circuit import _GATES, DIALECT_GATES, _circuit, _instruction
 from recliff.gates import builtin
 from recliff.pauli import _phase_exponent
 
@@ -232,6 +233,70 @@ def reference_solve_frame(images, flips: int):
         if commutes(f, img) == bool((flips >> g) & 1):
             raise FrameSolveError("generator images do not form a symplectic basis")
     return f
+
+
+# ---------------------------------------------------------------------------
+# The parser as it was before its canonical-line branch: one split, one
+# gate-table lookup and one isdigit per line.  The library's must agree with
+# it on every text, circuits and error messages alike.
+
+
+def oracle_parse(text: str) -> Circuit:
+    ascii_text = text.isascii()
+    layer: list[Instruction] = []
+    layers = [layer]
+    used: set[int] = set()
+    useds = [used]
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        if "#" in raw:
+            raw = raw.partition("#")[0]
+        if not ascii_text and not raw.isascii():
+            raise ParseError(f"line {lineno}: non-ASCII character outside a comment")
+        tokens = raw.split()
+        if not tokens:
+            continue
+        gate = _GATES.get(tokens[0])
+        if gate is None:
+            name = tokens[0]
+            if name == "TICK":
+                if len(tokens) > 1:
+                    raise ParseError(f"line {lineno}: TICK takes no arguments")
+                layers.append(layer := [])
+                useds.append(used := set())
+                continue
+            if name.partition("(")[0] == "QUBIT_COORDS":
+                continue
+            if "(" in name:
+                raise ParseError(f"line {lineno}: parametric gate {name!r} not supported")
+            raise ParseError(f"line {lineno}: unknown or unsupported gate {name!r}")
+        del tokens[0]
+        if not "".join(tokens).isdigit():
+            if tokens:
+                raise ParseError(f"line {lineno}: malformed qubit target in {raw.strip()!r}")
+            raise ParseError(f"line {lineno}: {gate.name} needs at least one target")
+        try:
+            qs = [int(tokens[0])] if len(tokens) == 1 else [*map(int, tokens)]
+        except ValueError:
+            raise ParseError(f"line {lineno}: qubit target of "
+                             f"{max(map(len, tokens))} digits is too long") from None
+        if gate.arity == 1:
+            for q in qs:
+                if q in used:
+                    raise ParseError(f"line {lineno}: qubit {q} reused within a layer")
+                used.add(q)
+                layer.append(_instruction(gate, (q,)))
+        elif len(qs) & 1:
+            raise ParseError(f"line {lineno}: odd number of targets for {gate.name}")
+        else:
+            for pair in zip(qs[::2], qs[1::2]):
+                if pair[0] == pair[1]:
+                    raise ParseError(f"line {lineno}: repeated qubit within a pair")
+                for q in pair:
+                    if q in used:
+                        raise ParseError(f"line {lineno}: qubit {q} reused within a layer")
+                    used.add(q)
+                layer.append(_instruction(gate, pair))
+    return _circuit(1 + max(map(max, filter(None, useds)), default=-1), layers)
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,9 @@ from recliff import (
 )
 from recliff.circuit import DIALECT_GATES, _circuit, _instruction
 
-from conftest import HUGE_TARGETS, WORKED_EXAMPLE_TEXT, dialect_texts, mutated_texts
+from conftest import (
+    HUGE_TARGETS, WORKED_EXAMPLE_TEXT, dialect_texts, mutated_texts, oracle_parse,
+)
 
 
 # The parser and emitter as they were before the one-lookup-per-line
@@ -379,3 +382,94 @@ class TestPublicConstructorsStillCheck:
         else:
             c = Circuit(n, layers)
             assert sum(map(len, c.layers)) == sum(map(len, layers))
+
+
+# Canonical lines, as emit writes them, and the same lines perturbed: every
+# perturbation must send the line down the general path or give the same
+# circuit there.  LONG_TARGET is over the lowered int() limit below but
+# within the default one.
+
+LOWERED_INT_DIGITS = 640  # the smallest limit sys.set_int_max_str_digits takes
+LONG_TARGET = "1" + "0" * LOWERED_INT_DIGITS
+
+_PERTURBATIONS = {
+    "double space": lambda line, q: line.replace(" ", "  ", 1),
+    "tab": lambda line, q: line.replace(" ", "\t", 1),
+    "carriage return": lambda line, q: line + "\r",
+    "trailing space": lambda line, q: line + " ",
+    "comment": lambda line, q: line + " # note",
+    "commented out": lambda line, q: "#" + line,
+    "non-ASCII comment": lambda line, q: line + " # q\u00fcbit",
+    "leading zeros": lambda line, q: line.replace(" ", " 00", 1),
+    "CNOT": lambda line, q: line.replace("CX ", "CNOT ", 1),
+    "another target": lambda line, q: f"{line} {q}",
+    "another pair": lambda line, q: f"{line} {q} {q + 1}",
+    "TICK with a space": lambda line, q: "TICK ",
+    "repeated qubit": lambda line, q: f"{line.split()[0]} {q} {q}",
+    "unknown name": lambda line, q: "FOO" + line,
+    "parametric": lambda line, q: line.replace(" ", "(0.5) ", 1),
+    "QUBIT_COORDS": lambda line, q: f"QUBIT_COORDS(1, 2) {q}",
+    "4,301 digits": lambda line, q: f"{line.split()[0]} {HUGE_TARGETS[1]}",
+    "long target": lambda line, q: f"{line.split()[0]} {LONG_TARGET}",
+    "long pair": lambda line, q: f"{line.split()[0]} {q} {LONG_TARGET}",
+}
+
+
+@st.composite
+def perturbed_canonical_texts(draw):
+    """Text of canonical lines over a few qubits, so qubits are reused within
+    layers, with some lines perturbed; and whether to parse it under the
+    lowered int() limit."""
+    n = draw(st.integers(1, 5))
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("TICK")
+            continue
+        gate = builtin(draw(gate_names))
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=gate.arity, max_size=gate.arity))
+        line = " ".join([gate.name, *map(str, qubits)])
+        if draw(st.integers(0, 3)) == 0:
+            line = _PERTURBATIONS[draw(st.sampled_from(sorted(_PERTURBATIONS)))](
+                line, draw(st.integers(0, n)))
+        lines.append(line)
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return text, draw(st.booleans())
+
+
+class TestCanonicalBranch:
+    """parse takes a shortcut for the lines emit writes; on every text it
+    agrees with the parser it replaced, kept as ``oracle_parse``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(perturbed_canonical_texts())
+    def test_parse_matches_oracle(self, case):
+        text, lowered = case
+        limit = sys.get_int_max_str_digits()
+        if lowered:
+            sys.set_int_max_str_digits(LOWERED_INT_DIGITS)
+        try:
+            got, want = outcome(parse, text), outcome(oracle_parse, text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        if isinstance(want, Circuit):
+            assert isinstance(got, Circuit) and (got.n, got.layers) == (want.n, want.layers)
+        else:
+            assert got == want and want[0] is ParseError
+
+    @pytest.mark.parametrize("text,message", [
+        ("H 0\nH 0", "line 2: qubit 0 reused within a layer"),
+        ("CX 1 1", "line 1: repeated qubit within a pair"),
+        ("H 2\nCX 0 2", "line 2: qubit 2 reused within a layer"),
+        ("CX 0", "line 1: odd number of targets for CX"),
+        (f"H {LONG_TARGET}", f"line 1: qubit target of {len(LONG_TARGET)} digits is too long"),
+    ])
+    def test_canonical_lines_in_error_name_the_error(self, text, message):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(LOWERED_INT_DIGITS)
+        try:
+            with pytest.raises(ParseError) as err:
+                parse(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(err.value) == message

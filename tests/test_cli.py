@@ -24,8 +24,8 @@ from recliff.cli import main
 from recliff.tableau import describe_difference
 
 from conftest import (
-    HUGE_TARGETS, WORKED_EXAMPLE_TEXT, equal_up_to_sign, mutated_texts, reference_solve_frame,
-    relabelled_pairs,
+    GATES_1Q, HUGE_TARGETS, WORKED_EXAMPLE_TEXT, equal_up_to_sign, mutated_texts,
+    reference_solve_frame, relabelled_pairs,
 )
 
 
@@ -325,6 +325,67 @@ class TestWireMatchingAgainstSearch:
         flags = ["--up-to-permutation"] + (["--up-to-frame"] if up_to_frame else [])
         want = brute_force_verdict(from_circuit(a), from_circuit(b), up_to_frame)
         assert run_verify(a, b, flags) == want
+
+
+@st.composite
+def sources_with_bare_top_wires(draw):
+    """Dialect text whose top wires carry only a Pauli, or only I: the
+    compiled circuit has no gate there, so its text names fewer qubits."""
+    n = draw(st.integers(2, 4))
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        order = draw(st.permutations(range(n)))
+        lines.append(f"{draw(st.sampled_from(['CX', 'CZ']))} {order[0]} {order[1]}")
+        lines += [f"{draw(st.sampled_from(GATES_1Q))} {q}"
+                  for q in order[2:] if draw(st.booleans())]
+        lines.append("TICK")
+    top = draw(st.lists(st.sampled_from("IXYZ"), min_size=1, max_size=3))
+    lines += [f"{letter} {n + i}" for i, letter in enumerate(top)]
+    return "\n".join(lines) + "\n"
+
+
+class TestCompiledOutputVerifies:
+    """What compile writes, verify accepts: both circuits are read on the
+    larger qubit count, where a wire never touched carries the identity."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sources_with_bare_top_wires(), st.sampled_from(["cx", "cz", "sqrt_xx", "ecr"]))
+    def test_round_trip(self, text, target):
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out, meta = (str(Path(tmp, name)) for name in ("s.stim", "o.stim", "m.json"))
+            Path(src).write_text(text)
+            r = CliRunner().invoke(main, ["compile", "--target", target, src, "-o", out,
+                                          "--metadata", meta], catch_exceptions=False)
+            assert r.exit_code == 0, r.output
+            frame = json.loads(Path(meta).read_text())["frame"]
+            r = CliRunner().invoke(main, ["verify", "--up-to-frame", out, src],
+                                   catch_exceptions=False)
+            assert (r.exit_code, r.output) == (0, f"equivalent up to frame {frame}\n")
+            r = CliRunner().invoke(main, ["compile", "--target", target, "--frame", "fold",
+                                          src, "-o", out], catch_exceptions=False)
+            assert r.exit_code == 0, r.output
+            r = CliRunner().invoke(main, ["verify", out, src], catch_exceptions=False)
+            assert (r.exit_code, r.output) == (0, "equivalent\n")
+
+    def test_reported_repro(self, runner, tmp_path):
+        src, out, meta = tmp_path / "s.stim", tmp_path / "o.stim", tmp_path / "m.json"
+        src.write_text("CX 0 1\nX 2\n")
+        r = invoke(runner, "compile", "--target", "ecr", str(src), "-o", str(out),
+                   "--metadata", str(meta))
+        assert r.exit_code == 0
+        assert json.loads(meta.read_text())["frame"] == "+X0*X1*X2"
+        assert parse(out.read_text()).n == 2
+        r = invoke(runner, "verify", "--up-to-frame", str(out), str(src))
+        assert (r.exit_code, r.output) == (0, "equivalent up to frame +X0*X1*X2\n")
+
+    def test_extra_wire_with_a_gate_still_differs(self, runner, tmp_path):
+        a, b = tmp_path / "a.stim", tmp_path / "b.stim"
+        a.write_text("CX 0 1\n")
+        b.write_text("CX 0 1\nH 2\n")
+        r = invoke(runner, "verify", "--up-to-frame", str(a), str(b))
+        assert r.exit_code == 1
+        assert r.output == (f"not equivalent: generator X2 maps to +X2 in {a} "
+                            f"but to +Z2 in {b}\n")
 
 
 class TestQubitLimit:

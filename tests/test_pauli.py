@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recliff import (
     Pauli,
@@ -154,6 +155,49 @@ class TestSupport:
 
     def test_weight_four(self):
         assert support(pp("+Z0*X1*X2*X3", 4)) == (0, 1, 2, 3)
+
+
+# support and PauliProduct.__str__ as they were before they became linear in
+# n (a shift per bit, and a Pauli per term), kept as references.
+
+
+def old_support(p):
+    bits = p.x | p.z
+    out = []
+    j = 0
+    while bits:
+        if bits & 1:
+            out.append(j)
+        bits >>= 1
+        j += 1
+    return tuple(out)
+
+
+def old_str(p):
+    head = "+" if p.sign > 0 else "-"
+    if p.is_identity():
+        return head + "I"
+    return head + "*".join(f"{p.local(j).letter}{j}" for j in old_support(p))
+
+
+class TestLinearTextAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 140).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1),
+        st.sampled_from([1, -1]))))
+    def test_support_and_str(self, parts):
+        p = PauliProduct(*parts)
+        assert support(p) == old_support(p)
+        assert str(p) == old_str(p)
+
+    def test_sparse_and_dense_at_scale(self):
+        rng = random.Random(5)
+        n = 3001
+        for x, z in ((rng.getrandbits(n), rng.getrandbits(n)), (1 << (n - 1), 1),
+                     (0, 1 << 1500)):
+            p = PauliProduct(n, x, z, -1)
+            assert support(p) == old_support(p)
+            assert str(p) == old_str(p)
 
 
 def _random_tableau(n, seed):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from recliff import (
     random_clifford_circuit,
     surface_code_syndrome_extraction,
 )
-from recliff.circuit import DIALECT_GATES
+from recliff.circuit import DIALECT_GATES, _circuit, _instruction
 from recliff.gates import NATIVE_SETS, TARGET_ENTANGLERS, GateDef, GateSet
 from recliff.tableau import describe_difference
 from recliff.cli import main as cli_main
@@ -470,6 +471,35 @@ class TestGateKernels:
         with pytest.raises(ValueError, match=message):
             t._apply_gate(builtin(name), qubits)
         assert t == before
+
+    # Gates built unchecked, as the pipeline builds them, with the exact text
+    # each check raises: arity, a repeated qubit, and the range of each wire.
+    BAD_GATES = [
+        ("H", (0, 1), "H expects 1 qubits, got 2"),
+        ("CX", (0,), "CX expects 2 qubits, got 1"),
+        ("H", (3,), "qubit 3 out of range for n=3"),
+        ("H", (-1,), "qubit -1 out of range for n=3"),
+        ("CX", (1, 1), "duplicate qubit in CX (1, 1)"),
+        ("CX", (3, 0), "qubit 3 out of range for n=3"),
+        ("CX", (-1, 0), "qubit -1 out of range for n=3"),
+        ("CX", (0, 3), "qubit 3 out of range for n=3"),
+        ("CX", (0, -3), "qubit -3 out of range for n=3"),
+    ]
+
+    @pytest.mark.parametrize("name,qubits,message", BAD_GATES)
+    def test_whole_circuits_check_every_gate(self, name, qubits, message):
+        good = _circuit(3, [[_instruction(builtin("H"), (0,))],
+                            [_instruction(builtin("S"), (2,))]])
+        bad = _circuit(3, [*good.layers, [_instruction(builtin(name), qubits)]])
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=exact):
+            identity(3)._apply_gate(builtin(name), qubits)
+        with pytest.raises(ValueError, match=exact):
+            from_circuit(bad)
+        with pytest.raises(ValueError, match=exact):  # the half applied forwards
+            certify(bad, good)
+        with pytest.raises(ValueError, match=exact):  # the half applied inverted
+            certify(good, bad)
 
     def test_gate_name_never_reaches_kernel_source(self):
         name = "x'); import os; ('"
