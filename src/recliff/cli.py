@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -74,11 +75,22 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """Write stdout, or a file in place then cut to length (not atomic, not fsynced):
+    truncating to zero first would make ext4 flush the file on close."""
     try:
         if path is None or path == "-":
             sys.stdout.write(text)
-        else:
-            Path(path).write_text(text)
+            return
+        data = text.encode("utf-8")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            rest = memoryview(data)
+            while rest:
+                rest = rest[os.write(fd, rest):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null cannot be cut
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         _fail(EXIT_PARSE, f"cannot write {path or '-'}: {exc.strerror or exc}")
 

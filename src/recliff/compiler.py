@@ -42,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .pauli import Pauli, PauliProduct, support
+from .pauli import Pauli, PauliProduct, terms
 from . import tableau as tb
 from .tableau import Tableau
 from .circuit import Circuit, Instruction, _circuit, _instruction, depth, gate_counts
@@ -363,6 +363,12 @@ def _certify(
 # Full pipelines
 
 
+def _frame_layer(frame: PauliProduct) -> list[Instruction]:
+    """One Pauli gate per term of the frame, in qubit order: linear in n."""
+    gate = {letter: builtin(letter) for letter in "XYZ"}
+    return [_instruction(gate[letter], (q,)) for q, letter in terms(frame)]
+
+
 def _compile(
     source: Circuit, gs: GateSet, frame_mode: str, may_cross: bool
 ) -> CompilationResult:
@@ -375,7 +381,7 @@ def _compile(
     if frame_mode == "fold":
         # The folded layer's tableau is the certificate with the frame's
         # Pauli gates applied, so the whole output is not simulated again.
-        layer = [_instruction(builtin(frame.local(q).letter), (q,)) for q in support(frame)]
+        layer = _frame_layer(frame)
         t._apply_layers((layer,))
         if layer:
             final = _circuit(final.n, final.layers + (layer,))

@@ -122,9 +122,7 @@ class PauliProduct:
         head = "+" if self.sign > 0 else "-"
         if self.is_identity():
             return head + "I"
-        # Bit strings, least significant first, read each term in O(1).
-        xs, zs = f"{self.x:0{self.n}b}"[::-1], f"{self.z:0{self.n}b}"[::-1]
-        return head + "*".join([f"{_LETTERS[xs[j], zs[j]]}{j}" for j in support(self)])
+        return head + "*".join([f"{letter}{j}" for j, letter in terms(self)])
 
 
 _LETTERS = {("1", "0"): "X", ("0", "1"): "Z", ("1", "1"): "Y"}
@@ -134,6 +132,13 @@ def support(p: PauliProduct) -> tuple[int, ...]:
     """Qubit indices where the product is non-identity, ascending."""
     bits = f"{p.x | p.z:b}"[::-1]  # bit j at index j: one linear pass
     return tuple([j for j, bit in enumerate(bits) if bit == "1"])
+
+
+def terms(p: PauliProduct) -> list[tuple[int, str]]:
+    """``(qubit, letter)`` for each non-identity term, ascending."""
+    # Bit strings, least significant first, read each term in O(1).
+    xs, zs = f"{p.x:0{p.n}b}"[::-1], f"{p.z:0{p.n}b}"[::-1]
+    return [(j, _LETTERS[xs[j], zs[j]]) for j in support(p)]
 
 
 def commutes(a: PauliProduct, b: PauliProduct) -> bool:

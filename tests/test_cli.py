@@ -818,6 +818,118 @@ class TestUnwritableOutput:
                    "--entanglers", "2", "-o", bad)
         self.check(r, bad)
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.filterwarnings("error")
+    def test_write_fails_after_the_open(self, runner, src, opened):
+        r = invoke(runner, "compile", "--target", "ecr", src, "-o", "/dev/full")
+        assert r.exit_code == 2
+        assert r.output == "cannot write /dev/full: No space left on device\n"
+        assert opened.unclosed() == []
+
+
+class OpenRecorder:
+    """Wraps ``os.open`` and ``os.close`` to record each path, its flags and
+    whether its descriptor was closed."""
+
+    def __init__(self, monkeypatch):
+        self.calls, self.closed = [], set()
+        real_open, real_close = os.open, os.close
+
+        def recording_open(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            self.calls.append((os.fspath(path), flags, fd))
+            return fd
+
+        def recording_close(fd):
+            self.closed.add(fd)
+            real_close(fd)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        monkeypatch.setattr(os, "close", recording_close)
+
+    def unclosed(self):
+        return [path for path, _, fd in self.calls if fd not in self.closed]
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    return OpenRecorder(monkeypatch)
+
+
+class TestOutputsRewrittenInPlace:
+    """Every file output is written over the old bytes and then cut to its new
+    length, never truncated to zero first: the bytes are exactly those a fresh
+    file gets, whatever the file held before."""
+
+    COMMANDS = {
+        "compile": ("compile", "--target", "ecr", "{src}", "-o", "{out}"),
+        "compile-metadata": ("compile", "--target", "ecr", "{src}", "-o", "{side}",
+                             "--metadata", "{out}"),
+        "generate-surface": ("generate", "surface-code", "--distance", "3", "-o", "{out}"),
+        "generate-random": ("generate", "random-clifford", "--qubits", "5",
+                            "--entanglers", "4", "-o", "{out}"),
+        "stats": ("stats", "{src}", "-o", "{out}"),
+        "stats-csv": ("stats", "{src}", "--format", "csv", "-o", "{out}"),
+        "compare": ("compare", "{src}", "{src}", "-o", "{out}"),
+    }
+
+    @pytest.fixture
+    def run(self, runner, tmp_path):
+        src = tmp_path / "src.stim"
+        src.write_text(WORKED_EXAMPLE_TEXT)
+
+        def run(command, out):
+            args = [a.format(src=src, side=tmp_path / "side.stim", out=out)
+                    for a in self.COMMANDS[command]]
+            r = invoke(runner, *args)
+            assert r.exit_code == 0, r.output
+            return r
+
+        return run
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_longer_old_file_holds_exactly_the_new_bytes(self, run, tmp_path, command):
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        run(command, fresh)
+        expected = fresh.read_bytes()
+        assert expected
+        old.write_bytes(b"#" * (2 * len(expected) + 4096))
+        run(command, old)
+        assert old.read_bytes() == expected
+
+    def test_batch_outputs_are_cut(self, runner, tmp_path):
+        inputs = [tmp_path / "a.stim", tmp_path / "b.stim"]
+        for path in inputs:
+            path.write_text(WORKED_EXAMPLE_TEXT)
+        outs = [tmp_path / "a.ecr.stim", tmp_path / "b.ecr.stim"]
+        invoke(runner, "compile", "--target", "ecr", *map(str, inputs))
+        expected = [out.read_bytes() for out in outs]
+        for out in outs:
+            out.write_bytes(b"#" * 100_000)
+        assert invoke(runner, "compile", "--target", "ecr", *map(str, inputs)).exit_code == 0
+        assert [out.read_bytes() for out in outs] == expected
+
+    def test_short_writes_are_resumed(self, run, tmp_path, monkeypatch):
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        run("generate-surface", fresh)
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+        run("generate-surface", out)
+        assert out.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_dev_null(self, run, command):
+        run(command, "/dev/null")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_no_open_truncates(self, run, tmp_path, opened, command):
+        out = tmp_path / "out"
+        out.write_bytes(b"#" * 100_000)
+        run(command, out)
+        assert str(out) in [path for path, _, _ in opened.calls]
+        assert [path for path, flags, _ in opened.calls if flags & os.O_TRUNC] == []
+        assert opened.unclosed() == []
+
 
 class TestFuzzedInput:
     """Mutated dialect files on every command that reads circuits: a

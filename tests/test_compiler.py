@@ -32,6 +32,7 @@ from recliff import (
     surface_code_syndrome_extraction,
     two_qubit_count,
 )
+from recliff.circuit import _instruction
 from recliff.cli import main
 from recliff.gates import (
     CLASS_GATE_ORDER,
@@ -40,6 +41,7 @@ from recliff.gates import (
     TARGET_ENTANGLERS,
     perm_apply,
 )
+from recliff.pauli import support
 
 from conftest import (
     FAN_OUT_TEXT,
@@ -438,6 +440,29 @@ class TestExtractFrame:
     def test_precondition_violated(self, worked_example):
         with pytest.raises(Exception):
             extract_frame(parse("H 0"), parse("S 0"))
+
+
+def reference_frame_layer(frame):
+    """The folded layer as first written: ``local`` shifts the n-bit masks per term."""
+    return [_instruction(builtin(frame.local(q).letter), (q,)) for q in support(frame)]
+
+
+class TestFrameLayerAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 140).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1),
+        st.sampled_from([1, -1]))))
+    def test_hypothesis_frames(self, parts):
+        frame = PauliProduct(*parts)
+        assert recliff.compiler._frame_layer(frame) == reference_frame_layer(frame)
+
+    def test_dense_frame_at_the_default_limit(self):
+        rng = random.Random(11)
+        n = 32257  # a d = 127 surface-code round
+        frame = PauliProduct(n, rng.getrandbits(n), rng.getrandbits(n))
+        layer = recliff.compiler._frame_layer(frame)
+        assert len(layer) > n // 2
+        assert layer == reference_frame_layer(frame)
 
 
 class TestCompile:
