@@ -42,8 +42,8 @@ EXIT_PARSE = 2
 EXIT_COMPILE = 3
 EXIT_VERIFY = 4
 
-#: A tableau holds 4n^2 bits, n^2/2 bytes: 0.5 GiB at this many qubits.  A
-#: compile, and a verify that succeeds, holds one tableau.
+#: A tableau holds 4n^2 bits, n^2/2 bytes: 0.5 GiB at this many qubits, which
+#: bounds the tableau of a certificate's fallback, a rejection or --show-tableau.
 DEFAULT_MAX_QUBITS = 32768
 
 #: ``compile --show-tableau`` prints two tables of 2n^2 cells: about 6 MB of
@@ -217,8 +217,8 @@ def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
 @click.option("--up-to-frame", is_flag=True,
               help="Accept per-generator sign differences; print the frame witness.")
 @click.option("--up-to-permutation", is_flag=True,
-              help="Accept a wire relabelling, read off the certificate's "
-                   "qubit rows; print the permutation witness.")
+              help="Accept a wire relabelling, read off the certificate; "
+                   "print the permutation witness.")
 @_max_qubits_option
 def cmd_verify(file_a, file_b, up_to_frame, up_to_permutation, max_qubits):
     """Check tableau equivalence of two circuit files."""

@@ -24,15 +24,16 @@ single-qubit basis changes, placed by one layer builder:
     only on the gateset and are kept on it; a builtin gateset is shared, so
     they are derived once per process.  The swap-insertion mode reads the
     native's table with its output wires exchanged and builds no gate.
-4.  Frame.  The output is certified against the source on one tableau:
-    the source's inverse, then the output, must leave a Pauli times the
-    sweep's wire permutation (the identity outside the swap-insertion mode);
-    a failed check raises.  The Pauli, read off the tableau's signs, is the
-    frame, reported or folded in as a final layer.
+4.  Frame.  The output is certified against the source: the map from the
+    source to the output must be a Pauli times the sweep's wire permutation
+    (the identity outside the swap-insertion mode); a failed check raises.
+    The output's entangler layers are the source's, so the certificate walks
+    them per wire and builds no n-qubit tableau.  The Pauli is the frame,
+    reported or folded in as a final layer.
 
 Both entry points run this pipeline; only one lets the source cross
-entangler classes.  A compile simulates one tableau; folding the frame
-applies its Pauli gates to that tableau, which must then have no signs left.
+entangler classes.  Folding certifies the frame layer on its own, which
+must give the frame itself; the whole output is not walked again.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from typing import Sequence
 
 from .pauli import Pauli, PauliProduct, terms
 from . import tableau as tb
-from .tableau import Tableau
 from .circuit import Circuit, Instruction, _circuit, _instruction, depth, gate_counts
 from .gates import (
     PERM_APPLY,
@@ -333,22 +333,20 @@ def extract_frame(compiled: Circuit, source: Circuit) -> PauliProduct:
     The returned frame, appended as a final Pauli layer, turns agreement up
     to signs into exact equality.
     """
-    return _certify(compiled, source, tuple(range(source.n)))[1]
+    return _certify(compiled, source, tuple(range(source.n)))
 
 
 def _certify(
     compiled: Circuit, source: Circuit, permutation: tuple[int, ...]
-) -> tuple[Tableau, PauliProduct]:
-    """The certificate tableau of the compiled circuit against the source,
-    and the frame read off it.
+) -> PauliProduct:
+    """The frame of the compiled circuit against the source.
 
     Raises :class:`VerificationError` unless the compiled circuit is the
     source relabelled by ``permutation`` up to a Pauli frame.  Only then are
     the two circuits simulated apart, to name the first generator whose
     images differ.
     """
-    t = tb._between(compiled, source)
-    cert = None if t is None else t._pauli_permutation()
+    cert = tb.certify(compiled, source)
     if cert is None or cert[0] != permutation:
         target = tb.from_circuit(source).relabel_wires(permutation)
         raise VerificationError(
@@ -356,7 +354,7 @@ def _certify(
             + tb.describe_difference(tb.from_circuit(compiled), target,
                                      "the compiled circuit", "the target")
         )
-    return t, cert[1]
+    return cert[1]
 
 
 # ---------------------------------------------------------------------------
@@ -377,16 +375,15 @@ def _compile(
         raise ValueError(f"frame_mode must be one of {FRAME_MODES}")
     virtual_swap, entanglers = _crosses_class(source, gs, may_cross)
     final, permutation = _sweep(source, gs, virtual_swap)
-    t, frame = _certify(final, source, permutation)
+    frame = _certify(final, source, permutation)
     if frame_mode == "fold":
-        # The folded layer's tableau is the certificate with the frame's
-        # Pauli gates applied, so the whole output is not simulated again.
-        layer = _frame_layer(frame)
-        t._apply_layers((layer,))
-        if layer:
-            final = _circuit(final.n, final.layers + (layer,))
-        if t._sign:
+        # The output is the frame after the relabelled source, so the folded
+        # one is exact when the layer alone certifies as the frame.
+        layer, n = _frame_layer(frame), final.n
+        if tb.certify(_circuit(n, (layer,)), _circuit(n, ())) != (tuple(range(n)), frame):
             raise VerificationError("frame folding did not produce exact equality")
+        if layer:
+            final = _circuit(n, final.layers + (layer,))
     elif frame_mode == "none":
         if not frame.is_identity():
             raise CompileError(
@@ -416,7 +413,7 @@ def compile_circuit(
 
     The output contains only gateset gates (plus a final Pauli layer when
     ``frame_mode="fold"``), preserves the two-qubit count and pairing exactly,
-    and is certified against the source on one tableau; a failure raises.
+    and is certified against the source by ``certify``; a failure raises.
     """
     return _compile(source, gs, frame_mode, False)
 

@@ -115,9 +115,6 @@ class PauliProduct:
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
 
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
     def __str__(self) -> str:
         head = "+" if self.sign > 0 else "-"
         if self.is_identity():

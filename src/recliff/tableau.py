@@ -2,8 +2,7 @@
 
 A tableau records how a unitary stabilizer circuit propagates each generator,
 image(P) = C P C-dagger, with gates folded in time order.  Two circuits are
-equivalent iff their tableaux are equal, which makes the tableau the
-equivalence certificate used throughout the compiler.
+equivalent iff their tableaux are equal.
 
 Storage is qubit-major and bit-packed, as in Aaronson & Gottesman and Stim:
 for each qubit q one X row and one Z row, each a Python int over the 2n
@@ -18,20 +17,23 @@ in one loop and checks each gate's qubits before calling its kernel; every
 builder here, and :meth:`Tableau._apply_gate` for a single gate, goes
 through it, so those checks are written once.
 
-A Clifford's inverse is again a tableau, so one simulation certifies two
-circuits against each other (:func:`certify`): b's inverse, then a, folded
-onto one tableau, leaves the map a b^-1.  It is a Pauli times a wire
-relabelling exactly when a and b agree up to a frame and a relabelling,
-and then every row is a single bit: the relabelling is read off the rows
-and the frame off the signs, with no solve.  The generator-major boundary
-views (:meth:`Tableau.images`, :meth:`Tableau.from_images`, :func:`pretty`)
-read and set single row bits.
+:func:`certify` checks two circuits through one map, a b^-1: a Pauli times
+a wire relabelling exactly when they agree up to both.  When their entangler
+layers align, as a compile's output and its source do, the map is walked a
+layer at a time as one single-qubit Clifford per wire times a relabelling:
+a gate costs a table lookup, a pair of entanglers a cached 2-qubit step, and
+no n-qubit tableau is built.  Otherwise b's inverse, then a, are folded onto
+one tableau, whose rows are single bits when the two agree: the relabelling
+is read off the rows, the frame off the signs.  The generator-major views
+(:meth:`Tableau.images`, :meth:`Tableau.from_images`, :func:`pretty`) read
+and set single row bits.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import cache
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .pauli import PauliProduct, _phase_exponent, commutes
 
@@ -206,19 +208,8 @@ def from_circuit(circuit: "Circuit") -> Tableau:
     return t
 
 
-def _between(a: "Circuit", b: "Circuit") -> Tableau | None:
-    """The tableau of b's inverse followed by a, the map a b^-1; None when
-    the two have different qubit counts."""
-    if a.n != b.n:
-        return None
-    t = identity(a.n)
-    t._apply_layers(b.layers, inverse=True)
-    t._apply_layers(a.layers)
-    return t
-
-
 def certify(a: "Circuit", b: "Circuit") -> tuple[tuple[int, ...], PauliProduct] | None:
-    """How circuit a differs from circuit b, from one simulation.
+    """How circuit a differs from circuit b, from one walk or one simulation.
 
     Returns ``(permutation, frame)`` when a equals b followed by a wire
     relabelling and then a Pauli product: the relabelling takes b's wire j
@@ -226,10 +217,145 @@ def certify(a: "Circuit", b: "Circuit") -> tuple[tuple[int, ...], PauliProduct] 
     image supports, and the frame (sign +1) acts on a's wires.  With the
     identity permutation, a and b are equivalent up to the frame, and
     equivalent outright when the frame is the identity too.  Returns None
-    when a and b differ in any other way, or in qubit count.
+    when a and b differ in any other way, or in qubit count.  A pair that
+    the per-wire walk (:func:`_local`) cannot decide is simulated on one
+    n-qubit tableau, which raises on a bad gate.
     """
-    t = _between(a, b)
-    return None if t is None else t._pauli_permutation()
+    if a.n != b.n:
+        return None
+    try:
+        return _local(a, b)
+    except _Fallback:
+        pass
+    t = identity(a.n)  # the map a b^-1: b's inverse, then a
+    t._apply_layers(b.layers, inverse=True)
+    t._apply_layers(a.layers)
+    return t._pauli_permutation()
+
+
+# -- the per-wire walk; every table is read off the gates' own kernels -----
+
+_ONE = 0b1001  # the identity: X -> +X, Z -> +Z
+
+
+class _Fallback(Exception):
+    """The walk cannot decide this pair; the dense tableau must."""
+
+
+def _run(key: int, kernels: Iterable[Callable[..., int]]) -> int:
+    """The state after the single-qubit kernels, in time order.  A state is a
+    single-qubit Clifford up to phase, a 1-qubit tableau in six bits:
+    x | z << 2 | sign << 4, bit 0 of each for generator X, bit 1 for Z."""
+    for kernel in kernels:
+        xs, zs = [key & 3], [key >> 2 & 3]
+        flip = kernel(xs, zs, 0)
+        key = xs[0] | zs[0] << 2 | (key >> 4 ^ flip) << 4
+    return key
+
+
+@cache
+def _words() -> dict[int, tuple[Callable[..., int], ...]]:
+    """The 24 states, each with H and S kernels reaching it (breadth first)."""
+    from .gates import builtin  # gates imports this module
+
+    words, queue = {_ONE: ()}, [_ONE]
+    for key in queue:
+        for kernel in (builtin("H").kernel, builtin("S").kernel):
+            if (nxt := _run(key, (kernel,))) not in words:
+                words[nxt] = words[key] + (kernel,)
+                queue.append(nxt)
+    return words
+
+
+def _table(gate: GateDef, inverse: bool) -> tuple[int | None, ...]:
+    """Each state -> the gate after it (a gate of a) or, with ``inverse``,
+    the gate's inverse before it (a gate of b); None off the group."""
+    words = _words()
+    first, last = ((gate.kernel_inv,), ()) if inverse else ((), (gate.kernel,))
+    return tuple(_run(_ONE, (*first, *words[k], *last)) if k in words else None
+                 for k in range(64))
+
+
+_TABLES: tuple[dict, dict] = ({}, {})  # _table(gate, inverse) by gate, filled in use
+
+
+@cache
+def _step(ga: GateDef, gb: GateDef, flipped: bool, sp: int, sq: int):
+    """The map ga (sp x sq) gb^-1 on a's wires (p, q), gb on (p, q) or,
+    ``flipped``, on (q, p), on a 2-qubit tableau: the new states and whether
+    the wires swapped, or None when it entangles them."""
+    words = _words()
+    xs, zs = [0b0001, 0b0100], [0b0010, 0b1000]  # identity(2)'s rows
+    sign = gb.kernel_inv(xs, zs, *((1, 0) if flipped else (0, 1)))
+    for wire, state in ((0, sp), (1, sq)):
+        for kernel in words[state]:
+            sign ^= kernel(xs, zs, wire)
+    sign ^= ga.kernel(xs, zs, 0, 1)
+    for s in (0, 2):  # bit offset of the generators that land on wire 0
+        if not (xs[0] | zs[0]) >> 2 - s & 3 and not (xs[1] | zs[1]) >> s & 3:
+            return (*((xs[w] >> t & 3) | (zs[w] >> t & 3) << 2 | (sign >> t & 3) << 4
+                      for w, t in ((0, s), (1, 2 - s))), s == 2)
+    return None
+
+
+def _segments(c: "Circuit", inverse: bool, states: list[int], wire: list[int]):
+    """Multiply c's single-qubit gates into the states, qubit q's into ``wire[q]``,
+    and yield each layer's two-qubit gates; :class:`_Fallback` on a bad gate."""
+    n, tables = c.n, _TABLES[inverse]
+    for layer in c.layers:
+        pairs = []
+        for inst in layer:
+            gate, qubits = inst.gate, inst.qubits
+            if len(qubits) != gate.arity or not 0 <= qubits[0] < n:
+                raise _Fallback
+            if gate.arity == 1:
+                table = tables.get(gate) or tables.setdefault(gate, _table(gate, inverse))
+                w = wire[qubits[0]]
+                states[w] = table[states[w]]
+            elif qubits[0] != qubits[1] and 0 <= qubits[1] < n:
+                pairs.append(inst)
+            else:
+                raise _Fallback
+        if pairs:
+            yield pairs
+
+
+def _local(a: "Circuit", b: "Circuit") -> tuple[tuple[int, ...], PauliProduct] | None:
+    """:func:`certify` for circuits of one size, an entangler layer at a time.
+
+    Between entangler layers the map a b^-1 is one state per wire of a times
+    the relabelling ``sigma`` (b's wire j is a's wire ``sigma[j]``): a gate of
+    a multiplies its wire's state from the left, a gate of b from the right
+    by its inverse.  Each entangler of a must meet one of b on the same wires
+    and make a local map with their states, which may swap the wires; else
+    :class:`_Fallback` is raised.  Each layer's qubits must be distinct."""
+    n = a.n
+    states, sigma = [_ONE] * n, list(range(n))
+    b_layers = _segments(b, True, states, sigma)
+    for pairs in _segments(a, False, states, list(range(n))):
+        other = {(sigma[inst.qubits[0]], sigma[inst.qubits[1]]): inst
+                 for inst in next(b_layers, ())}
+        if len(other) != len(pairs):
+            raise _Fallback
+        for inst in pairs:
+            p, q = inst.qubits
+            flipped = (p, q) not in other
+            match = other.get((q, p) if flipped else (p, q))
+            done = match and _step(inst.gate, match.gate, flipped, states[p], states[q])
+            if not done:
+                raise _Fallback
+            states[p], states[q], swapped = done
+            if swapped:
+                i, j = match.qubits
+                sigma[i], sigma[j] = sigma[j], sigma[i]
+    if next(b_layers, None) is not None:  # b has an entangler layer left
+        raise _Fallback
+    if any(key & 15 != _ONE for key in states):  # a wire holds more than a Pauli
+        return None
+    # A Pauli flips X's sign (bit 4) where it has a Z, Z's (bit 5) where an X.
+    fx = int("0" + "".join(["01"[key >> 5] for key in reversed(states)]), 2)
+    fz = int("0" + "".join(["01"[key >> 4 & 1] for key in reversed(states)]), 2)
+    return tuple(sigma), PauliProduct(n, fx, fz)
 
 
 def conjugate_product(t: Tableau, p: PauliProduct) -> PauliProduct:

@@ -299,6 +299,8 @@ class TestVerifyWork:
     @pytest.mark.parametrize("flags", [[], ["--up-to-frame"], ["--up-to-permutation"],
                                        ["--up-to-frame", "--up-to-permutation"]])
     def test_success_builds_one_tableau(self, monkeypatch, flags):
+        """An aligned pair is certified wire by wire and builds no tableau; a
+        pair that does not align builds exactly one, for the map a b^-1."""
         import recliff.tableau
 
         built, blank = [], recliff.tableau.identity
@@ -314,7 +316,9 @@ class TestVerifyWork:
         monkeypatch.setattr(recliff.tableau, "from_circuit", refuse)
         a = parse(WORKED_EXAMPLE_TEXT)
         code, out = run_verify(a, a, flags)
-        assert (code, built) == (0, [4]), out
+        assert (code, built) == (0, []), out
+        code, out = run_verify(parse("CX 0 1\nTICK\nCX 0 1"), parse(""), flags)
+        assert (code, built) == (0, [2]), out
 
 
 class TestWireMatchingAgainstSearch:

@@ -32,7 +32,7 @@ from recliff import (
     surface_code_syndrome_extraction,
     two_qubit_count,
 )
-from recliff.circuit import _instruction
+from recliff.circuit import _circuit, _instruction
 from recliff.cli import main
 from recliff.gates import (
     CLASS_GATE_ORDER,
@@ -884,8 +884,9 @@ class TestWorkCounts:
     @pytest.mark.parametrize("target,swap_mode", [("ecr", False), ("iswap", True)])
     def test_two_simulations_per_compile(self, monkeypatch, d5_text, frame_mode,
                                          target, swap_mode):
-        """The source's inverse and then the output are simulated onto one
-        n-qubit tableau; no circuit gets a tableau of its own."""
+        """An aligned compile is certified wire by wire: it builds no n-qubit
+        tableau, and no circuit gets a tableau of its own.  A pair that does
+        not align builds exactly one tableau, for the map a b^-1."""
         import recliff.tableau
 
         source = parse(d5_text)
@@ -904,11 +905,15 @@ class TestWorkCounts:
         monkeypatch.setattr(recliff.tableau, "from_circuit", counted_simulation)
         compile_one = compile_with_iswap_heuristic if swap_mode else compile_circuit
         res = compile_one(source, builtin_gateset(target), frame_mode=frame_mode)
-        assert built.count(source.n) == 1
+        assert built == []
         assert simulated == []
         assert not res.frame.is_identity()  # so fold has a layer to apply
         if frame_mode == "fold":
             assert simulate(res.circuit) == simulate(source).relabel_wires(res.permutation)
+        built.clear()  # the fold check above simulated on its own tableaux
+        twice = parse("CX 0 1\nTICK\nCX 0 1")  # no entangler in b to meet
+        assert recliff.tableau.certify(twice, _circuit(2, ())) == ((0, 1), PauliProduct(2))
+        assert (built, simulated) == ([2], [])
 
     def test_two_qubit_count_checked_against_the_class_check(self, monkeypatch, d5_text):
         crosses = recliff.compiler._crosses_class

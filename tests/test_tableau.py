@@ -31,6 +31,7 @@ from recliff import (
 )
 from recliff.circuit import DIALECT_GATES, _circuit, _instruction
 from recliff.gates import NATIVE_SETS, TARGET_ENTANGLERS, GateDef, GateSet
+from recliff import tableau as tb
 from recliff.tableau import describe_difference
 from recliff.cli import main as cli_main
 
@@ -627,6 +628,101 @@ class TestCertificateAgainstOracle:
 
     def test_sizes_differ(self):
         assert certify(parse("H 0"), parse("H 1")) is None
+
+
+
+class TestLocalWalk:
+    """The per-wire walk inside ``certify``: its single-qubit tables, its
+    2-qubit step against a dense 2-qubit simulation, and its fallbacks."""
+
+    def test_single_qubit_tables_close_on_the_24_states(self):
+        words = tb._words()
+        # The states are exactly the 1-qubit tableaux, packed in six bits,
+        # that are Cliffords, and each word of kernels builds its state.
+        cliffords = [k for k in range(64)
+                     if Tableau(1, [k & 3], [k >> 2 & 3], k >> 4).is_symplectic()]
+        assert len(cliffords) == 24 and sorted(words) == cliffords
+        for key, word in words.items():
+            t = identity(1)
+            for kernel in word:
+                t._sign ^= kernel(t._x, t._z, 0)
+            assert t == Tableau(1, [key & 3], [key >> 2 & 3], key >> 4)
+        for name in ("I", *GATES_1Q):
+            for table in (tb._table(builtin(name), False), tb._table(builtin(name), True)):
+                assert [k for k in range(64) if table[k] is not None] == cliffords
+                assert sorted(table[k] for k in cliffords) == cliffords
+
+    def test_step_matches_a_dense_two_qubit_simulation(self):
+        gate_of = {builtin(name).kernel: builtin(name) for name in ("H", "S")}
+
+        def layers(*steps):  # (gate, qubits) pairs in time order, one per layer
+            return tuple((_instruction(gate, qubits),) for gate, qubits in steps)
+
+        words = {key: [gate_of[kernel] for kernel in word]
+                 for key, word in tb._words().items()}
+        states = {(sp, sq): layers(*[(g, (0,)) for g in words[sp]],
+                                   *[(g, (1,)) for g in words[sq]])
+                  for sp in words for sq in words}
+        swap = layers((builtin("SWAP"), (0, 1)))
+        expected = {(kp, kq, swapped): from_circuit(_circuit(2, swap * swapped + wires))
+                    for (kp, kq), wires in states.items() for swapped in (False, True)}
+        local = 0
+        for ga in map(builtin, GATES_2Q):
+            for gb in map(builtin, GATES_2Q):
+                for flipped in (False, True):
+                    b = layers((gb, (1, 0) if flipped else (0, 1)))
+                    for (sp, sq), wires in states.items():
+                        # gb's inverse, the two states, then ga, on one tableau
+                        dense = identity(2)
+                        dense._apply_layers(b, inverse=True)
+                        dense._apply_layers(wires + layers((ga, (0, 1))))
+                        got = tb._step(ga, gb, flipped, sp, sq)
+                        if got is None:
+                            assert any((img.x | img.z).bit_count() == 2 for img in dense.images())
+                        else:
+                            assert dense == expected[got]
+                            local += 1
+        assert 0 < local < 2 * 64 * 576
+
+    def test_misaligned_pair_falls_back(self):
+        twice = parse("CX 0 1\nTICK\nCX 0 1")
+        empty = _circuit(2, ())
+        for a, b in ((twice, empty), (empty, twice)):
+            with pytest.raises(tb._Fallback):
+                tb._local(a, b)
+        assert certify(twice, empty) == certify(empty, twice) == ((0, 1), PauliProduct(2))
+
+    def test_non_local_first_step_falls_back(self):
+        cx, cz = parse("CX 0 1\nTICK\nCX 0 1"), parse("CZ 0 1\nTICK\nCZ 0 1")
+        with pytest.raises(tb._Fallback):
+            tb._local(cx, cz)
+        assert certify(cx, cz) == ((0, 1), PauliProduct(2))
+
+    def test_split_entangler_layer_falls_back(self):
+        source = surface_code_syndrome_extraction(SurfaceCodeSpec(3))
+        k = next(i for i, layer in enumerate(source.layers)
+                 if sum(inst.gate.arity == 2 for inst in layer) > 1)
+        head, *tail = [inst for inst in source.layers[k] if inst.gate.arity == 2]
+        rest = [inst for inst in source.layers[k] if inst is not head]
+        split = _circuit(source.n, [*source.layers[:k], [head], rest, *source.layers[k + 1:]])
+        with pytest.raises(tb._Fallback):
+            tb._local(source, split)
+        assert certify(source, split) == (tuple(range(source.n)), PauliProduct(source.n))
+
+    def test_compiles_never_fall_back(self):
+        for source in golden_sources()[::3]:
+            for target in sorted(TARGET_ENTANGLERS):
+                out = compile_with_iswap_heuristic(source, builtin_gateset(target)).circuit
+                cert = tb._local(out, source)  # raises on a fallback
+                assert cert == certify(out, source) == oracle_certificate(out, source)
+
+    def test_non_pauli_wire_is_rejected_without_a_tableau(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("a tableau was built")
+
+        monkeypatch.setattr(tb, "identity", refuse)
+        a, b = parse("CX 0 1\nTICK\nH 1"), parse("CX 0 1")
+        assert tb._local(a, b) is certify(a, b) is None
 
 
 def test_verify_rejects_one_mutated_single_qubit_gate(tmp_path):
