@@ -19,7 +19,9 @@ verification tableau still checks every gate's qubits as it applies it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -89,16 +91,6 @@ class Circuit:
             norm.append(tuple(sorted(layer, key=_by_qubits)))
         object.__setattr__(self, "layers", tuple(norm))
 
-    @staticmethod
-    def build(layers: Iterable[Iterable[Instruction]], n: int | None = None) -> "Circuit":
-        mats = tuple(tuple(layer) for layer in layers)
-        if n is None:
-            n = 1 + max(
-                (q for layer in mats for inst in layer for q in inst.qubits),
-                default=-1,
-            )
-        return Circuit(n, mats)
-
     def instructions(self) -> Iterator[Instruction]:
         for layer in self.layers:
             yield from layer
@@ -112,6 +104,7 @@ class Circuit:
 
 
 _by_qubits = attrgetter("qubits")
+_gate_name = attrgetter("gate.name")
 
 
 _new = object.__new__
@@ -243,11 +236,8 @@ def emit(c: Circuit) -> str:
 
 
 def gate_counts(c: Circuit) -> dict[str, int]:
-    """Exact tally of instructions by gate name."""
-    counts: dict[str, int] = {}
-    for inst in c.instructions():
-        counts[inst.gate.name] = counts.get(inst.gate.name, 0) + 1
-    return counts
+    """Exact tally of instructions by gate name, in first-seen order."""
+    return dict(Counter(map(_gate_name, chain.from_iterable(c.layers))))
 
 
 def depth(c: Circuit) -> int:

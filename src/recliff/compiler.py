@@ -13,15 +13,18 @@ single-qubit basis changes, placed by one layer builder:
     gate's protected letter onto the native gate's.  Where it does not, a
     basis change inserted just before the entangler repairs it.  The
     constraint is per-wire separable, so one sweep in time order fixes every
-    generator's propagation at once.  In the swap-insertion mode the sweep
+    generator's propagation at once.  Each wire holds one of six
+    permutations, so a step through an entangler, fixes and transfer, is one
+    lookup in a 36-entry table.  In the swap-insertion mode the sweep
     exchanges the pair's output labels after each native entangler instead
     of emitting a SWAP, so later gates land on the relabelled wires.
 2.  Conjugation.  After the last layer each wire is off from the source by a
     pure letter permutation; one basis change appended per wire removes it.
     Single-qubit layers never end up adjacent, so nothing needs fusing.
 3.  Native words.  The builder writes each basis change as its native word,
-    dropping the word's residual Pauli.  Words and insertion choices depend
-    only on the gateset and are kept on it; a builtin gateset is shared, so
+    dropping the word's residual Pauli.  Words, insertion choices and step
+    tables (one per mode and source gate) depend only on the gateset and are
+    derived on first use and kept on it; a builtin gateset is shared, so
     they are derived once per process.  The swap-insertion mode reads the
     native's table with its output wires exchanged and builds no gate.
 4.  Frame.  The output is certified against the source: the map from the
@@ -41,6 +44,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Sequence
 
 from .pauli import Pauli, PauliProduct, terms
@@ -69,6 +74,8 @@ class VerificationError(RuntimeError):
 
 
 FRAME_MODES = ("report", "fold", "none")
+
+_gate = attrgetter("gate")
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +144,7 @@ def _crosses_class(source: Circuit, gs: GateSet, may_cross: bool) -> tuple[bool,
     entanglers must be all CX-like or all iSWAP-like.
     """
     native = gs.entangler
-    counts = Counter(inst.gate for inst in source.instructions())
+    counts = Counter(map(_gate, chain.from_iterable(source.layers)))
     gates = [g for g in counts if g.arity == 2]
     entanglers = sum(counts[g] for g in gates)
     if may_cross:
@@ -256,6 +263,38 @@ def _transfer_perms(source_gate: GateDef, out_bits: Sequence[int], ua: int, ub: 
 _UNDO = {p: PERM_INVERT[k] for k, p in enumerate(PERMS)}  # gate.perm -> inverse index
 
 
+def _step_table(gs: GateSet, gate: GateDef, virtual_swap: bool) -> tuple:
+    """The sweep's step through a source gate, for every state of its wires.
+
+    A single-qubit gate's entry ``u`` is the wire's permutation after it.  An
+    entangler's entry ``6 * ua + ub`` is ``(fix_a, fix_b, ua', ub')``: the
+    CLASS_GATES index inserted on each wire before it (0 for none), then the
+    pair's permutations after the working entangler.  An entangler's table
+    depends only on the gateset, the mode and the gate's ``bits16``, so it is
+    derived on first use and kept on the gateset under those.
+    """
+    if gate.arity == 1:
+        return tuple(row[_UNDO[gate.perm]] for row in PERM_COMPOSE)
+    key = (virtual_swap, gate.bits16)
+    table = gs._step_tables.get(key)
+    if table is None:
+        native = gs.entangler
+        working_bits = native.bits16
+        if virtual_swap:
+            working_bits = tuple((t & 3) << 2 | t >> 2 for t in working_bits)
+        fixes = []  # per wire, the class inserted in each of the six states
+        for role in (0, 1):
+            have, want = _axis_letter(gate, role), _axis_letter(native, role)
+            fixes.append([0 if row[have] == want else gs._insertions[row[have], want]
+                          for row in PERM_APPLY])
+        table = gs._step_tables[key] = tuple(
+            (fa, fb, *_transfer_perms(gate, working_bits,
+                                      PERM_COMPOSE[fa][ua], PERM_COMPOSE[fb][ub]))
+            for ua, fa in enumerate(fixes[0]) for ub, fb in enumerate(fixes[1])
+        )
+    return table
+
+
 def _sweep(
     source: Circuit, gs: GateSet, virtual_swap: bool
 ) -> tuple[Circuit, tuple[int, ...]]:
@@ -268,56 +307,42 @@ def _sweep(
     the native followed by a SWAP: the native's table with its output wires
     exchanged, and the native's one-local letters.  No SWAP is emitted; the
     pair's output labels are exchanged instead.  The permutation sends each
-    source wire to its output wire; it is the identity otherwise.
+    source wire to its output wire; it is the identity otherwise.  Each gate
+    is one lookup in its step table (:func:`_step_table`); the pairs in a
+    layer are disjoint, so the layer is walked once.
     """
     n = source.n
     native = gs.entangler
-    working_bits = native.bits16
-    if virtual_swap:
-        working_bits = tuple((t & 3) << 2 | t >> 2 for t in working_bits)
-    want_a, want_b = _axis_letter(native, 0), _axis_letter(native, 1)
-    insertions = gs._insertions
-    axes: dict[GateDef, tuple[Pauli, Pauli]] = {}
-    transfers: dict[tuple, tuple[int, int]] = {}
+    steps: dict[GateDef, tuple] = {}  # gate -> step table, for this compile
 
     u = [0] * n  # indexed by source wire; 0 is the identity permutation
     label = list(range(n))  # source wire -> output wire
     out = _LayerBuilder(n, [word for word, _ in gs._class_words])
+    place = out.place_single
     for layer in source.layers:
-        entanglers = []
+        natives = []
         for inst in layer:
-            if inst.gate.arity == 1:
-                q = inst.qubits[0]
-                u[q] = PERM_COMPOSE[u[q]][_UNDO[inst.gate.perm]]
-            else:
-                entanglers.append(inst)
-        if not entanglers:
-            continue
-        for inst in entanglers:
             gate = inst.gate
-            if gate not in axes:
-                axes[gate] = (_axis_letter(gate, 0), _axis_letter(gate, 1))
-            for wire, have_letter, want in zip(inst.qubits, axes[gate], (want_a, want_b)):
-                have = PERM_APPLY[u[wire]][have_letter]
-                if have != want:
-                    fix = insertions[have, want]
-                    out.place_single(label[wire], fix)
-                    u[wire] = PERM_COMPOSE[fix][u[wire]]
-        out.place_layer([
-            _instruction(native, (label[inst.qubits[0]], label[inst.qubits[1]]))
-            for inst in entanglers
-        ])
-        for inst in entanglers:
+            step = steps.get(gate) or steps.setdefault(gate, _step_table(gs, gate, virtual_swap))
+            if gate.arity == 1:
+                q = inst.qubits[0]
+                u[q] = step[u[q]]
+                continue
             a, b = inst.qubits
-            key = (inst.gate, u[a], u[b])
-            if key not in transfers:
-                transfers[key] = _transfer_perms(inst.gate, working_bits, u[a], u[b])
-            u[a], u[b] = transfers[key]
+            fix_a, fix_b, u[a], u[b] = step[6 * u[a] + u[b]]
+            la, lb = label[a], label[b]
+            if fix_a:
+                place(la, fix_a)
+            if fix_b:
+                place(lb, fix_b)
+            natives.append(_instruction(native, (la, lb)))
             if virtual_swap:
-                label[a], label[b] = label[b], label[a]
+                label[a], label[b] = lb, la
+        if natives:
+            out.place_layer(natives)
     # Conjugation fix: each wire is now off from the source by u alone.
     for wire, k in enumerate(u):
-        out.place_single(label[wire], PERM_INVERT[k])
+        place(label[wire], PERM_INVERT[k])
     return out.circuit(), tuple(label)
 
 

@@ -22,7 +22,7 @@ golden constant at import, so a sign-convention drift fails immediately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Literal, Sequence
 
 from .pauli import Pauli, PauliProduct
@@ -79,12 +79,15 @@ def _update_rule(table: Sequence[int], signs: Sequence[int]) -> tuple:
     return linear, tuple(inputs_of(key) for key in range(len(anf)) if anf[key])
 
 
+@cache
 def _compile_kernel(rule: tuple, arity: int) -> Callable[..., int]:
     """The update rule as one straight-line function of the tableau rows.
 
     ``kernel(xs, zs, a[, b])`` overwrites the X and Z rows of wires a (and b)
     and returns the sign flip, so applying a gate costs one call and no loop
     over the rule.  The source interpolates only the row indices of the rule.
+    Kernels are cached by rule, so gates of one semantics share them and a
+    cache keyed by kernels keeps no gate alive.
     """
     linear, sign_terms = rule
     rows = [f"{'xz'[i & 1]}s[{'ab'[i >> 1]}]" for i in range(2 * arity)]
@@ -342,6 +345,12 @@ class GateSet:
             )
             for have in letters for want in letters
         }
+
+    @cached_property
+    def _step_tables(self) -> dict[tuple[bool, tuple[int, ...]], tuple]:
+        """The compiler's sweep steps, filled on first use: by (swap-insertion
+        mode, source gate's ``bits16``), so no source gate is kept alive."""
+        return {}
 
 
 def decompose_single_qubit(

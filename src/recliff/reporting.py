@@ -12,7 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 from .circuit import Circuit, depth
 
@@ -58,9 +61,9 @@ class Report:
 def report(c: Circuit) -> Report:
     counts: dict[str, int] = {}
     singles = 0
-    for inst in c.instructions():
-        counts[inst.gate.name] = counts.get(inst.gate.name, 0) + 1
-        singles += inst.gate.arity == 1
+    for gate, k in Counter(map(attrgetter("gate"), chain.from_iterable(c.layers))).items():
+        counts[gate.name] = counts.get(gate.name, 0) + k
+        singles += k if gate.arity == 1 else 0
     total = sum(counts.values())
     return Report(
         counts=counts,

@@ -276,21 +276,29 @@ def _table(gate: GateDef, inverse: bool) -> tuple[int | None, ...]:
                  for k in range(64))
 
 
-_TABLES: tuple[dict, dict] = ({}, {})  # _table(gate, inverse) by gate, filled in use
+# Both caches are keyed by the gates' kernels, which gates of one semantics
+# share: they keep no gate alive and grow only with the distinct semantics.
+_TABLES: tuple[dict, dict] = ({}, {})  # _table(gate, inverse) by gate.kernel, filled in use
 
 
-@cache
 def _step(ga: GateDef, gb: GateDef, flipped: bool, sp: int, sq: int):
     """The map ga (sp x sq) gb^-1 on a's wires (p, q), gb on (p, q) or,
     ``flipped``, on (q, p), on a 2-qubit tableau: the new states and whether
     the wires swapped, or None when it entangles them."""
+    return _kernel_step(ga.kernel, gb.kernel_inv, flipped, sp, sq)
+
+
+@cache
+def _kernel_step(kernel_a: Callable[..., int], kernel_b_inv: Callable[..., int],
+                 flipped: bool, sp: int, sq: int):
+    """:func:`_step`, cached by the two kernels it runs."""
     words = _words()
     xs, zs = [0b0001, 0b0100], [0b0010, 0b1000]  # identity(2)'s rows
-    sign = gb.kernel_inv(xs, zs, *((1, 0) if flipped else (0, 1)))
+    sign = kernel_b_inv(xs, zs, *((1, 0) if flipped else (0, 1)))
     for wire, state in ((0, sp), (1, sq)):
         for kernel in words[state]:
             sign ^= kernel(xs, zs, wire)
-    sign ^= ga.kernel(xs, zs, 0, 1)
+    sign ^= kernel_a(xs, zs, 0, 1)
     for s in (0, 2):  # bit offset of the generators that land on wire 0
         if not (xs[0] | zs[0]) >> 2 - s & 3 and not (xs[1] | zs[1]) >> s & 3:
             return (*((xs[w] >> t & 3) | (zs[w] >> t & 3) << 2 | (sign >> t & 3) << 4
@@ -309,7 +317,8 @@ def _segments(c: "Circuit", inverse: bool, states: list[int], wire: list[int]):
             if len(qubits) != gate.arity or not 0 <= qubits[0] < n:
                 raise _Fallback
             if gate.arity == 1:
-                table = tables.get(gate) or tables.setdefault(gate, _table(gate, inverse))
+                table = (tables.get(gate.kernel)
+                         or tables.setdefault(gate.kernel, _table(gate, inverse)))
                 w = wire[qubits[0]]
                 states[w] = table[states[w]]
             elif qubits[0] != qubits[1] and 0 <= qubits[1] < n:
@@ -341,7 +350,8 @@ def _local(a: "Circuit", b: "Circuit") -> tuple[tuple[int, ...], PauliProduct] |
             p, q = inst.qubits
             flipped = (p, q) not in other
             match = other.get((q, p) if flipped else (p, q))
-            done = match and _step(inst.gate, match.gate, flipped, states[p], states[q])
+            done = match and _kernel_step(inst.gate.kernel, match.gate.kernel_inv, flipped,
+                                             states[p], states[q])
             if not done:
                 raise _Fallback
             states[p], states[q], swapped = done

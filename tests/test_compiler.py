@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
@@ -32,11 +33,13 @@ from recliff import (
     surface_code_syndrome_extraction,
     two_qubit_count,
 )
-from recliff.circuit import _circuit, _instruction
+from recliff.circuit import DIALECT_GATES, _circuit, _instruction
 from recliff.cli import main
 from recliff.gates import (
     CLASS_GATE_ORDER,
     NATIVE_SETS,
+    PERM_APPLY,
+    PERM_COMPOSE,
     PERM_IDENTITY,
     TARGET_ENTANGLERS,
     perm_apply,
@@ -93,6 +96,13 @@ def skeleton(source: Circuit, gs) -> Circuit:
         tuple(Instruction(gs.entangler, inst.qubits) for inst in layer if inst.gate.arity == 2)
         for layer in source.layers
     ))
+
+
+def circuit_on_used_wires(layers) -> Circuit:
+    """A checked circuit on 1 + the largest qubit index used, as parse counts."""
+    layers = tuple(tuple(layer) for layer in layers)
+    return Circuit(1 + max((q for layer in layers for inst in layer for q in inst.qubits),
+                           default=-1), layers)
 
 
 def entanglers_only(c: Circuit) -> Circuit:
@@ -253,6 +263,55 @@ class TestFixPropagation:
                 assert (appended[0].gate.perm if appended else PERM_IDENTITY) == want[wire]
             if target != "iswap":
                 assert perm == tuple(range(source.n))
+
+
+def step_oracle(gs, gate, virtual_swap, ua, ub):
+    """One sweep step through a source entangler, gate by gate: the fix on
+    each wire where its permutation does not carry the source's protected
+    letter onto the native's, then the pair's transfer."""
+    from recliff.compiler import _axis_letter, _transfer_perms
+
+    native = gs.entangler
+    bits = native.bits16
+    if virtual_swap:
+        bits = tuple((t & 3) << 2 | t >> 2 for t in bits)
+    u, fixes = [ua, ub], [0, 0]
+    for role in (0, 1):
+        have = PERM_APPLY[u[role]][_axis_letter(gate, role)]
+        want = _axis_letter(native, role)
+        if have != want:
+            fixes[role] = gs._insertions[have, want]
+            u[role] = PERM_COMPOSE[fixes[role]][u[role]]
+    return (*fixes, *_transfer_perms(gate, bits, *u))
+
+
+class TestStepTables:
+    """The sweep's 36-entry step tables against the step derived gate by gate,
+    on every builtin gateset, in every mode an entry point runs on it."""
+
+    @pytest.mark.parametrize("natives", sorted(NATIVE_SETS))
+    @pytest.mark.parametrize("target", sorted(TARGET_ENTANGLERS))
+    def test_entries_match_the_derivation(self, target, natives):
+        gs = builtin_gateset(target, natives)
+        other = {"cx_like": "iswap_like", "iswap_like": "cx_like"}
+        native_class = gs.entangler.entangler_class
+        checked = set()
+        for name in DIALECT_GATES:
+            gate = builtin(name)
+            # Same-class sources run unswapped; the other class only in the
+            # swap-insertion mode.
+            for virtual_swap, cls in ((False, native_class), (True, other[native_class])):
+                if gate.entangler_class != cls:
+                    continue
+                table = recliff.compiler._step_table(gs, gate, virtual_swap)
+                assert len(table) == 36
+                for ua in range(6):
+                    for ub in range(6):
+                        # The oracle applies the fixes first, so every state's
+                        # transfer is local: no AssertionError here.
+                        assert table[6 * ua + ub] == step_oracle(gs, gate, virtual_swap, ua, ub)
+                checked.add(virtual_swap)
+        assert checked == {False, True}
 
 
 class TestFixConjugation:
@@ -747,7 +806,7 @@ def one_class_circuits(draw, max_n=6, max_layers=8):
             if name != "I":
                 layer.append(Instruction(builtin(name), (q,)))
         layers.append(tuple(layer))
-    return Circuit.build(layers)
+    return circuit_on_used_wires(layers)
 
 
 def crosses_class(source, gs) -> bool:
@@ -772,7 +831,7 @@ class TestPipelineProperties:
         assert two_qubit_count(res.circuit) == two_qubit_count(source)
         assert parse(emit(source)) == source
         # The dialect's qubit count is 1 + the largest index used.
-        assert parse(emit(res.circuit)) == Circuit.build(res.circuit.layers)
+        assert parse(emit(res.circuit)) == circuit_on_used_wires(res.circuit.layers)
 
 
 class TestNothingToFuse:
@@ -957,6 +1016,47 @@ class TestWorkCounts:
         for _ in range(50):
             compile_circuit(source, gs)
         assert len(calls) <= 6
+
+    def test_step_tables_derived_once_per_gateset(self, monkeypatch, d5_text):
+        import recliff.gates
+
+        calls = Counter()
+        transfer = recliff.compiler._transfer_perms
+
+        def counted(source_gate, out_bits, ua, ub):
+            calls[source_gate.name, out_bits] += 1
+            return transfer(source_gate, out_bits, ua, ub)
+
+        monkeypatch.setattr(recliff.compiler, "_transfer_perms", counted)
+        # Start from no shared gatesets, so these compiles derive the tables.
+        monkeypatch.setattr(recliff.gates, "_GATESETS", {}, raising=False)
+        cx_source = parse(d5_text)
+        gs = builtin_gateset("iswap")
+        iswap_source = compile_with_iswap_heuristic(cx_source, gs).circuit
+        for _ in range(50):
+            compile_circuit(iswap_source, gs)  # the unswapped mode
+            compile_with_iswap_heuristic(cx_source, gs)  # the swap-insertion mode
+        swapped = tuple((t & 3) << 2 | t >> 2 for t in gs.entangler.bits16)
+        assert set(calls) == {("ISWAP", gs.entangler.bits16), ("CX", swapped)}
+        assert all(k <= 36 for k in calls.values())
+
+    def test_caller_gate_not_kept_by_a_shared_gateset(self):
+        import gc
+
+        def live() -> int:
+            gc.collect()
+            return sum(isinstance(o, GateDef) for o in gc.get_objects())
+
+        gs = builtin_gateset("ecr")
+        before = live()
+        cx2 = GateDef("CX2", 2, builtin("CX").semantics)
+        h2 = GateDef("H2", 1, builtin("H").semantics)
+        res = compile_circuit(Circuit(3, ((Instruction(cx2, (0, 1)), Instruction(h2, (2,))),
+                                          (Instruction(cx2, (1, 2)),))), gs)
+        assert res.stats.two_qubit_count == 2
+        assert live() == before + 2  # the counter sees the caller's gates
+        del cx2, h2, res
+        assert live() <= before
 
     def test_no_gate_built_inside_a_compile(self, monkeypatch, d5_text):
         """Builtin gates and gatesets are shared, and the swap-insertion mode

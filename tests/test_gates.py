@@ -324,7 +324,11 @@ class TestSwapInsertionTable:
         monkeypatch.setattr(recliff.compiler, "_transfer_perms", counted)
         source_gate = "CX" if native.entangler_class == "iswap_like" else "ISWAP"
         source = parse(f"H 0\nTICK\n{source_gate} 0 1\nTICK\n{source_gate} 1 2\n")
-        res = compile_with_iswap_heuristic(source, builtin_gateset(target))
+        # A fresh gateset derives its step tables here; the shared one may
+        # have derived them in an earlier test.
+        shared = builtin_gateset(target)
+        fresh = GateSet(shared.name, shared.entangler, shared.single_qubit_natives)
+        res = compile_with_iswap_heuristic(source, fresh)
         assert res.permutation != (0, 1, 2)  # the swap-insertion mode ran
         assert tables and all(table == composite.bits16 for table in tables)
 
