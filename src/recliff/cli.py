@@ -1,14 +1,16 @@
 """Command-line front end: compile, verify, generate, stats, compare.
 
 Exit codes: 0 success (verify: equivalent), 1 verify found the circuits
-inequivalent, 2 parse error or unreadable input or unwritable output,
-3 compilation error, size limit exceeded or clashing arguments,
-4 verification failure.  Paths may be ``-`` for
+inequivalent, 2 usage error, parse error, unreadable input or unwritable
+output (a closed stdout too), 3 compilation error, size limit exceeded or
+clashing arguments, 4 verification failure.  Paths may be ``-`` for
 stdin/stdout; stdin can be read only once.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import json
 import os
 import stat
@@ -16,26 +18,15 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-import click
-
 from . import __version__
 from . import tableau as tb
 from .circuit import Circuit, ParseError, _circuit, emit, parse
 from .circuit import expand_ecr as _expand_ecr_transform
-from .compiler import (
-    FRAME_MODES,
-    CompileError,
-    VerificationError,
-    compile_circuit,
-    compile_with_iswap_heuristic,
-)
-from .gates import NATIVE_SETS, TARGET_ENTANGLERS, builtin_gateset
-from .generators import (
-    RandomCircuitSpec,
-    SurfaceCodeSpec,
-    random_clifford_circuit,
-    surface_code_syndrome_extraction,
-)
+from .compiler import (FRAME_MODES, CompileError, VerificationError, compile_circuit,
+                       compile_with_iswap_heuristic)
+from .gates import NATIVE_SETS, TARGET_ENTANGLERS, builtin, builtin_gateset
+from .generators import (RandomCircuitSpec, SurfaceCodeSpec, random_clifford_circuit,
+                         surface_code_syndrome_extraction)
 from .reporting import compare as compare_reports, report
 
 EXIT_PARSE = 2
@@ -54,16 +45,10 @@ MAX_SHOWN_QUBITS = 512
 #: the number of gate slots its circuit may fill.
 MAX_GENERATED_GATES = 2**20
 
-_max_qubits_option = click.option(
-    "--max-qubits", default=DEFAULT_MAX_QUBITS, show_default=True,
-    type=click.IntRange(min=0),
-    help="Refuse inputs with more qubits (1 + the largest index) before any "
-         "tableau is built.")
-
 
 def _fail(code: int, message: str) -> NoReturn:
     """Write one line to stderr and exit with ``code``."""
-    click.echo(message, err=True)
+    print(message, file=sys.stderr, flush=True)
     sys.exit(code)
 
 
@@ -75,11 +60,12 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    """Write stdout, or a file in place then cut to length (not atomic, not fsynced):
-    truncating to zero first would make ext4 flush the file on close."""
+    """Write stdout and flush it, or a file in place then cut to length (not atomic,
+    not fsynced): truncating to zero first would make ext4 flush the file on close."""
     try:
         if path is None or path == "-":
             sys.stdout.write(text)
+            sys.stdout.flush()
             return
         data = text.encode("utf-8")
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
@@ -92,6 +78,11 @@ def _write_text(path: str | None, text: str) -> None:
         finally:
             os.close(fd)
     except OSError as exc:
+        if path in (None, "-") and isinstance(exc, BrokenPipeError):
+            # Send what stdout still buffers nowhere, so the flush at exit passes.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         _fail(EXIT_PARSE, f"cannot write {path or '-'}: {exc.strerror or exc}")
 
 
@@ -138,29 +129,6 @@ def _load_circuit(path: str, max_qubits: int | None = None) -> Circuit:
     return circuit
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="recliff")
-def main() -> None:
-    """Retarget Clifford circuits onto alternative native gatesets."""
-
-
-@main.command("compile")
-@click.argument("inputs", nargs=-1, required=True)
-@click.option("--target", required=True, type=click.Choice(sorted(TARGET_ENTANGLERS)))
-@click.option("--natives", default="s_sx", type=click.Choice(sorted(NATIVE_SETS)))
-@click.option("--frame", "frame_mode", default="report",
-              type=click.Choice(FRAME_MODES))
-@click.option("--iswap-heuristic", is_flag=True,
-              help="Allow crossing entangler class via virtual SWAP insertion.")
-@click.option("--expand-ecr", is_flag=True,
-              help="Emit each ECR as its S/sqrt(X), CX, X circuit identity.")
-@click.option("--show-tableau", is_flag=True,
-              help="Print source and compiled tableaux to stderr.")
-@click.option("--output", "-o", default=None,
-              help="Output circuit path (single input; default stdout).")
-@click.option("--metadata", "metadata_path", default=None,
-              help="Write compilation metadata JSON to this path.")
-@_max_qubits_option
 def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
                 expand_ecr, show_tableau, output, metadata_path, max_qubits):
     """Compile circuit files onto the target gateset."""
@@ -199,27 +167,16 @@ def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
         circuit = _expand_ecr_transform(result.circuit) if expand_ecr else result.circuit
         text = emit(circuit)
         if show_tableau:
-            click.echo(f"# source tableau ({path})", err=True)
-            click.echo(tb.pretty(tb.from_circuit(source)), err=True)
-            click.echo("# compiled tableau", err=True)
-            click.echo(tb.pretty(tb.from_circuit(result.circuit)), err=True)
+            print(f"# source tableau ({path})\n{tb.pretty(tb.from_circuit(source))}\n"
+                  f"# compiled tableau\n{tb.pretty(tb.from_circuit(result.circuit))}",
+                  file=sys.stderr, flush=True)
         _write_text(out, text)
         if len(results) > 1:
-            click.echo(f"{path} -> {out}", err=True)
+            print(f"{path} -> {out}", file=sys.stderr, flush=True)
         if metadata_path is not None:
             _write_text(metadata_path, json.dumps(result.metadata(source), indent=2) + "\n")
-    sys.exit(0)
 
 
-@main.command("verify")
-@click.argument("file_a")
-@click.argument("file_b")
-@click.option("--up-to-frame", is_flag=True,
-              help="Accept per-generator sign differences; print the frame witness.")
-@click.option("--up-to-permutation", is_flag=True,
-              help="Accept a wire relabelling, read off the certificate; "
-                   "print the permutation witness.")
-@_max_qubits_option
 def cmd_verify(file_a, file_b, up_to_frame, up_to_permutation, max_qubits):
     """Check tableau equivalence of two circuit files."""
     _stdin_once((file_a, file_b))
@@ -236,24 +193,14 @@ def cmd_verify(file_a, file_b, up_to_frame, up_to_permutation, max_qubits):
             witness = " and ".join(
                 ([f"frame {frame}"] if up_to_frame else [])
                 + ([f"permutation {list(sigma)}"] if up_to_permutation else []))
-            click.echo(f"equivalent up to {witness}" if witness else "equivalent")
+            _write_text(None, f"equivalent up to {witness}\n" if witness else "equivalent\n")
             sys.exit(0)
-    if up_to_permutation:
-        click.echo("not equivalent")
-    else:
-        diff = tb.describe_difference(tb.from_circuit(a), tb.from_circuit(b), file_a, file_b)
-        click.echo(f"not equivalent: {diff}")
+    diff = "" if up_to_permutation else ": " + tb.describe_difference(
+        tb.from_circuit(a), tb.from_circuit(b), file_a, file_b)
+    _write_text(None, f"not equivalent{diff}\n")
     sys.exit(1)
 
 
-@main.group("generate")
-def cmd_generate() -> None:
-    """Construct benchmark circuits."""
-
-
-@cmd_generate.command("surface-code")
-@click.option("--distance", required=True, type=int)
-@click.option("--output", "-o", default=None)
 def cmd_generate_surface(distance, output):
     """One unitary syndrome-extraction round of the rotated surface code."""
     try:
@@ -265,24 +212,11 @@ def cmd_generate_surface(distance, output):
     _write_text(output, emit(circuit))
 
 
-@cmd_generate.command("random-clifford")
-@click.option("--qubits", required=True, type=int)
-@click.option("--entanglers", "layers", required=True, type=int,
-              help="Number of entangler layers (floor(n/2) pairs each).")
-@click.option("--seed", default=0, type=int, show_default=True)
-@click.option("--entangler", default="cx", type=click.Choice(sorted(TARGET_ENTANGLERS)))
-@click.option("--output", "-o", default=None)
 def cmd_generate_random(qubits, layers, seed, entangler, output):
     """Seed-deterministic random Clifford circuit."""
-    from .gates import builtin
-
     try:
-        spec = RandomCircuitSpec(
-            n=qubits,
-            entangler_layers=layers,
-            seed=seed,
-            entangler=builtin(TARGET_ENTANGLERS[entangler]),
-        )
+        spec = RandomCircuitSpec(n=qubits, entangler_layers=layers, seed=seed,
+                                 entangler=builtin(TARGET_ENTANGLERS[entangler]))
         _size_guard(qubits)
         if qubits * (layers + 1) > MAX_GENERATED_GATES:
             raise ValueError(f"{qubits} qubits and {layers} entangler layers exceed "
@@ -293,22 +227,12 @@ def cmd_generate_random(qubits, layers, seed, entangler, output):
     _write_text(output, emit(circuit))
 
 
-@main.command("stats")
-@click.argument("input_path")
-@click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv"]))
-@click.option("--output", "-o", default=None)
 def cmd_stats(input_path, fmt, output):
     """Gate-distribution report for a circuit file."""
-    circuit = _load_circuit(input_path)
-    rep = report(circuit)
-    text = rep.to_json() + "\n" if fmt == "json" else rep.to_csv()
-    _write_text(output, text)
+    rep = report(_load_circuit(input_path))
+    _write_text(output, rep.to_json() + "\n" if fmt == "json" else rep.to_csv())
 
 
-@main.command("compare")
-@click.argument("file_a")
-@click.argument("file_b")
-@click.option("--output", "-o", default=None)
 def cmd_compare(file_a, file_b, output):
     """Category-wise gate-count ratios of two circuit files (a/b)."""
     _stdin_once((file_a, file_b))
@@ -316,6 +240,107 @@ def cmd_compare(file_a, file_b, output):
     rep_b = report(_load_circuit(file_b))
     _write_text(output, compare_reports(rep_a, rep_b).to_json() + "\n")
 
+
+def _count(text: str) -> int:
+    """The value of ``--max-qubits``: an integer >= 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return int(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser with click's conventions: ``--help`` but no ``-h``, no abbreviated
+    options, and the subcommand found by name first, so that its options and
+    inputs may interleave."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+        self.commands: dict[str, _Parser] = {}
+
+    def command(self, name: str, run=None, doc: str | None = None) -> _Parser:
+        """Add the subcommand ``name``, which calls ``run`` with its arguments."""
+        if not self.commands:
+            self._subcommands = self.add_subparsers(metavar="COMMAND", required=True)
+        doc = doc or run.__doc__
+        sub = self.commands[name] = self._subcommands.add_parser(name, help=doc, description=doc)
+        sub.set_defaults(run=run)
+        return sub
+
+    def parse_command(self, args: list[str]) -> argparse.Namespace:
+        """The named command's arguments; help exits 0 and a usage error 2."""
+        if args and args[0] in self.commands:
+            return self.commands[args[0]].parse_command(args[1:])
+        if self.commands or "--" in args:  # parse_intermixed_args drops what follows "--"
+            return self.parse_args(args)
+        return self.parse_intermixed_args(args)
+
+    def exit(self, status=0, message=None):
+        _write_text(None, "")  # flush help or --version: a closed stdout exits 2 here too
+        super().exit(status, message)
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The whole command line, built on first use."""
+    top = _Parser(prog="recliff",
+                  description="Retarget Clifford circuits onto alternative native gatesets.")
+    top.add_argument("--version", action="version", version=f"recliff, version {__version__}")
+    c = top.command("compile", cmd_compile)
+    c.add_argument("inputs", nargs="+")
+    c.add_argument("--target", required=True, choices=sorted(TARGET_ENTANGLERS))
+    c.add_argument("--natives", default="s_sx", choices=sorted(NATIVE_SETS))
+    c.add_argument("--frame", dest="frame_mode", default="report", choices=FRAME_MODES)
+    c.add_argument("--iswap-heuristic", action="store_true",
+                   help="Allow crossing entangler class via virtual SWAP insertion.")
+    c.add_argument("--expand-ecr", action="store_true",
+                   help="Emit each ECR as its S/sqrt(X), CX, X circuit identity.")
+    c.add_argument("--show-tableau", action="store_true",
+                   help="Print source and compiled tableaux to stderr.")
+    c.add_argument("--output", "-o", help="Output circuit path (single input; default stdout).")
+    c.add_argument("--metadata", dest="metadata_path",
+                   help="Write compilation metadata JSON to this path.")
+    v = top.command("verify", cmd_verify)
+    v.add_argument("--up-to-frame", action="store_true",
+                   help="Accept per-generator sign differences; print the frame witness.")
+    v.add_argument("--up-to-permutation", action="store_true",
+                   help="Accept a wire relabelling, read off the certificate; "
+                        "print the permutation witness.")
+    for cmd in (c, v):
+        cmd.add_argument("--max-qubits", default=DEFAULT_MAX_QUBITS, type=_count,
+                         help="Refuse inputs with more qubits (1 + the largest index) before "
+                              "any tableau is built.  [default: %(default)s]")
+    g = top.command("generate", doc="Construct benchmark circuits.")
+    s = g.command("surface-code", cmd_generate_surface)
+    s.add_argument("--distance", required=True, type=int)
+    r = g.command("random-clifford", cmd_generate_random)
+    r.add_argument("--qubits", required=True, type=int)
+    r.add_argument("--entanglers", dest="layers", required=True, type=int,
+                   help="Number of entangler layers (floor(n/2) pairs each).")
+    r.add_argument("--seed", default=0, type=int, help="[default: %(default)s]")
+    r.add_argument("--entangler", default="cx", choices=sorted(TARGET_ENTANGLERS))
+    st = top.command("stats", cmd_stats)
+    st.add_argument("input_path")
+    st.add_argument("--format", dest="fmt", default="json", choices=["json", "csv"])
+    cmp = top.command("compare", cmd_compare)
+    for cmd in (v, cmp):
+        cmd.add_argument("file_a")
+        cmd.add_argument("file_b")
+    for cmd in (s, r, st, cmp):
+        cmd.add_argument("--output", "-o")
+    for cmd in (c, v, s, r, st, cmp):  # else parse_intermixed_args formats it on every call
+        cmd.usage = cmd.format_usage().removeprefix("usage: ")
+    return top
+
+
+def main(args=None, prog_name=None, standalone_mode=True, **extra) -> None:
+    """The ``recliff`` command on ``args`` or ``sys.argv``.  It is also ``main.main``, the
+    click command method that ``click.testing.CliRunner`` calls; other keywords are ignored."""
+    kwargs = vars(_parser().parse_command(sys.argv[1:] if args is None else list(args)))
+    kwargs.pop("run")(**kwargs)
+
+
+main.main, main.name = main, "recliff"
 
 if __name__ == "__main__":
     main()

@@ -218,7 +218,7 @@ class _LayerBuilder:
             if isinstance(layer, list):
                 layers.append(layer)
                 continue
-            words = [(q, self.words[k]) for q, k in layer.items()]
+            words = [(q, self.words[layer[q]]) for q in sorted(layer)]  # as _circuit sorts
             for step in range(max(len(word) for _, word in words)):
                 layers.append([_instruction(word[step], (q,))
                                for q, word in words if step < len(word)])

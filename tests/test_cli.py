@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -617,6 +618,76 @@ class TestThinAdapter:
         assert r.output == f"recliff, version {recliff.__version__}\n"
 
 
+class TestArgumentSpellings:
+    """Options read as they did under click: ``--opt value`` and
+    ``--opt=value`` alike, ``-o`` for ``--output``, options between inputs."""
+
+    @pytest.fixture
+    def src(self, tmp_path):
+        path = tmp_path / "src.stim"
+        path.write_text(WORKED_EXAMPLE_TEXT)
+        return str(path)
+
+    @pytest.mark.parametrize("spelling", [
+        ("--target", "ecr", "--natives", "class6", "--frame", "fold", "-o", "{out}"),
+        ("--target=ecr", "--natives=class6", "--frame=fold", "--output={out}"),
+        ("{src}", "--output", "{out}", "--frame", "fold", "--natives", "class6",
+         "--target", "ecr"),
+        ("--target", "ecr", "-o{out}", "--natives", "class6", "--frame", "fold"),
+    ], ids=["spaced", "equals", "options-last", "short-attached"])
+    def test_spellings_write_the_same_circuit(self, runner, src, tmp_path, spelling):
+        want = tmp_path / "want.stim"
+        r = invoke(runner, "compile", "--target", "ecr", "--natives", "class6", "--frame",
+                   "fold", src, "--output", str(want))
+        assert r.exit_code == 0, r.output
+        out = tmp_path / "out.stim"
+        args = [a.format(src=src, out=out) for a in spelling]
+        if "{src}" not in spelling:
+            args.append(src)
+        r = invoke(runner, "compile", *args)
+        assert r.exit_code == 0, r.output
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_options_between_batch_inputs(self, runner, src, tmp_path):
+        other = tmp_path / "other.stim"
+        other.write_text("CX 0 1\n")
+        outs = [tmp_path / "src.ecr.stim", tmp_path / "other.ecr.stim"]
+        r = invoke(runner, "compile", "--target", "ecr", src, str(other))
+        assert r.exit_code == 0, r.output
+        want = [out.read_bytes() for out in outs]
+        for out in outs:
+            out.unlink()
+        r = invoke(runner, "compile", src, "--target", "ecr", str(other))
+        assert r.exit_code == 0, r.output
+        assert r.stderr == f"{src} -> {outs[0]}\n{other} -> {outs[1]}\n"
+        assert [out.read_bytes() for out in outs] == want
+
+    def test_option_between_verify_files(self, runner, src):
+        r = invoke(runner, "verify", src, "--up-to-frame", src)
+        assert (r.exit_code, r.output) == (0, "equivalent up to frame +I\n")
+
+    def test_double_dash_ends_options(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("-x.stim").write_text("CX 0 1\n")
+        r = invoke(runner, "compile", "--target", "ecr", "--output=-y.stim", "--", "-x.stim")
+        assert r.exit_code == 0, r.output
+        assert Path("-y.stim").read_text() == "ECR 0 1\nTICK\nS 0\nSQRT_X 1\n"
+        r = invoke(runner, "stats", "--format", "csv", "--", "-x.stim")
+        assert (r.exit_code, r.output) == (0, "name,count\nCX,1\n")
+
+    @pytest.mark.parametrize("command,options", [
+        ("compile", ["--target", "--natives", "--frame", "--iswap-heuristic", "--expand-ecr",
+                     "--show-tableau", "--output", "-o", "--metadata", "--max-qubits",
+                     "--help"]),
+        ("verify", ["--up-to-frame", "--up-to-permutation", "--max-qubits", "--help"]),
+    ])
+    def test_help_names_every_option(self, runner, command, options):
+        r = invoke(runner, command, "--help")
+        assert r.exit_code == 0
+        named = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", r.output))
+        assert set(options) <= named
+
+
 class TestArgumentsCheckedBeforeInput:
     """Argument clashes exit 3 with one line before any input is read."""
 
@@ -696,6 +767,24 @@ class TestArgumentsCheckedBeforeInput:
         assert r.exit_code == 3
         assert r.output == line + "\n"
         assert not list(tmp_path.glob("*.ecr*"))
+
+    @pytest.mark.parametrize("args", [
+        ("compile", "--target", "ecr", "--bogus", "a.stim"),
+        ("compile", "--target", "bogus", "a.stim"),
+        ("compile", "a.stim"),
+        ("compile", "--target", "ecr", "--max-qubits", "-1", "a.stim"),
+        ("verify", "--max-qubits", "-1", "a.stim", "a.stim"),
+        ("compile", "--targ", "ecr", "a.stim"),
+        ("compile", "-h", "--target", "ecr", "a.stim"),
+        ("verify", "a.stim", "a.stim", "a.stim"),
+    ], ids=["unknown-option", "bad-choice", "missing-target", "negative-max-qubits",
+            "verify-negative-max-qubits", "abbreviation", "short-help", "extra-argument"])
+    def test_usage_error_exit_2(self, runner, tmp_path, monkeypatch, no_reads, args):
+        monkeypatch.chdir(tmp_path)
+        r = invoke(runner, *args)
+        assert r.exit_code == 2
+        assert r.stdout == "" and "error:" in r.stderr.lower()
+        assert not list(tmp_path.iterdir())
 
     def test_metadata_on_stdout_with_output_file(self, runner, tmp_path):
         src, out = tmp_path / "a.stim", tmp_path / "a.ecr.stim"
@@ -821,6 +910,28 @@ class TestUnwritableOutput:
         r = invoke(runner, "generate", "random-clifford", "--qubits", "3",
                    "--entanglers", "2", "-o", bad)
         self.check(r, bad)
+
+    @pytest.mark.parametrize("args", [
+        ["compile", "--target", "ecr", "{src}"],
+        ["verify", "{src}", "{src}", "--up-to-frame"],
+        ["--version"],
+    ], ids=lambda a: a[0])
+    def test_closed_stdout(self, src, args):
+        # The pipe's reader is gone before the child writes, so every write
+        # to stdout fails: exit 2, one line, not verify's "inequivalent" 1.
+        # Buffered stdout, so that nothing is left to fail at exit.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(recliff.__file__).resolve().parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            r = subprocess.run(
+                [sys.executable, "-c", "from recliff.cli import main; main()",
+                 *[a.format(src=src) for a in args]],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (r.returncode, r.stderr) == (2, b"cannot write -: Broken pipe\n")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.filterwarnings("error")
@@ -969,4 +1080,11 @@ def test_library_imports_without_numpy():
     src = Path(recliff.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = "import recliff.cli, sys; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_imports_without_click():
+    src = Path(recliff.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import recliff.cli, sys; sys.exit('click' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
