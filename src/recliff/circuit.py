@@ -20,12 +20,12 @@ verification tableau still checks every gate's qubits as it applies it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .gates import ALIASES, GateDef, builtin
+from .pauli import _Record
 
 
 class ParseError(ValueError):
@@ -43,10 +43,10 @@ DIALECT_GATES = (
 _GATES = {name: builtin(name) for name in (*DIALECT_GATES, *ALIASES)}
 
 
-@dataclass(frozen=True, slots=True)
-class Instruction:
+class Instruction(_Record):
     """One gate application; qubit order encodes roles for asymmetric gates."""
 
+    __slots__ = ("gate", "qubits")
     gate: GateDef
     qubits: tuple[int, ...]
 
@@ -64,8 +64,7 @@ class Instruction:
         return " ".join([self.gate.name, *map(str, self.qubits)])
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(_Record):
     """A qubit count plus layers of instructions on disjoint qubits.
 
     Layers are normalised at construction: instructions sort by qubits and

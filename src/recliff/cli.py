@@ -3,8 +3,8 @@
 Exit codes: 0 success (verify: equivalent), 1 verify found the circuits
 inequivalent, 2 usage error, parse error, unreadable input or unwritable
 output (a closed stdout too), 3 compilation error, size limit exceeded or
-clashing arguments, 4 verification failure.  Paths may be ``-`` for
-stdin/stdout; stdin can be read only once.
+clashing arguments, 4 verification failure, 130 interrupted (Ctrl-C).  Paths
+may be ``-`` for stdin/stdout; stdin can be read only once.
 """
 
 from __future__ import annotations
@@ -243,9 +243,12 @@ def cmd_compare(file_a, file_b, output):
 
 def _count(text: str) -> int:
     """The value of ``--max-qubits``: an integer >= 0."""
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
-    return int(text)
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -336,8 +339,11 @@ def _parser() -> _Parser:
 def main(args=None, prog_name=None, standalone_mode=True, **extra) -> None:
     """The ``recliff`` command on ``args`` or ``sys.argv``.  It is also ``main.main``, the
     click command method that ``click.testing.CliRunner`` calls; other keywords are ignored."""
-    kwargs = vars(_parser().parse_command(sys.argv[1:] if args is None else list(args)))
-    kwargs.pop("run")(**kwargs)
+    try:
+        kwargs = vars(_parser().parse_command(sys.argv[1:] if args is None else list(args)))
+        kwargs.pop("run")(**kwargs)
+    except KeyboardInterrupt:
+        _fail(130, "interrupted")
 
 
 main.main, main.name = main, "recliff"

@@ -43,12 +43,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 from typing import Sequence
 
-from .pauli import Pauli, PauliProduct, terms
+from .pauli import Pauli, PauliProduct, _Record, terms
 from . import tableau as tb
 from .circuit import Circuit, Instruction, _circuit, _instruction, depth, gate_counts
 from .gates import (
@@ -105,8 +104,7 @@ def conjugation_lookup(
 # Result type
 
 
-@dataclass(frozen=True)
-class CompilationResult:
+class CompilationResult(_Record):
     """Compiled circuit plus the bookkeeping that certifies it."""
 
     circuit: Circuit

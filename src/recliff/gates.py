@@ -21,11 +21,10 @@ golden constant at import, so a sign-convention drift fails immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Literal, Sequence
 
-from .pauli import Pauli, PauliProduct
+from .pauli import Pauli, PauliProduct, _Record
 from . import tableau as tb
 from .tableau import Tableau
 
@@ -129,16 +128,24 @@ class GateDef:
         self.arity = arity
         self.semantics = semantics
         shifts = [2 * (arity - 1 - w) for w in range(arity)]
-        table, signs = [], []
-        for key in range(1 << 2 * arity):
-            codes = [(key >> s) & 3 for s in shifts]
-            img = tb.conjugate_product(semantics, PauliProduct(
-                arity,
-                sum((c >> 1) << w for w, c in enumerate(codes)),
-                sum((c & 1) << w for w, c in enumerate(codes)),
-            ))
-            table.append(sum(img.local(w) << s for w, s in enumerate(shifts)))
-            signs.append(img.sign)
+        size, zs = 1 << 2 * arity, 0b0101 >> 4 - 2 * arity  # zs: each wire's z bit
+        ys = [(key >> 1 & key & zs).bit_count() for key in range(size)]  # Y count
+        # Generator g (X_0, Z_0, X_1, Z_1) is key bit 2*arity-1-g.  A key's Pauli is
+        # i^ys times its generators, top bit first, so its image is i^ys times the
+        # product of theirs.  Kept as i^h X^x Z^z, that product is the key's without
+        # its lowest bit times that bit's, by Z^z X^x' = (-1)^|z & x'| X^x' Z^z.
+        table, h = [0] * size, [0] * size
+        for g, img in enumerate(semantics.images()):
+            key = size >> 1 + g
+            table[key] = sum((img.x >> w & 1) << s + 1 | (img.z >> w & 1) << s
+                             for w, s in enumerate(shifts))
+            h[key] = 1 - img.sign + ys[table[key]]
+        for key in range(size):
+            rest, low = key & key - 1, key & -key
+            if rest:
+                table[key] = table[rest] ^ table[low]
+                h[key] = h[rest] + h[low] + 2 * (table[rest] & table[low] >> 1 & zs).bit_count()
+        signs = [1 - (ys[key] + h[key] - ys[table[key]] & 3) for key in range(size)]
         self.rule = _update_rule(table, signs)
         self.kernel = _compile_kernel(self.rule, arity)
         # G P G^-1 = s Q gives G^-1 Q G = s P: the inverse maps each image
@@ -287,8 +294,7 @@ def class_gate_for_perm(perm: LetterPerm) -> GateDef:
         raise ValueError(f"no class gate for permutation {perm}") from None
 
 
-@dataclass(frozen=True)
-class GateSet:
+class GateSet(_Record):
     """A native gateset: one two-qubit entangler plus single-qubit generators."""
 
     name: str

@@ -12,14 +12,13 @@ scope; the object of interest is the depth-6 unitary itself with exactly
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .circuit import Circuit, Instruction
 from .gates import GateDef, builtin
+from .pauli import _Record
 
 
-@dataclass(frozen=True)
-class SurfaceCodeSpec:
+class SurfaceCodeSpec(_Record):
     """Rotated surface code parameters; distance must be odd and >= 3."""
 
     distance: int
@@ -29,8 +28,7 @@ class SurfaceCodeSpec:
             raise ValueError("distance must be an odd integer >= 3")
 
 
-@dataclass(frozen=True)
-class RandomCircuitSpec:
+class RandomCircuitSpec(_Record):
     n: int
     entangler_layers: int
     seed: int

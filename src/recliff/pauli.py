@@ -10,7 +10,6 @@ real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 
@@ -34,8 +33,58 @@ class Pauli(IntEnum):
             raise ValueError(f"not a Pauli letter: {letter!r}") from None
 
 
-@dataclass(frozen=True)
-class PauliProduct:
+class _Record:
+    """Base of the immutable value classes: ``dataclass(frozen=True)`` without
+    importing :mod:`dataclasses` (and :mod:`inspect`).  Fields are the class's
+    annotations, in order, with class values as defaults; ``__post_init__``
+    checks them.  Equality (same class only), hash, repr and copies go by the
+    fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = names = tuple(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in names  # not a slot's descriptor
+                         if name in vars(cls) and name not in cls.__slots__}
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__match_args__
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or len(values) != len(names) or (
+                kwargs and not kwargs.keys() <= set(names[len(args):])):
+            raise TypeError(f"{type(self).__name__}() takes {', '.join(names)}, each once")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """A subclass's checks of its fields."""
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through the constructor
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class PauliProduct(_Record):
     """Signed Pauli product on n qubits: sign * tensor of local Paulis.
 
     ``x`` and ``z`` are bit masks (bit j = qubit j).  ``sign`` is +1 or -1;

@@ -9,22 +9,19 @@ expressed over {S, sqrt(X)} and Paulis, which is where the split is used.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 
 from .circuit import Circuit, depth
+from .pauli import _Record
 
 X_TYPE = frozenset({"SQRT_X", "SQRT_X_DAG", "X", "Y", "H_YZ"})
 Z_TYPE = frozenset({"S", "S_DAG", "Z", "H_XY"})
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Record):
     """Exact gate tallies for one circuit."""
 
     counts: dict[str, int]
@@ -50,6 +47,7 @@ class Report:
 
     def to_csv(self) -> str:
         """Gate histogram for plotting: ``name,count`` rows, header always."""
+        import csv, io  # only this output needs them
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["name", "count"])
@@ -79,8 +77,7 @@ def report(c: Circuit) -> Report:
 _CATEGORIES = ("x_type", "z_type", "single_qubit_total", "two_qubit", "total")
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(_Record):
     """Category-wise count ratios a/b; categories with a zero denominator are
     reported as undefined rather than dropped silently."""
 

@@ -777,14 +777,19 @@ class TestArgumentsCheckedBeforeInput:
         ("compile", "--targ", "ecr", "a.stim"),
         ("compile", "-h", "--target", "ecr", "a.stim"),
         ("verify", "a.stim", "a.stim", "a.stim"),
+        ("compile", "--target", "ecr", "--max-qubits", "abc", "a.stim"),
+        ("verify", "--max-qubits", "abc", "a.stim", "a.stim"),
     ], ids=["unknown-option", "bad-choice", "missing-target", "negative-max-qubits",
-            "verify-negative-max-qubits", "abbreviation", "short-help", "extra-argument"])
+            "verify-negative-max-qubits", "abbreviation", "short-help", "extra-argument",
+            "non-integer-max-qubits", "verify-non-integer-max-qubits"])
     def test_usage_error_exit_2(self, runner, tmp_path, monkeypatch, no_reads, args):
         monkeypatch.chdir(tmp_path)
         r = invoke(runner, *args)
         assert r.exit_code == 2
         assert r.stdout == "" and "error:" in r.stderr.lower()
         assert not list(tmp_path.iterdir())
+        if "abc" in args:  # the message names the option's rule, not a private name
+            assert r.stderr.endswith("argument --max-qubits: 'abc' is not an integer >= 0\n")
 
     def test_metadata_on_stdout_with_output_file(self, runner, tmp_path):
         src, out = tmp_path / "a.stim", tmp_path / "a.ecr.stim"
@@ -1083,8 +1088,25 @@ def test_library_imports_without_numpy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_cli_imports_without_click():
+@pytest.mark.parametrize("module", ["click", "dataclasses", "inspect", "csv"])
+def test_cli_imports_without(module):
+    # -S: no site-packages .pth file can import the module first.
     src = Path(recliff.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import recliff.cli, sys; sys.exit('click' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import recliff.cli; "
+            f"sys.exit({module!r} in sys.modules)")
+    assert subprocess.run([sys.executable, "-S", "-c", code]).returncode == 0
+
+
+def test_ctrl_c_exits_130_with_one_line(monkeypatch, capsys, tmp_path):
+    import recliff.cli
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(recliff.cli, "compile_circuit", interrupt)
+    src = tmp_path / "a.stim"
+    src.write_text("CX 0 1\n")
+    with pytest.raises(SystemExit) as exit_:
+        main(["compile", "--target", "ecr", str(src)])
+    assert exit_.value.code == 130
+    assert capsys.readouterr() == ("", "interrupted\n")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -279,6 +280,16 @@ class TestAgainstGeneratorMajorDefinition:
     ])
     def test_composed(self, steps):
         self.check(_dressed(*steps))
+
+    def test_random_words(self):
+        # Seeded words of signed gates reach signs no builtin has.
+        rng = random.Random(19)
+        for _ in range(60):
+            self.check(_dressed(*(
+                (rng.choice(["S", "SQRT_X", "Y", "C_XYZ"]), (rng.randrange(2),))
+                if rng.random() < 0.5 else
+                (rng.choice(["CX", "ISWAP", "SQRT_XX", "ECR"]), tuple(rng.sample([0, 1], 2)))
+                for _ in range(rng.randrange(1, 10)))))
 
     @staticmethod
     def check(g):
