@@ -75,6 +75,8 @@ class Circuit(_Record):
     layers: tuple[tuple[Instruction, ...], ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError("qubit count must be non-negative")
         norm = []
         for layer in self.layers:
             if not layer:

@@ -15,18 +15,20 @@ single-qubit basis changes, placed by one layer builder:
     constraint is per-wire separable, so one sweep in time order fixes every
     generator's propagation at once.  Each wire holds one of six
     permutations, so a step through an entangler, fixes and transfer, is one
-    lookup in a 36-entry table.  In the swap-insertion mode the sweep
-    exchanges the pair's output labels after each native entangler instead
-    of emitting a SWAP, so later gates land on the relabelled wires.
+    lookup in a 36-entry table.  The table is the certificate's own 2-qubit
+    step through the native against the source gate, read without signs.
+    Against a source of the other class the native crosses each pair's
+    wires (the swap-insertion mode); the sweep then exchanges the pair's
+    output labels instead of emitting a SWAP, so later gates land on the
+    relabelled wires.
 2.  Conjugation.  After the last layer each wire is off from the source by a
     pure letter permutation; one basis change appended per wire removes it.
     Single-qubit layers never end up adjacent, so nothing needs fusing.
 3.  Native words.  The builder writes each basis change as its native word,
     dropping the word's residual Pauli.  Words, insertion choices and step
-    tables (one per mode and source gate) depend only on the gateset and are
-    derived on first use and kept on it; a builtin gateset is shared, so
-    they are derived once per process.  The swap-insertion mode reads the
-    native's table with its output wires exchanged and builds no gate.
+    tables depend only on the gateset and are derived on first use and kept
+    on it, the tables by the source gate's kernel; a builtin gateset is
+    shared, so they are derived once per process.  No compile builds a gate.
 4.  Frame.  The output is certified against the source: the map from the
     source to the output must be a Pauli times the sweep's wire permutation
     (the identity outside the swap-insertion mode); a failed check raises.
@@ -34,9 +36,10 @@ single-qubit basis changes, placed by one layer builder:
     them per wire and builds no n-qubit tableau.  The Pauli is the frame,
     reported or folded in as a final layer.
 
-Both entry points run this pipeline; only one lets the source cross
-entangler classes.  Folding certifies the frame layer on its own, which
-must give the frame itself; the whole output is not walked again.
+Both entry points run this pipeline and differ only in the class check:
+one lets the source cross entangler classes.  Folding certifies the frame
+layer on its own, which must give the frame itself; the whole output is not
+walked again.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .circuit import Circuit, Instruction, _circuit, _instruction, depth, gate_c
 from .gates import (
     PERM_APPLY,
     PERM_COMPOSE,
-    PERM_INDEX,
     PERM_INVERT,
     PERMS,
     GateDef,
@@ -132,9 +134,8 @@ class CompilationResult(_Record):
 # Entangler-class check
 
 
-def _crosses_class(source: Circuit, gs: GateSet, may_cross: bool) -> tuple[bool, int]:
-    """Whether the sweep must run in the swap-insertion mode, and the
-    source's two-qubit gate count.
+def _check_classes(source: Circuit, gs: GateSet, may_cross: bool) -> int:
+    """The source's two-qubit gate count, once its entangler classes pass.
 
     Raises :class:`CompileError` for a source the entry point cannot compile.
     Unless ``may_cross``, it names the first source entangler whose class
@@ -151,7 +152,7 @@ def _crosses_class(source: Circuit, gs: GateSet, may_cross: bool) -> tuple[bool,
             raise CompileError("source entanglers must be cx-like or iswap-like")
         if len(classes) > 1:
             raise CompileError("mixed-class sources are not supported")
-        return bool(classes - {native.entangler_class}), entanglers
+        return entanglers
     for gate in gates:
         cls = gate.entangler_class
         if cls == "swap_like":
@@ -164,7 +165,7 @@ def _crosses_class(source: Circuit, gs: GateSet, may_cross: bool) -> tuple[bool,
                 f"{gs.name} gateset entangler {native.name} is "
                 f"{native.entangler_class}; use the iswap heuristic mode"
             )
-    return False, entanglers
+    return entanglers
 
 
 # ---------------------------------------------------------------------------
@@ -237,81 +238,69 @@ def _axis_letter(gate: GateDef, role: int) -> Pauli:
     return letter
 
 
-def _transfer_perms(source_gate: GateDef, out_bits: Sequence[int], ua: int, ub: int):
-    """Per-wire letter permutations after a matched entangler pair.
-
-    Computes m = out_bits o (ua (x) ub) o bits(source)^-1, ``out_bits`` being
-    the working entangler's table, on the four generators and extracts the
-    wire-local permutations.  Locality holds whenever the axis constraints
-    were enforced beforehand.  Permutations are indices into ``PERMS``.
-    """
-    inv_src = source_gate.bits16_inv
-    apply_a, apply_b = PERM_APPLY[ua], PERM_APPLY[ub]
-
-    def run(key: int) -> int:
-        k = inv_src[key]
-        return out_bits[apply_a[k >> 2] << 2 | apply_b[k & 3]]
-
-    xa, za, xb, zb = run(0b1000), run(0b0100), run(0b0010), run(0b0001)
-    if (xa & 0b0011) or (za & 0b0011) or (xb & 0b1100) or (zb & 0b1100):
-        raise AssertionError("entangler transfer produced a non-local dressing")
-    return PERM_INDEX[xa >> 2, za >> 2], PERM_INDEX[xb, zb]
+# The sweep's six states as the certificate's letter bits (a state of
+# :func:`tableau._run` without its sign), by CLASS_GATES index.
+_STATE = tuple(x >> 1 | z & 2 | (x & 1) << 2 | (z & 1) << 3 for x, z in PERMS)
 
 
-_UNDO = {p: PERM_INVERT[k] for k, p in enumerate(PERMS)}  # gate.perm -> inverse index
+def _step_table(gs: GateSet, gate: GateDef) -> tuple:
+    """Derive the sweep's step through a source gate, for every state of its
+    wires, and keep it on the gateset by the gate's kernel.
 
-
-def _step_table(gs: GateSet, gate: GateDef, virtual_swap: bool) -> tuple:
-    """The sweep's step through a source gate, for every state of its wires.
-
-    A single-qubit gate's entry ``u`` is the wire's permutation after it.  An
-    entangler's entry ``6 * ua + ub`` is ``(fix_a, fix_b, ua', ub')``: the
-    CLASS_GATES index inserted on each wire before it (0 for none), then the
-    pair's permutations after the working entangler.  An entangler's table
-    depends only on the gateset, the mode and the gate's ``bits16``, so it is
-    derived on first use and kept on the gateset under those.
+    A single-qubit gate's entry ``u`` is the wire's state after it.  An
+    entangler's entry ``6 * ua + ub`` is ``(fix_a, fix_b, ua', ub', swapped)``:
+    the CLASS_GATES index inserted on each wire before it (0 for none), the
+    states of its two source wires after the native entangler, and whether
+    the native crossed them.  Each table reads the certificate's own steps
+    without signs, :func:`tableau._table` for a single-qubit gate and
+    :func:`tableau._kernel_step` for an entangler, so it depends only on the
+    gateset and the gate's kernel.  A step that entangles the pair, or
+    entries that disagree on crossing it, raise ``AssertionError``.
     """
     if gate.arity == 1:
-        return tuple(row[_UNDO[gate.perm]] for row in PERM_COMPOSE)
-    key = (virtual_swap, gate.bits16)
-    table = gs._step_tables.get(key)
-    if table is None:
+        states = tb._table(gate, True)
+        table = tuple(_STATE.index(states[key] & 15) for key in _STATE)
+    else:
         native = gs.entangler
-        working_bits = native.bits16
-        if virtual_swap:
-            working_bits = tuple((t & 3) << 2 | t >> 2 for t in working_bits)
         fixes = []  # per wire, the class inserted in each of the six states
         for role in (0, 1):
             have, want = _axis_letter(gate, role), _axis_letter(native, role)
             fixes.append([0 if row[have] == want else gs._insertions[row[have], want]
                           for row in PERM_APPLY])
-        table = gs._step_tables[key] = tuple(
-            (fa, fb, *_transfer_perms(gate, working_bits,
-                                      PERM_COMPOSE[fa][ua], PERM_COMPOSE[fb][ub]))
-            for ua, fa in enumerate(fixes[0]) for ub, fb in enumerate(fixes[1])
-        )
+        entries = []
+        for ua, fa in enumerate(fixes[0]):
+            for ub, fb in enumerate(fixes[1]):
+                step = tb._kernel_step(native.kernel, gate.kernel_inv, False,
+                                       _STATE[PERM_COMPOSE[fa][ua]], _STATE[PERM_COMPOSE[fb][ub]])
+                if step is None:
+                    raise AssertionError(f"the step through {gate.name} entangles its wires")
+                sa, sb, swapped = step  # by output wire: sa is source wire b's if swapped
+                if swapped:
+                    sa, sb = sb, sa
+                entries.append((fa, fb, _STATE.index(sa & 15), _STATE.index(sb & 15), swapped))
+        if len({entry[4] for entry in entries}) != 1:
+            raise AssertionError(f"the steps through {gate.name} disagree on crossing its wires")
+        table = tuple(entries)
+    gs._step_tables[gate.kernel] = table
     return table
 
 
-def _sweep(
-    source: Circuit, gs: GateSet, virtual_swap: bool
-) -> tuple[Circuit, tuple[int, ...]]:
+def _sweep(source: Circuit, gs: GateSet) -> tuple[Circuit, tuple[int, ...]]:
     """The native output circuit and the wire permutation, in one walk.
 
     Inserts a basis change before an entangler wherever a wire's letter
     permutation does not carry the source gate's protected letter onto the
     native gate's, then appends to each wire the basis change undoing the
-    permutation left on it.  With ``virtual_swap`` the working entangler is
-    the native followed by a SWAP: the native's table with its output wires
-    exchanged, and the native's one-local letters.  No SWAP is emitted; the
-    pair's output labels are exchanged instead.  The permutation sends each
-    source wire to its output wire; it is the identity otherwise.  Each gate
-    is one lookup in its step table (:func:`_step_table`); the pairs in a
-    layer are disjoint, so the layer is walked once.
+    permutation left on it.  Where the native crosses a pair's wires against
+    the source entangler (a source of the other class), no SWAP is emitted;
+    the pair's output labels are exchanged instead.  The permutation sends
+    each source wire to its output wire.  Each gate is one lookup in its step
+    table (:func:`_step_table`); the pairs in a layer are disjoint, so the
+    layer is walked once.
     """
     n = source.n
     native = gs.entangler
-    steps: dict[GateDef, tuple] = {}  # gate -> step table, for this compile
+    tables = gs._step_tables
 
     u = [0] * n  # indexed by source wire; 0 is the identity permutation
     label = list(range(n))  # source wire -> output wire
@@ -321,20 +310,20 @@ def _sweep(
         natives = []
         for inst in layer:
             gate = inst.gate
-            step = steps.get(gate) or steps.setdefault(gate, _step_table(gs, gate, virtual_swap))
+            step = tables.get(gate.kernel) or _step_table(gs, gate)
             if gate.arity == 1:
                 q = inst.qubits[0]
                 u[q] = step[u[q]]
                 continue
             a, b = inst.qubits
-            fix_a, fix_b, u[a], u[b] = step[6 * u[a] + u[b]]
+            fix_a, fix_b, u[a], u[b], swapped = step[6 * u[a] + u[b]]
             la, lb = label[a], label[b]
             if fix_a:
                 place(la, fix_a)
             if fix_b:
                 place(lb, fix_b)
             natives.append(_instruction(native, (la, lb)))
-            if virtual_swap:
+            if swapped:
                 label[a], label[b] = lb, la
         if natives:
             out.place_layer(natives)
@@ -396,8 +385,8 @@ def _compile(
     """The one pipeline behind both entry points; every result is verified."""
     if frame_mode not in FRAME_MODES:
         raise ValueError(f"frame_mode must be one of {FRAME_MODES}")
-    virtual_swap, entanglers = _crosses_class(source, gs, may_cross)
-    final, permutation = _sweep(source, gs, virtual_swap)
+    entanglers = _check_classes(source, gs, may_cross)
+    final, permutation = _sweep(source, gs)
     frame = _certify(final, source, permutation)
     if frame_mode == "fold":
         # The output is the frame after the relabelled source, so the folded
@@ -449,9 +438,9 @@ def compile_with_iswap_heuristic(
 ) -> CompilationResult:
     """Cross-class compilation via virtual SWAP insertion.
 
-    A SWAP after each native entangler makes the pair match the source's
-    entangler class.  The standard pipeline runs against the native's table
-    with its output wires exchanged, but emits only the native entangler and
+    Against a source of the other class, the native entangler crosses each
+    pair's wires: it equals the source gate up to single-qubit basis
+    changes and a SWAP.  The sweep emits only the native entangler and
     relabels the pair's later gates in place of the SWAP.  The result
     verifies against the target up to signs and the wire relabelling it
     carries.  Same-class sources compile as in :func:`compile_circuit`.

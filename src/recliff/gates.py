@@ -114,7 +114,7 @@ class GateDef:
 
     __slots__ = (
         "name", "arity", "semantics", "entangler_class",
-        "rule", "kernel", "kernel_inv", "perm", "bits16", "bits16_inv", "_one_local",
+        "rule", "kernel", "kernel_inv", "perm", "_one_local",
     )
 
     def __init__(self, name: str, arity: int, semantics: Tableau):
@@ -157,13 +157,9 @@ class GateDef:
         if arity == 1:
             self.perm: LetterPerm | None = (table[Pauli.X], table[Pauli.Z])
             self.entangler_class: EntanglerClass = "none"
-            self.bits16: tuple[int, ...] | None = None
-            self.bits16_inv: tuple[int, ...] | None = None
             self._one_local: tuple[Pauli | None, ...] = (None, None)
             return
         self.perm = None
-        self.bits16 = tuple(table)
-        self.bits16_inv = tuple(inv)
         # Where each single-letter input lands: the per-wire letters whose
         # image is one-local, and whether each wire's letters all stay put
         # (no entangler) or all hop to the other wire (swap-like).
@@ -311,19 +307,11 @@ class GateSet(_Record):
             )
         if any(g.arity != 1 for g in self.single_qubit_natives):
             raise ValueError("single-qubit natives must have arity 1")
-        reached = {PERM_IDENTITY}
-        frontier = [PERM_IDENTITY]
-        while frontier:
-            cur = frontier.pop()
-            for g in self.single_qubit_natives:
-                nxt = perm_compose(g.perm, cur)
-                if nxt not in reached:
-                    reached.add(nxt)
-                    frontier.append(nxt)
-        if len(reached) != 6:
+        reached = len(_native_words(self.single_qubit_natives))
+        if reached != 6:
             raise ValueError(
                 "single-qubit natives do not generate all Pauli-basis changes "
-                f"(got {len(reached)} of 6 classes)"
+                f"(got {reached} of 6 classes)"
             )
 
     # Derived once per gateset and kept on it, so they live as long as it
@@ -353,10 +341,25 @@ class GateSet(_Record):
         }
 
     @cached_property
-    def _step_tables(self) -> dict[tuple[bool, tuple[int, ...]], tuple]:
-        """The compiler's sweep steps, filled on first use: by (swap-insertion
-        mode, source gate's ``bits16``), so no source gate is kept alive."""
+    def _step_tables(self) -> dict[Callable[..., int], tuple]:
+        """The compiler's sweep steps, filled on first use: by the source
+        gate's kernel, as the certificate's caches are, so no source gate is
+        kept alive."""
         return {}
+
+
+def _native_words(natives: Sequence[GateDef]) -> dict[LetterPerm, tuple[GateDef, ...]]:
+    """The shortest native word of each reachable letter permutation, breadth
+    first in the order the natives are listed, so ties resolve the same way."""
+    words: dict[LetterPerm, tuple[GateDef, ...]] = {PERM_IDENTITY: ()}
+    queue = [PERM_IDENTITY]
+    for cur in queue:
+        for native in natives:
+            nxt = perm_compose(native.perm, cur)
+            if nxt not in words:
+                words[nxt] = words[cur] + (native,)
+                queue.append(nxt)
+    return words
 
 
 def decompose_single_qubit(
@@ -371,15 +374,7 @@ def decompose_single_qubit(
     """
     if g.arity != 1:
         raise ValueError("decompose_single_qubit expects a single-qubit gate")
-    words: dict[LetterPerm, tuple[GateDef, ...]] = {PERM_IDENTITY: ()}
-    queue: list[LetterPerm] = [PERM_IDENTITY]
-    while queue and g.perm not in words:
-        cur = queue.pop(0)
-        for native in natives.single_qubit_natives:
-            nxt = perm_compose(native.perm, cur)
-            if nxt not in words:
-                words[nxt] = words[cur] + (native,)
-                queue.append(nxt)
+    words = _native_words(natives.single_qubit_natives)
     if g.perm not in words:
         raise ValueError(
             f"natives {[n.name for n in natives.single_qubit_natives]} "

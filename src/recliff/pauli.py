@@ -139,12 +139,11 @@ class PauliProduct(_Record):
         if s != "I":
             for term in s.split("*"):
                 term = term.strip()
-                if len(term) < 2 or term[0] not in "XYZ":
+                index = term[1:]  # ASCII decimal digits only, as parse takes targets
+                if term[:1] not in ("X", "Y", "Z") or not (index.isascii() and index.isdigit()):
                     raise ValueError(f"bad Pauli term {term!r} in {text!r}")
                 p = Pauli.from_letter(term[0])
-                q = int(term[1:])
-                if q < 0:
-                    raise ValueError(f"negative qubit index in {text!r}")
+                q = int(index)
                 if (x >> q) & 1 or (z >> q) & 1:
                     raise ValueError(f"duplicate qubit {q} in {text!r}")
                 x |= ((p >> 1) & 1) << q

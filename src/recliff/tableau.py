@@ -281,17 +281,13 @@ def _table(gate: GateDef, inverse: bool) -> tuple[int | None, ...]:
 _TABLES: tuple[dict, dict] = ({}, {})  # _table(gate, inverse) by gate.kernel, filled in use
 
 
-def _step(ga: GateDef, gb: GateDef, flipped: bool, sp: int, sq: int):
-    """The map ga (sp x sq) gb^-1 on a's wires (p, q), gb on (p, q) or,
-    ``flipped``, on (q, p), on a 2-qubit tableau: the new states and whether
-    the wires swapped, or None when it entangles them."""
-    return _kernel_step(ga.kernel, gb.kernel_inv, flipped, sp, sq)
-
-
 @cache
 def _kernel_step(kernel_a: Callable[..., int], kernel_b_inv: Callable[..., int],
                  flipped: bool, sp: int, sq: int):
-    """:func:`_step`, cached by the two kernels it runs."""
+    """The map ga (sp x sq) gb^-1 on a's wires (p, q), gb on (p, q) or,
+    ``flipped``, on (q, p), on a 2-qubit tableau, from ga's kernel and gb's
+    inverse kernel and cached by them: the new states of wires p and q and
+    whether the wires swapped, or None when it entangles them."""
     words = _words()
     xs, zs = [0b0001, 0b0100], [0b0010, 0b1000]  # identity(2)'s rows
     sign = kernel_b_inv(xs, zs, *((1, 0) if flipped else (0, 1)))

@@ -327,6 +327,10 @@ class TestLayerValidation:
         c = Circuit(1, ((), (Instruction(builtin("H"), (0,)),), ()))
         assert depth(c) == 1
 
+    def test_negative_qubit_count_rejected(self):
+        with pytest.raises(ValueError, match="^qubit count must be non-negative$"):
+            Circuit(-1, ())
+
 
 # The checks the public constructors make, restated as predicates: pipeline
 # stages skip them, so the constructors must keep rejecting all of this.
@@ -338,6 +342,8 @@ def malformed_instruction(gate, qubits) -> bool:
 
 
 def malformed_layers(n, layers) -> bool:
+    if n < 0:
+        return True
     for layer in layers:
         qubits = [q for inst in layer for q in inst.qubits]
         if len(set(qubits)) != len(qubits) or any(q >= n for q in qubits):
@@ -373,7 +379,7 @@ class TestPublicConstructorsStillCheck:
             assert Instruction(gate, qubits).qubits == qubits
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 7), st.lists(st.lists(valid_instructions(), max_size=4), max_size=4))
+    @given(st.integers(-2, 7), st.lists(st.lists(valid_instructions(), max_size=4), max_size=4))
     def test_circuit(self, n, layers):
         layers = tuple(map(tuple, layers))
         if malformed_layers(n, layers):

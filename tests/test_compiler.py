@@ -6,10 +6,12 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import recliff.compiler
+import recliff.tableau
 from recliff import (
     Circuit,
     CompileError,
     GateDef,
+    GateSet,
     Instruction,
     Pauli,
     PauliProduct,
@@ -17,6 +19,7 @@ from recliff import (
     SurfaceCodeSpec,
     Tableau,
     VerificationError,
+    append_gate,
     builtin,
     builtin_gateset,
     compile_circuit,
@@ -37,6 +40,7 @@ from recliff.circuit import DIALECT_GATES, _circuit, _instruction
 from recliff.cli import main
 from recliff.gates import (
     CLASS_GATE_ORDER,
+    CLASS_GATES,
     NATIVE_SETS,
     PERM_APPLY,
     PERM_COMPOSE,
@@ -53,8 +57,11 @@ from conftest import (
     LOOKUP_PAIR_ORDER,
     WORKED_EXAMPLE_TEXT,
     images_tableau,
+    oracle_certificate,
     reference_lut,
 )
+
+ENTANGLERS = ["CX", "CZ", "SQRT_XX", "ECR", "ISWAP", "CXSWAP", "CZSWAP"]
 
 
 def pairs():
@@ -219,7 +226,7 @@ class TestFixPropagation:
 
     def test_worked_example_insertions(self, worked_example, no_wire_fix):
         gs = builtin_gateset("ecr", "class6")
-        fixed, _ = recliff.compiler._sweep(worked_example, gs, False)
+        fixed, _ = recliff.compiler._sweep(worked_example, gs)
         assert wire_names(fixed, 0) == ["H", "ECR", "ECR"]
         assert wire_names(fixed, 1) == ["ECR", "H_YZ", "ECR"]
         assert wire_names(fixed, 2) == ["ECR", "H_XY", "ECR"]
@@ -228,7 +235,7 @@ class TestFixPropagation:
     def test_supports_match_after_fix(self, worked_example, no_wire_fix):
         gs = builtin_gateset("ecr", "class6")
         target = from_circuit(worked_example)
-        fixed, _ = recliff.compiler._sweep(worked_example, gs, False)
+        fixed, _ = recliff.compiler._sweep(worked_example, gs)
         got = from_circuit(fixed)
         for a, b in zip(got.images(), target.images()):
             assert (a.x | a.z) == (b.x | b.z)
@@ -237,10 +244,9 @@ class TestFixPropagation:
     def test_maps_equal_tableau_derived_maps(self, target, monkeypatch):
         """Each wire's appended fix is exactly the letter map a tableau
         simulation of the propagation-fixed circuit against the source gives
-        (onto iswap, the swap-insertion mode: against the source relabelled
-        by the sweep's wire permutation)."""
+        (onto iswap, where the native crosses every pair: against the source
+        relabelled by the sweep's wire permutation)."""
         gs = builtin_gateset(target, "class6")
-        virtual_swap = target == "iswap"
         sources = [surface_code_syndrome_extraction(SurfaceCodeSpec(d)) for d in (3, 5, 7)]
         for seed in range(30):
             sources.append(random_clifford_circuit(RandomCircuitSpec(
@@ -248,10 +254,10 @@ class TestFixPropagation:
                 entangler=builtin(("CX", "CZ", "SQRT_XX", "ECR")[seed % 4]),
             )))
         for source in sources:
-            done, perm = recliff.compiler._sweep(source, gs, virtual_swap)
+            done, perm = recliff.compiler._sweep(source, gs)
             with monkeypatch.context() as m:
                 m.setattr(recliff.compiler, "PERM_INVERT", (0,) * 6)
-                fixed, fixed_perm = recliff.compiler._sweep(source, gs, virtual_swap)
+                fixed, fixed_perm = recliff.compiler._sweep(source, gs)
             assert fixed_perm == perm
             want = tableau_letter_maps(
                 from_circuit(fixed), from_circuit(source).relabel_wires(perm))
@@ -265,53 +271,132 @@ class TestFixPropagation:
                 assert perm == tuple(range(source.n))
 
 
-def step_oracle(gs, gate, virtual_swap, ua, ub):
-    """One sweep step through a source entangler, gate by gate: the fix on
-    each wire where its permutation does not carry the source's protected
-    letter onto the native's, then the pair's transfer."""
-    from recliff.compiler import _axis_letter, _transfer_perms
+def letters(t: Tableau) -> tuple:
+    """A tableau without its signs: equal for two maps exactly when they
+    differ by a Pauli."""
+    return tuple(t._x), tuple(t._z)
 
-    native = gs.entangler
-    bits = native.bits16
-    if virtual_swap:
-        bits = tuple((t & 3) << 2 | t >> 2 for t in bits)
-    u, fixes = [ua, ub], [0, 0]
-    for role in (0, 1):
-        have = PERM_APPLY[u[role]][_axis_letter(gate, role)]
-        want = _axis_letter(native, role)
-        if have != want:
-            fixes[role] = gs._insertions[have, want]
-            u[role] = PERM_COMPOSE[fixes[role]][u[role]]
-    return (*fixes, *_transfer_perms(gate, bits, *u))
+
+def step_oracle(gs, gate):
+    """The sweep's steps through a source entangler, on dense 2-qubit
+    tableaux.  On each wire the fix is inserted where the wire's permutation
+    does not carry the source's protected letter onto the native's; the
+    entry's states and crossing are the ones with which the source, then
+    the states, equals the fixed states, then the native, up to a Pauli."""
+    after = {}  # the source, then maybe SWAP, then a state on each source wire
+    for swapped in (False, True):
+        source = append_gate(identity(2), gate, (0, 1))
+        if swapped:
+            source = append_gate(source, builtin("SWAP"), (0, 1))
+        for va in range(6):
+            for vb in range(6):
+                t = append_gate(source, CLASS_GATES[va], (int(swapped),))
+                after[letters(append_gate(t, CLASS_GATES[vb], (1 - swapped,)))] = va, vb, swapped
+    native, entries = gs.entangler, []
+    for ua in range(6):
+        for ub in range(6):
+            u, fixes, t = [ua, ub], [0, 0], identity(2)
+            for role in (0, 1):
+                have = PERM_APPLY[u[role]][gate.one_local_letter(role)]
+                want = native.one_local_letter(role)
+                if have != want:
+                    fixes[role] = gs._insertions[have, want]
+                    u[role] = PERM_COMPOSE[fixes[role]][u[role]]
+                t = append_gate(t, CLASS_GATES[u[role]], (role,))
+            entries.append((*fixes, *after[letters(append_gate(t, native, (0, 1)))]))
+    return tuple(entries)
 
 
 class TestStepTables:
-    """The sweep's 36-entry step tables against the step derived gate by gate,
-    on every builtin gateset, in every mode an entry point runs on it."""
+    """The sweep's 36-entry step tables against dense 2-qubit tableaux, on
+    every builtin gateset, for every source entangler an entry point takes."""
 
     @pytest.mark.parametrize("natives", sorted(NATIVE_SETS))
     @pytest.mark.parametrize("target", sorted(TARGET_ENTANGLERS))
     def test_entries_match_the_derivation(self, target, natives):
         gs = builtin_gateset(target, natives)
-        other = {"cx_like": "iswap_like", "iswap_like": "cx_like"}
-        native_class = gs.entangler.entangler_class
-        checked = set()
+        crossed = set()
         for name in DIALECT_GATES:
             gate = builtin(name)
-            # Same-class sources run unswapped; the other class only in the
-            # swap-insertion mode.
-            for virtual_swap, cls in ((False, native_class), (True, other[native_class])):
-                if gate.entangler_class != cls:
-                    continue
-                table = recliff.compiler._step_table(gs, gate, virtual_swap)
-                assert len(table) == 36
-                for ua in range(6):
-                    for ub in range(6):
-                        # The oracle applies the fixes first, so every state's
-                        # transfer is local: no AssertionError here.
-                        assert table[6 * ua + ub] == step_oracle(gs, gate, virtual_swap, ua, ub)
-                checked.add(virtual_swap)
-        assert checked == {False, True}
+            if gate.entangler_class not in ("cx_like", "iswap_like"):
+                continue
+            table = recliff.compiler._step_table(gs, gate)
+            assert table == step_oracle(gs, gate)
+            # The native crosses the pair's wires exactly against the other class.
+            crossed.add(table[0][4])
+            assert table[0][4] == (gate.entangler_class != gs.entangler.entangler_class)
+        assert crossed == {False, True}
+
+    def test_entangling_step_rejected(self):
+        # H (x) S is two-qubit but entangles nothing, so CX after it stays entangling.
+        h_s = GateDef("H_S", 2, append_gate(append_gate(identity(2), builtin("H"), (0,)),
+                                            builtin("S"), (1,)))
+        with pytest.raises(AssertionError, match="entangles its wires"):
+            recliff.compiler._step_table(builtin_gateset("cx"), h_s)
+
+    def test_entries_disagreeing_on_crossing_rejected(self, monkeypatch):
+        step = recliff.tableau._kernel_step
+        calls = []
+
+        def one_crossed(*args):
+            calls.append(args)
+            sa, sb, swapped = step(*args)
+            return sa, sb, swapped != (len(calls) == 5)
+
+        monkeypatch.setattr(recliff.tableau, "_kernel_step", one_crossed)
+        with pytest.raises(AssertionError, match="disagree on crossing"):
+            recliff.compiler._step_table(builtin_gateset("cz"), builtin("CX"))
+
+    def test_single_qubit_entries_match_dense_tableaux(self):
+        """A gate's entry u is the state with which the gate, then that
+        state, equals u, up to a Pauli."""
+        gs = builtin_gateset("ecr")
+        for name in DIALECT_GATES:
+            gate = builtin(name)
+            if gate.arity == 1:
+                t = append_gate(identity(1), gate, (0,))
+                after = {letters(append_gate(t, CLASS_GATES[v], (0,))): v for v in range(6)}
+                assert recliff.compiler._step_table(gs, gate) == tuple(
+                    after[letters(append_gate(identity(1), CLASS_GATES[u], (0,)))]
+                    for u in range(6))
+
+
+class TestCustomNatives:
+    """Onto gatesets whose entangler is any dialect entangler, not only the
+    five targets: the sweep has no mode, so whether the native crosses each
+    pair's wires comes from its own steps against the source's gate."""
+
+    @pytest.mark.parametrize("natives", sorted(NATIVE_SETS))
+    @pytest.mark.parametrize("entangler", ENTANGLERS)
+    def test_both_entry_points(self, entangler, natives):
+        native = builtin(entangler)
+        gs = GateSet("custom", native, tuple(map(builtin, NATIVE_SETS[natives])))
+        allowed = {native, *gs.single_qubit_natives}
+        for seed, source_gate in enumerate(map(builtin, ENTANGLERS * 2)):
+            # An odd number of entanglers: an odd count of pair exchanges is
+            # never the identity permutation.
+            source = random_clifford_circuit(RandomCircuitSpec(
+                n=(2, 3, 6, 7)[seed % 4], entangler_layers=(1, 3, 5)[seed % 3],
+                seed=7000 + seed, entangler=source_gate))
+            same = source_gate.entangler_class == native.entangler_class
+            label = list(range(source.n))
+            for inst in source.instructions():
+                if inst.gate.arity == 2 and not same:
+                    a, b = inst.qubits
+                    label[a], label[b] = label[b], label[a]
+            assert (label == list(range(source.n))) == same
+            entry_points = [compile_with_iswap_heuristic]
+            if same:
+                entry_points.append(compile_circuit)
+            else:
+                with pytest.raises(CompileError, match="heuristic"):
+                    compile_circuit(source, gs)
+            for compile_one in entry_points:
+                res = compile_one(source, gs)
+                assert res.permutation == tuple(label)
+                assert oracle_certificate(res.circuit, source) == (res.permutation, res.frame)
+                assert two_qubit_count(res.circuit) == two_qubit_count(source)
+                assert {inst.gate for inst in res.circuit.instructions()} <= allowed
 
 
 class TestFixConjugation:
@@ -975,13 +1060,12 @@ class TestWorkCounts:
         assert (built, simulated) == ([2], [])
 
     def test_two_qubit_count_checked_against_the_class_check(self, monkeypatch, d5_text):
-        crosses = recliff.compiler._crosses_class
+        check = recliff.compiler._check_classes
 
         def one_more(*args):
-            virtual_swap, entanglers = crosses(*args)
-            return virtual_swap, entanglers + 1
+            return check(*args) + 1
 
-        monkeypatch.setattr(recliff.compiler, "_crosses_class", one_more)
+        monkeypatch.setattr(recliff.compiler, "_check_classes", one_more)
         with pytest.raises(VerificationError, match="^two-qubit count was not preserved$"):
             compile_circuit(parse(d5_text), builtin_gateset("ecr"))
 
@@ -1021,24 +1105,23 @@ class TestWorkCounts:
         import recliff.gates
 
         calls = Counter()
-        transfer = recliff.compiler._transfer_perms
+        derive = recliff.compiler._step_table
 
-        def counted(source_gate, out_bits, ua, ub):
-            calls[source_gate.name, out_bits] += 1
-            return transfer(source_gate, out_bits, ua, ub)
+        def counted(gs, gate):
+            calls[gs.name, gate.name] += 1
+            return derive(gs, gate)
 
-        monkeypatch.setattr(recliff.compiler, "_transfer_perms", counted)
+        monkeypatch.setattr(recliff.compiler, "_step_table", counted)
         # Start from no shared gatesets, so these compiles derive the tables.
         monkeypatch.setattr(recliff.gates, "_GATESETS", {}, raising=False)
         cx_source = parse(d5_text)
         gs = builtin_gateset("iswap")
         iswap_source = compile_with_iswap_heuristic(cx_source, gs).circuit
         for _ in range(50):
-            compile_circuit(iswap_source, gs)  # the unswapped mode
-            compile_with_iswap_heuristic(cx_source, gs)  # the swap-insertion mode
-        swapped = tuple((t & 3) << 2 | t >> 2 for t in gs.entangler.bits16)
-        assert set(calls) == {("ISWAP", gs.entangler.bits16), ("CX", swapped)}
-        assert all(k <= 36 for k in calls.values())
+            compile_circuit(iswap_source, gs)  # the native meets its own class
+            compile_with_iswap_heuristic(cx_source, gs)  # the native crosses each pair
+        assert {gate for _, gate in calls} >= {"ISWAP", "CX", "H"}
+        assert set(calls.values()) == {1}
 
     def test_caller_gate_not_kept_by_a_shared_gateset(self):
         import gc

@@ -295,53 +295,51 @@ class TestAgainstGeneratorMajorDefinition:
     def check(g):
         out_bits, sign = reference_lut(g)
         assert g.rule == old_update_rule(out_bits, sign)
+        # The inverse kernel undoes the kernel, signs included, either way round.
+        for first, then in ((g.kernel, g.kernel_inv), (g.kernel_inv, g.kernel)):
+            t = identity(g.arity)
+            t._sign ^= first(t._x, t._z, *range(g.arity))
+            t._sign ^= then(t._x, t._z, *range(g.arity))
+            assert t == identity(g.arity)
         if g.arity == 1:
             assert g.perm == (int(out_bits[0][2] * 2 + out_bits[1][2]),
                               int(out_bits[0][1] * 2 + out_bits[1][1]))
-            assert g.bits16 is None and g.entangler_class == "none"
+            assert g.entangler_class == "none"
             assert g.one_local_letter(0) is None
             return
-        bits = tuple(sum(int(out_bits[i][k]) << (3 - i) for i in range(4)) for k in range(16))
         assert g.perm is None
-        assert g.bits16 == bits
-        assert all(g.bits16_inv[v] == k for k, v in enumerate(bits))
         fixed, one_local = old_wire_letters(g)
         assert [g.one_local_letter(w) for w in (0, 1)] == one_local
         assert g.entangler_class == old_classify(g, fixed)
 
 
 class TestSwapInsertionTable:
-    """The swap-insertion sweep reads the native's table with its output
-    wires exchanged in place of the native+SWAP composite gate."""
+    """Against a source of the other class, the sweep steps through the
+    native crossing each pair's wires exactly as it would step, uncrossed,
+    through the native+SWAP composite gate."""
 
     @pytest.mark.parametrize("target", sorted(TARGET_ENTANGLERS))
-    def test_matches_the_composite(self, monkeypatch, target):
+    def test_matches_the_composite(self, target):
         native = builtin_gateset(target).entangler
         t = append_gate(append_gate(identity(2), native, (0, 1)), builtin("SWAP"), (0, 1))
         composite = GateDef(f"{native.name}+SWAP", 2, t)
-        assert composite.bits16 == tuple((b & 3) << 2 | b >> 2 for b in native.bits16)
         assert [composite.one_local_letter(w) for w in (0, 1)] == \
             [native.one_local_letter(w) for w in (0, 1)]
         other = {"cx_like": "iswap_like", "iswap_like": "cx_like"}
         assert composite.entangler_class == other[native.entangler_class]
 
-        tables = []
-        transfer = recliff.compiler._transfer_perms
-
-        def counted(source_gate, out_bits, ua, ub):
-            tables.append(out_bits)
-            return transfer(source_gate, out_bits, ua, ub)
-
-        monkeypatch.setattr(recliff.compiler, "_transfer_perms", counted)
+        gs = builtin_gateset(target)
         source_gate = "CX" if native.entangler_class == "iswap_like" else "ISWAP"
+        crossed = recliff.compiler._step_table(gs, builtin(source_gate))
+        straight = recliff.compiler._step_table(
+            GateSet(target, composite, gs.single_qubit_natives), builtin(source_gate))
+        assert [entry[:4] for entry in crossed] == [entry[:4] for entry in straight]
+        assert {entry[4] for entry in crossed} == {True}
+        assert {entry[4] for entry in straight} == {False}
+
         source = parse(f"H 0\nTICK\n{source_gate} 0 1\nTICK\n{source_gate} 1 2\n")
-        # A fresh gateset derives its step tables here; the shared one may
-        # have derived them in an earlier test.
-        shared = builtin_gateset(target)
-        fresh = GateSet(shared.name, shared.entangler, shared.single_qubit_natives)
-        res = compile_with_iswap_heuristic(source, fresh)
-        assert res.permutation != (0, 1, 2)  # the swap-insertion mode ran
-        assert tables and all(table == composite.bits16 for table in tables)
+        res = compile_with_iswap_heuristic(source, gs)
+        assert res.permutation == (1, 2, 0)  # each pair's labels exchanged
 
 
 class TestGateSet:

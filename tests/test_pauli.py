@@ -48,6 +48,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             pp("+X0*Z0")
 
+    @pytest.mark.parametrize("text", [
+        "X1_0", "X+1", "X-1", "X 1", "X\u0663", "X\u00b2", "Xa", "X", "W0", "+X0*", "x0",
+    ])
+    def test_index_must_be_ascii_decimal(self, text):
+        with pytest.raises(ValueError, match="^bad Pauli term "):
+            pp(text)
+
 
 def exact(a, b):
     """a*b as (product with sign +1, exponent of i) from the word-wide routine."""

@@ -676,7 +676,7 @@ class TestLocalWalk:
                         dense = identity(2)
                         dense._apply_layers(b, inverse=True)
                         dense._apply_layers(wires + layers((ga, (0, 1))))
-                        got = tb._step(ga, gb, flipped, sp, sq)
+                        got = tb._kernel_step(ga.kernel, gb.kernel_inv, flipped, sp, sq)
                         if got is None:
                             assert any((img.x | img.z).bit_count() == 2 for img in dense.images())
                         else:
