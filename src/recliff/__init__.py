@@ -19,7 +19,6 @@ from .tableau import (
     Tableau,
     append_gate,
     certify,
-    conjugate_product,
     from_circuit,
     identity,
     pretty,
@@ -87,7 +86,6 @@ __all__ = [
     "compare",
     "compile_circuit",
     "compile_with_iswap_heuristic",
-    "conjugate_product",
     "conjugation_lookup",
     "decompose_single_qubit",
     "depth",

@@ -5,30 +5,31 @@ the native entangler on the same qubit pair and in the same layer (the
 two-qubit count is forced, so this skeleton is minimal); the sweep adds only
 single-qubit basis changes, placed by one layer builder:
 
-1.  Propagation.  For each wire the sweep tracks the Pauli-letter
-    permutation relating the source's instantaneous conjugation to the
-    output's.  A two-qubit Clifford leaves one input letter per wire
-    un-spread (Z on a CX control, X on its target, X on both wires of the XX
-    interaction, and so on); the wire's permutation must carry the source
-    gate's protected letter onto the native gate's.  Where it does not, a
-    basis change inserted just before the entangler repairs it.  The
-    constraint is per-wire separable, so one sweep in time order fixes every
-    generator's propagation at once.  Each wire holds one of six
-    permutations, so a step through an entangler, fixes and transfer, is one
-    lookup in a 36-entry table.  The table is the certificate's own 2-qubit
-    step through the native against the source gate, read without signs.
+1.  Propagation.  For each wire the sweep tracks, as one of six classes,
+    the basis change relating the source's instantaneous conjugation to the
+    output's: the certificate's single-qubit state without its signs.  A
+    two-qubit Clifford leaves one input letter per wire un-spread (Z on a CX
+    control, X on its target, X on both wires of the XX interaction, and so
+    on), and the certificate's 2-qubit step through the native against the
+    source gate is local exactly when each wire's state carries the source
+    gate's protected letter onto the native gate's.  Where it does not, the
+    cheapest class that makes it so (its native word's length, plus 1 for a
+    residual Pauli; ties in CLASS_GATES order) is inserted just before the
+    entangler.  The constraint is per-wire separable, so one sweep in time
+    order fixes every generator's propagation at once, one lookup per
+    entangler in a 36-entry table read off that step.
     Against a source of the other class the native crosses each pair's
     wires (the swap-insertion mode); the sweep then exchanges the pair's
     output labels instead of emitting a SWAP, so later gates land on the
     relabelled wires.
 2.  Conjugation.  After the last layer each wire is off from the source by a
-    pure letter permutation; one basis change appended per wire removes it.
+    basis change alone; one class appended per wire, its inverse, removes it.
     Single-qubit layers never end up adjacent, so nothing needs fusing.
 3.  Native words.  The builder writes each basis change as its native word,
-    dropping the word's residual Pauli.  Words, insertion choices and step
-    tables depend only on the gateset and are derived on first use and kept
-    on it, the tables by the source gate's kernel; a builtin gateset is
-    shared, so they are derived once per process.  No compile builds a gate.
+    dropping the word's residual Pauli.  Words and step tables depend only
+    on the gateset and are derived on first use and kept on it, the tables
+    by the source gate's kernel; a builtin gateset is shared, so they are
+    derived once per process.  No compile builds a gate.
 4.  Frame.  The output is certified against the source: the map from the
     source to the output must be a Pauli times the sweep's wire permutation
     (the identity outside the swap-insertion mode); a failed check raises.
@@ -53,16 +54,7 @@ from typing import Sequence
 from .pauli import Pauli, PauliProduct, _Record, terms
 from . import tableau as tb
 from .circuit import Circuit, Instruction, _circuit, _instruction, depth, gate_counts
-from .gates import (
-    PERM_APPLY,
-    PERM_COMPOSE,
-    PERM_INVERT,
-    PERMS,
-    GateDef,
-    GateSet,
-    builtin,
-    class_gate_for_perm,
-)
+from .gates import CLASS_GATES, GateDef, GateSet, builtin
 from .reporting import Report, report
 
 
@@ -99,7 +91,8 @@ def conjugation_lookup(
     mapping = {current[0]: target[0], current[1]: target[1]}
     third_src = Pauli(current[0] ^ current[1])
     mapping[third_src] = Pauli(target[0] ^ target[1])
-    return class_gate_for_perm((mapping[Pauli.X], mapping[Pauli.Z]))
+    perm = (mapping[Pauli.X], mapping[Pauli.Z])
+    return next(gate for gate in CLASS_GATES if gate.perm == perm)
 
 
 # ---------------------------------------------------------------------------
@@ -228,54 +221,55 @@ class _LayerBuilder:
 # The sweep (exact, source-instantaneous reference)
 
 
-def _axis_letter(gate: GateDef, role: int) -> Pauli:
-    letter = gate.one_local_letter(role)
-    if letter is None:
-        raise CompileError(
-            f"{gate.name} has no protected letter on wire {role}; "
-            "cannot constrain propagation through it"
-        )
-    return letter
+# The six classes as the certificate's states without signs (a state of
+# :func:`tableau._run`), by CLASS_GATES index: the sweep's only letter algebra.
+_STATE = tuple(tb._run(tb._ONE, (gate.kernel,)) & 15 for gate in CLASS_GATES)
 
 
-# The sweep's six states as the certificate's letter bits (a state of
-# :func:`tableau._run` without its sign), by CLASS_GATES index.
-_STATE = tuple(x >> 1 | z & 2 | (x & 1) << 2 | (z & 1) << 3 for x, z in PERMS)
+# ``_THEN[u][k]``: class u followed by class k, read off the certificate too.
+_THEN = tuple(tuple(_STATE.index(tb._run(state, (gate.kernel,)) & 15) for gate in CLASS_GATES)
+              for state in _STATE)
+_INVERT = tuple(row.index(0) for row in _THEN)  # 0 is the identity class
 
 
 def _step_table(gs: GateSet, gate: GateDef) -> tuple:
     """Derive the sweep's step through a source gate, for every state of its
     wires, and keep it on the gateset by the gate's kernel.
 
-    A single-qubit gate's entry ``u`` is the wire's state after it.  An
-    entangler's entry ``6 * ua + ub`` is ``(fix_a, fix_b, ua', ub', swapped)``:
-    the CLASS_GATES index inserted on each wire before it (0 for none), the
-    states of its two source wires after the native entangler, and whether
-    the native crossed them.  Each table reads the certificate's own steps
-    without signs, :func:`tableau._table` for a single-qubit gate and
-    :func:`tableau._kernel_step` for an entangler, so it depends only on the
-    gateset and the gate's kernel.  A step that entangles the pair, or
-    entries that disagree on crossing it, raise ``AssertionError``.
+    A single-qubit gate's entry ``u`` is the wire's state after it, read
+    off the certificate's :func:`tableau._table`, kept in ``tableau._TABLES``.
+    An entangler's entry ``6 * ua + ub`` is ``(fix_a, fix_b, ua', ub',
+    swapped)``: the CLASS_GATES index inserted on each wire before it (0 for
+    none), the states of its two source wires after the native entangler,
+    and whether the native crossed them.  The states for which the
+    certificate's step, :func:`tableau._kernel_step`, stays local are all
+    pairs from two per-wire sets; each fix is the cheapest class into its
+    wire's set.  A step that entangles the pair, local pairs not per wire,
+    or entries that disagree on crossing it, raise ``AssertionError``.
     """
     if gate.arity == 1:
-        states = tb._table(gate, True)
+        tables = tb._TABLES[True]
+        states = tables.get(gate.kernel) or tables.setdefault(gate.kernel, tb._table(gate, True))
         table = tuple(_STATE.index(states[key] & 15) for key in _STATE)
     else:
         native = gs.entangler
-        fixes = []  # per wire, the class inserted in each of the six states
-        for role in (0, 1):
-            have, want = _axis_letter(gate, role), _axis_letter(native, role)
-            fixes.append([0 if row[have] == want else gs._insertions[row[have], want]
-                          for row in PERM_APPLY])
+        steps = {(sa, sb): tb._kernel_step(native.kernel, gate.kernel_inv, False,
+                                           _STATE[sa], _STATE[sb])
+                 for sa in range(6) for sb in range(6)}
+        local = [pair for pair, step in steps.items() if step]
+        if not local:
+            raise AssertionError(f"the step through {gate.name} entangles its wires")
+        allowed = [{pair[w] for pair in local} for w in (0, 1)]
+        if len(local) != len(allowed[0]) * len(allowed[1]):
+            raise AssertionError(f"the local steps through {gate.name} are not per wire")
+        cost = [len(word) + (not residual.is_identity()) for word, residual in gs._class_words]
+        fixes = [[min((k for k in range(6) if _THEN[u][k] in ok), key=lambda k: (cost[k], k))
+                  for u in range(6)] for ok in allowed]
         entries = []
         for ua, fa in enumerate(fixes[0]):
             for ub, fb in enumerate(fixes[1]):
-                step = tb._kernel_step(native.kernel, gate.kernel_inv, False,
-                                       _STATE[PERM_COMPOSE[fa][ua]], _STATE[PERM_COMPOSE[fb][ub]])
-                if step is None:
-                    raise AssertionError(f"the step through {gate.name} entangles its wires")
-                sa, sb, swapped = step  # by output wire: sa is source wire b's if swapped
-                if swapped:
+                sa, sb, swapped = steps[_THEN[ua][fa], _THEN[ub][fb]]
+                if swapped:  # by output wire: sa is source wire b's
                     sa, sb = sb, sa
                 entries.append((fa, fb, _STATE.index(sa & 15), _STATE.index(sb & 15), swapped))
         if len({entry[4] for entry in entries}) != 1:
@@ -288,10 +282,10 @@ def _step_table(gs: GateSet, gate: GateDef) -> tuple:
 def _sweep(source: Circuit, gs: GateSet) -> tuple[Circuit, tuple[int, ...]]:
     """The native output circuit and the wire permutation, in one walk.
 
-    Inserts a basis change before an entangler wherever a wire's letter
-    permutation does not carry the source gate's protected letter onto the
-    native gate's, then appends to each wire the basis change undoing the
-    permutation left on it.  Where the native crosses a pair's wires against
+    Inserts a basis change before an entangler wherever a wire's state
+    does not carry the source gate's protected letter onto the native
+    gate's, then appends to each wire the basis change undoing the state
+    left on it.  Where the native crosses a pair's wires against
     the source entangler (a source of the other class), no SWAP is emitted;
     the pair's output labels are exchanged instead.  The permutation sends
     each source wire to its output wire.  Each gate is one lookup in its step
@@ -302,7 +296,7 @@ def _sweep(source: Circuit, gs: GateSet) -> tuple[Circuit, tuple[int, ...]]:
     native = gs.entangler
     tables = gs._step_tables
 
-    u = [0] * n  # indexed by source wire; 0 is the identity permutation
+    u = [0] * n  # indexed by source wire; 0 is the identity class
     label = list(range(n))  # source wire -> output wire
     out = _LayerBuilder(n, [word for word, _ in gs._class_words])
     place = out.place_single
@@ -329,7 +323,7 @@ def _sweep(source: Circuit, gs: GateSet) -> tuple[Circuit, tuple[int, ...]]:
             out.place_layer(natives)
     # Conjugation fix: each wire is now off from the source by u alone.
     for wire, k in enumerate(u):
-        place(label[wire], PERM_INVERT[k])
+        place(label[wire], _INVERT[k])
     return out.circuit(), tuple(label)
 
 

@@ -9,9 +9,9 @@ to the conjugated pattern and sign, and reads off it:
   wires (see :func:`_update_rule`), compiled once into a straight-line
   kernel function (see :func:`_compile_kernel`), and the same for the
   gate's inverse, whose table is the forward one read backwards,
-* the per-wire letters whose conjugation stays one-local (the commuting
-  letter for CX-like gates, the wire-hopping letter for iSWAP-like ones),
-  and from them the entangler class,
+* where each wire's single letters land, and from that the entangler
+  class; the letters a compile protects are not kept here, the sweep reads
+  them off the certificate's 2-qubit step (see :func:`compiler._step_table`),
 * for single-qubit gates, the induced permutation of the Pauli letters.
 
 The registry covers the standard stim-named gates plus ECR.  ECR's tableau is
@@ -32,7 +32,6 @@ EntanglerClass = Literal["none", "cx_like", "iswap_like", "swap_like"]
 
 # Letter permutations are (image of X, image of Z) as Pauli codes.
 LetterPerm = tuple[int, int]
-PERM_IDENTITY: LetterPerm = (Pauli.X, Pauli.Z)
 
 
 def perm_apply(perm: LetterPerm, code: int) -> int:
@@ -43,11 +42,6 @@ def perm_apply(perm: LetterPerm, code: int) -> int:
     if code == Pauli.Z:
         return perm[1]
     return perm[0] ^ perm[1]  # Y = X*Z, letter-wise xor
-
-
-def perm_compose(p: LetterPerm, q: LetterPerm) -> LetterPerm:
-    """The permutation "q then p"."""
-    return (perm_apply(p, q[0]), perm_apply(p, q[1]))
 
 
 def _update_rule(table: Sequence[int], signs: Sequence[int]) -> tuple:
@@ -114,7 +108,7 @@ class GateDef:
 
     __slots__ = (
         "name", "arity", "semantics", "entangler_class",
-        "rule", "kernel", "kernel_inv", "perm", "_one_local",
+        "rule", "kernel", "kernel_inv", "perm",
     )
 
     def __init__(self, name: str, arity: int, semantics: Tableau):
@@ -157,14 +151,12 @@ class GateDef:
         if arity == 1:
             self.perm: LetterPerm | None = (table[Pauli.X], table[Pauli.Z])
             self.entangler_class: EntanglerClass = "none"
-            self._one_local: tuple[Pauli | None, ...] = (None, None)
             return
         self.perm = None
-        # Where each single-letter input lands: the per-wire letters whose
-        # image is one-local, and whether each wire's letters all stay put
-        # (no entangler) or all hop to the other wire (swap-like).
+        # Where each single-letter input lands: whether a wire keeps some
+        # letter in place, and whether its letters all stay put (no
+        # entangler) or all hop to the other wire (swap-like).
         fixed: list[Pauli | None] = [None, None]
-        one_local: list[Pauli | None] = [None, None]
         stays = [True, True]
         crosses = [True, True]
         for wire in (0, 1):
@@ -173,11 +165,8 @@ class GateDef:
                 supp = tuple(w for w, s in enumerate(shifts) if (out >> s) & 3)
                 if supp == (wire,):
                     fixed[wire] = letter
-                if len(supp) == 1:
-                    one_local[wire] = letter
                 stays[wire] &= supp == (wire,)
                 crosses[wire] &= supp == (1 - wire,)
-        self._one_local = tuple(one_local)
         if stays[0] and stays[1]:
             self.entangler_class = "none"
         elif crosses[0] and crosses[1]:
@@ -189,9 +178,17 @@ class GateDef:
         else:
             raise ValueError(f"gate {name}: entangler with one-sided fixed Pauli")
 
-    def one_local_letter(self, wire: int) -> Pauli | None:
-        """Input letter on the wire whose conjugation is one-local, if any."""
-        return self._one_local[wire]
+    def __deepcopy__(self, memo: dict | None = None) -> "GateDef":
+        return self  # gates compare by identity, so a copy is the gate itself
+
+    __copy__ = __deepcopy__
+
+    def __reduce__(self) -> tuple:
+        """A builtin unpickles to the shared registry gate, any other gate to a
+        new one with the same name, arity and semantics."""
+        if _REGISTRY.get(self.name) is self:
+            return builtin, (self.name,)
+        return GateDef, (self.name, self.arity, self.semantics)
 
     def __repr__(self) -> str:
         return f"GateDef({self.name})"
@@ -273,22 +270,6 @@ def builtin(name: str) -> GateDef:
 CLASS_GATE_ORDER = ("I", "H_XY", "H_YZ", "H", "C_XYZ", "C_ZYX")
 CLASS_GATES = tuple(_REGISTRY[name] for name in CLASS_GATE_ORDER)
 
-# Tables over the six letter permutations, indexed like CLASS_GATES: the
-# sweep looks permutations up here instead of evaluating them per gate.
-PERMS: tuple[LetterPerm, ...] = tuple(g.perm for g in CLASS_GATES)
-PERM_INDEX = {p: i for i, p in enumerate(PERMS)}
-PERM_APPLY = tuple(tuple(perm_apply(p, code) for code in range(4)) for p in PERMS)
-PERM_COMPOSE = tuple(tuple(PERM_INDEX[perm_compose(p, q)] for q in PERMS) for p in PERMS)
-PERM_INVERT = tuple(row.index(0) for row in PERM_COMPOSE)  # 0 is the identity
-
-
-def class_gate_for_perm(perm: LetterPerm) -> GateDef:
-    """The basis-change class gate realising a letter permutation."""
-    try:
-        return CLASS_GATES[PERM_INDEX[perm]]
-    except KeyError:
-        raise ValueError(f"no class gate for permutation {perm}") from None
-
 
 class GateSet(_Record):
     """A native gateset: one two-qubit entangler plus single-qubit generators."""
@@ -323,24 +304,6 @@ class GateSet(_Record):
         return tuple(decompose_single_qubit(g, self) for g in CLASS_GATES)
 
     @cached_property
-    def _insertions(self) -> dict[tuple[int, int], int]:
-        """By ``(have, want)``: the CLASS_GATES index of the cheapest class gate
-        sending letter ``have`` to ``want``.  Cost is the length of the gate's
-        full native identity, residual Pauli included; ties resolve by the
-        precedence I < H_XY < H_YZ < H < C_XYZ < C_ZYX.
-        """
-        cost = [len(word) + (0 if residual.is_identity() else 1)
-                for word, residual in self._class_words]
-        letters = (Pauli.X, Pauli.Y, Pauli.Z)
-        return {
-            (have, want): min(
-                (k for k in range(6) if PERM_APPLY[k][have] == want),
-                key=lambda k: (cost[k], k),
-            )
-            for have in letters for want in letters
-        }
-
-    @cached_property
     def _step_tables(self) -> dict[Callable[..., int], tuple]:
         """The compiler's sweep steps, filled on first use: by the source
         gate's kernel, as the certificate's caches are, so no source gate is
@@ -348,14 +311,15 @@ class GateSet(_Record):
         return {}
 
 
-def _native_words(natives: Sequence[GateDef]) -> dict[LetterPerm, tuple[GateDef, ...]]:
-    """The shortest native word of each reachable letter permutation, breadth
+def _native_words(natives: Sequence[GateDef]) -> dict[int, tuple[GateDef, ...]]:
+    """The shortest native word of each reachable basis-change class, by the
+    class's certificate state without signs (:func:`tableau._run`), breadth
     first in the order the natives are listed, so ties resolve the same way."""
-    words: dict[LetterPerm, tuple[GateDef, ...]] = {PERM_IDENTITY: ()}
-    queue = [PERM_IDENTITY]
+    words: dict[int, tuple[GateDef, ...]] = {tb._ONE: ()}
+    queue = [tb._ONE]
     for cur in queue:
         for native in natives:
-            nxt = perm_compose(native.perm, cur)
+            nxt = tb._run(cur, (native.kernel,)) & 15
             if nxt not in words:
                 words[nxt] = words[cur] + (native,)
                 queue.append(nxt)
@@ -375,12 +339,12 @@ def decompose_single_qubit(
     if g.arity != 1:
         raise ValueError("decompose_single_qubit expects a single-qubit gate")
     words = _native_words(natives.single_qubit_natives)
-    if g.perm not in words:
+    word = words.get(tb._run(tb._ONE, (g.kernel,)) & 15)
+    if word is None:
         raise ValueError(
             f"natives {[n.name for n in natives.single_qubit_natives]} "
             f"cannot realise {g.name}"
         )
-    word = words[g.perm]
     from .circuit import _circuit, _instruction  # circuit imports this module
 
     # The word has g's letters, so g is the word followed by a Pauli, which

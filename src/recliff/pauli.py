@@ -2,10 +2,9 @@
 
 A Pauli product over n qubits is stored as two n-bit integers (one X bit and
 one Z bit per qubit) plus a sign in {+1, -1}.  Qubit j carries Y iff both bits
-are set, I iff both are clear.  Products of Hermitian Pauli operators can pick
-up factors of i; :func:`_phase_exponent` tracks that exponent modulo 4.  Every
-operation used by the tableau machinery combines operators whose net phase is
-real.
+are set, I iff both are clear.  A stored product carries no factor of i: the
+tableau machinery reads and writes signed generator images, and never
+multiplies two products.
 """
 
 from __future__ import annotations
@@ -112,14 +111,6 @@ class PauliProduct(_Record):
         return PauliProduct(n)
 
     @staticmethod
-    def single(n: int, qubit: int, pauli: Pauli, sign: int = 1) -> "PauliProduct":
-        if not 0 <= qubit < n:
-            raise ValueError(f"qubit {qubit} out of range for n={n}")
-        x = ((pauli >> 1) & 1) << qubit
-        z = (pauli & 1) << qubit
-        return PauliProduct(n, x, z, sign)
-
-    @staticmethod
     def from_string(text: str, n: int | None = None) -> "PauliProduct":
         """Parse the textual syntax, e.g. ``-X0*Y2`` or ``+I``.
 
@@ -191,18 +182,3 @@ def commutes(a: PauliProduct, b: PauliProduct) -> bool:
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
     return (((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) & 1) == 0
-
-
-def _phase_exponent(a: PauliProduct, b: PauliProduct) -> int:
-    """Exponent of i in the product a*b (sign factors folded in), mod 4.
-
-    Per qubit, ZX = iY, XY = iZ and YZ = iX contribute +1, the reversed
-    orders -1; all qubits are counted at once with word-wide masks.
-    """
-    e = 0 if a.sign > 0 else 2
-    e += 0 if b.sign > 0 else 2
-    ax, ay, az = a.x & ~a.z, a.x & a.z, a.z & ~a.x
-    bx, by, bz = b.x & ~b.z, b.x & b.z, b.z & ~b.x
-    plus = (az & bx) | (ax & by) | (ay & bz)
-    minus = (az & by) | (ax & bz) | (ay & bx)
-    return (e + plus.bit_count() - minus.bit_count()) & 3

@@ -35,7 +35,7 @@ from collections import namedtuple
 from functools import cache
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .pauli import PauliProduct, _phase_exponent, commutes
+from .pauli import PauliProduct, commutes
 
 if TYPE_CHECKING:  # pragma: no cover
     from .circuit import Circuit, Instruction
@@ -362,33 +362,6 @@ def _local(a: "Circuit", b: "Circuit") -> tuple[tuple[int, ...], PauliProduct] |
     fx = int("0" + "".join(["01"[key >> 5] for key in reversed(states)]), 2)
     fz = int("0" + "".join(["01"[key >> 4 & 1] for key in reversed(states)]), 2)
     return tuple(sigma), PauliProduct(n, fx, fz)
-
-
-def conjugate_product(t: Tableau, p: PauliProduct) -> PauliProduct:
-    """Image of an arbitrary Pauli product under the tableau's circuit.
-
-    Decomposes p into generators (X factors first, then Z factors, each in
-    ascending qubit order, with one i per Y) and multiplies the corresponding
-    images, tracking the phase exponent mod 4.  A unitary image of a Hermitian
-    operator is Hermitian, so the net phase is always real.
-    """
-    if p.n != t.n:
-        raise ValueError(f"size mismatch: product n={p.n}, tableau n={t.n}")
-    n = t.n
-    exponent = (p.x & p.z).bit_count()  # one i per Y in the canonical form
-    if p.sign < 0:
-        exponent += 2
-    acc = PauliProduct(n)
-    rows = [2 * j for j in range(n) if (p.x >> j) & 1]
-    rows += [2 * j + 1 for j in range(n) if (p.z >> j) & 1]
-    for g in rows:
-        img = t._image(g)
-        exponent += _phase_exponent(acc, img)
-        acc = PauliProduct(n, acc.x ^ img.x, acc.z ^ img.z)
-    exponent &= 3
-    if exponent & 1:
-        raise AssertionError("conjugated Hermitian product came out imaginary")
-    return PauliProduct(n, acc.x, acc.z, 1 if exponent == 0 else -1)
 
 
 def describe_difference(t1: Tableau, t2: Tableau, name1: str, name2: str) -> str:

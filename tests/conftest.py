@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from recliff import (
-    Circuit, Instruction, ParseError, PauliProduct, Tableau, commutes, conjugate_product,
-    from_circuit, parse,
+    Circuit, Instruction, ParseError, Pauli, PauliProduct, Tableau, commutes, from_circuit,
+    parse,
 )
 from recliff.circuit import _GATES, DIALECT_GATES, _circuit, _instruction
 from recliff.gates import builtin
-from recliff.pauli import _phase_exponent
 
 # 4-qubit interleaved stabilizer-measurement circuit used as the golden
 # worked example throughout the suite.
@@ -106,6 +105,76 @@ def images_tableau(strings: list[str]) -> Tableau:
     return Tableau.from_images(n, [PauliProduct.from_string(s, n) for s in strings])
 
 
+# ---------------------------------------------------------------------------
+# Pauli-product algebra the package itself does without: products with their
+# phases, and the image of any product under a tableau.  The tests use them
+# as oracles for the package's bitwise tables.
+
+
+def single(n: int, qubit: int, pauli: Pauli, sign: int = 1) -> PauliProduct:
+    """The product with one Pauli on one qubit of n."""
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} out of range for n={n}")
+    return PauliProduct(n, ((pauli >> 1) & 1) << qubit, (pauli & 1) << qubit, sign)
+
+
+def phase_exponent(a: PauliProduct, b: PauliProduct) -> int:
+    """Exponent of i in the product a*b (sign factors folded in), mod 4.
+
+    Per qubit, ZX = iY, XY = iZ and YZ = iX contribute +1, the reversed
+    orders -1; all qubits are counted at once with word-wide masks.
+    """
+    e = 0 if a.sign > 0 else 2
+    e += 0 if b.sign > 0 else 2
+    ax, ay, az = a.x & ~a.z, a.x & a.z, a.z & ~a.x
+    bx, by, bz = b.x & ~b.z, b.x & b.z, b.z & ~b.x
+    plus = (az & bx) | (ax & by) | (ay & bz)
+    minus = (az & by) | (ax & bz) | (ay & bx)
+    return (e + plus.bit_count() - minus.bit_count()) & 3
+
+
+def conjugate_product(t: Tableau, p: PauliProduct) -> PauliProduct:
+    """Image of an arbitrary Pauli product under the tableau's circuit.
+
+    Decomposes p into generators (X factors first, then Z factors, each in
+    ascending qubit order, with one i per Y) and multiplies the corresponding
+    images, tracking the phase exponent mod 4.  A unitary image of a Hermitian
+    operator is Hermitian, so the net phase is always real.
+    """
+    if p.n != t.n:
+        raise ValueError(f"size mismatch: product n={p.n}, tableau n={t.n}")
+    n = t.n
+    exponent = (p.x & p.z).bit_count()  # one i per Y in the canonical form
+    if p.sign < 0:
+        exponent += 2
+    acc = PauliProduct(n)
+    rows = [2 * j for j in range(n) if (p.x >> j) & 1]
+    rows += [2 * j + 1 for j in range(n) if (p.z >> j) & 1]
+    for g in rows:
+        img = t._image(g)
+        exponent += phase_exponent(acc, img)
+        acc = PauliProduct(n, acc.x ^ img.x, acc.z ^ img.z)
+    exponent &= 3
+    if exponent & 1:
+        raise AssertionError("conjugated Hermitian product came out imaginary")
+    return PauliProduct(n, acc.x, acc.z, 1 if exponent == 0 else -1)
+
+
+def one_local_letter(gate, wire: int) -> Pauli | None:
+    """The input letter on a two-qubit gate's wire whose image is one-local
+    (the last of X, Y, Z that is), or None: the letter the compiler protects
+    on that wire, the commuting one of a CX-like gate, the hopping one of an
+    iSWAP-like gate."""
+    if gate.arity != 2:
+        return None
+    found = None
+    for letter in (Pauli.X, Pauli.Y, Pauli.Z):
+        img = conjugate_product(gate.semantics, single(2, wire, letter))
+        if (img.x | img.z).bit_count() == 1:
+            found = letter
+    return found
+
+
 @functools.lru_cache(maxsize=None)
 def reference_lut(gate):
     """The gate's conjugation lookup, built from its tableau with conjugate_product.
@@ -134,7 +203,7 @@ def multiply(a: PauliProduct, b: PauliProduct) -> PauliProduct:
     """Product a*b with any +/-i phase dropped to a sign: a test reference."""
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    sign = -1 if _phase_exponent(a, b) >= 2 else 1
+    sign = -1 if phase_exponent(a, b) >= 2 else 1
     return PauliProduct(a.n, a.x ^ b.x, a.z ^ b.z, sign)
 
 

@@ -25,6 +25,7 @@ from recliff import (
     compile_circuit,
     compile_with_iswap_heuristic,
     conjugation_lookup,
+    decompose_single_qubit,
     depth,
     emit,
     extract_frame,
@@ -42,9 +43,6 @@ from recliff.gates import (
     CLASS_GATE_ORDER,
     CLASS_GATES,
     NATIVE_SETS,
-    PERM_APPLY,
-    PERM_COMPOSE,
-    PERM_IDENTITY,
     TARGET_ENTANGLERS,
     perm_apply,
 )
@@ -57,8 +55,10 @@ from conftest import (
     LOOKUP_PAIR_ORDER,
     WORKED_EXAMPLE_TEXT,
     images_tableau,
+    one_local_letter,
     oracle_certificate,
     reference_lut,
+    single,
 )
 
 ENTANGLERS = ["CX", "CZ", "SQRT_XX", "ECR", "ISWAP", "CXSWAP", "CZSWAP"]
@@ -121,9 +121,9 @@ def entanglers_only(c: Circuit) -> Circuit:
 @pytest.fixture
 def no_wire_fix(monkeypatch):
     """Stop the sweep's conjugation fix from placing anything: the sweep reads
-    PERM_INVERT only for the fix appended to each wire, and all zeros makes
+    _INVERT only for the fix appended to each wire, and all zeros makes
     every fix the identity class."""
-    monkeypatch.setattr(recliff.compiler, "PERM_INVERT", (0,) * 6)
+    monkeypatch.setattr(recliff.compiler, "_INVERT", (0,) * 6)
 
 
 class TestInitialCondition:
@@ -256,7 +256,7 @@ class TestFixPropagation:
         for source in sources:
             done, perm = recliff.compiler._sweep(source, gs)
             with monkeypatch.context() as m:
-                m.setattr(recliff.compiler, "PERM_INVERT", (0,) * 6)
+                m.setattr(recliff.compiler, "_INVERT", (0,) * 6)
                 fixed, fixed_perm = recliff.compiler._sweep(source, gs)
             assert fixed_perm == perm
             want = tableau_letter_maps(
@@ -266,7 +266,7 @@ class TestFixPropagation:
                 assert after[:len(before)] == before
                 appended = after[len(before):]
                 assert len(appended) <= 1
-                assert (appended[0].gate.perm if appended else PERM_IDENTITY) == want[wire]
+                assert (appended[0].gate.perm if appended else (Pauli.X, Pauli.Z)) == want[wire]
             if target != "iswap":
                 assert perm == tuple(range(source.n))
 
@@ -278,11 +278,17 @@ def letters(t: Tableau) -> tuple:
 
 
 def step_oracle(gs, gate):
-    """The sweep's steps through a source entangler, on dense 2-qubit
-    tableaux.  On each wire the fix is inserted where the wire's permutation
-    does not carry the source's protected letter onto the native's; the
-    entry's states and crossing are the ones with which the source, then
-    the states, equals the fixed states, then the native, up to a Pauli."""
+    """The sweep's steps through a source entangler, on the public letter
+    view and dense 2-qubit tableaux.  A wire's state is a class's letter
+    permutation.  Where it does not carry the source's one-local letter on
+    the wire onto the native's, the cheapest class that does is inserted:
+    its native word's length, plus 1 for a residual Pauli, ties in
+    CLASS_GATES order.  The entry's states and crossing are the ones with
+    which the source, then the states, equals the fixed states, then the
+    native, up to a Pauli."""
+    perms = [g.perm for g in CLASS_GATES]
+    cost = [len(word) + (not residual.is_identity())
+            for word, residual in (decompose_single_qubit(g, gs) for g in CLASS_GATES)]
     after = {}  # the source, then maybe SWAP, then a state on each source wire
     for swapped in (False, True):
         source = append_gate(identity(2), gate, (0, 1))
@@ -297,24 +303,32 @@ def step_oracle(gs, gate):
         for ub in range(6):
             u, fixes, t = [ua, ub], [0, 0], identity(2)
             for role in (0, 1):
-                have = PERM_APPLY[u[role]][gate.one_local_letter(role)]
-                want = native.one_local_letter(role)
+                have = perm_apply(perms[u[role]], one_local_letter(gate, role))
+                want = one_local_letter(native, role)
                 if have != want:
-                    fixes[role] = gs._insertions[have, want]
-                    u[role] = PERM_COMPOSE[fixes[role]][u[role]]
+                    k = min((k for k in range(6) if perm_apply(perms[k], have) == want),
+                            key=lambda k: (cost[k], k))
+                    fixes[role], (x, z) = k, perms[u[role]]
+                    u[role] = perms.index((perm_apply(perms[k], x), perm_apply(perms[k], z)))
                 t = append_gate(t, CLASS_GATES[u[role]], (role,))
             entries.append((*fixes, *after[letters(append_gate(t, native, (0, 1)))]))
     return tuple(entries)
 
 
+# Every dialect entangler a gateset takes, as the native.
+NATIVE_ENTANGLERS = {**TARGET_ENTANGLERS, "cxswap": "CXSWAP", "czswap": "CZSWAP"}
+
+
 class TestStepTables:
-    """The sweep's 36-entry step tables against dense 2-qubit tableaux, on
-    every builtin gateset, for every source entangler an entry point takes."""
+    """The sweep's 36-entry step tables against dense 2-qubit tableaux, with
+    every dialect entangler as the native and both native sets, for every
+    source entangler an entry point takes."""
 
     @pytest.mark.parametrize("natives", sorted(NATIVE_SETS))
-    @pytest.mark.parametrize("target", sorted(TARGET_ENTANGLERS))
+    @pytest.mark.parametrize("target", sorted(NATIVE_ENTANGLERS))
     def test_entries_match_the_derivation(self, target, natives):
-        gs = builtin_gateset(target, natives)
+        gs = GateSet(target, builtin(NATIVE_ENTANGLERS[target]),
+                     tuple(map(builtin, NATIVE_SETS[natives])))
         crossed = set()
         for name in DIALECT_GATES:
             gate = builtin(name)
@@ -339,13 +353,29 @@ class TestStepTables:
         calls = []
 
         def one_crossed(*args):
+            done = step(*args)
+            if done is None:
+                return None
             calls.append(args)
-            sa, sb, swapped = step(*args)
-            return sa, sb, swapped != (len(calls) == 5)
+            sa, sb, swapped = done
+            return sa, sb, swapped != (len(calls) == 2)
 
         monkeypatch.setattr(recliff.tableau, "_kernel_step", one_crossed)
         with pytest.raises(AssertionError, match="disagree on crossing"):
             recliff.compiler._step_table(builtin_gateset("cz"), builtin("CX"))
+
+    def test_local_steps_not_per_wire_rejected(self, monkeypatch):
+        # CX against CX is local with no fix: drop that one pair, and the
+        # local pairs left are no product of per-wire sets.
+        step = recliff.tableau._kernel_step
+        identity_pair = (recliff.compiler._STATE[0],) * 2
+
+        def one_dropped(*args):
+            return None if args[3:] == identity_pair else step(*args)
+
+        monkeypatch.setattr(recliff.tableau, "_kernel_step", one_dropped)
+        with pytest.raises(AssertionError, match="are not per wire"):
+            recliff.compiler._step_table(builtin_gateset("cx"), builtin("CX"))
 
     def test_single_qubit_entries_match_dense_tableaux(self):
         """A gate's entry u is the state with which the gate, then that
@@ -704,8 +734,8 @@ class TestCompile:
             compiled = res.circuit
             n = compiled.n
             for q in range(n):
-                w_x = PauliProduct.single(n, q, Pauli.X)
-                w_z = PauliProduct.single(n, q, Pauli.Z)
+                w_x = single(n, q, Pauli.X)
+                w_z = single(n, q, Pauli.Z)
                 for layer in compiled.layers:
                     for inst in layer:
                         if inst.gate.arity == 2 and q in inst.qubits:
@@ -1121,6 +1151,31 @@ class TestWorkCounts:
             compile_circuit(iswap_source, gs)  # the native meets its own class
             compile_with_iswap_heuristic(cx_source, gs)  # the native crosses each pair
         assert {gate for _, gate in calls} >= {"ISWAP", "CX", "H"}
+        assert set(calls.values()) == {1}
+
+    def test_single_qubit_tables_computed_once_per_process(self, monkeypatch):
+        """The sweep reads a source gate's single-qubit table from the cache
+        the certificate fills, so one source compiled onto every builtin
+        gateset computes each table once."""
+        import recliff.gates
+
+        calls = Counter()
+        table = recliff.tableau._table
+
+        def counted(gate, inverse):
+            calls[gate.kernel, inverse] += 1
+            return table(gate, inverse)
+
+        monkeypatch.setattr(recliff.tableau, "_table", counted)
+        monkeypatch.setattr(recliff.tableau, "_TABLES", ({}, {}))
+        monkeypatch.setattr(recliff.gates, "_GATESETS", {}, raising=False)
+        source = parse("H 0\nS 1\nSQRT_X 2\nTICK\nCX 0 1\nTICK\nC_XYZ 1\nH_YZ 0\n"
+                       "TICK\nCX 1 2\nTICK\nS_DAG 2\nX 0\nH 1")
+        for target in sorted(TARGET_ENTANGLERS):
+            for natives in sorted(NATIVE_SETS):
+                compile_with_iswap_heuristic(source, builtin_gateset(target, natives))
+        singles = {inst.gate.kernel for inst in source.instructions() if inst.gate.arity == 1}
+        assert singles <= {kernel for kernel, inverse in calls if inverse}
         assert set(calls.values()) == {1}
 
     def test_caller_gate_not_kept_by_a_shared_gateset(self):

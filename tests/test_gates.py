@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import recliff.compiler
+from recliff import tableau as tb
 from recliff import (
     GateSet,
     Pauli,
@@ -13,7 +14,6 @@ from recliff import (
     builtin,
     builtin_gateset,
     compile_with_iswap_heuristic,
-    conjugate_product,
     decompose_single_qubit,
     identity,
     parse,
@@ -21,7 +21,10 @@ from recliff import (
 from recliff.circuit import DIALECT_GATES
 from recliff.gates import TARGET_ENTANGLERS, GateDef
 
-from conftest import ECR_IMAGES, SQRT_XX_IMAGES, images_tableau, reference_lut
+from conftest import (
+    ECR_IMAGES, SQRT_XX_IMAGES, conjugate_product, images_tableau, one_local_letter,
+    reference_lut, single,
+)
 from matrix_oracle import UNITARIES, conjugate, pauli_matrix
 
 
@@ -47,7 +50,7 @@ class TestBuiltinSemantics:
         assert t == images_tableau(SQRT_XX_IMAGES)
         for g, img in enumerate(t.images()):
             j, kind = divmod(g, 2)
-            gen = PauliProduct.single(2, j, Pauli.X if kind == 0 else Pauli.Z)
+            gen = single(2, j, Pauli.X if kind == 0 else Pauli.Z)
             assert np.allclose(conjugate(u, pauli_matrix(gen)), pauli_matrix(img))
 
     def test_unknown_gate(self):
@@ -69,6 +72,18 @@ class TestBuiltinSemantics:
                 assert np.allclose(conjugate(u, pauli_matrix(p)), pauli_matrix(img)), (
                     name, str(p),
                 )
+
+
+def test_perm_is_the_certificate_state_letters():
+    """``GateDef.perm``, the public letter view, reads the same letters as the
+    gate's 1-qubit certificate state (``tableau._run``), the sweep's only
+    letter algebra, on every builtin single-qubit gate."""
+    gates = [builtin(name) for name in DIALECT_GATES if builtin(name).arity == 1]
+    assert len(gates) == 13
+    for gate in gates:
+        state = tb._run(tb._ONE, (gate.kernel,))
+        x, z = state & 3, state >> 2 & 3  # bit 0 of each for X's image, bit 1 for Z's
+        assert gate.perm == tuple(2 * (x >> g & 1) + (z >> g & 1) for g in (0, 1)), gate.name
 
 
 class TestDecomposeSingleQubit:
@@ -125,14 +140,14 @@ class TestCommutingLocalPauli:
     def test_cx(self):
         cx = builtin("CX")
         assert cx.entangler_class == "cx_like"
-        assert cx.one_local_letter(0) == Pauli.Z
-        assert cx.one_local_letter(1) == Pauli.X
+        assert one_local_letter(cx, 0) == Pauli.Z
+        assert one_local_letter(cx, 1) == Pauli.X
 
     def test_ecr(self):
         ecr = builtin("ECR")
         assert ecr.entangler_class == "cx_like"
-        assert ecr.one_local_letter(0) == Pauli.Z
-        assert ecr.one_local_letter(1) == Pauli.X
+        assert one_local_letter(ecr, 0) == Pauli.Z
+        assert one_local_letter(ecr, 1) == Pauli.X
 
     def test_sqrt_xx_both_wires_x(self):
         # derived by enumerating the conjugation of X, Y, Z through each wire
@@ -147,7 +162,7 @@ class TestCommutingLocalPauli:
                         q
                         for q in range(2)
                         if conjugate_product(
-                            sxx.semantics, PauliProduct.single(2, wire, p)
+                            sxx.semantics, single(2, wire, p)
                         ).local(q)
                         != Pauli.I
                     ]
@@ -155,21 +170,21 @@ class TestCommutingLocalPauli:
                 == 1
             ]
             assert stays == [Pauli.X]
-            assert sxx.one_local_letter(wire) == Pauli.X
+            assert one_local_letter(sxx, wire) == Pauli.X
 
     def test_iswap_has_none(self):
         # no letter stays on its wire; the one-local letter hops instead
         iswap = builtin("ISWAP")
         assert iswap.entangler_class == "iswap_like"
         for wire in (0, 1):
-            letter = iswap.one_local_letter(wire)
-            img = conjugate_product(iswap.semantics, PauliProduct.single(2, wire, letter))
+            letter = one_local_letter(iswap, wire)
+            img = conjugate_product(iswap.semantics, single(2, wire, letter))
             assert img.local(wire) == Pauli.I and img.local(1 - wire) != Pauli.I
 
     def test_rejects_single_qubit_gate(self):
         h = builtin("H")
         assert h.entangler_class == "none"
-        assert h.one_local_letter(0) is None
+        assert one_local_letter(h, 0) is None
 
 
 class TestClassifyEntangler:
@@ -229,7 +244,7 @@ def old_wire_letters(g):
     fixed, one_local = [None, None], [None, None]
     for wire in (0, 1):
         for letter in (Pauli.X, Pauli.Y, Pauli.Z):
-            img = conjugate_product(g.semantics, PauliProduct.single(2, wire, letter))
+            img = conjugate_product(g.semantics, single(2, wire, letter))
             supp = tuple(q for q in range(2) if img.local(q) != Pauli.I)
             if supp == (wire,):
                 fixed[wire] = letter
@@ -243,7 +258,7 @@ def old_classify(g, fixed):
     stays, crosses = [True, True], [True, True]
     for wire in (0, 1):
         for letter in (Pauli.X, Pauli.Y, Pauli.Z):
-            img = conjugate_product(g.semantics, PauliProduct.single(2, wire, letter))
+            img = conjugate_product(g.semantics, single(2, wire, letter))
             supp = tuple(q for q in range(2) if img.local(q) != Pauli.I)
             stays[wire] &= supp == (wire,)
             crosses[wire] &= supp == (1 - wire,)
@@ -305,11 +320,11 @@ class TestAgainstGeneratorMajorDefinition:
             assert g.perm == (int(out_bits[0][2] * 2 + out_bits[1][2]),
                               int(out_bits[0][1] * 2 + out_bits[1][1]))
             assert g.entangler_class == "none"
-            assert g.one_local_letter(0) is None
+            assert one_local_letter(g, 0) is None
             return
         assert g.perm is None
         fixed, one_local = old_wire_letters(g)
-        assert [g.one_local_letter(w) for w in (0, 1)] == one_local
+        assert [one_local_letter(g, w) for w in (0, 1)] == one_local
         assert g.entangler_class == old_classify(g, fixed)
 
 
@@ -323,8 +338,8 @@ class TestSwapInsertionTable:
         native = builtin_gateset(target).entangler
         t = append_gate(append_gate(identity(2), native, (0, 1)), builtin("SWAP"), (0, 1))
         composite = GateDef(f"{native.name}+SWAP", 2, t)
-        assert [composite.one_local_letter(w) for w in (0, 1)] == \
-            [native.one_local_letter(w) for w in (0, 1)]
+        assert [one_local_letter(composite, w) for w in (0, 1)] == \
+            [one_local_letter(native, w) for w in (0, 1)]
         other = {"cx_like": "iswap_like", "iswap_like": "cx_like"}
         assert composite.entangler_class == other[native.entangler_class]
 

@@ -13,11 +13,12 @@ from recliff import (
     commutes,
     support,
 )
-from recliff.pauli import _phase_exponent
 from recliff.tableau import from_circuit, identity
 from recliff import Circuit, Instruction, builtin, random_clifford_circuit, RandomCircuitSpec
 
-from conftest import FrameSolveError, multiply, reference_solve_frame, solve_frame
+from conftest import (
+    FrameSolveError, multiply, phase_exponent, reference_solve_frame, single, solve_frame,
+)
 from matrix_oracle import pauli_matrix
 
 
@@ -27,7 +28,7 @@ def pp(text, n=None):
 
 class TestConstruction:
     def test_single(self):
-        p = PauliProduct.single(3, 1, Pauli.Y)
+        p = single(3, 1, Pauli.Y)
         assert p.local(0) == Pauli.I
         assert p.local(1) == Pauli.Y
         assert str(p) == "+Y1"
@@ -58,7 +59,7 @@ class TestConstruction:
 
 def exact(a, b):
     """a*b as (product with sign +1, exponent of i) from the word-wide routine."""
-    return PauliProduct(a.n, a.x ^ b.x, a.z ^ b.z), _phase_exponent(a, b)
+    return PauliProduct(a.n, a.x ^ b.x, a.z ^ b.z), phase_exponent(a, b)
 
 
 class TestMultiply:
@@ -358,11 +359,11 @@ class TestPhaseExponent:
                              rng.getrandbits(n) if n else 0, rng.choice((1, -1)))
             want = (0 if a.sign > 0 else 2) + (0 if b.sign > 0 else 2)
             want += sum(PHASE_TABLE[a.local(q)][b.local(q)] for q in range(n))
-            assert _phase_exponent(a, b) == want % 4
+            assert phase_exponent(a, b) == want % 4
 
     def test_matches_dense_matrices(self):
         for ca, cb in itertools.product(range(4), repeat=2):
             a, b = PauliProduct(1, ca >> 1, ca & 1), PauliProduct(1, cb >> 1, cb & 1)
             prod = pauli_matrix(a) @ pauli_matrix(b)
             letters = pauli_matrix(PauliProduct(1, a.x ^ b.x, a.z ^ b.z))
-            assert np.allclose(prod, 1j ** _phase_exponent(a, b) * letters)
+            assert np.allclose(prod, 1j ** phase_exponent(a, b) * letters)

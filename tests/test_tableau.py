@@ -20,7 +20,6 @@ from recliff import (
     commutes,
     compile_circuit,
     compile_with_iswap_heuristic,
-    conjugate_product,
     emit,
     from_circuit,
     identity,
@@ -45,6 +44,7 @@ from conftest import (
     COMPILED_SIGNS,
     GATES_1Q,
     GATES_2Q,
+    conjugate_product,
     equal_up_to_sign,
     images_tableau,
     match_wires,

@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from recliff import (
-    Circuit, CompilationResult, GateSet, Instruction, PauliProduct, RandomCircuitSpec,
+    Circuit, CompilationResult, GateDef, GateSet, Instruction, PauliProduct, RandomCircuitSpec,
     SurfaceCodeSpec, builtin, compare, report,
 )
 
@@ -67,6 +67,7 @@ class TestValueClass:
     def test_copies_are_equal(self, name):
         a = FACTORIES[name]()
         assert copy.copy(a) == a and copy.deepcopy(a) is not a
+        assert copy.deepcopy(a) == a  # a gate copies to itself, as gates compare by identity
 
     def test_repr_names_every_field(self, name):
         a = FACTORIES[name]()
@@ -94,8 +95,22 @@ def test_reprs():
 
 
 def test_pickle_round_trip():
-    for a in (PauliProduct(3, 5, 1, -1), SurfaceCodeSpec(7)):
-        assert pickle.loads(pickle.dumps(a)) == a
+    """A builtin gate unpickles to the shared registry gate, so every value
+    holding one comes back equal."""
+    for name, factory in FACTORIES.items():
+        a = factory()
+        assert pickle.loads(pickle.dumps(a)) == a, name
+
+
+def test_gates_copy_to_themselves_and_pickle_by_semantics():
+    h = builtin("H")
+    custom = GateDef("H2", 1, h.semantics)
+    for gate in (h, custom):
+        assert copy.copy(gate) is gate and copy.deepcopy(gate) is gate
+    assert pickle.loads(pickle.dumps(h)) is h
+    back = pickle.loads(pickle.dumps(custom))
+    assert back is not custom  # a new gate, by identity another gate
+    assert (back.name, back.arity, back.semantics) == ("H2", 1, h.semantics)
 
 
 def test_pauli_product_defaults():
