@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Iterable, Iterator
 
-from .gates import ALIASES, GateDef, builtin
+from .gates import _REGISTRY, ALIASES, GateDef, builtin
 from .pauli import _Record
 
 
@@ -33,11 +33,7 @@ class ParseError(ValueError):
 
 
 #: Names accepted by the parser (all stim names, except the ECR extension).
-DIALECT_GATES = (
-    "I", "X", "Y", "Z", "H", "S", "S_DAG", "SQRT_X", "SQRT_X_DAG",
-    "H_XY", "H_YZ", "C_XYZ", "C_ZYX",
-    "CX", "CZ", "SWAP", "ISWAP", "SQRT_XX", "CXSWAP", "CZSWAP", "ECR",
-)
+DIALECT_GATES = tuple(_REGISTRY)
 
 #: Every name the parser accepts, aliases included, to its gate.
 _GATES = {name: builtin(name) for name in (*DIALECT_GATES, *ALIASES)}
@@ -51,6 +47,7 @@ class Instruction(_Record):
     qubits: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "qubits", tuple(map(_index, self.qubits)))
         if len(self.qubits) != self.gate.arity:
             raise ValueError(
                 f"{self.gate.name} expects {self.gate.arity} qubits, got {self.qubits}"
@@ -75,6 +72,7 @@ class Circuit(_Record):
     layers: tuple[tuple[Instruction, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _index(self.n))
         if self.n < 0:
             raise ValueError("qubit count must be non-negative")
         norm = []
@@ -102,6 +100,13 @@ class Circuit(_Record):
 
     def is_empty(self) -> bool:
         return not self.layers
+
+
+def _index(value: object) -> int:
+    """An int from an integer value that is not a bool: ``TypeError`` else."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return index(value)
 
 
 _by_qubits = attrgetter("qubits")

@@ -54,7 +54,7 @@ from typing import Sequence
 from .pauli import Pauli, PauliProduct, _Record, terms
 from . import tableau as tb
 from .circuit import Circuit, Instruction, _circuit, _instruction, depth, gate_counts
-from .gates import CLASS_GATES, GateDef, GateSet, builtin
+from .gates import CLASS_GATES, GateDef, GateSet, builtin, perm_apply
 from .reporting import Report, report
 
 
@@ -81,18 +81,17 @@ def conjugation_lookup(
     """The basis-change gate whose conjugation maps one local pair onto another.
 
     Both pairs must be ordered (X-image, Z-image) pairs of distinct
-    non-identity Paulis.  The third letter's image is forced, so the gate is
-    the unique one of the six classes; current == target yields I.
+    non-identity Paulis.  Two letters fix a letter permutation, so the gate
+    is the one class whose ``perm`` takes current onto target; current ==
+    target yields I.
     """
     for pair, role in ((current, "current"), (target, "target")):
         a, b = pair
         if a == Pauli.I or b == Pauli.I or a == b:
             raise ValueError(f"{role} pair {pair} is not an anticommuting non-identity pair")
-    mapping = {current[0]: target[0], current[1]: target[1]}
-    third_src = Pauli(current[0] ^ current[1])
-    mapping[third_src] = Pauli(target[0] ^ target[1])
-    perm = (mapping[Pauli.X], mapping[Pauli.Z])
-    return next(gate for gate in CLASS_GATES if gate.perm == perm)
+    return next(gate for gate in CLASS_GATES
+                if perm_apply(gate.perm, current[0]) == target[0]
+                and perm_apply(gate.perm, current[1]) == target[1])
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +151,8 @@ def _check_classes(source: Circuit, gs: GateSet, may_cross: bool) -> int:
             raise CompileError(
                 f"{gate.name} is a swap-like gate; swap compilation is not supported"
             )
+        if cls == "none":
+            raise CompileError(f"{gate.name} entangles nothing and cannot be compiled")
         if cls != native.entangler_class:
             raise CompileError(
                 f"source entangler {gate.name} is {cls} but the "

@@ -14,6 +14,9 @@ to the conjugated pattern and sign, and reads off it:
   them off the certificate's 2-qubit step (see :func:`compiler._step_table`),
 * for single-qubit gates, the induced permutation of the Pauli letters.
 
+Native words and their residual Paulis (:func:`decompose_single_qubit`)
+are read off the certificate's 1-qubit states: this module builds no circuit.
+
 The registry covers the standard stim-named gates plus ECR.  ECR's tableau is
 built by composing S(x)sqrt(X), CX, X(x)I and asserted against the frozen
 golden constant at import, so a sign-convention drift fails immediately.
@@ -279,6 +282,7 @@ class GateSet(_Record):
     single_qubit_natives: tuple[GateDef, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "single_qubit_natives", tuple(self.single_qubit_natives))
         if self.entangler.arity != 2:
             raise ValueError("gateset entangler must be a two-qubit gate")
         if self.entangler.entangler_class not in ("cx_like", "iswap_like"):
@@ -288,7 +292,7 @@ class GateSet(_Record):
             )
         if any(g.arity != 1 for g in self.single_qubit_natives):
             raise ValueError("single-qubit natives must have arity 1")
-        reached = len(_native_words(self.single_qubit_natives))
+        reached = len(tb._reach(self.single_qubit_natives, 15))
         if reached != 6:
             raise ValueError(
                 "single-qubit natives do not generate all Pauli-basis changes "
@@ -311,49 +315,23 @@ class GateSet(_Record):
         return {}
 
 
-def _native_words(natives: Sequence[GateDef]) -> dict[int, tuple[GateDef, ...]]:
-    """The shortest native word of each reachable basis-change class, by the
-    class's certificate state without signs (:func:`tableau._run`), breadth
-    first in the order the natives are listed, so ties resolve the same way."""
-    words: dict[int, tuple[GateDef, ...]] = {tb._ONE: ()}
-    queue = [tb._ONE]
-    for cur in queue:
-        for native in natives:
-            nxt = tb._run(cur, (native.kernel,)) & 15
-            if nxt not in words:
-                words[nxt] = words[cur] + (native,)
-                queue.append(nxt)
-    return words
-
-
 def decompose_single_qubit(
     g: GateDef, natives: GateSet
 ) -> tuple[tuple[GateDef, ...], PauliProduct]:
     """Shortest native word equal to g up to a trailing Pauli.
 
-    Returns ``(word, residual)`` with g == word followed by residual, exactly:
-    the residual is read off the certificate of g against the word.
-    The search is breadth-first over basis-change classes in the order the
-    natives are listed, so ties resolve deterministically.
+    Returns ``(word, residual)`` with g == word followed by residual, exactly.
+    The word is the natives' shortest one with g's letters, breadth first in
+    the order the natives are listed, so ties resolve deterministically
+    (:func:`tableau._reach`); a gateset's natives reach every class.  The
+    residual is the 1-qubit state of the word's inverse followed by g, a
+    Pauli as the word has g's letters, read off by :func:`tableau._pauli`.
     """
     if g.arity != 1:
         raise ValueError("decompose_single_qubit expects a single-qubit gate")
-    words = _native_words(natives.single_qubit_natives)
-    word = words.get(tb._run(tb._ONE, (g.kernel,)) & 15)
-    if word is None:
-        raise ValueError(
-            f"natives {[n.name for n in natives.single_qubit_natives]} "
-            f"cannot realise {g.name}"
-        )
-    from .circuit import _circuit, _instruction  # circuit imports this module
-
-    # The word has g's letters, so g is the word followed by a Pauli, which
-    # the certificate of g against the word reads off its signs.
-    _, residual = tb.certify(
-        _circuit(1, ((_instruction(g, (0,)),),)),
-        _circuit(1, tuple((_instruction(step, (0,)),) for step in word)),
-    )
-    return word, residual
+    word = tb._reach(natives.single_qubit_natives, 15)[tb._run(tb._ONE, (g.kernel,)) & 15]
+    state = tb._run(tb._ONE, (*(step.kernel_inv for step in reversed(word)), g.kernel))
+    return word, tb._pauli((state,))
 
 
 #: Built-in gateset names accepted by the CLI and the compiler helpers.

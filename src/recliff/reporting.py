@@ -74,9 +74,6 @@ def report(c: Circuit) -> Report:
     )
 
 
-_CATEGORIES = ("x_type", "z_type", "single_qubit_total", "two_qubit", "total")
-
-
 class Comparison(_Record):
     """Category-wise count ratios a/b; categories with a zero denominator are
     reported as undefined rather than dropped silently."""

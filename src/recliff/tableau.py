@@ -24,9 +24,12 @@ layer at a time as one single-qubit Clifford per wire times a relabelling:
 a gate costs a table lookup, a pair of entanglers a cached 2-qubit step, and
 no n-qubit tableau is built.  Otherwise b's inverse, then a, are folded onto
 one tableau, whose rows are single bits when the two agree: the relabelling
-is read off the rows, the frame off the signs.  The generator-major views
-(:meth:`Tableau.images`, :meth:`Tableau.from_images`, :func:`pretty`) read
-and set single row bits.
+is read off the rows, the frame off the signs.  The walk's states are
+1-qubit tableaux in six bits (:func:`_run`); its tables' words and frame,
+and :func:`gates.decompose_single_qubit`'s word and residual, come from one
+breadth-first search (:func:`_reach`) and one Pauli read-off
+(:func:`_pauli`).  The generator-major views (:meth:`Tableau.images`,
+:meth:`Tableau.from_images`, :func:`pretty`) read and set single row bits.
 """
 
 from __future__ import annotations
@@ -253,18 +256,26 @@ def _run(key: int, kernels: Iterable[Callable[..., int]]) -> int:
     return key
 
 
+def _reach(gates: Sequence[GateDef], mask: int) -> dict[int, tuple[GateDef, ...]]:
+    """The shortest word of the gates to each state they reach, breadth first
+    in the order they are listed; ``mask`` 63 keeps the signs, 15 drops them
+    and so keys each basis-change class."""
+    words, queue = {_ONE: ()}, [_ONE]
+    for key in queue:
+        for gate in gates:
+            if (nxt := _run(key, (gate.kernel,)) & mask) not in words:
+                words[nxt] = words[key] + (gate,)
+                queue.append(nxt)
+    return words
+
+
 @cache
 def _words() -> dict[int, tuple[Callable[..., int], ...]]:
     """The 24 states, each with H and S kernels reaching it (breadth first)."""
     from .gates import builtin  # gates imports this module
 
-    words, queue = {_ONE: ()}, [_ONE]
-    for key in queue:
-        for kernel in (builtin("H").kernel, builtin("S").kernel):
-            if (nxt := _run(key, (kernel,))) not in words:
-                words[nxt] = words[key] + (kernel,)
-                queue.append(nxt)
-    return words
+    return {key: tuple(gate.kernel for gate in word)
+            for key, word in _reach((builtin("H"), builtin("S")), 63).items()}
 
 
 def _table(gate: GateDef, inverse: bool) -> tuple[int | None, ...]:
@@ -356,12 +367,18 @@ def _local(a: "Circuit", b: "Circuit") -> tuple[tuple[int, ...], PauliProduct] |
                 sigma[i], sigma[j] = sigma[j], sigma[i]
     if next(b_layers, None) is not None:  # b has an entangler layer left
         raise _Fallback
-    if any(key & 15 != _ONE for key in states):  # a wire holds more than a Pauli
+    frame = _pauli(states)
+    return None if frame is None else (tuple(sigma), frame)
+
+
+def _pauli(states: Sequence[int]) -> PauliProduct | None:
+    """The Pauli product with wire q in ``states[q]``, or None when a wire
+    holds more; it flips X's sign (bit 4) where it has a Z, Z's where an X."""
+    if any(key & 15 != _ONE for key in states):
         return None
-    # A Pauli flips X's sign (bit 4) where it has a Z, Z's (bit 5) where an X.
     fx = int("0" + "".join(["01"[key >> 5] for key in reversed(states)]), 2)
     fz = int("0" + "".join(["01"[key >> 4 & 1] for key in reversed(states)]), 2)
-    return tuple(sigma), PauliProduct(n, fx, fz)
+    return PauliProduct(len(states), fx, fz)
 
 
 def describe_difference(t1: Tableau, t2: Tableau, name1: str, name2: str) -> str:

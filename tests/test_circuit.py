@@ -1,6 +1,7 @@
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -330,6 +331,31 @@ class TestLayerValidation:
     def test_negative_qubit_count_rejected(self):
         with pytest.raises(ValueError, match="^qubit count must be non-negative$"):
             Circuit(-1, ())
+
+    @pytest.mark.parametrize("n", [2.5, True, "2", None])
+    def test_non_integer_qubit_count_rejected(self, n):
+        with pytest.raises(TypeError):
+            Circuit(n, ())
+
+    def test_integer_like_qubit_count_read_as_int(self):
+        c = Circuit(np.int64(2), ((Instruction(builtin("CX"), (0, 1)),),))
+        assert type(c.n) is int and c == Circuit(2, c.layers)
+
+
+class TestInstructionValues:
+    """The public constructor stores int qubits in a tuple, as the parser
+    and emit do, or raises."""
+
+    @pytest.mark.parametrize("qubits", [(False, True), (0.0, 1), (0, 1.0), ("0", 1), (None, 1)])
+    def test_non_integer_qubits_rejected(self, qubits):
+        with pytest.raises(TypeError):
+            Instruction(builtin("CX"), qubits)
+
+    def test_integer_like_qubits_read_as_ints(self):
+        inst = Instruction(builtin("CX"), [np.int64(0), 1])
+        assert inst.qubits == (0, 1) and all(type(q) is int for q in inst.qubits)
+        assert str(inst) == "CX 0 1"
+        assert parse(emit(Circuit(2, ((inst,),)))) == Circuit(2, ((inst,),))
 
 
 # The checks the public constructors make, restated as predicates: pipeline

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -89,6 +90,24 @@ class TestConjugationLookup:
     def test_diagonal_is_identity(self):
         for p in pairs():
             assert conjugation_lookup(p, p).name == "I"
+
+    def test_all_256_letter_pairs(self):
+        """Each pair of valid pairs gives its grid cell; any other names the
+        first pair that is not an anticommuting non-identity pair."""
+        valid = pairs()
+        for cur in itertools.product(Pauli, repeat=2):
+            for tgt in itertools.product(Pauli, repeat=2):
+                bad = [(role, pair) for role, pair in (("current", cur), ("target", tgt))
+                       if pair not in valid]
+                if not bad:
+                    assert conjugation_lookup(cur, tgt).name == \
+                        LOOKUP_GRID[valid.index(cur)][valid.index(tgt)]
+                    continue
+                with pytest.raises(ValueError) as info:
+                    conjugation_lookup(cur, tgt)
+                role, pair = bad[0]
+                assert str(info.value) == \
+                    f"{role} pair {pair} is not an anticommuting non-identity pair"
 
     def test_rejects_degenerate_pairs(self):
         with pytest.raises(ValueError):
@@ -512,8 +531,7 @@ class TestClassCheck:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("entry,message", [
-        (compile_circuit, "source entangler II is none but the ecr gateset entangler "
-                          "ECR is cx_like; use the iswap heuristic mode"),
+        (compile_circuit, "II entangles nothing and cannot be compiled"),
         (compile_with_iswap_heuristic, "source entanglers must be cx-like or iswap-like"),
     ])
     def test_none_class_entangler_rejected_in_both_modes(self, entry, message):

@@ -1,5 +1,5 @@
 """The README's library examples and the package's docstrings name only what
-the package has."""
+the package has, and the package has no private name that it never uses."""
 
 import ast
 import importlib
@@ -53,3 +53,42 @@ def test_docstring_references_resolve():
     assert not resolves(recliff.tableau, "_step")  # a deleted name is caught
     assert [f"{module.__name__}: {name}" for module, name in refs
             if not resolves(module, name)] == []
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each module-level private name (one underscore,
+    not a dunder) that no module of ``sources`` reads: not as a name, an
+    attribute or an import, only in its own definition."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unused += [f"{module}.{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in used]
+    return unused
+
+
+def test_no_unused_private_names():
+    assert unused_private_names({  # the walk catches an unused one
+        "a": "_dead = 1\n_read = 2\ndef _called(): return _read\n",
+        "b": "from a import _called\n",
+    }) == ["a._dead"]
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_names(sources) == []

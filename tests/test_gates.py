@@ -1,10 +1,13 @@
+import ast
 import itertools
 import random
 
 import numpy as np
 import pytest
 
+import recliff.circuit
 import recliff.compiler
+import recliff.gates
 from recliff import tableau as tb
 from recliff import (
     GateSet,
@@ -18,7 +21,7 @@ from recliff import (
     identity,
     parse,
 )
-from recliff.circuit import DIALECT_GATES
+from recliff.circuit import DIALECT_GATES, _circuit, _instruction
 from recliff.gates import TARGET_ENTANGLERS, GateDef
 
 from conftest import (
@@ -128,6 +131,76 @@ class TestDecomposeSingleQubit:
     def test_insufficient_natives_rejected(self):
         with pytest.raises(ValueError):
             GateSet("s_only", builtin("CX"), (builtin("S"),))
+
+
+GATES_1Q = [name for name in DIALECT_GATES if builtin(name).arity == 1]
+CUSTOM_NATIVES = GateSet("custom", builtin("CX"),
+                         (GateDef("MY_H", 1, builtin("H").semantics), builtin("S_DAG")))
+
+
+def old_decomposition(g, gs):
+    """The word and residual as decompose_single_qubit found them before it
+    read them off the 1-qubit states: a breadth-first search over dense
+    1-qubit tableaux without signs, in the natives' order, then the
+    certificate of g against the word as one-qubit circuits."""
+    def letters(t):
+        return tuple(t._x), tuple(t._z)
+
+    words = {letters(identity(1)): ()}
+    queue = [identity(1)]
+    for t in queue:
+        for native in gs.single_qubit_natives:
+            nxt = append_gate(t, native, (0,))
+            if letters(nxt) not in words:
+                words[letters(nxt)] = words[letters(t)] + (native,)
+                queue.append(nxt)
+    word = words[letters(g.semantics)]
+    perm, residual = tb.certify(
+        _circuit(1, ((_instruction(g, (0,)),),)),
+        _circuit(1, tuple((_instruction(step, (0,)),) for step in word)))
+    assert perm == (0,)
+    return word, residual
+
+
+class TestDecomposeWithoutCircuits:
+    """decompose_single_qubit reads its word and residual off 1-qubit states:
+    gates.py builds no circuit and runs no certificate."""
+
+    def test_gates_module_imports_no_circuit(self):
+        tree = ast.parse(open(recliff.gates.__file__).read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert "pauli" in imported  # the walk sees the module's imports
+        assert [name for name in imported if "circuit" in name.split(".")] == []
+
+    @pytest.mark.parametrize("natives", ["s_sx", "class6", "custom"])
+    def test_matches_the_certificate(self, monkeypatch, natives):
+        gs = CUSTOM_NATIVES if natives == "custom" else builtin_gateset("cx", natives)
+        gates = [builtin(name) for name in GATES_1Q]
+        assert len(gates) == 13
+        expected = [old_decomposition(g, gs) for g in gates]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decompose_single_qubit built a circuit or ran certify")
+
+        monkeypatch.setattr(tb, "certify", refuse)
+        monkeypatch.setattr(recliff.circuit, "_circuit", refuse)
+        assert [decompose_single_qubit(g, gs) for g in gates] == expected
+
+
+class TestReach:
+    def test_classes_and_states(self):
+        s, sx = builtin("S"), builtin("SQRT_X")
+        classes = tb._reach((s, sx), 15)
+        assert len(classes) == 6 and all(key < 16 for key in classes)
+        assert classes[tb._run(tb._ONE, (builtin("H").kernel,)) & 15] == (s, sx, s)
+        assert len(tb._reach((s, sx), 63)) == 24
+        assert tb._reach((s,), 15) == {tb._ONE: (), tb._run(tb._ONE, (s.kernel,)) & 15: (s,)}
 
 
 def probe(t) -> GateDef:

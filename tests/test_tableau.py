@@ -652,6 +652,19 @@ class TestLocalWalk:
                 assert [k for k in range(64) if table[k] is not None] == cliffords
                 assert sorted(table[k] for k in cliffords) == cliffords
 
+    def test_words_are_the_breadth_first_h_s_words(self):
+        """``_words`` keys each state by its first H/S kernel word, breadth
+        first with H tried before S, as its own search did before it read
+        them off ``_reach``."""
+        h, s = builtin("H").kernel, builtin("S").kernel
+        words, queue = {tb._ONE: ()}, [tb._ONE]
+        for key in queue:
+            for kernel in (h, s):
+                if (nxt := tb._run(key, (kernel,))) not in words:
+                    words[nxt] = words[key] + (kernel,)
+                    queue.append(nxt)
+        assert list(tb._words().items()) == list(words.items())
+
     def test_step_matches_a_dense_two_qubit_simulation(self):
         gate_of = {builtin(name).kernel: builtin(name) for name in ("H", "S")}
 

@@ -125,6 +125,20 @@ def test_pauli_product_defaults():
         Instruction(builtin("H"))
 
 
+def test_sequences_are_stored_as_tuples():
+    """A list where a tuple is expected is stored as a tuple, so the value
+    hashes and equals the one built from the tuple."""
+    built = {
+        "Instruction": (Instruction(builtin("CX"), [1, 0]), FACTORIES["Instruction"]()),
+        "GateSet": (GateSet("ecr", builtin("ECR"), [builtin("S"), builtin("SQRT_X")]),
+                    FACTORIES["GateSet"]()),
+    }
+    for name, (from_list, from_tuple) in built.items():
+        assert from_list == from_tuple and hash(from_list) == hash(from_tuple), name
+        assert all(type(getattr(from_list, f)) is type(getattr(from_tuple, f))
+                   for f in type(from_list).__match_args__), name
+
+
 def test_checks_run_on_keyword_construction():
     with pytest.raises(ValueError, match="sign"):
         PauliProduct(n=1, sign=0)
