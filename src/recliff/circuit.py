@@ -9,11 +9,11 @@ unitary.  Qubit count is 1 + the largest index used by an instruction, and a
 target longer than Python converts from text (4,300 digits) is an error.
 
 The public :class:`Instruction` and :class:`Circuit` constructors check
-arity, repeats, range and layer disjointness.  The parser checks each line
-once: a line as :func:`emit` writes it costs a partition, a gate-table
-lookup and an ``int`` per target, and any other line a split.  The parser
-and the compiler's stages, which build only from valid parts, skip the
-constructors' checks (:func:`_instruction`, :func:`_circuit`); the
+field types, arity, repeats, range and layer disjointness.  The parser
+checks each line once: a line as :func:`emit` writes it costs a partition,
+a gate-table lookup and an ``int`` per target, and any other line a split.
+The parser and the compiler's stages, which build only from valid parts,
+skip the constructors' checks (:func:`_instruction`, :func:`_circuit`); the
 verification tableau still checks every gate's qubits as it applies it.
 """
 
@@ -47,6 +47,8 @@ class Instruction(_Record):
     qubits: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.gate, GateDef):
+            raise TypeError(f"Instruction.gate must be a GateDef, got {self.gate!r}")
         object.__setattr__(self, "qubits", tuple(map(_index, self.qubits)))
         if len(self.qubits) != self.gate.arity:
             raise ValueError(
@@ -81,6 +83,8 @@ class Circuit(_Record):
                 continue
             used: set[int] = set()
             for inst in layer:
+                if not isinstance(inst, Instruction):
+                    raise TypeError(f"Circuit.layers must hold Instructions, got {inst!r}")
                 for q in inst.qubits:
                     if q >= self.n:
                         raise ValueError(f"qubit {q} out of range for n={self.n}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import stat
@@ -338,12 +339,28 @@ def _parser() -> _Parser:
 
 def main(args=None, prog_name=None, standalone_mode=True, **extra) -> None:
     """The ``recliff`` command on ``args`` or ``sys.argv``.  It is also ``main.main``, the
-    click command method that ``click.testing.CliRunner`` calls; other keywords are ignored."""
+    click command method that ``click.testing.CliRunner`` calls; other keywords are ignored.
+
+    The cyclic garbage collector is paused while the command runs and the caller's
+    setting restored on every exit: a request frees its one object per gate by
+    reference counting, so the collector would only re-traverse what it builds.
+    A command's exit is raised again from here, so that the frames its traceback
+    holds, and the request's objects in them, are freed before the collector
+    restarts; else its first pass would traverse them all."""
+    collecting, code = gc.isenabled(), None
+    gc.disable()
     try:
         kwargs = vars(_parser().parse_command(sys.argv[1:] if args is None else list(args)))
         kwargs.pop("run")(**kwargs)
+    except SystemExit as exc:
+        code = exc.code
     except KeyboardInterrupt:
         _fail(130, "interrupted")
+    finally:
+        if collecting:
+            gc.enable()
+    if code is not None:
+        sys.exit(code)
 
 
 main.main, main.name = main, "recliff"

@@ -283,6 +283,11 @@ class GateSet(_Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "single_qubit_natives", tuple(self.single_qubit_natives))
+        if not isinstance(self.entangler, GateDef):
+            raise TypeError(f"GateSet.entangler must be a GateDef, got {self.entangler!r}")
+        for g in self.single_qubit_natives:
+            if not isinstance(g, GateDef):
+                raise TypeError(f"GateSet.single_qubit_natives must hold GateDefs, got {g!r}")
         if self.entangler.arity != 2:
             raise ValueError("gateset entangler must be a two-qubit gate")
         if self.entangler.entangler_class not in ("cx_like", "iswap_like"):
@@ -292,15 +297,20 @@ class GateSet(_Record):
             )
         if any(g.arity != 1 for g in self.single_qubit_natives):
             raise ValueError("single-qubit natives must have arity 1")
-        reached = len(tb._reach(self.single_qubit_natives, 15))
-        if reached != 6:
+        if len(self._class_search) != 6:
             raise ValueError(
                 "single-qubit natives do not generate all Pauli-basis changes "
-                f"(got {reached} of 6 classes)"
+                f"(got {len(self._class_search)} of 6 classes)"
             )
 
     # Derived once per gateset and kept on it, so they live as long as it
     # does; a builtin gateset is shared, so once per process.
+
+    @cached_property
+    def _class_search(self) -> dict[int, tuple[GateDef, ...]]:
+        """The natives' shortest word to each basis-change class: the one
+        :func:`tableau._reach` that every decomposition on this gateset reads."""
+        return tb._reach(self.single_qubit_natives, 15)
 
     @cached_property
     def _class_words(self) -> tuple[tuple[tuple[GateDef, ...], PauliProduct], ...]:
@@ -322,14 +332,15 @@ def decompose_single_qubit(
 
     Returns ``(word, residual)`` with g == word followed by residual, exactly.
     The word is the natives' shortest one with g's letters, breadth first in
-    the order the natives are listed, so ties resolve deterministically
-    (:func:`tableau._reach`); a gateset's natives reach every class.  The
-    residual is the 1-qubit state of the word's inverse followed by g, a
-    Pauli as the word has g's letters, read off by :func:`tableau._pauli`.
+    the order the natives are listed, so ties resolve deterministically; it
+    is read off the gateset's one search (``GateSet._class_search``), which
+    reaches every class.  The residual is the 1-qubit state of the word's
+    inverse followed by g, a Pauli as the word has g's letters, read off by
+    :func:`tableau._pauli`.
     """
     if g.arity != 1:
         raise ValueError("decompose_single_qubit expects a single-qubit gate")
-    word = tb._reach(natives.single_qubit_natives, 15)[tb._run(tb._ONE, (g.kernel,)) & 15]
+    word = natives._class_search[tb._run(tb._ONE, (g.kernel,)) & 15]
     state = tb._run(tb._ONE, (*(step.kernel_inv for step in reversed(word)), g.kernel))
     return word, tb._pauli((state,))
 

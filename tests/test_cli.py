@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import os
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -1110,3 +1112,142 @@ def test_ctrl_c_exits_130_with_one_line(monkeypatch, capsys, tmp_path):
         main(["compile", "--target", "ecr", str(src)])
     assert exit_.value.code == 130
     assert capsys.readouterr() == ("", "interrupted\n")
+
+
+def exit_code(args) -> int:
+    """``main(args)``'s exit status: 0 when it returns."""
+    try:
+        main(args)
+    except SystemExit as exc:
+        return exc.code
+    return 0
+
+
+class Boom(Exception):
+    """An error no command handles."""
+
+
+class TestCollectorPausedPerCommand:
+    """``main`` runs each command with the cyclic garbage collector off and
+    gives the caller's setting back on every exit."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        texts = {"ok": "CX 0 1\nTICK\nH 0\n", "other": "CX 0 1\nTICK\nS 0\n",
+                 "iswap": "ISWAP 0 1\n", "bad": "FOO 0\n"}
+        for name, text in texts.items():
+            (tmp_path / f"{name}.stim").write_text(text)
+        return lambda name: str(tmp_path / f"{name}.stim")
+
+    def raising(self, error):
+        def stage(*args, **kwargs):
+            raise error
+        return stage
+
+    @pytest.fixture(params=[True, False], ids=["caller-on", "caller-off"])
+    def collecting(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    @pytest.mark.parametrize("code, case", [
+        (0, "compile"), (1, "inequivalent"), (2, "usage"), (2, "parse"), (3, "compile error"),
+        (4, "failed certificate"), (130, "interrupted"), (None, "uncaught"),
+    ])
+    def test_setting_restored_on_every_exit(self, monkeypatch, capsys, files, collecting,
+                                            code, case):
+        compile_ok = ["compile", "--target", "ecr", files("ok"), "-o", files("out")]
+        args = {
+            "compile": compile_ok,
+            "inequivalent": ["verify", files("ok"), files("other")],
+            "usage": ["compile"],
+            "parse": ["compile", "--target", "ecr", files("bad")],
+            "compile error": ["compile", "--target", "ecr", files("iswap")],
+        }.get(case, compile_ok)
+        if case == "failed certificate":
+            monkeypatch.setattr(recliff.tableau, "certify", lambda a, b: None)
+        elif case in ("interrupted", "uncaught"):
+            error = KeyboardInterrupt if case == "interrupted" else Boom
+            monkeypatch.setattr(recliff.cli, "compile_circuit", self.raising(error))
+        if code is None:
+            with pytest.raises(Boom):
+                main(args)
+        else:
+            assert exit_code(args) == code
+        assert gc.isenabled() is collecting
+
+    def test_a_stage_runs_with_the_collector_off(self, monkeypatch, files, collecting):
+        seen = []
+        compile_one = recliff.cli.compile_circuit
+
+        def watched(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return compile_one(*args, **kwargs)
+
+        monkeypatch.setattr(recliff.cli, "compile_circuit", watched)
+        assert exit_code(["compile", "--target", "ecr", files("ok"), "-o", files("out")]) == 0
+        assert seen == [False]
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("other, code", [("ok", 0), ("other", 1)])
+    def test_an_exit_frees_the_request_before_the_collector_restarts(
+            self, monkeypatch, files, other, code):
+        loaded, alive_at_restart = [], []
+        load, enable = recliff.cli._load_circuit, gc.enable
+
+        def kept(*args):
+            circuit = load(*args)
+            loaded.append(weakref.ref(circuit))
+            return circuit
+
+        def restart():
+            alive_at_restart.extend(ref() is not None for ref in loaded)
+            enable()
+
+        monkeypatch.setattr(recliff.cli, "_load_circuit", kept)
+        monkeypatch.setattr(gc, "enable", restart)
+        enable()
+        assert exit_code(["verify", files("ok"), files(other)]) == code
+        assert alive_at_restart == [False, False]
+
+
+class TestRequestsLeaveNoGrowingCycles:
+    """The pause's premise: a request frees what it builds by reference
+    counting.  The only cyclic garbage a request leaves has a fixed size (the
+    closures of ``json.dumps(..., indent=2)``), the same at d = 3 as at d = 11."""
+
+    def requests(self, tmp_path, distance):
+        src = tmp_path / f"d{distance}.stim"
+        src.write_text(emit(surface_code_syndrome_extraction(SurfaceCodeSpec(distance))))
+        out, swapped, meta = (str(tmp_path / f"d{distance}.{name}")
+                              for name in ("ecr.stim", "iswap.stim", "json"))
+        src = str(src)
+        return {
+            "compile report": ["compile", "--target", "ecr", src, "-o", out, "--metadata", meta],
+            "compile fold": ["compile", "--target", "ecr", "--frame", "fold", src, "-o", out],
+            "compile iswap": ["compile", "--target", "iswap", "--iswap-heuristic", src,
+                              "-o", swapped, "--metadata", meta],
+            "verify": ["verify", "--up-to-frame", src, out],
+            "verify inequivalent": ["verify", src, swapped],
+            "verify permutation": ["verify", "--up-to-frame", "--up-to-permutation",
+                                   src, swapped],
+            "stats": ["stats", src, "-o", meta],
+            "compare": ["compare", src, out, "-o", meta],
+        }
+
+    def cyclic_garbage(self, requests) -> dict[str, int]:
+        found = {}
+        for name, args in requests.items():
+            gc.collect()
+            assert exit_code(args) == (name == "verify inequivalent"), name
+            found[name] = gc.collect()
+        return found
+
+    def test_same_cycles_at_d3_and_d11(self, tmp_path, capsys):
+        small, large = self.requests(tmp_path, 3), self.requests(tmp_path, 11)
+        self.cyclic_garbage(small)  # first use builds the parser and the shared gatesets
+        found = self.cyclic_garbage(small)
+        assert found == self.cyclic_garbage(large)
+        assert max(found.values()) <= 33
+        assert found["verify"] == found["compile fold"] == 0

@@ -1,5 +1,6 @@
 """The README's library examples and the package's docstrings name only what
-the package has, and the package has no private name that it never uses."""
+the package has, the package has no private name that it never uses, and
+only its command line touches the garbage collector."""
 
 import ast
 import importlib
@@ -92,3 +93,19 @@ def test_no_unused_private_names():
     }) == ["a._dead"]
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unused_private_names(sources) == []
+
+
+def modules_importing(sources: dict[str, str], name: str) -> list[str]:
+    """The modules of ``sources`` that import the module ``name`` or a name from it."""
+    return sorted({module for module, text in sources.items() for node in ast.walk(ast.parse(text))
+                   if isinstance(node, ast.Import) and name in [a.name for a in node.names]
+                   or isinstance(node, ast.ImportFrom) and node.module == name})
+
+
+def test_only_the_command_line_touches_the_collector():
+    """The collector's policy belongs to the process owner: ``main`` pauses it
+    for a command, and no library function imports :mod:`gc`."""
+    assert modules_importing({"a": "import os, gc\n", "b": "from gc import collect\n",
+                              "c": "import gcx\n"}, "gc") == ["a", "b"]  # the walk finds both
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert modules_importing(sources, "gc") == ["cli"]

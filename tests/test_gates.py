@@ -22,7 +22,7 @@ from recliff import (
     parse,
 )
 from recliff.circuit import DIALECT_GATES, _circuit, _instruction
-from recliff.gates import TARGET_ENTANGLERS, GateDef
+from recliff.gates import CLASS_GATES, NATIVE_SETS, TARGET_ENTANGLERS, GateDef
 
 from conftest import (
     ECR_IMAGES, SQRT_XX_IMAGES, conjugate_product, images_tableau, one_local_letter,
@@ -201,6 +201,34 @@ class TestReach:
         assert classes[tb._run(tb._ONE, (builtin("H").kernel,)) & 15] == (s, sx, s)
         assert len(tb._reach((s, sx), 63)) == 24
         assert tb._reach((s,), 15) == {tb._ONE: (), tb._run(tb._ONE, (s.kernel,)) & 15: (s,)}
+
+
+class TestOneSearchPerGateset:
+    """A gateset searches its natives once; its six class words and their
+    residuals are read off that search."""
+
+    GATESETS = [*((target, natives) for target in sorted(TARGET_ENTANGLERS)
+                  for natives in sorted(NATIVE_SETS)), ("custom", "custom")]
+
+    @pytest.mark.parametrize("target, natives", GATESETS)
+    def test_class_words_unchanged(self, target, natives):
+        gs = CUSTOM_NATIVES if target == "custom" else builtin_gateset(target, natives)
+        assert gs._class_words == tuple(old_decomposition(g, gs) for g in CLASS_GATES)
+
+    @pytest.mark.parametrize("target, natives", GATESETS)
+    def test_at_most_two_searches(self, monkeypatch, target, natives):
+        like = CUSTOM_NATIVES if target == "custom" else builtin_gateset(target, natives)
+        calls = []
+        reach = tb._reach
+
+        def counted(gates, mask):
+            calls.append(mask)
+            return reach(gates, mask)
+
+        monkeypatch.setattr(tb, "_reach", counted)
+        gs = GateSet(like.name, like.entangler, like.single_qubit_natives)  # nothing cached
+        assert len(gs._class_words) == 6
+        assert 1 <= len(calls) <= 2
 
 
 def probe(t) -> GateDef:

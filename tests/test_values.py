@@ -147,3 +147,19 @@ def test_checks_run_on_keyword_construction():
     with pytest.raises(ValueError, match="expects 2 qubits"):
         Instruction(gate=builtin("CX"), qubits=(0,))
 
+
+
+WRONG_TYPES = {
+    "Instruction.gate": lambda: Instruction("CX", (0, 1)),
+    "GateSet.entangler": lambda: GateSet("x", "CX", ()),
+    "GateSet.single_qubit_natives": lambda: GateSet("x", builtin("CX"), ("S",)),
+    "Circuit.layers": lambda: Circuit(2, ((Instruction(builtin("H"), (0,)),), [3])),
+}
+
+
+@pytest.mark.parametrize("field", sorted(WRONG_TYPES))
+def test_object_fields_of_the_wrong_type_raise_type_error(field):
+    """A wrong object where a gate or an instruction belongs is a TypeError
+    naming the field, not an AttributeError from deeper in the check."""
+    with pytest.raises(TypeError, match=field):
+        WRONG_TYPES[field]()
