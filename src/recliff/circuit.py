@@ -9,16 +9,20 @@ unitary.  Qubit count is 1 + the largest index used by an instruction, and a
 target longer than Python converts from text (4,300 digits) is an error.
 
 The public :class:`Instruction` and :class:`Circuit` constructors check
-field types, arity, repeats, range and layer disjointness.  The parser
-checks each line once: a line as :func:`emit` writes it costs a partition,
-a gate-table lookup and an ``int`` per target, and any other line a split.
-The parser and the compiler's stages, which build only from valid parts,
-skip the constructors' checks (:func:`_instruction`, :func:`_circuit`); the
-verification tableau still checks every gate's qubits as it applies it.
+field types, arity, repeats, range and layer disjointness.  The parser reads
+a layer at a time.  A layer of ``_BULK_LINES`` or more lines as :func:`emit`
+writes them, all of one arity, costs one regular-expression match, one split
+and one ``int`` map per target column for the whole layer.  Any other layer
+is read line by line: a canonical line costs a partition, a gate-table
+lookup and an ``int`` per target, and any other line a split.  The parser
+and the compiler's stages, which build only from valid parts, skip the
+constructors' checks (:func:`_instruction`, :func:`_layer`, :func:`_circuit`);
+the verification tableau still checks every gate's qubits as it applies it.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from itertools import chain
 from operator import attrgetter, index
@@ -130,6 +134,18 @@ def _instruction(gate: GateDef, qubits: tuple[int, ...]) -> Instruction:
     return inst
 
 
+def _layer(parts: Iterable[tuple[GateDef, tuple[int, ...]]]) -> list[Instruction]:
+    """Instructions from (gate, qubits) parts already known to be valid:
+    :func:`_instruction` inlined, for one call per layer."""
+    layer = []
+    for gate, qubits in parts:
+        inst = _new(Instruction)
+        _set_gate(inst, gate)
+        _set_qubits(inst, qubits)
+        layer.append(inst)
+    return layer
+
+
 def _circuit(n: int, layers: Iterable[Iterable[Instruction]]) -> Circuit:
     """A circuit from layers already known to be valid: sorts each layer by
     qubits and drops empty ones, as :class:`Circuit` does, but checks nothing."""
@@ -143,18 +159,86 @@ def parse(text: str) -> Circuit:
     """Parse dialect text into a circuit.
 
     Lines are split at ``"\\n"`` only.  Outside ``#`` comments the text must
-    be ASCII, and qubit targets are ASCII decimal digits.  In ASCII text a
-    canonical line (``NAME q``, ``NAME a b`` or ``TICK``, single spaces) that
-    reuses no qubit is read at once; every other line (comments, tabs, ``\\r``,
-    extra spaces, several pairs, ``QUBIT_COORDS``, errors, targets ``int``
-    refuses) takes the general path, with the same result or error.
+    be ASCII, and qubit targets are ASCII decimal digits.  The text is read a
+    layer at a time, a layer being the lines between whole ``TICK`` lines: a
+    layer of at least ``_BULK_LINES`` canonical lines of one arity (``NAME q``
+    or ``NAME a b``, single spaces) that reuses no qubit is read by
+    :func:`_read_layer`, and the runs of layers between such layers line by
+    line by :func:`_read_lines`, with the same result or error.
     """
+    layers: list[list[Instruction]] = []
+    useds: list[set[int]] = []
+    tick = "\nTICK\n"
+    chunks = text.split(tick)
+    start = pos = 0  # text offsets: of the layers not yet read, of this layer
+    lineno = 1  # the line at start
+    for chunk in chunks:
+        following = pos + len(chunk) + len(tick)
+        if (len(chunk) >= _BULK_CHARS and chunk.count("\n") + 1 >= _BULK_LINES
+                and (read := _read_layer(chunk))):
+            if start < pos:
+                _read_lines(text[start:pos - len(tick)], lineno, layers, useds)
+            layers.append(read[0])
+            useds.append(read[1])
+            lineno += text.count("\n", start, following)
+            start = following
+        pos = following
+    if start <= len(text):
+        _read_lines(text[start:], lineno, layers, useds)
+    return _circuit(1 + max(map(max, filter(None, useds)), default=-1), layers)
+
+
+#: Fewest lines in a layer that :func:`parse` reads in bulk.  On layers of
+#: 2 to 600 canonical lines on distinct qubits (Python 3.11 on a shared
+#: 2-core Linux host), the bulk read took 1.7-2.1x the per-line loop's time
+#: at 2 lines, 1.2-1.3x at 8, broke even at 32 lines of ``NAME q`` (16-24 of
+#: ``NAME a b``) and took 0.8-0.9x from 48 lines on.
+_BULK_LINES = 32
+_BULK_CHARS = 4 * _BULK_LINES - 1  # a canonical line takes 4 characters or more
+
+#: Per arity: the pattern of a layer of canonical lines (compiled on first
+#: use, not at import) and the gate names.
+_CANONICAL = {
+    arity: (rf"{line}(?:\n{line})*\n?",
+            frozenset(name for name, gate in _GATES.items() if gate.arity == arity))
+    for arity, line in ((1, "[A-Z_]+ [0-9]+"), (2, "[A-Z_]+ [0-9]+ [0-9]+"))
+}
+
+
+def _read_layer(chunk: str) -> tuple[list[Instruction], set[int]] | None:
+    """A layer of canonical lines of one arity and its qubits, validated by
+    one match, cut by one split and converted by one ``int`` map per target
+    column; None for any other layer, which :func:`_read_lines` then reads."""
+    for arity, (pattern, names_of_arity) in _CANONICAL.items():
+        if re.fullmatch(pattern, chunk):
+            break
+    else:
+        return None
+    tokens = chunk.split()
+    names = tokens[::arity + 1]
+    if not names_of_arity.issuperset(names):
+        return None
+    try:
+        columns = [[*map(int, tokens[k::arity + 1])] for k in range(1, arity + 1)]
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return None
+    used = set(chain.from_iterable(columns))
+    if len(used) != arity * len(names):  # a qubit reused, maybe within a pair
+        return None
+    return _layer(zip(map(_GATES.__getitem__, names), zip(*columns))), used
+
+
+def _read_lines(text: str, lineno: int, layers: list, useds: list) -> None:
+    """Append the layers of ``text``, whose first line is line ``lineno``,
+    reading line by line.  In ASCII text a canonical line (``NAME q``,
+    ``NAME a b`` or ``TICK``) that reuses no qubit is read at once; every
+    other line (comments, tabs, ``\\r``, extra spaces, several pairs,
+    ``QUBIT_COORDS``, errors, targets ``int`` refuses) takes the general
+    path."""
     ascii_text = text.isascii()
-    layer: list[Instruction] = []
-    layers = [layer]
-    used: set[int] = set()
-    useds = [used]
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    layers.append(layer := [])
+    useds.append(used := set())
+    for lineno, raw in enumerate(text.split("\n"), start=lineno):
         if ascii_text:  # the canonical lines emit writes: NAME q, NAME a b, TICK
             name, _, rest = raw.partition(" ")
             gate = _GATES.get(name)
@@ -231,7 +315,6 @@ def parse(text: str) -> Circuit:
                         raise ParseError(f"line {lineno}: qubit {q} reused within a layer")
                     used.add(q)
                 layer.append(_instruction(gate, pair))
-    return _circuit(1 + max(map(max, filter(None, useds)), default=-1), layers)
 
 
 def emit(c: Circuit) -> str:

@@ -53,7 +53,7 @@ from typing import Sequence
 
 from .pauli import Pauli, PauliProduct, _Record, terms
 from . import tableau as tb
-from .circuit import Circuit, Instruction, _circuit, _instruction, depth, gate_counts
+from .circuit import Circuit, Instruction, _circuit, _instruction, _layer, depth, gate_counts
 from .gates import CLASS_GATES, GateDef, GateSet, builtin, perm_apply
 from .reporting import Report, report
 
@@ -211,10 +211,13 @@ class _LayerBuilder:
             if isinstance(layer, list):
                 layers.append(layer)
                 continue
-            words = [(q, self.words[layer[q]]) for q in sorted(layer)]  # as _circuit sorts
-            for step in range(max(len(word) for _, word in words)):
-                layers.append([_instruction(word[step], (q,))
-                               for q, word in words if step < len(word)])
+            # One layer per word step, over the wires whose word is that long.
+            todo = [((q,), self.words[layer[q]]) for q in sorted(layer)]  # as _circuit sorts
+            step = 0
+            while todo:
+                layers.append(_layer([(word[step], qs) for qs, word in todo]))
+                step += 1
+                todo = [item for item in todo if len(item[1]) > step]
         return _circuit(self.n, layers)
 
 

@@ -20,7 +20,8 @@ from recliff import (
     random_clifford_circuit,
     two_qubit_count,
 )
-from recliff.circuit import DIALECT_GATES, _circuit, _instruction
+import recliff.circuit as circuit_module
+from recliff.circuit import _BULK_LINES, DIALECT_GATES, _circuit, _instruction
 
 from conftest import (
     HUGE_TARGETS, WORKED_EXAMPLE_TEXT, dialect_texts, mutated_texts, oracle_parse,
@@ -505,3 +506,116 @@ class TestCanonicalBranch:
         finally:
             sys.set_int_max_str_digits(limit)
         assert str(err.value) == message
+
+
+# Layers long enough for parse's bulk read: canonical lines of one arity on
+# distinct qubits, maybe with one line perturbed or a TICK-like line added.
+# A layer ends only at a whole TICK line, so "TICK 3", "XTICK 3" and "TICK "
+# inside a layer must not split it.
+
+_NAMES_OF_ARITY = {k: sorted({*(name for name in DIALECT_GATES if builtin(name).arity == k),
+                              *(("CNOT",) if k == 2 else ())}) for k in (1, 2)}
+_TICK_LIKE = ("XTICK 3", "TICK 3", "TICK ")
+
+
+@st.composite
+def long_layer_texts(draw):
+    """Text of one to three layers, each short or of _BULK_LINES to 80
+    lines, with perhaps one line perturbed or inserted."""
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        arity = draw(st.sampled_from([1, 2]))
+        size = draw(st.one_of(st.integers(1, 4), st.integers(_BULK_LINES, 80)))
+        qubits = draw(st.permutations(range(arity * size + 2)))
+        lines = [" ".join([draw(st.sampled_from(_NAMES_OF_ARITY[arity])),
+                           *map(str, qubits[arity * i:arity * (i + 1)])]) for i in range(size)]
+        at = draw(st.integers(0, size - 1))
+        change = draw(st.one_of(st.none(), st.sampled_from([*_TICK_LIKE, *sorted(_PERTURBATIONS)])))
+        if change in _TICK_LIKE:
+            lines.insert(at, change)
+        elif change:
+            lines[at] = _PERTURBATIONS[change](lines[at], draw(st.sampled_from(qubits)))
+        layers.append("\n".join(lines))
+    return "\nTICK\n".join(layers) + draw(st.sampled_from(["", "\n"]))
+
+
+def outcomes_under_both_int_limits(parser, text):
+    limit = sys.get_int_max_str_digits()
+    try:
+        got = [outcome(parser, text)]
+        sys.set_int_max_str_digits(LOWERED_INT_DIGITS)
+        got.append(outcome(parser, text))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return got
+
+
+def _long_layer(line_30: str, *, arity: int = 1, end: str = "\n") -> str:
+    """A short layer, then a 40-line canonical layer (lines 4-43) whose 30th
+    line, line 33 of the text, is ``line_30``."""
+    lines = [f"{'CX' if arity == 2 else 'H'} {' '.join(map(str, range(arity * i, arity * (i + 1))))}"
+             for i in range(40)]
+    lines[29] = line_30
+    return "H 0\nCX 1 2\nTICK\n" + "\n".join(lines) + end
+
+
+class TestLayerAtATime:
+    """Layers of at least _BULK_LINES canonical lines are read in bulk; every
+    text still parses as ``oracle_parse`` does, line numbers included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(long_layer_texts())
+    def test_parse_matches_oracle(self, text):
+        got = outcomes_under_both_int_limits(parse, text)
+        want = outcomes_under_both_int_limits(oracle_parse, text)
+        for g, w in zip(got, want):
+            if isinstance(w, Circuit):
+                assert isinstance(g, Circuit) and (g.n, g.layers) == (w.n, w.layers)
+            else:
+                assert g == w and w[0] is ParseError
+
+    @pytest.mark.parametrize("text,message", [
+        (_long_layer("H 3"), "line 33: qubit 3 reused within a layer"),
+        (_long_layer("CX 7 7", arity=2), "line 33: repeated qubit within a pair"),
+        (_long_layer("CX 29 5"), "line 33: qubit 5 reused within a layer"),
+        (_long_layer("CX 29"), "line 33: odd number of targets for CX"),
+        (_long_layer("H 58 3", arity=2), "line 33: qubit 3 reused within a layer"),
+        (_long_layer(f"H {HUGE_TARGETS[1]}"), "line 33: qubit target of 4301 digits is too long"),
+        (_long_layer("H 29 # note", end="\nH x"), "line 44: malformed qubit target in 'H x'"),
+        (_long_layer("H 29", end="\nTICK\nH 0\nTICK\nH x"), "line 47: malformed qubit target in 'H x'"),
+    ], ids=["reused", "repeated in a pair", "mixed arity, reused", "mixed arity, odd",
+            "several targets, reused", "4,301 digits", "comment, no final newline",
+            "after a bulk read"])
+    def test_errors_inside_a_long_layer(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+        assert outcome(oracle_parse, text) == (ParseError, message)
+
+    @pytest.mark.parametrize("text", [
+        _long_layer("CX 29 100"),  # mixed arity
+        _long_layer("H 29 # note"),
+        _long_layer("H 29", end=""),  # no final newline
+        _long_layer("CX 58 59", arity=2, end=""),
+        _long_layer("CNOT 58 59", arity=2),
+        _long_layer(f"H {HUGE_TARGETS[0]}"),
+    ], ids=["mixed arity", "comment", "no final newline", "pairs, no final newline", "CNOT",
+            "4,300 digits"])
+    def test_valid_variants_of_a_long_layer(self, text):
+        got, want = parse(text), oracle_parse(text)
+        assert (got.n, got.layers) == (want.n, want.layers)
+
+    def test_long_canonical_layers_are_read_in_bulk(self, monkeypatch):
+        one = "\n".join(f"{('H', 'S', 'SQRT_X')[q % 3]} {q}" for q in range(_BULK_LINES))
+        two = "\n".join(f"{('CX', 'CNOT', 'CZ')[q % 3]} {2 * q + 1} {2 * q}"
+                        for q in range(_BULK_LINES))
+        text = f"{one}\nTICK\n{two}\nTICK\n{two}\n"
+        want = oracle_parse(text)
+
+        def per_line(*args):
+            raise AssertionError("a long canonical layer was read line by line")
+
+        monkeypatch.setattr(circuit_module, "_read_lines", per_line)
+        got = parse(text)
+        assert (got.n, got.layers) == (want.n, want.layers)
+        assert [len(layer) for layer in got.layers] == [_BULK_LINES] * 3
