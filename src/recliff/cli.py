@@ -34,8 +34,8 @@ EXIT_PARSE = 2
 EXIT_COMPILE = 3
 EXIT_VERIFY = 4
 
-#: A tableau holds 4n^2 bits, n^2/2 bytes: 0.5 GiB at this many qubits, which
-#: bounds the tableau of a certificate's fallback, a rejection or --show-tableau.
+#: A tableau holds 4n^2 bits, n^2/2 bytes: 0.5 GiB at this many qubits for the one
+#: tableau of a certificate's fallback, 1 GiB for an explained rejection's two.
 DEFAULT_MAX_QUBITS = 32768
 
 #: ``compile --show-tableau`` prints two tables of 2n^2 cells: about 6 MB of
@@ -120,7 +120,7 @@ def _load_circuit(path: str, max_qubits: int | None = None) -> Circuit:
     except ParseError as exc:
         _fail(EXIT_PARSE, f"parse error in {path}: {exc}")
     except OSError as exc:
-        _fail(EXIT_PARSE, f"cannot read {path}: {exc}")
+        _fail(EXIT_PARSE, f"cannot read {path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
         _fail(EXIT_PARSE, f"cannot read {path}: not valid UTF-8 at byte {exc.start}")
     if max_qubits is not None and circuit.n > max_qubits:

@@ -129,22 +129,14 @@ class CompilationResult(_Record):
 def _check_classes(source: Circuit, gs: GateSet, may_cross: bool) -> int:
     """The source's two-qubit gate count, once its entangler classes pass.
 
-    Raises :class:`CompileError` for a source the entry point cannot compile.
-    Unless ``may_cross``, it names the first source entangler whose class
-    differs from the native entangler's; with ``may_cross``, the source's
-    entanglers must be all CX-like or all iSWAP-like.
+    Raises :class:`CompileError` for a source the entry point cannot compile:
+    a swap-like or non-entangling gate, named in either mode; unless
+    ``may_cross``, the first gate whose class differs from the native
+    entangler's; and a source that mixes CX-like and iSWAP-like gates.
     """
     native = gs.entangler
     counts = Counter(map(_gate, chain.from_iterable(source.layers)))
     gates = [g for g in counts if g.arity == 2]
-    entanglers = sum(counts[g] for g in gates)
-    if may_cross:
-        classes = {gate.entangler_class for gate in gates}
-        if "swap_like" in classes or "none" in classes:
-            raise CompileError("source entanglers must be cx-like or iswap-like")
-        if len(classes) > 1:
-            raise CompileError("mixed-class sources are not supported")
-        return entanglers
     for gate in gates:
         cls = gate.entangler_class
         if cls == "swap_like":
@@ -153,13 +145,15 @@ def _check_classes(source: Circuit, gs: GateSet, may_cross: bool) -> int:
             )
         if cls == "none":
             raise CompileError(f"{gate.name} entangles nothing and cannot be compiled")
-        if cls != native.entangler_class:
+        if cls != native.entangler_class and not may_cross:
             raise CompileError(
                 f"source entangler {gate.name} is {cls} but the "
                 f"{gs.name} gateset entangler {native.name} is "
                 f"{native.entangler_class}; use the iswap heuristic mode"
             )
-    return entanglers
+    if len({gate.entangler_class for gate in gates}) > 1:
+        raise CompileError("mixed-class sources are not supported")
+    return sum(counts[g] for g in gates)
 
 
 # ---------------------------------------------------------------------------

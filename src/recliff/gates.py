@@ -9,9 +9,10 @@ to the conjugated pattern and sign, and reads off it:
   wires (see :func:`_update_rule`), compiled once into a straight-line
   kernel function (see :func:`_compile_kernel`), and the same for the
   gate's inverse, whose table is the forward one read backwards,
-* where each wire's single letters land, and from that the entangler
-  class; the letters a compile protects are not kept here, the sweep reads
-  them off the certificate's 2-qubit step (see :func:`compiler._step_table`),
+* each wire's landing set, the supports its X, Y and Z land on, and from
+  wire 0's the entangler class; the letters a compile protects are not kept
+  here, the sweep reads them off the certificate's 2-qubit step (see
+  :func:`compiler._step_table`),
 * for single-qubit gates, the induced permutation of the Pauli letters.
 
 Native words and their residual Paulis (:func:`decompose_single_qubit`)
@@ -156,30 +157,18 @@ class GateDef:
             self.entangler_class: EntanglerClass = "none"
             return
         self.perm = None
-        # Where each single-letter input lands: whether a wire keeps some
-        # letter in place, and whether its letters all stay put (no
-        # entangler) or all hop to the other wire (swap-like).
-        fixed: list[Pauli | None] = [None, None]
-        stays = [True, True]
-        crosses = [True, True]
-        for wire in (0, 1):
-            for letter in (Pauli.X, Pauli.Y, Pauli.Z):
-                out = table[letter << shifts[wire]]
-                supp = tuple(w for w, s in enumerate(shifts) if (out >> s) & 3)
-                if supp == (wire,):
-                    fixed[wire] = letter
-                stays[wire] &= supp == (wire,)
-                crosses[wire] &= supp == (1 - wire,)
-        if stays[0] and stays[1]:
+        # Each wire's landing set: the supports, as (on wire 0, on wire 1), of
+        # its Z, X and Y images.  Unless every letter stays put (no entangler)
+        # or every letter hops (swap-like), a two-qubit Clifford keeps a letter
+        # in place on both wires (CX-like) or on neither (iSWAP-like).
+        on0, on1 = (True, False), (False, True)
+        lands = [{(table[p << s] > 3, table[p << s] & 3 > 0) for p in (1, 2, 3)} for s in (2, 0)]
+        if lands == [{on0}, {on1}]:
             self.entangler_class = "none"
-        elif crosses[0] and crosses[1]:
+        elif lands == [{on1}, {on0}]:
             self.entangler_class = "swap_like"
-        elif fixed[0] is not None and fixed[1] is not None:
-            self.entangler_class = "cx_like"
-        elif fixed[0] is None and fixed[1] is None:
-            self.entangler_class = "iswap_like"
         else:
-            raise ValueError(f"gate {name}: entangler with one-sided fixed Pauli")
+            self.entangler_class = "cx_like" if on0 in lands[0] else "iswap_like"
 
     def __deepcopy__(self, memo: dict | None = None) -> "GateDef":
         return self  # gates compare by identity, so a copy is the gate itself

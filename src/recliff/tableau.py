@@ -24,11 +24,11 @@ layer at a time as one single-qubit Clifford per wire times a relabelling:
 a gate costs a table lookup, a pair of entanglers a cached 2-qubit step, and
 no n-qubit tableau is built.  Otherwise b's inverse, then a, are folded onto
 one tableau, whose rows are single bits when the two agree: the relabelling
-is read off the rows, the frame off the signs.  The walk's states are
-1-qubit tableaux in six bits (:func:`_run`); its tables' words and frame,
-and :func:`gates.decompose_single_qubit`'s word and residual, come from one
-breadth-first search (:func:`_reach`) and one Pauli read-off
-(:func:`_pauli`).  The generator-major views (:meth:`Tableau.images`,
+is read off the rows, and the signs make each wire's state.  The walk's
+states are 1-qubit tableaux in six bits (:func:`_run`); its tables' words,
+:func:`gates.decompose_single_qubit`'s word and residual, and both paths'
+frames come from one breadth-first search (:func:`_reach`) and one Pauli
+read-off (:func:`_pauli`).  The generator-major views (:meth:`Tableau.images`,
 :meth:`Tableau.from_images`, :func:`pretty`) read and set single row bits.
 """
 
@@ -162,22 +162,20 @@ class Tableau:
         """``(permutation, frame)`` when this is a Pauli times a relabelling.
 
         Such a map sends X_j to +-X_q and Z_j to +-Z_q with q =
-        permutation[j], so row q holds the single bits 2j (X) and 2j + 1 (Z).
-        X_j's sign flips where the frame has a Z (or Y) on q, Z_j's where it
-        has an X (or Y).  None when any row holds anything else.
+        permutation[j], so row q holds the single bits 2j (X) and 2j + 1 (Z),
+        and their signs make wire q's state as the walk keeps it, whose frame
+        :func:`_pauli` reads off.  None when any row holds anything else.
         """
         n = self.n
         signs = f"{self._sign:0{2 * n}b}"[::-1]  # signs[g]: generator g's sign bit
-        sigma = [0] * n
-        fx, fz = ["0"] * n, ["0"] * n
+        sigma, states = [0] * n, [_ONE] * n
         for q, (xq, zq) in enumerate(zip(self._x, self._z)):
             g = xq.bit_length() - 1  # odd for an empty row too
             if g & 1 or xq.bit_count() != 1 or zq.bit_length() != g + 2 or zq.bit_count() != 1:
                 return None
             sigma[g >> 1] = q
-            fz[q], fx[q] = signs[g], signs[g + 1]
-        frame = PauliProduct(n, int("0" + "".join(fx)[::-1], 2), int("0" + "".join(fz)[::-1], 2))
-        return tuple(sigma), frame
+            states[q] = _ONE | int(signs[g + 1] + signs[g], 2) << 4
+        return tuple(sigma), _pauli(states)
 
     def is_symplectic(self) -> bool:
         """Pairwise (anti)commutation matches a valid generating set."""

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import sys
 from pathlib import Path
 
@@ -205,6 +206,19 @@ def multiply(a: PauliProduct, b: PauliProduct) -> PauliProduct:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
     sign = -1 if phase_exponent(a, b) >= 2 else 1
     return PauliProduct(a.n, a.x ^ b.x, a.z ^ b.z, sign)
+
+
+@functools.cache
+def two_qubit_symplectic_maps() -> tuple[tuple[PauliProduct, ...], ...]:
+    """Every two-qubit Clifford up to signs: the 720 images (X0, Z0, X1, Z1)
+    among the 15 non-identity Paulis that commute as the generators do, only
+    X_j with Z_j anticommuting.  All signs are +."""
+    paulis = [PauliProduct(2, k >> 2, k & 3) for k in range(1, 16)]
+    return tuple(
+        images for images in itertools.permutations(paulis, 4)
+        if all(commutes(a, b) == (g >> 1 != h >> 1)
+               for (g, a), (h, b) in itertools.combinations(enumerate(images), 2))
+    )
 
 
 # ---------------------------------------------------------------------------

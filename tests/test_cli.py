@@ -524,6 +524,19 @@ class TestMalformedInput:
         assert r.output == f"cannot read {src}: not valid UTF-8 at byte 0\n"
 
     @pytest.mark.parametrize("args", COMMANDS, ids=lambda a: a[0])
+    def test_missing_file_exit_2(self, runner, tmp_path, args):
+        missing = tmp_path / "missing.stim"
+        r = invoke(runner, *args, str(missing), input="H 0\n")
+        assert r.exit_code == 2
+        assert r.output == f"cannot read {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("args", COMMANDS, ids=lambda a: a[0])
+    def test_directory_exit_2(self, runner, tmp_path, args):
+        r = invoke(runner, *args, str(tmp_path), input="H 0\n")
+        assert r.exit_code == 2
+        assert r.output == f"cannot read {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("args", COMMANDS, ids=lambda a: a[0])
     def test_undecodable_stdin_exit_2(self, runner, tmp_path, args):
         other = tmp_path / "ok.stim"
         other.write_text("H 0\n")

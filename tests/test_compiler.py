@@ -60,6 +60,7 @@ from conftest import (
     oracle_certificate,
     reference_lut,
     single,
+    two_qubit_symplectic_maps,
 )
 
 ENTANGLERS = ["CX", "CZ", "SQRT_XX", "ECR", "ISWAP", "CXSWAP", "CZSWAP"]
@@ -523,7 +524,8 @@ class TestClassCheck:
 
     @pytest.mark.parametrize("entry,message", [
         (compile_circuit, "SWAP is a swap-like gate; swap compilation is not supported"),
-        (compile_with_iswap_heuristic, "source entanglers must be cx-like or iswap-like"),
+        (compile_with_iswap_heuristic,
+         "SWAP is a swap-like gate; swap compilation is not supported"),
     ])
     def test_swap_like_rejected_in_both_modes(self, entry, message):
         with pytest.raises(CompileError) as info:
@@ -532,7 +534,7 @@ class TestClassCheck:
 
     @pytest.mark.parametrize("entry,message", [
         (compile_circuit, "II entangles nothing and cannot be compiled"),
-        (compile_with_iswap_heuristic, "source entanglers must be cx-like or iswap-like"),
+        (compile_with_iswap_heuristic, "II entangles nothing and cannot be compiled"),
     ])
     def test_none_class_entangler_rejected_in_both_modes(self, entry, message):
         product = GateDef("II", 2, identity(2))
@@ -548,6 +550,42 @@ class TestClassCheck:
         with pytest.raises(CompileError) as info:
             compile_with_iswap_heuristic(source, builtin_gateset(target))
         assert str(info.value) == "mixed-class sources are not supported"
+
+    def test_swap_like_named_before_mixed_classes(self):
+        # Each gate is checked before the mix, so a source that both mixes
+        # classes and holds a SWAP is rejected for the SWAP.
+        source = parse("CX 0 1\nTICK\nISWAP 1 2\nTICK\nSWAP 0 2")
+        with pytest.raises(CompileError) as info:
+            compile_with_iswap_heuristic(source, builtin_gateset("iswap"))
+        assert str(info.value) == "SWAP is a swap-like gate; swap compilation is not supported"
+
+
+def test_unknown_frame_mode_rejected():
+    with pytest.raises(ValueError,
+                       match=r"^frame_mode must be one of \('report', 'fold', 'none'\)$"):
+        compile_circuit(parse("CX 0 1"), builtin_gateset("cx"), frame_mode="x")
+
+
+def test_every_entangling_two_qubit_clifford_compiles():
+    """Each of the 648 entangling two-qubit Cliffords, with seeded random
+    signs, compiles in the heuristic mode onto every target and folds to the
+    source relabelled by the result's permutation."""
+    rng = random.Random(25)
+    gatesets = [builtin_gateset(target) for target in sorted(TARGET_ENTANGLERS)]
+    entangling = 0
+    for images in two_qubit_symplectic_maps():
+        signed = [PauliProduct(2, p.x, p.z, rng.choice((1, -1))) for p in images]
+        gate = GateDef("G", 2, Tableau.from_images(2, signed))
+        if gate.entangler_class in ("none", "swap_like"):
+            continue
+        entangling += 1
+        source = Circuit(3, ((Instruction(gate, (0, 1)),), (Instruction(builtin("S"), (2,)),),
+                             (Instruction(gate, (1, 2)),)))
+        want = from_circuit(source)
+        for gs in gatesets:
+            result = compile_with_iswap_heuristic(source, gs, frame_mode="fold")
+            assert from_circuit(result.circuit) == want.relabel_wires(result.permutation)
+    assert entangling == 648
 
 class TestSabotagedConjugationFix:
     """With the conjugation fix disabled, no entry point returns a result."""

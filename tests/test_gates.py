@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from recliff import (
     GateSet,
     Pauli,
     PauliProduct,
+    Tableau,
     append_gate,
     builtin,
     builtin_gateset,
@@ -26,7 +28,7 @@ from recliff.gates import CLASS_GATES, NATIVE_SETS, TARGET_ENTANGLERS, GateDef
 
 from conftest import (
     ECR_IMAGES, SQRT_XX_IMAGES, conjugate_product, images_tableau, one_local_letter,
-    reference_lut, single,
+    reference_lut, single, two_qubit_symplectic_maps,
 )
 from matrix_oracle import UNITARIES, conjugate, pauli_matrix
 
@@ -319,6 +321,16 @@ class TestClassifyEntangler:
         t = append_gate(t, builtin("S"), (1,))
         assert probe(t).entangler_class == "swap_like"
 
+    def test_every_two_qubit_clifford(self):
+        # Every two-qubit Clifford is locally I, CX, iSWAP or SWAP, so wire 0's
+        # landing set alone gives the class that both wires' letters give.
+        classes = Counter()
+        for images in two_qubit_symplectic_maps():
+            g = probe(Tableau.from_images(2, list(images)))
+            assert g.entangler_class == old_classify(g, old_wire_letters(g)[0])
+            classes[g.entangler_class] += 1
+        assert classes == {"none": 36, "cx_like": 324, "swap_like": 36, "iswap_like": 324}
+
 
 # ---------------------------------------------------------------------------
 # The generator-major definition the int tables replaced, kept as a reference
@@ -356,6 +368,10 @@ def old_wire_letters(g):
 
 
 def old_classify(g, fixed):
+    """GateDef's class before landing sets, from both wires' flags: whether
+    each keeps a letter in place (``fixed``), keeps all three or moves all
+    three, with a fifth outcome for a gate that keeps one on one wire only,
+    which no Clifford reaches."""
     stays, crosses = [True, True], [True, True]
     for wire in (0, 1):
         for letter in (Pauli.X, Pauli.Y, Pauli.Z):
@@ -456,6 +472,37 @@ class TestSwapInsertionTable:
         source = parse(f"H 0\nTICK\n{source_gate} 0 1\nTICK\n{source_gate} 1 2\n")
         res = compile_with_iswap_heuristic(source, gs)
         assert res.permutation == (1, 2, 0)  # each pair's labels exchanged
+
+
+class TestInputChecks:
+    """The messages of the gate and gateset constructors' own checks."""
+
+    def test_gatedef_arity(self):
+        with pytest.raises(ValueError, match="^gate arity must be 1 or 2$"):
+            GateDef("G", 3, identity(3))
+
+    def test_gatedef_size(self):
+        with pytest.raises(ValueError, match="^semantics size does not match arity$"):
+            GateDef("G", 2, identity(1))
+
+    def test_gatedef_symplectic(self):
+        t = images_tableau(["+X0", "+X0"])
+        with pytest.raises(ValueError,
+                           match="^gate G: semantics violate the symplectic condition$"):
+            GateDef("G", 1, t)
+
+    def test_gateset_entangler_arity(self):
+        with pytest.raises(ValueError, match="^gateset entangler must be a two-qubit gate$"):
+            GateSet("bad", builtin("H"), (builtin("S"), builtin("SQRT_X")))
+
+    def test_gateset_native_arity(self):
+        with pytest.raises(ValueError, match="^single-qubit natives must have arity 1$"):
+            GateSet("bad", builtin("CX"), (builtin("S"), builtin("CZ")))
+
+    def test_decompose_two_qubit_gate(self):
+        with pytest.raises(ValueError,
+                           match="^decompose_single_qubit expects a single-qubit gate$"):
+            decompose_single_qubit(builtin("CX"), builtin_gateset("cx"))
 
 
 class TestGateSet:

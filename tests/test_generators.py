@@ -148,6 +148,8 @@ class TestRandomClifford:
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
             RandomCircuitSpec(n=1, entangler_layers=1, seed=0, entangler=builtin("CX"))
+        with pytest.raises(ValueError, match="^entangler layer count must be non-negative$"):
+            RandomCircuitSpec(n=2, entangler_layers=-1, seed=0, entangler=builtin("CX"))
         with pytest.raises(ValueError):
             RandomCircuitSpec(n=2, entangler_layers=1, seed=0, entangler=builtin("H"))
 

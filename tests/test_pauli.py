@@ -56,6 +56,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match="^bad Pauli term "):
             pp(text)
 
+    def test_input_check_messages(self):
+        with pytest.raises(ValueError, match="^not a Pauli letter: 'Q'$"):
+            Pauli.from_letter("Q")
+        with pytest.raises(ValueError, match="^qubit count must be non-negative$"):
+            PauliProduct(-1)
+        with pytest.raises(ValueError, match=r"^empty Pauli string: '\+'$"):
+            pp("+")
+        with pytest.raises(ValueError, match="^qubit 2 out of range for n=2$"):
+            pp("+X0", 2).local(2)
+        with pytest.raises(ValueError, match="^size mismatch: 1 vs 2$"):
+            commutes(pp("+X0", 1), pp("+X0", 2))
+
 
 def exact(a, b):
     """a*b as (product with sign +1, exponent of i) from the word-wide routine."""

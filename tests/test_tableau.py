@@ -76,6 +76,31 @@ class TestIdentity:
                 assert conjugate_product(t, p) == p
 
 
+class TestInputChecks:
+    """The messages of the tableau constructors' and views' own checks."""
+
+    def test_from_images_count_and_size(self):
+        with pytest.raises(ValueError, match="^expected 2 images, got 1$"):
+            Tableau.from_images(1, [pp("+X0", 1)])
+        with pytest.raises(ValueError, match="^image qubit count mismatch$"):
+            Tableau.from_images(1, [pp("+X0", 2), pp("+Z0", 2)])
+
+    def test_equality_with_another_type(self):
+        assert identity(1).__eq__(3) is NotImplemented
+        assert identity(1) != 3
+
+    def test_negative_identity(self):
+        with pytest.raises(ValueError, match="^qubit count must be non-negative$"):
+            identity(-1)
+
+    def test_describe_equal_tableaux(self):
+        with pytest.raises(ValueError, match="^the tableaux are equal$"):
+            describe_difference(identity(2), identity(2), "a", "b")
+
+    def test_pretty_empty(self):
+        assert pretty(identity(0)) == "(empty tableau)"
+
+
 class TestAppendGate:
     def test_cx_tableau(self):
         t = append_gate(identity(2), builtin("CX"), (0, 1))
