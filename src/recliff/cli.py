@@ -175,7 +175,11 @@ def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
         if len(results) > 1:
             print(f"{path} -> {out}", file=sys.stderr, flush=True)
         if metadata_path is not None:
-            _write_text(metadata_path, json.dumps(result.metadata(source), indent=2) + "\n")
+            meta = result.metadata(source)
+            if expand_ecr:  # describe the circuit written, not the one certified
+                stats = report(circuit)
+                meta.update(output_counts=stats.counts, depth_out=stats.depth)
+            _write_text(metadata_path, json.dumps(meta, indent=2) + "\n")
 
 
 def cmd_verify(file_a, file_b, up_to_frame, up_to_permutation, max_qubits):

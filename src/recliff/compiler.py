@@ -18,10 +18,10 @@ single-qubit basis changes, placed by one layer builder:
     entangler.  The constraint is per-wire separable, so one sweep in time
     order fixes every generator's propagation at once, one lookup per
     entangler in a 36-entry table read off that step.
-    Against a source of the other class the native crosses each pair's
-    wires (the swap-insertion mode); the sweep then exchanges the pair's
-    output labels instead of emitting a SWAP, so later gates land on the
-    relabelled wires.
+    Against a source gate of the other class the native crosses the pair's
+    wires (the swap-insertion mode), as that gate's own step table says; the
+    sweep then exchanges the pair's output labels instead of emitting a SWAP,
+    so later gates land on the relabelled wires.
 2.  Conjugation.  After the last layer each wire is off from the source by a
     basis change alone; one class appended per wire, its inverse, removes it.
     Single-qubit layers never end up adjacent, so nothing needs fusing.
@@ -38,7 +38,7 @@ single-qubit basis changes, placed by one layer builder:
     reported or folded in as a final layer.
 
 Both entry points run this pipeline and differ only in the class check:
-one lets the source cross entangler classes.  Folding certifies the frame
+one lets a source mix gates of both classes.  Folding certifies the frame
 layer on its own, which must give the frame itself; the whole output is not
 walked again.
 """
@@ -130,9 +130,9 @@ def _check_classes(source: Circuit, gs: GateSet, may_cross: bool) -> int:
     """The source's two-qubit gate count, once its entangler classes pass.
 
     Raises :class:`CompileError` for a source the entry point cannot compile:
-    a swap-like or non-entangling gate, named in either mode; unless
+    a swap-like or non-entangling gate, named in either mode; and, unless
     ``may_cross``, the first gate whose class differs from the native
-    entangler's; and a source that mixes CX-like and iSWAP-like gates.
+    entangler's.  With it the classes may mix: each gate's step crosses or not.
     """
     native = gs.entangler
     counts = Counter(map(_gate, chain.from_iterable(source.layers)))
@@ -151,8 +151,6 @@ def _check_classes(source: Circuit, gs: GateSet, may_cross: bool) -> int:
                 f"{gs.name} gateset entangler {native.name} is "
                 f"{native.entangler_class}; use the iswap heuristic mode"
             )
-    if len({gate.entangler_class for gate in gates}) > 1:
-        raise CompileError("mixed-class sources are not supported")
     return sum(counts[g] for g in gates)
 
 
@@ -283,12 +281,12 @@ def _sweep(source: Circuit, gs: GateSet) -> tuple[Circuit, tuple[int, ...]]:
     Inserts a basis change before an entangler wherever a wire's state
     does not carry the source gate's protected letter onto the native
     gate's, then appends to each wire the basis change undoing the state
-    left on it.  Where the native crosses a pair's wires against
-    the source entangler (a source of the other class), no SWAP is emitted;
-    the pair's output labels are exchanged instead.  The permutation sends
-    each source wire to its output wire.  Each gate is one lookup in its step
-    table (:func:`_step_table`); the pairs in a layer are disjoint, so the
-    layer is walked once.
+    left on it.  Where the native crosses a pair's wires against the
+    source entangler (a gate of the other class, as its own step says), no
+    SWAP is emitted; the pair's output labels are exchanged instead.  The
+    permutation sends each source wire to its output wire.  Each gate is one
+    lookup in its step table (:func:`_step_table`); the pairs in a layer are
+    disjoint, so the layer is walked once.
     """
     n = source.n
     native = gs.entangler
@@ -430,11 +428,11 @@ def compile_with_iswap_heuristic(
 ) -> CompilationResult:
     """Cross-class compilation via virtual SWAP insertion.
 
-    Against a source of the other class, the native entangler crosses each
-    pair's wires: it equals the source gate up to single-qubit basis
-    changes and a SWAP.  The sweep emits only the native entangler and
-    relabels the pair's later gates in place of the SWAP.  The result
-    verifies against the target up to signs and the wire relabelling it
-    carries.  Same-class sources compile as in :func:`compile_circuit`.
+    Against a source gate of the other class, the native entangler crosses
+    the pair's wires: it equals the gate up to single-qubit basis changes
+    and a SWAP.  The sweep emits only the native entangler and relabels the
+    pair's later gates in place of the SWAP.  Each gate decides alone, so a
+    source may mix classes; same-class gates compile as in
+    :func:`compile_circuit`.  The result verifies up to signs and relabelling.
     """
     return _compile(source, gs, frame_mode, True)

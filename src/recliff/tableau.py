@@ -290,13 +290,12 @@ def _table(gate: GateDef, inverse: bool) -> tuple[int | None, ...]:
 _TABLES: tuple[dict, dict] = ({}, {})  # _table(gate, inverse) by gate.kernel, filled in use
 
 
-@cache
 def _kernel_step(kernel_a: Callable[..., int], kernel_b_inv: Callable[..., int],
                  flipped: bool, sp: int, sq: int):
     """The map ga (sp x sq) gb^-1 on a's wires (p, q), gb on (p, q) or,
     ``flipped``, on (q, p), on a 2-qubit tableau, from ga's kernel and gb's
-    inverse kernel and cached by them: the new states of wires p and q and
-    whether the wires swapped, or None when it entangles them."""
+    inverse kernel: the new states of wires p and q and whether the wires
+    swapped, or None when it entangles them; :func:`_walk_step` caches it."""
     words = _words()
     xs, zs = [0b0001, 0b0100], [0b0010, 0b1000]  # identity(2)'s rows
     sign = kernel_b_inv(xs, zs, *((1, 0) if flipped else (0, 1)))
@@ -309,6 +308,9 @@ def _kernel_step(kernel_a: Callable[..., int], kernel_b_inv: Callable[..., int],
             return (*((xs[w] >> t & 3) | (zs[w] >> t & 3) << 2 | (sign >> t & 3) << 4
                       for w, t in ((0, s), (1, 2 - s))), s == 2)
     return None
+
+
+_walk_step = cache(_kernel_step)  # the walk's steps only: the sweep keeps its own tables
 
 
 def _segments(c: "Circuit", inverse: bool, states: list[int], wire: list[int]):
@@ -355,8 +357,8 @@ def _local(a: "Circuit", b: "Circuit") -> tuple[tuple[int, ...], PauliProduct] |
             p, q = inst.qubits
             flipped = (p, q) not in other
             match = other.get((q, p) if flipped else (p, q))
-            done = match and _kernel_step(inst.gate.kernel, match.gate.kernel_inv, flipped,
-                                             states[p], states[q])
+            done = match and _walk_step(inst.gate.kernel, match.gate.kernel_inv, flipped,
+                                           states[p], states[q])
             if not done:
                 raise _Fallback
             states[p], states[q], swapped = done

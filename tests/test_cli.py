@@ -117,6 +117,20 @@ class TestCompileCommand:
         text = out.read_text()
         assert "ECR" not in text and "CX 0 1" in text
 
+    def test_expand_ecr_metadata_describes_the_written_circuit(self, runner, tmp_path):
+        src, out, meta = tmp_path / "src.stim", tmp_path / "out.stim", tmp_path / "meta.json"
+        src.write_text("H 0\nTICK\nCX 0 1\n")
+        r = invoke(runner, "compile", "--target", "ecr", "--expand-ecr",
+                   str(src), "-o", str(out), "--metadata", str(meta))
+        assert r.exit_code == 0, r.output
+        data = json.loads(meta.read_text())
+        stats = json.loads(invoke(runner, "stats", str(out)).output)
+        assert data["output_counts"] == stats["counts"] == {"S": 4, "SQRT_X": 3, "CX": 1, "X": 1}
+        assert data["depth_out"] == stats["depth"] == 7
+        r = invoke(runner, "verify", str(out), str(src), "--up-to-frame")
+        assert r.output == f"equivalent up to frame {data['frame']}\n"
+        assert r.exit_code == 0
+
     def test_stdout_output(self, runner, tmp_path):
         src = tmp_path / "src.stim"
         src.write_text("CX 0 1\n")

@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from collections import Counter
+from collections.abc import Iterator
 
 import pytest
 from click.testing import CliRunner
@@ -82,6 +84,7 @@ class TestConjugationLookup:
                 gate = conjugation_lookup(cur, tgt)
                 assert perm_apply(gate.perm, cur[0]) == tgt[0]
                 assert perm_apply(gate.perm, cur[1]) == tgt[1]
+        assert all(perm_apply(gate.perm, Pauli.I) == Pauli.I for gate in CLASS_GATES)
 
     def test_caption_cell(self):
         cur = (Pauli.Z, Pauli.Y)
@@ -397,6 +400,15 @@ class TestStepTables:
         with pytest.raises(AssertionError, match="are not per wire"):
             recliff.compiler._step_table(builtin_gateset("cx"), builtin("CX"))
 
+    def test_derivation_leaves_the_walk_cache_alone(self):
+        # The walk caches only its own steps; the gateset keeps the table.
+        walk = recliff.tableau._walk_step
+        walk.cache_clear()
+        gate = GateDef("CX_COPY", 2, from_circuit(parse("CX 0 1")))
+        gs = builtin_gateset("cz")
+        assert recliff.compiler._step_table(gs, gate) is gs._step_tables[gate.kernel]
+        assert walk.cache_info().currsize == 0
+
     def test_single_qubit_entries_match_dense_tableaux(self):
         """A gate's entry u is the state with which the gate, then that
         state, equals u, up to a Pauli."""
@@ -505,9 +517,6 @@ class TestClassCheckBuildsNoSkeleton:
             compile_circuit(parse("ISWAP 0 1"), builtin_gateset("ecr"))
         with pytest.raises(CompileError, match="swap"):
             compile_circuit(parse("SWAP 0 1"), builtin_gateset("cx"))
-        with pytest.raises(CompileError, match="mixed"):
-            compile_with_iswap_heuristic(parse("CX 0 1\nTICK\nISWAP 1 2"),
-                                         builtin_gateset("ecr"))
 
 
 class TestClassCheck:
@@ -545,15 +554,16 @@ class TestClassCheck:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("target", ["ecr", "iswap"])
-    def test_heuristic_rejects_mixed_classes(self, target):
+    def test_heuristic_compiles_mixed_classes(self, target):
+        # Each gate's own step decides whether the native crosses its pair:
+        # exactly one of the two gates is of the other class.
         source = parse("CX 0 1\nTICK\nISWAP 1 2")
-        with pytest.raises(CompileError) as info:
-            compile_with_iswap_heuristic(source, builtin_gateset(target))
-        assert str(info.value) == "mixed-class sources are not supported"
+        res = compile_with_iswap_heuristic(source, builtin_gateset(target), frame_mode="fold")
+        assert res.permutation == ((0, 2, 1) if target == "ecr" else (1, 0, 2))
+        assert from_circuit(res.circuit) == from_circuit(source).relabel_wires(res.permutation)
 
-    def test_swap_like_named_before_mixed_classes(self):
-        # Each gate is checked before the mix, so a source that both mixes
-        # classes and holds a SWAP is rejected for the SWAP.
+    def test_swap_like_named_in_a_mixed_source(self):
+        # A source that mixes classes may cross, but its SWAP is still named.
         source = parse("CX 0 1\nTICK\nISWAP 1 2\nTICK\nSWAP 0 2")
         with pytest.raises(CompileError) as info:
             compile_with_iswap_heuristic(source, builtin_gateset("iswap"))
@@ -869,16 +879,19 @@ class TestIswapHeuristic:
 
 class TestMixedEntanglerSources:
     def _mixed_source(self, seed, names, n=5, rounds=4):
-        from recliff import Circuit, Instruction
-
+        """Rounds of random disjoint pairs, then random single-qubit gates.
+        Each pair's gate is a random one of the gate ``names`` or, given an
+        iterator of gates, its next one."""
         rng = random.Random(seed)
+        gates = names if isinstance(names, Iterator) else iter(
+            lambda: builtin(rng.choice(names)), None)
         singles = ["I", "H", "S", "SQRT_X", "H_XY", "H_YZ", "C_XYZ", "C_ZYX", "X", "Z"]
         layers = []
         for _ in range(rounds):
             order = list(range(n))
             rng.shuffle(order)
             layers.append(tuple(
-                Instruction(builtin(rng.choice(names)), (order[i], order[i + 1]))
+                Instruction(next(gates), (order[i], order[i + 1]))
                 for i in range(0, n - 1, 2)
             ))
             sl = [
@@ -904,6 +917,90 @@ class TestMixedEntanglerSources:
                 source, builtin_gateset("iswap"), frame_mode="fold"
             )
             assert from_circuit(res.circuit) == from_circuit(source)
+
+    def test_every_entangling_two_qubit_clifford_in_mixed_sources(self):
+        """The 648 entangling two-qubit Cliffords, with seeded random signs,
+        spread over 27 sources that each mix both classes, compile in the
+        heuristic mode onto all ten builtin gatesets: the folded output is the
+        source relabelled by the result's permutation, with its 24 entanglers."""
+        rng = random.Random(26)
+        gates = []
+        for images in two_qubit_symplectic_maps():
+            signed = [PauliProduct(2, p.x, p.z, rng.choice((1, -1))) for p in images]
+            gate = GateDef("G", 2, Tableau.from_images(2, signed))
+            if gate.entangler_class in ("cx_like", "iswap_like"):
+                gates.append(gate)
+        assert len(gates) == 648
+        rng.shuffle(gates)
+        gatesets = [builtin_gateset(target, natives)
+                    for target in sorted(TARGET_ENTANGLERS) for natives in sorted(NATIVE_SETS)]
+        assert len(gatesets) == 10
+        draw = iter(gates)
+        for seed in range(27):
+            source = self._mixed_source(seed, draw, n=8, rounds=6)
+            classes = {i.gate.entangler_class for i in source.instructions() if i.gate.arity == 2}
+            assert classes == {"cx_like", "iswap_like"}
+            want = from_circuit(source)
+            for gs in gatesets:
+                res = compile_with_iswap_heuristic(source, gs, frame_mode="fold")
+                assert from_circuit(res.circuit) == want.relabel_wires(res.permutation)
+                assert two_qubit_count(res.circuit) == 24
+        assert next(draw, None) is None
+
+    def test_builtin_entanglers_mixed_against_unitaries(self):
+        """Sources mixing all seven builtin entanglers, compiled with fold
+        onto all ten builtin gatesets, equal the source's unitary followed by
+        the wire permutation (output wire ``permutation[j]`` carries source
+        wire j), up to global phase, by dense matrix arithmetic."""
+        import numpy as np
+
+        from matrix_oracle import circuit_unitary
+
+        gatesets = [builtin_gateset(target, natives)
+                    for target in sorted(TARGET_ENTANGLERS) for natives in sorted(NATIVE_SETS)]
+        checks = 0
+        for seed in range(40):
+            n = 3 + seed % 2
+            source = self._mixed_source(700 + seed, ENTANGLERS, n=n, rounds=3)
+            u_src = circuit_unitary(source)
+            for gs in gatesets:
+                res = compile_with_iswap_heuristic(source, gs, frame_mode="fold")
+                # Basis state b goes to the state whose bit on wire perm[j] is b's bit on j.
+                perm = np.zeros((2 ** n, 2 ** n))
+                for b in range(2 ** n):
+                    bits = [b >> (n - 1 - j) & 1 for j in range(n)]
+                    perm[sum(bit << (n - 1 - res.permutation[j])
+                             for j, bit in enumerate(bits)), b] = 1
+                want = perm @ u_src
+                u_out = circuit_unitary(res.circuit)
+                idx = np.unravel_index(np.argmax(np.abs(want)), want.shape)
+                phase = u_out[idx] / want[idx]
+                assert np.isclose(abs(phase), 1)
+                assert np.allclose(u_out, phase * want)
+                checks += 1
+        assert checks == 400
+
+    @pytest.mark.parametrize("target", sorted(TARGET_ENTANGLERS))
+    def test_cli_compiles_and_verifies_a_mixed_source(self, tmp_path, target):
+        src, out, meta = tmp_path / "src.stim", tmp_path / "out.stim", tmp_path / "meta.json"
+        src.write_text("H 0\nS 2\nTICK\nCX 0 1\nISWAP 2 3\nTICK\nH 1\nTICK\n"
+                       "CZSWAP 1 2\nSQRT_XX 0 3\nTICK\nECR 3 1\nCXSWAP 2 0\n")
+        runner = CliRunner()
+        r = runner.invoke(main, ["compile", "--target", target, "--iswap-heuristic",
+                                 str(src), "-o", str(out), "--metadata", str(meta)])
+        assert r.exit_code == 0, r.output
+        data = json.loads(meta.read_text())
+        r = runner.invoke(main, ["verify", str(out), str(src), "--up-to-frame",
+                                 "--up-to-permutation"])
+        assert r.exit_code == 0, r.output
+        assert r.output == (f"equivalent up to frame {data['frame']} and "
+                            f"permutation {data['permutation']}\n")
+        if target == "ecr":
+            r = runner.invoke(main, ["compile", "--target", target, str(src)])
+            assert r.exit_code == 3
+            assert r.output == (
+                "compilation error: source entangler ISWAP is iswap_like but the ecr "
+                "gateset entangler ECR is cx_like; use the iswap heuristic mode\n")
 
 
 class TestDenseUnitaryOracle:
