@@ -3,9 +3,10 @@
 Stabilizer circuits written over {H, S, CX} rarely match what hardware
 executes.  This package rewrites a unitary stabilizer circuit so that its
 entangling gates become a chosen native two-qubit Clifford (CX, CZ, sqrt(XX),
-ECR, or iSWAP via a swap-insertion mode), using the minimum number of quantum
-operations: one native entangler per source entangler plus the single-qubit
-basis changes the conjugation bookkeeping demands.  Equivalence is certified
+ECR, or iSWAP via a swap-insertion mode).  The two-qubit count is preserved
+exactly, one native entangler per source entangler; the single-qubit basis
+changes the conjugation bookkeeping demands are chosen greedily per
+entangler, so their count can exceed the minimum.  Equivalence is certified
 by exact stabilizer-tableau comparison up to a reported Pauli frame.
 """
 

@@ -298,23 +298,16 @@ def _read_lines(text: str, lineno: int, layers: list, useds: list) -> None:
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             raise ParseError(f"line {lineno}: qubit target of "
                              f"{max(map(len, tokens))} digits is too long") from None
-        if gate.arity == 1:
-            for q in qs:
+        if len(qs) % gate.arity:
+            raise ParseError(f"line {lineno}: odd number of targets for {gate.name}")
+        for qubits in zip(*[iter(qs)] * gate.arity):
+            if qubits[0] in qubits[1:]:
+                raise ParseError(f"line {lineno}: repeated qubit within a pair")
+            for q in qubits:
                 if q in used:
                     raise ParseError(f"line {lineno}: qubit {q} reused within a layer")
                 used.add(q)
-                layer.append(_instruction(gate, (q,)))
-        elif len(qs) & 1:
-            raise ParseError(f"line {lineno}: odd number of targets for {gate.name}")
-        else:
-            for pair in zip(qs[::2], qs[1::2]):
-                if pair[0] == pair[1]:
-                    raise ParseError(f"line {lineno}: repeated qubit within a pair")
-                for q in pair:
-                    if q in used:
-                        raise ParseError(f"line {lineno}: qubit {q} reused within a layer")
-                    used.add(q)
-                layer.append(_instruction(gate, pair))
+            layer.append(_instruction(gate, qubits))
 
 
 def emit(c: Circuit) -> str:

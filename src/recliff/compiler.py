@@ -26,9 +26,10 @@ single-qubit basis changes, placed by one layer builder:
     basis change alone; one class appended per wire, its inverse, removes it.
     Single-qubit layers never end up adjacent, so nothing needs fusing.
 3.  Native words.  The builder writes each basis change as its native word,
-    dropping the word's residual Pauli.  Words and step tables depend only
-    on the gateset and are derived on first use and kept on it, the tables
-    by the source gate's kernel; a builtin gateset is shared, so they are
+    dropping the word's residual Pauli.  Words and entangler step tables
+    depend only on the gateset and are derived on first use and kept on it,
+    the tables by the source gate's kernel (a single-qubit gate steps through
+    the certificate's table); a builtin gateset is shared, so they are
     derived once per process.  No compile builds a gate.
 4.  Frame.  The output is certified against the source: the map from the
     source to the output must be a Pauli times the sweep's wire permutation
@@ -218,60 +219,54 @@ class _LayerBuilder:
 
 
 # The six classes as the certificate's states without signs (a state of
-# :func:`tableau._run`), by CLASS_GATES index: the sweep's only letter algebra.
+# :func:`tableau._run`), by CLASS_GATES index, and back: the sweep's only
+# letter algebra.
 _STATE = tuple(tb._run(tb._ONE, (gate.kernel,)) & 15 for gate in CLASS_GATES)
+_CLASS = {state: k for k, state in enumerate(_STATE)}
 
 
 # ``_THEN[u][k]``: class u followed by class k, read off the certificate too.
-_THEN = tuple(tuple(_STATE.index(tb._run(state, (gate.kernel,)) & 15) for gate in CLASS_GATES)
+_THEN = tuple(tuple(_CLASS[tb._run(state, (gate.kernel,)) & 15] for gate in CLASS_GATES)
               for state in _STATE)
 _INVERT = tuple(row.index(0) for row in _THEN)  # 0 is the identity class
 
 
 def _step_table(gs: GateSet, gate: GateDef) -> tuple:
-    """Derive the sweep's step through a source gate, for every state of its
-    wires, and keep it on the gateset by the gate's kernel.
+    """Derive the sweep's step through a source entangler, for every state of
+    its wires, and keep it on the gateset by the gate's kernel.
 
-    A single-qubit gate's entry ``u`` is the wire's state after it, read
-    off the certificate's :func:`tableau._table`, kept in ``tableau._TABLES``.
-    An entangler's entry ``6 * ua + ub`` is ``(fix_a, fix_b, ua', ub',
-    swapped)``: the CLASS_GATES index inserted on each wire before it (0 for
-    none), the states of its two source wires after the native entangler,
-    and whether the native crossed them.  The states for which the
-    certificate's step, :func:`tableau._kernel_step`, stays local are all
-    pairs from two per-wire sets; each fix is the cheapest class into its
-    wire's set.  A step that entangles the pair, local pairs not per wire,
-    or entries that disagree on crossing it, raise ``AssertionError``.
+    Entry ``6 * ua + ub`` is ``(fix_a, fix_b, ua', ub', swapped)``: the
+    CLASS_GATES index inserted on each wire before it (0 for none), the
+    states of its two source wires after the native entangler, and whether
+    the native crossed them.  The states for which the certificate's step,
+    :func:`tableau._kernel_step`, stays local are all pairs from two per-wire
+    sets; each fix is the cheapest class into its wire's set.  A step that
+    entangles the pair, local pairs not per wire, or entries that disagree
+    on crossing it, raise ``AssertionError``.
     """
-    if gate.arity == 1:
-        tables = tb._TABLES[True]
-        states = tables.get(gate.kernel) or tables.setdefault(gate.kernel, tb._table(gate, True))
-        table = tuple(_STATE.index(states[key] & 15) for key in _STATE)
-    else:
-        native = gs.entangler
-        steps = {(sa, sb): tb._kernel_step(native.kernel, gate.kernel_inv, False,
-                                           _STATE[sa], _STATE[sb])
-                 for sa in range(6) for sb in range(6)}
-        local = [pair for pair, step in steps.items() if step]
-        if not local:
-            raise AssertionError(f"the step through {gate.name} entangles its wires")
-        allowed = [{pair[w] for pair in local} for w in (0, 1)]
-        if len(local) != len(allowed[0]) * len(allowed[1]):
-            raise AssertionError(f"the local steps through {gate.name} are not per wire")
-        cost = [len(word) + (not residual.is_identity()) for word, residual in gs._class_words]
-        fixes = [[min((k for k in range(6) if _THEN[u][k] in ok), key=lambda k: (cost[k], k))
-                  for u in range(6)] for ok in allowed]
-        entries = []
-        for ua, fa in enumerate(fixes[0]):
-            for ub, fb in enumerate(fixes[1]):
-                sa, sb, swapped = steps[_THEN[ua][fa], _THEN[ub][fb]]
-                if swapped:  # by output wire: sa is source wire b's
-                    sa, sb = sb, sa
-                entries.append((fa, fb, _STATE.index(sa & 15), _STATE.index(sb & 15), swapped))
-        if len({entry[4] for entry in entries}) != 1:
-            raise AssertionError(f"the steps through {gate.name} disagree on crossing its wires")
-        table = tuple(entries)
-    gs._step_tables[gate.kernel] = table
+    native = gs.entangler
+    steps = {(sa, sb): tb._kernel_step(native.kernel, gate.kernel_inv, False,
+                                       _STATE[sa], _STATE[sb])
+             for sa in range(6) for sb in range(6)}
+    local = [pair for pair, step in steps.items() if step]
+    if not local:
+        raise AssertionError(f"the step through {gate.name} entangles its wires")
+    allowed = [{pair[w] for pair in local} for w in (0, 1)]
+    if len(local) != len(allowed[0]) * len(allowed[1]):
+        raise AssertionError(f"the local steps through {gate.name} are not per wire")
+    cost = [len(word) + (not residual.is_identity()) for word, residual in gs._class_words]
+    fixes = [[min((k for k in range(6) if _THEN[u][k] in ok), key=lambda k: (cost[k], k))
+              for u in range(6)] for ok in allowed]
+    entries = []
+    for ua, fa in enumerate(fixes[0]):
+        for ub, fb in enumerate(fixes[1]):
+            sa, sb, swapped = steps[_THEN[ua][fa], _THEN[ub][fb]]
+            if swapped:  # by output wire: sa is source wire b's
+                sa, sb = sb, sa
+            entries.append((fa, fb, _CLASS[sa & 15], _CLASS[sb & 15], swapped))
+    if len({entry[4] for entry in entries}) != 1:
+        raise AssertionError(f"the steps through {gate.name} disagree on crossing its wires")
+    table = gs._step_tables[gate.kernel] = tuple(entries)
     return table
 
 
@@ -285,12 +280,14 @@ def _sweep(source: Circuit, gs: GateSet) -> tuple[Circuit, tuple[int, ...]]:
     source entangler (a gate of the other class, as its own step says), no
     SWAP is emitted; the pair's output labels are exchanged instead.  The
     permutation sends each source wire to its output wire.  Each gate is one
-    lookup in its step table (:func:`_step_table`); the pairs in a layer are
-    disjoint, so the layer is walked once.
+    lookup: a single-qubit gate in the certificate's own table
+    (``tableau._TABLES``, read without signs), an entangler in its step table
+    (:func:`_step_table`); the pairs in a layer are disjoint, so the layer is
+    walked once.
     """
     n = source.n
     native = gs.entangler
-    tables = gs._step_tables
+    tables, ones = gs._step_tables, tb._TABLES[True]
 
     u = [0] * n  # indexed by source wire; 0 is the identity class
     label = list(range(n))  # source wire -> output wire
@@ -300,11 +297,12 @@ def _sweep(source: Circuit, gs: GateSet) -> tuple[Circuit, tuple[int, ...]]:
         natives = []
         for inst in layer:
             gate = inst.gate
-            step = tables.get(gate.kernel) or _step_table(gs, gate)
             if gate.arity == 1:
+                step = ones.get(gate.kernel) or ones.setdefault(gate.kernel, tb._table(gate, True))
                 q = inst.qubits[0]
-                u[q] = step[u[q]]
+                u[q] = _CLASS[step[_STATE[u[q]]] & 15]
                 continue
+            step = tables.get(gate.kernel) or _step_table(gs, gate)
             a, b = inst.qubits
             fix_a, fix_b, u[a], u[b], swapped = step[6 * u[a] + u[b]]
             la, lb = label[a], label[b]

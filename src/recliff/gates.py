@@ -308,9 +308,9 @@ class GateSet(_Record):
 
     @cached_property
     def _step_tables(self) -> dict[Callable[..., int], tuple]:
-        """The compiler's sweep steps, filled on first use: by the source
-        gate's kernel, as the certificate's caches are, so no source gate is
-        kept alive."""
+        """The compiler's sweep steps through source entanglers, filled on
+        first use: by the source gate's kernel, as the certificate's caches
+        are, so no source gate is kept alive."""
         return {}
 
 

@@ -362,6 +362,13 @@ class TestStepTables:
             # The native crosses the pair's wires exactly against the other class.
             crossed.add(table[0][4])
             assert table[0][4] == (gate.entangler_class != gs.entangler.entangler_class)
+            # Each source wire's next state is a function of one wire's state:
+            # its own across a CX-like source, the other's across an iSWAP-like
+            # one, so each letter's world line can be planned on its own.
+            for w in (0, 1):
+                reads = w ^ (gate.entangler_class == "iswap_like")
+                assert len({(divmod(i, 6)[reads], entry[2 + w])
+                            for i, entry in enumerate(table)}) == 6
         assert crossed == {False, True}
 
     def test_entangling_step_rejected(self):
@@ -409,18 +416,25 @@ class TestStepTables:
         assert recliff.compiler._step_table(gs, gate) is gs._step_tables[gate.kernel]
         assert walk.cache_info().currsize == 0
 
-    def test_single_qubit_entries_match_dense_tableaux(self):
-        """A gate's entry u is the state with which the gate, then that
-        state, equals u, up to a Pauli."""
-        gs = builtin_gateset("ecr")
-        for name in DIALECT_GATES:
-            gate = builtin(name)
-            if gate.arity == 1:
-                t = append_gate(identity(1), gate, (0,))
-                after = {letters(append_gate(t, CLASS_GATES[v], (0,))): v for v in range(6)}
-                assert recliff.compiler._step_table(gs, gate) == tuple(
-                    after[letters(append_gate(identity(1), CLASS_GATES[u], (0,)))]
-                    for u in range(6))
+    def test_single_qubit_entries_match_dense_tableaux(self, monkeypatch):
+        """The sweep steps a wire through a single-qubit gate by the
+        certificate's own table of it, read without signs: from class u the
+        wire goes to the class with which the gate, then that class, equals
+        u, up to a Pauli."""
+        compiler = recliff.compiler
+        monkeypatch.setattr(recliff.tableau, "_TABLES", ({}, {}))
+        singles = [gate for gate in map(builtin, DIALECT_GATES) if gate.arity == 1]
+        source = Circuit(len(singles), [[Instruction(g, (q,)) for q, g in enumerate(singles)]])
+        compiler._sweep(source, builtin_gateset("ecr"))
+        tables = recliff.tableau._TABLES
+        assert not tables[False] and set(tables[True]) == {g.kernel for g in singles}
+        for gate in singles:
+            t = append_gate(identity(1), gate, (0,))
+            after = {letters(append_gate(t, CLASS_GATES[v], (0,))): v for v in range(6)}
+            table = tables[True][gate.kernel]
+            assert tuple(compiler._CLASS[table[compiler._STATE[u]] & 15] for u in range(6)) \
+                == tuple(after[letters(append_gate(identity(1), CLASS_GATES[u], (0,)))]
+                         for u in range(6))
 
 
 class TestCustomNatives:
@@ -1291,6 +1305,7 @@ class TestWorkCounts:
         derive = recliff.compiler._step_table
 
         def counted(gs, gate):
+            assert gate.arity == 2  # a single-qubit gate steps through the certificate's table
             calls[gs.name, gate.name] += 1
             return derive(gs, gate)
 
@@ -1303,8 +1318,10 @@ class TestWorkCounts:
         for _ in range(50):
             compile_circuit(iswap_source, gs)  # the native meets its own class
             compile_with_iswap_heuristic(cx_source, gs)  # the native crosses each pair
-        assert {gate for _, gate in calls} >= {"ISWAP", "CX", "H"}
+        assert any(inst.gate.arity == 1 for inst in cx_source.instructions())
+        assert {gate for _, gate in calls} == {"ISWAP", "CX"}
         assert set(calls.values()) == {1}
+        assert set(gs._step_tables) == {builtin("ISWAP").kernel, builtin("CX").kernel}
 
     def test_single_qubit_tables_computed_once_per_process(self, monkeypatch):
         """The sweep reads a source gate's single-qubit table from the cache

@@ -1,14 +1,19 @@
 """The README's library examples and the package's docstrings name only what
-the package has, the package has no private name that it never uses, and
-only its command line touches the garbage collector."""
+the package has, the README's JSON formats are the keys the commands write,
+the package has no private name that it never uses, and only its command
+line touches the garbage collector."""
 
 import ast
 import importlib
+import json
 import re
 import sys
 from pathlib import Path
 
+from click.testing import CliRunner
+
 import recliff
+from recliff.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(recliff.__file__).resolve().parent
@@ -23,6 +28,35 @@ def test_readme_library_names_resolve():
 
 def test_all_entries_resolve():
     assert [name for name in recliff.__all__ if not hasattr(recliff, name)] == []
+
+
+def test_readme_json_formats_match_the_commands(tmp_path):
+    """The key lists of the README's "JSON formats" section, against what
+    ``compile --metadata``, ``stats`` and ``compare`` write."""
+    text = README.read_text()
+    section = text[text.index("## JSON formats"):text.index("## Library")]
+    metadata = re.findall(r'"(\w+)":', re.search(r"```json\n(.*?)```", section, re.S)[1])
+    stats = re.findall(r'"(\w+)":', re.search(r"`stats` writes `(\{.*?\})`", section, re.S)[1])
+    ratios = re.findall(r"`(\w+)`", re.search(r"ratios \((.*?)\)", section, re.S)[1])
+    assert '`"undefined"`' in section
+
+    source, compiled, meta = tmp_path / "a.stim", tmp_path / "b.stim", tmp_path / "meta.json"
+    source.write_text("H 0\nTICK\nCX 0 1\n")
+
+    def run(*args: str) -> str:
+        result = CliRunner().invoke(main, list(args), catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        return result.output
+
+    run("compile", "--target", "ecr", str(source), "-o", str(compiled),
+        "--metadata", str(meta))
+    assert list(json.loads(meta.read_text())) == metadata
+    assert list(json.loads(run("stats", str(compiled)))) == stats
+    # The source's one H is neither X- nor Z-type, so those ratios are undefined.
+    comparison = json.loads(run("compare", str(compiled), str(source)))
+    assert list(comparison) == ["ratios", "undefined"]
+    assert comparison["undefined"] and comparison["ratios"]
+    assert sorted([*comparison["ratios"], *comparison["undefined"]]) == sorted(ratios)
 
 
 def docstring_references():
