@@ -5,19 +5,20 @@ the native entangler on the same qubit pair and in the same layer (the
 two-qubit count is forced, so this skeleton is minimal); the sweep adds only
 single-qubit basis changes, placed by one layer builder:
 
-1.  Propagation.  For each wire the sweep tracks, as one of six classes,
-    the basis change relating the source's instantaneous conjugation to the
-    output's: the certificate's single-qubit state without its signs.  A
-    two-qubit Clifford leaves one input letter per wire un-spread (Z on a CX
-    control, X on its target, X on both wires of the XX interaction, and so
-    on), and the certificate's 2-qubit step through the native against the
-    source gate is local exactly when each wire's state carries the source
-    gate's protected letter onto the native gate's.  Where it does not, the
-    cheapest class that makes it so (its native word's length, plus 1 for a
-    residual Pauli; ties in CLASS_GATES order) is inserted just before the
-    entangler.  The constraint is per-wire separable, so one sweep in time
-    order fixes every generator's propagation at once, one lookup per
-    entangler in a 36-entry table read off that step.
+1.  Propagation.  For each output wire the sweep keeps the basis change
+    relating the source's instantaneous conjugation to the output's: the
+    certificate walk's single-qubit state on that wire without its signs,
+    one of six.  A two-qubit Clifford leaves one input letter per wire
+    un-spread (Z on a CX control, X on its target, X on both wires of the XX
+    interaction, and so on), and the certificate's 2-qubit step through the
+    native against the source gate is local exactly when each wire's state
+    carries the source gate's protected letter onto the native gate's.
+    Where it does not, the cheapest class that makes it so (its native
+    word's length, plus 1 for a residual Pauli; ties in CLASS_GATES order)
+    is inserted just before the entangler.  The constraint is per-wire
+    separable, so one sweep in time order fixes every generator's
+    propagation at once, one lookup per entangler in a table read off that
+    step and keyed by the states of its two output wires.
     Against a source gate of the other class the native crosses the pair's
     wires (the swap-insertion mode), as that gate's own step table says; the
     sweep then exchanges the pair's output labels instead of emitting a SWAP,
@@ -28,9 +29,10 @@ single-qubit basis changes, placed by one layer builder:
 3.  Native words.  The builder writes each basis change as its native word,
     dropping the word's residual Pauli.  Words and entangler step tables
     depend only on the gateset and are derived on first use and kept on it,
-    the tables by the source gate's kernel (a single-qubit gate steps through
-    the certificate's table); a builtin gateset is shared, so they are
-    derived once per process.  No compile builds a gate.
+    the tables by the source gate's kernel (a single-qubit gate steps its
+    output wire's state through the certificate's table); a builtin gateset
+    is shared, so they are derived once per process.  No compile builds a
+    gate.
 4.  Frame.  The output is certified against the source: the map from the
     source to the output must be a Pauli times the sweep's wire permutation
     (the identity outside the swap-insertion mode); a failed check raises.
@@ -218,36 +220,32 @@ class _LayerBuilder:
 # The sweep (exact, source-instantaneous reference)
 
 
-# The six classes as the certificate's states without signs (a state of
-# :func:`tableau._run`), by CLASS_GATES index, and back: the sweep's only
-# letter algebra.
+# The six classes as the certificate's states without signs (the low four
+# bits of a :func:`tableau._run` state), by CLASS_GATES index: the sweep's
+# only letter algebra.  ``_AFTER[k][s]`` is state s, then class k, as one
+# ``_run`` step; ``_UNDO[s]`` is the class that takes s back to the identity.
 _STATE = tuple(tb._run(tb._ONE, (gate.kernel,)) & 15 for gate in CLASS_GATES)
-_CLASS = {state: k for k, state in enumerate(_STATE)}
-
-
-# ``_THEN[u][k]``: class u followed by class k, read off the certificate too.
-_THEN = tuple(tuple(_CLASS[tb._run(state, (gate.kernel,)) & 15] for gate in CLASS_GATES)
-              for state in _STATE)
-_INVERT = tuple(row.index(0) for row in _THEN)  # 0 is the identity class
+_AFTER = tuple({s: tb._run(s, (gate.kernel,)) & 15 for s in _STATE} for gate in CLASS_GATES)
+_UNDO = {s: [after[s] for after in _AFTER].index(tb._ONE) for s in _STATE}
 
 
 def _step_table(gs: GateSet, gate: GateDef) -> tuple:
     """Derive the sweep's step through a source entangler, for every state of
     its wires, and keep it on the gateset by the gate's kernel.
 
-    Entry ``6 * ua + ub`` is ``(fix_a, fix_b, ua', ub', swapped)``: the
-    CLASS_GATES index inserted on each wire before it (0 for none), the
-    states of its two source wires after the native entangler, and whether
-    the native crossed them.  The states for which the certificate's step,
-    :func:`tableau._kernel_step`, stays local are all pairs from two per-wire
-    sets; each fix is the cheapest class into its wire's set.  A step that
-    entangles the pair, local pairs not per wire, or entries that disagree
-    on crossing it, raise ``AssertionError``.
+    Entry ``sp | sq << 4``, for states sp and sq on the native's two output
+    wires, is ``(fix_p, fix_q, sp', sq', swapped)``: the CLASS_GATES index
+    inserted on each wire before it (0 for none), then the wires' states
+    after it and whether the native crossed them, as
+    :func:`tableau._kernel_step` gives them.  The states for which that step
+    stays local are all pairs from two per-wire sets; each fix is the
+    cheapest class into its wire's set.  A step that entangles the pair,
+    local pairs not per wire, or entries that disagree on crossing it, raise
+    ``AssertionError``.
     """
     native = gs.entangler
-    steps = {(sa, sb): tb._kernel_step(native.kernel, gate.kernel_inv, False,
-                                       _STATE[sa], _STATE[sb])
-             for sa in range(6) for sb in range(6)}
+    steps = {(sp, sq): tb._kernel_step(native.kernel, gate.kernel_inv, False, sp, sq)
+             for sp in _STATE for sq in _STATE}
     local = [pair for pair, step in steps.items() if step]
     if not local:
         raise AssertionError(f"the step through {gate.name} entangles its wires")
@@ -255,41 +253,39 @@ def _step_table(gs: GateSet, gate: GateDef) -> tuple:
     if len(local) != len(allowed[0]) * len(allowed[1]):
         raise AssertionError(f"the local steps through {gate.name} are not per wire")
     cost = [len(word) + (not residual.is_identity()) for word, residual in gs._class_words]
-    fixes = [[min((k for k in range(6) if _THEN[u][k] in ok), key=lambda k: (cost[k], k))
-              for u in range(6)] for ok in allowed]
-    entries = []
-    for ua, fa in enumerate(fixes[0]):
-        for ub, fb in enumerate(fixes[1]):
-            sa, sb, swapped = steps[_THEN[ua][fa], _THEN[ub][fb]]
-            if swapped:  # by output wire: sa is source wire b's
-                sa, sb = sb, sa
-            entries.append((fa, fb, _CLASS[sa & 15], _CLASS[sb & 15], swapped))
-    if len({entry[4] for entry in entries}) != 1:
+    fixes = [{s: min((k for k in range(6) if _AFTER[k][s] in ok), key=lambda k: (cost[k], k))
+              for s in _STATE} for ok in allowed]
+    table: list = [None] * 256
+    for sp, fp in fixes[0].items():
+        for sq, fq in fixes[1].items():
+            tp, tq, swapped = steps[_AFTER[fp][sp], _AFTER[fq][sq]]
+            table[sp | sq << 4] = (fp, fq, tp & 15, tq & 15, swapped)
+    if len({entry[4] for entry in table if entry}) != 1:
         raise AssertionError(f"the steps through {gate.name} disagree on crossing its wires")
-    table = gs._step_tables[gate.kernel] = tuple(entries)
+    gs._step_tables[gate.kernel] = table = tuple(table)
     return table
 
 
 def _sweep(source: Circuit, gs: GateSet) -> tuple[Circuit, tuple[int, ...]]:
     """The native output circuit and the wire permutation, in one walk.
 
-    Inserts a basis change before an entangler wherever a wire's state
-    does not carry the source gate's protected letter onto the native
-    gate's, then appends to each wire the basis change undoing the state
-    left on it.  Where the native crosses a pair's wires against the
-    source entangler (a gate of the other class, as its own step says), no
-    SWAP is emitted; the pair's output labels are exchanged instead.  The
-    permutation sends each source wire to its output wire.  Each gate is one
-    lookup: a single-qubit gate in the certificate's own table
-    (``tableau._TABLES``, read without signs), an entangler in its step table
-    (:func:`_step_table`); the pairs in a layer are disjoint, so the layer is
-    walked once.
+    Keeps :func:`tableau._local`'s ``states`` without signs, by output
+    wire, and ``label`` (source wire -> output wire) as its relabelling.
+    Inserts a basis change before an entangler wherever a wire's state does
+    not carry the source gate's protected letter onto the native gate's,
+    then appends to each wire the basis change undoing its state.  Where the
+    native crosses a pair's wires (against a gate of the other class, as its
+    own step says), the pair's output labels are exchanged in place of a
+    SWAP; the permutation is the final ``label``.  Each gate is one lookup:
+    a single-qubit gate in the certificate's own table (``tableau._TABLES``),
+    an entangler in its step table (:func:`_step_table`); the pairs in a
+    layer are disjoint, so the layer is walked once.
     """
     n = source.n
     native = gs.entangler
     tables, ones = gs._step_tables, tb._TABLES[True]
 
-    u = [0] * n  # indexed by source wire; 0 is the identity class
+    states = [tb._ONE] * n  # indexed by output wire
     label = list(range(n))  # source wire -> output wire
     out = _LayerBuilder(n, [word for word, _ in gs._class_words])
     place = out.place_single
@@ -299,25 +295,25 @@ def _sweep(source: Circuit, gs: GateSet) -> tuple[Circuit, tuple[int, ...]]:
             gate = inst.gate
             if gate.arity == 1:
                 step = ones.get(gate.kernel) or ones.setdefault(gate.kernel, tb._table(gate, True))
-                q = inst.qubits[0]
-                u[q] = _CLASS[step[_STATE[u[q]]] & 15]
+                w = label[inst.qubits[0]]
+                states[w] = step[states[w]] & 15
                 continue
             step = tables.get(gate.kernel) or _step_table(gs, gate)
             a, b = inst.qubits
-            fix_a, fix_b, u[a], u[b], swapped = step[6 * u[a] + u[b]]
-            la, lb = label[a], label[b]
-            if fix_a:
-                place(la, fix_a)
-            if fix_b:
-                place(lb, fix_b)
-            natives.append(_instruction(native, (la, lb)))
+            p, q = label[a], label[b]
+            fix_p, fix_q, states[p], states[q], swapped = step[states[p] | states[q] << 4]
+            if fix_p:
+                place(p, fix_p)
+            if fix_q:
+                place(q, fix_q)
+            natives.append(_instruction(native, (p, q)))
             if swapped:
-                label[a], label[b] = lb, la
+                label[a], label[b] = q, p
         if natives:
             out.place_layer(natives)
-    # Conjugation fix: each wire is now off from the source by u alone.
-    for wire, k in enumerate(u):
-        place(label[wire], _INVERT[k])
+    # Conjugation fix: each wire is now off from the source by its state alone.
+    for wire, s in enumerate(states):
+        place(wire, _UNDO[s])
     return out.circuit(), tuple(label)
 
 

@@ -144,9 +144,9 @@ def entanglers_only(c: Circuit) -> Circuit:
 @pytest.fixture
 def no_wire_fix(monkeypatch):
     """Stop the sweep's conjugation fix from placing anything: the sweep reads
-    _INVERT only for the fix appended to each wire, and all zeros makes
+    _UNDO only for the fix appended to each wire, and all zeros makes
     every fix the identity class."""
-    monkeypatch.setattr(recliff.compiler, "_INVERT", (0,) * 6)
+    monkeypatch.setattr(recliff.compiler, "_UNDO", dict.fromkeys(recliff.compiler._STATE, 0))
 
 
 class TestInitialCondition:
@@ -279,7 +279,7 @@ class TestFixPropagation:
         for source in sources:
             done, perm = recliff.compiler._sweep(source, gs)
             with monkeypatch.context() as m:
-                m.setattr(recliff.compiler, "_INVERT", (0,) * 6)
+                m.setattr(recliff.compiler, "_UNDO", dict.fromkeys(recliff.compiler._STATE, 0))
                 fixed, fixed_perm = recliff.compiler._sweep(source, gs)
             assert fixed_perm == perm
             want = tableau_letter_maps(
@@ -294,34 +294,99 @@ class TestFixPropagation:
                 assert perm == tuple(range(source.n))
 
 
+def walk_states(a: Circuit, b: Circuit) -> tuple[list[int], tuple[int, ...]]:
+    """The certificate walk's per-wire states of a b^-1 without signs, by a's
+    wire, and its relabelling: ``tableau._local``'s loop, with every step
+    required to stay local."""
+    tb = recliff.tableau
+    states, sigma = [tb._ONE] * a.n, list(range(a.n))
+    b_layers = tb._segments(b, True, states, sigma)
+    for pairs in tb._segments(a, False, states, list(range(a.n))):
+        other = {(sigma[inst.qubits[0]], sigma[inst.qubits[1]]): inst
+                 for inst in next(b_layers, ())}
+        assert len(other) == len(pairs)
+        for inst in pairs:
+            p, q = inst.qubits
+            flipped = (p, q) not in other
+            match = other[(q, p) if flipped else (p, q)]
+            states[p], states[q], swapped = tb._walk_step(
+                inst.gate.kernel, match.gate.kernel_inv, flipped, states[p], states[q])
+            if swapped:
+                i, j = match.qubits
+                sigma[i], sigma[j] = sigma[j], sigma[i]
+    assert next(b_layers, None) is None
+    return [s & 15 for s in states], tuple(sigma)
+
+
+class TestSweepStateIsTheWalks:
+    """The sweep keeps the certificate walk's per-wire state, by output wire:
+    the state it undoes on each wire at the end is the one the walk reaches
+    on the output without that fix, against the source."""
+
+    def test_final_states_match_the_walk(self, monkeypatch):
+        asked: list[int] = []
+
+        class Recording(dict):
+            def __missing__(self, state):
+                asked.append(state)
+                return 0
+
+        monkeypatch.setattr(recliff.compiler, "_UNDO", Recording())
+        gatesets = [builtin_gateset(t) for t in ("cx", "cz", "sqrt_xx", "ecr", "iswap")]
+        crossed = moved = 0
+        for seed in range(300):
+            source = random_clifford_circuit(RandomCircuitSpec(
+                n=2 + seed % 7, entangler_layers=1 + seed % 5, seed=8000 + seed,
+                entangler=builtin(("CX", "CZ", "ISWAP", "SQRT_XX", "ECR")[seed % 5])))
+            for gs in gatesets:
+                asked.clear()
+                unfixed, perm = recliff.compiler._sweep(source, gs)
+                assert (asked, perm) == walk_states(unfixed, source)
+                crossed += perm != tuple(range(source.n))
+                moved += sum(state != recliff.tableau._ONE for state in asked)
+        assert crossed and moved  # the walk relabels wires and leaves states to undo
+
+
 def letters(t: Tableau) -> tuple:
     """A tableau without its signs: equal for two maps exactly when they
     differ by a Pauli."""
     return tuple(t._x), tuple(t._z)
 
 
+def unsigned_state(t: Tableau) -> int:
+    """A 1-qubit tableau as the certificate walk keeps it, without signs:
+    x | z << 2, bit 0 of each for generator X, bit 1 for Z."""
+    return t._x[0] | t._z[0] << 2
+
+
+# Each class's 1-qubit state, by CLASS_GATES index, from dense tableaux.
+CLASS_STATES = [unsigned_state(append_gate(identity(1), g, (0,))) for g in CLASS_GATES]
+
+
 def step_oracle(gs, gate):
     """The sweep's steps through a source entangler, on the public letter
-    view and dense 2-qubit tableaux.  A wire's state is a class's letter
-    permutation.  Where it does not carry the source's one-local letter on
-    the wire onto the native's, the cheapest class that does is inserted:
-    its native word's length, plus 1 for a residual Pauli, ties in
-    CLASS_GATES order.  The entry's states and crossing are the ones with
-    which the source, then the states, equals the fixed states, then the
-    native, up to a Pauli."""
+    view and dense 2-qubit tableaux, keyed by the states of the native's two
+    wires.  A wire's state is a class's letter permutation.  Where it does
+    not carry the source's one-local letter on the wire onto the native's,
+    the cheapest class that does is inserted: its native word's length, plus
+    1 for a residual Pauli, ties in CLASS_GATES order.  The entry's states,
+    on the native's output wires, and crossing are the ones with which the
+    source, then the states, equals the fixed states, then the native, up to
+    a Pauli."""
     perms = [g.perm for g in CLASS_GATES]
     cost = [len(word) + (not residual.is_identity())
             for word, residual in (decompose_single_qubit(g, gs) for g in CLASS_GATES)]
-    after = {}  # the source, then maybe SWAP, then a state on each source wire
+    after = {}  # the source, then maybe SWAP, then a state on each output wire
     for swapped in (False, True):
         source = append_gate(identity(2), gate, (0, 1))
         if swapped:
             source = append_gate(source, builtin("SWAP"), (0, 1))
         for va in range(6):
             for vb in range(6):
-                t = append_gate(source, CLASS_GATES[va], (int(swapped),))
-                after[letters(append_gate(t, CLASS_GATES[vb], (1 - swapped,)))] = va, vb, swapped
-    native, entries = gs.entangler, []
+                t = append_gate(source, CLASS_GATES[va], (0,))
+                after[letters(append_gate(t, CLASS_GATES[vb], (1,)))] = \
+                    CLASS_STATES[va], CLASS_STATES[vb], swapped
+    native, entries = gs.entangler, {}
     for ua in range(6):
         for ub in range(6):
             u, fixes, t = [ua, ub], [0, 0], identity(2)
@@ -334,8 +399,14 @@ def step_oracle(gs, gate):
                     fixes[role], (x, z) = k, perms[u[role]]
                     u[role] = perms.index((perm_apply(perms[k], x), perm_apply(perms[k], z)))
                 t = append_gate(t, CLASS_GATES[u[role]], (role,))
-            entries.append((*fixes, *after[letters(append_gate(t, native, (0, 1)))]))
-    return tuple(entries)
+            entries[CLASS_STATES[ua], CLASS_STATES[ub]] = \
+                (*fixes, *after[letters(append_gate(t, native, (0, 1)))])
+    return entries
+
+
+def by_state_pair(table) -> dict:
+    """A step table's entries keyed by the states of the native's two wires."""
+    return {(i & 15, i >> 4): entry for i, entry in enumerate(table) if entry is not None}
 
 
 # Every dialect entangler a gateset takes, as the native.
@@ -343,7 +414,8 @@ NATIVE_ENTANGLERS = {**TARGET_ENTANGLERS, "cxswap": "CXSWAP", "czswap": "CZSWAP"
 
 
 class TestStepTables:
-    """The sweep's 36-entry step tables against dense 2-qubit tableaux, with
+    """The sweep's step tables, 36 entries keyed by state pair, against dense
+    2-qubit tableaux, with
     every dialect entangler as the native and both native sets, for every
     source entangler an entry point takes."""
 
@@ -358,17 +430,22 @@ class TestStepTables:
             if gate.entangler_class not in ("cx_like", "iswap_like"):
                 continue
             table = recliff.compiler._step_table(gs, gate)
-            assert table == step_oracle(gs, gate)
+            entries = by_state_pair(table)
+            assert len(table) == 256 and entries == step_oracle(gs, gate)
             # The native crosses the pair's wires exactly against the other class.
-            crossed.add(table[0][4])
-            assert table[0][4] == (gate.entangler_class != gs.entangler.entangler_class)
-            # Each source wire's next state is a function of one wire's state:
-            # its own across a CX-like source, the other's across an iSWAP-like
-            # one, so each letter's world line can be planned on its own.
+            swapped = {entry[4] for entry in entries.values()}
+            crossed |= swapped
+            assert swapped == {gate.entangler_class != gs.entangler.entangler_class}
+            # Each output wire's next state is a function of the state on the
+            # wire the native's letters land on: its own under a CX-like
+            # native, the other under an iSWAP-like one, whatever the source
+            # gate and whether the native crosses.  So each letter's world
+            # line can be planned on its own.  The other reading fails.
+            hop = gs.entangler.entangler_class == "iswap_like"
             for w in (0, 1):
-                reads = w ^ (gate.entangler_class == "iswap_like")
-                assert len({(divmod(i, 6)[reads], entry[2 + w])
-                            for i, entry in enumerate(table)}) == 6
+                for reads, function in ((w ^ hop, True), (w ^ hop ^ 1, False)):
+                    assert function == (len({(pair[reads], entry[2 + w])
+                                             for pair, entry in entries.items()}) == 6)
         assert crossed == {False, True}
 
     def test_entangling_step_rejected(self):
@@ -418,23 +495,23 @@ class TestStepTables:
 
     def test_single_qubit_entries_match_dense_tableaux(self, monkeypatch):
         """The sweep steps a wire through a single-qubit gate by the
-        certificate's own table of it, read without signs: from class u the
-        wire goes to the class with which the gate, then that class, equals
-        u, up to a Pauli."""
-        compiler = recliff.compiler
+        certificate's own table of it, read without signs: from class u's
+        state the wire goes to the state of the class with which the gate,
+        then that class, equals u, up to a Pauli."""
         monkeypatch.setattr(recliff.tableau, "_TABLES", ({}, {}))
         singles = [gate for gate in map(builtin, DIALECT_GATES) if gate.arity == 1]
         source = Circuit(len(singles), [[Instruction(g, (q,)) for q, g in enumerate(singles)]])
-        compiler._sweep(source, builtin_gateset("ecr"))
+        recliff.compiler._sweep(source, builtin_gateset("ecr"))
         tables = recliff.tableau._TABLES
         assert not tables[False] and set(tables[True]) == {g.kernel for g in singles}
+        assert recliff.compiler._STATE == tuple(CLASS_STATES)
         for gate in singles:
             t = append_gate(identity(1), gate, (0,))
-            after = {letters(append_gate(t, CLASS_GATES[v], (0,))): v for v in range(6)}
+            after = {letters(append_gate(t, CLASS_GATES[v], (0,))): CLASS_STATES[v]
+                     for v in range(6)}
             table = tables[True][gate.kernel]
-            assert tuple(compiler._CLASS[table[compiler._STATE[u]] & 15] for u in range(6)) \
-                == tuple(after[letters(append_gate(identity(1), CLASS_GATES[u], (0,)))]
-                         for u in range(6))
+            assert [table[s] & 15 for s in CLASS_STATES] == \
+                [after[letters(append_gate(identity(1), g, (0,)))] for g in CLASS_GATES]
 
 
 class TestCustomNatives:

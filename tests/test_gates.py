@@ -465,9 +465,11 @@ class TestSwapInsertionTable:
         crossed = recliff.compiler._step_table(gs, builtin(source_gate))
         straight = recliff.compiler._step_table(
             GateSet(target, composite, gs.single_qubit_natives), builtin(source_gate))
-        assert [entry[:4] for entry in crossed] == [entry[:4] for entry in straight]
-        assert {entry[4] for entry in crossed} == {True}
-        assert {entry[4] for entry in straight} == {False}
+        # By output wire: the composite's wire 0 ends where the native's wire 1 does.
+        assert [entry and (*entry[:2], entry[3], entry[2]) for entry in crossed] == \
+            [entry and entry[:4] for entry in straight]
+        assert {entry[4] for entry in crossed if entry} == {True}
+        assert {entry[4] for entry in straight if entry} == {False}
 
         source = parse(f"H 0\nTICK\n{source_gate} 0 1\nTICK\n{source_gate} 1 2\n")
         res = compile_with_iswap_heuristic(source, gs)
