@@ -22,7 +22,10 @@ single-qubit basis changes, placed by one layer builder:
     Against a source gate of the other class the native crosses the pair's
     wires (the swap-insertion mode), as that gate's own step table says; the
     sweep then exchanges the pair's output labels instead of emitting a SWAP,
-    so later gates land on the relabelled wires.
+    so later gates land on the relabelled wires.  No other check reads the
+    source's classes: a gate that no step makes local (swap-like, or
+    entangling nothing) is refused, and outside that mode so is the first
+    gate whose step crosses.
 2.  Conjugation.  After the last layer each wire is off from the source by a
     basis change alone; one class appended per wire, its inverse, removes it.
     Single-qubit layers never end up adjacent, so nothing needs fusing.
@@ -40,23 +43,21 @@ single-qubit basis changes, placed by one layer builder:
     them per wire and builds no n-qubit tableau.  The Pauli is the frame,
     reported or folded in as a final layer.
 
-Both entry points run this pipeline and differ only in the class check:
-one lets a source mix gates of both classes.  Folding certifies the frame
-layer on its own, which must give the frame itself; the whole output is not
-walked again.
+Both entry points run this pipeline and differ in one flag: whether the
+native may cross a pair's wires, so a source may mix gates of both classes.
+Folding certifies the frame layer on its own, which must give the frame
+itself; the whole output is not walked again.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
-from itertools import chain
-from operator import attrgetter
 from typing import Sequence
 
 from .pauli import Pauli, PauliProduct, _Record, terms
 from . import tableau as tb
-from .circuit import Circuit, Instruction, _circuit, _instruction, _layer, depth, gate_counts
+from .circuit import (Circuit, Instruction, _circuit, _instruction, _layer, depth, gate_counts,
+                      two_qubit_count)
 from .gates import CLASS_GATES, GateDef, GateSet, builtin, perm_apply
 from .reporting import Report, report
 
@@ -70,8 +71,6 @@ class VerificationError(RuntimeError):
 
 
 FRAME_MODES = ("report", "fold", "none")
-
-_gate = attrgetter("gate")
 
 
 # ---------------------------------------------------------------------------
@@ -123,38 +122,6 @@ class CompilationResult(_Record):
             "verified": self.verified,
             "gateset": self.gateset,
         }
-
-
-# ---------------------------------------------------------------------------
-# Entangler-class check
-
-
-def _check_classes(source: Circuit, gs: GateSet, may_cross: bool) -> int:
-    """The source's two-qubit gate count, once its entangler classes pass.
-
-    Raises :class:`CompileError` for a source the entry point cannot compile:
-    a swap-like or non-entangling gate, named in either mode; and, unless
-    ``may_cross``, the first gate whose class differs from the native
-    entangler's.  With it the classes may mix: each gate's step crosses or not.
-    """
-    native = gs.entangler
-    counts = Counter(map(_gate, chain.from_iterable(source.layers)))
-    gates = [g for g in counts if g.arity == 2]
-    for gate in gates:
-        cls = gate.entangler_class
-        if cls == "swap_like":
-            raise CompileError(
-                f"{gate.name} is a swap-like gate; swap compilation is not supported"
-            )
-        if cls == "none":
-            raise CompileError(f"{gate.name} entangles nothing and cannot be compiled")
-        if cls != native.entangler_class and not may_cross:
-            raise CompileError(
-                f"source entangler {gate.name} is {cls} but the "
-                f"{gs.name} gateset entangler {native.name} is "
-                f"{native.entangler_class}; use the iswap heuristic mode"
-            )
-    return sum(counts[g] for g in gates)
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +206,24 @@ def _step_table(gs: GateSet, gate: GateDef) -> tuple:
     after it and whether the native crossed them, as
     :func:`tableau._kernel_step` gives them.  The states for which that step
     stays local are all pairs from two per-wire sets; each fix is the
-    cheapest class into its wire's set.  A step that entangles the pair,
-    local pairs not per wire, or entries that disagree on crossing it, raise
-    ``AssertionError``.
+    cheapest class into its wire's set.  Up to local Cliffords a two-qubit
+    Clifford is local, CX-like, iSWAP-like or SWAP-like, so no state makes
+    the step local exactly when the gate is swap-like or entangles nothing:
+    that raises :class:`CompileError`, worded by the gate's class.  An
+    entangling gate whose step is never local, local pairs not per wire, or
+    entries that disagree on crossing the pair, raise ``AssertionError``.
     """
     native = gs.entangler
     steps = {(sp, sq): tb._kernel_step(native.kernel, gate.kernel_inv, False, sp, sq)
              for sp in _STATE for sq in _STATE}
     local = [pair for pair, step in steps.items() if step]
     if not local:
+        if gate.entangler_class == "swap_like":
+            raise CompileError(
+                f"{gate.name} is a swap-like gate; swap compilation is not supported"
+            )
+        if gate.entangler_class == "none":
+            raise CompileError(f"{gate.name} entangles nothing and cannot be compiled")
         raise AssertionError(f"the step through {gate.name} entangles its wires")
     allowed = [{pair[w] for pair in local} for w in (0, 1)]
     if len(local) != len(allowed[0]) * len(allowed[1]):
@@ -266,7 +242,7 @@ def _step_table(gs: GateSet, gate: GateDef) -> tuple:
     return table
 
 
-def _sweep(source: Circuit, gs: GateSet) -> tuple[Circuit, tuple[int, ...]]:
+def _sweep(source: Circuit, gs: GateSet, may_cross: bool) -> tuple[Circuit, tuple[int, ...]]:
     """The native output circuit and the wire permutation, in one walk.
 
     Keeps :func:`tableau._local`'s ``states`` without signs, by output
@@ -276,7 +252,10 @@ def _sweep(source: Circuit, gs: GateSet) -> tuple[Circuit, tuple[int, ...]]:
     then appends to each wire the basis change undoing its state.  Where the
     native crosses a pair's wires (against a gate of the other class, as its
     own step says), the pair's output labels are exchanged in place of a
-    SWAP; the permutation is the final ``label``.  Each gate is one lookup:
+    SWAP, or, unless ``may_cross``, :class:`CompileError` names the gate;
+    the permutation is the final ``label``.  The step table refuses a
+    swap-like or non-entangling gate, so the first gate met that cannot
+    compile is the one named.  Each gate is one lookup:
     a single-qubit gate in the certificate's own table (``tableau._TABLES``),
     an entangler in its step table (:func:`_step_table`); the pairs in a
     layer are disjoint, so the layer is walked once.
@@ -308,6 +287,12 @@ def _sweep(source: Circuit, gs: GateSet) -> tuple[Circuit, tuple[int, ...]]:
                 place(q, fix_q)
             natives.append(_instruction(native, (p, q)))
             if swapped:
+                if not may_cross:
+                    raise CompileError(
+                        f"source entangler {gate.name} is {gate.entangler_class} but the "
+                        f"{gs.name} gateset entangler {native.name} is "
+                        f"{native.entangler_class}; use the iswap heuristic mode"
+                    )
                 label[a], label[b] = q, p
         if natives:
             out.place_layer(natives)
@@ -369,8 +354,7 @@ def _compile(
     """The one pipeline behind both entry points; every result is verified."""
     if frame_mode not in FRAME_MODES:
         raise ValueError(f"frame_mode must be one of {FRAME_MODES}")
-    entanglers = _check_classes(source, gs, may_cross)
-    final, permutation = _sweep(source, gs)
+    final, permutation = _sweep(source, gs, may_cross)
     frame = _certify(final, source, permutation)
     if frame_mode == "fold":
         # The output is the frame after the relabelled source, so the folded
@@ -386,7 +370,7 @@ def _compile(
                 f"frame mode 'none' but the compilation needs frame {frame}"
             )
     stats = report(final)
-    if stats.two_qubit_count != entanglers:
+    if stats.two_qubit_count != two_qubit_count(source):
         raise VerificationError("two-qubit count was not preserved")
     return CompilationResult(
         circuit=final,

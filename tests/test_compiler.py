@@ -249,7 +249,7 @@ class TestFixPropagation:
 
     def test_worked_example_insertions(self, worked_example, no_wire_fix):
         gs = builtin_gateset("ecr", "class6")
-        fixed, _ = recliff.compiler._sweep(worked_example, gs)
+        fixed, _ = recliff.compiler._sweep(worked_example, gs, True)
         assert wire_names(fixed, 0) == ["H", "ECR", "ECR"]
         assert wire_names(fixed, 1) == ["ECR", "H_YZ", "ECR"]
         assert wire_names(fixed, 2) == ["ECR", "H_XY", "ECR"]
@@ -258,7 +258,7 @@ class TestFixPropagation:
     def test_supports_match_after_fix(self, worked_example, no_wire_fix):
         gs = builtin_gateset("ecr", "class6")
         target = from_circuit(worked_example)
-        fixed, _ = recliff.compiler._sweep(worked_example, gs)
+        fixed, _ = recliff.compiler._sweep(worked_example, gs, True)
         got = from_circuit(fixed)
         for a, b in zip(got.images(), target.images()):
             assert (a.x | a.z) == (b.x | b.z)
@@ -277,10 +277,10 @@ class TestFixPropagation:
                 entangler=builtin(("CX", "CZ", "SQRT_XX", "ECR")[seed % 4]),
             )))
         for source in sources:
-            done, perm = recliff.compiler._sweep(source, gs)
+            done, perm = recliff.compiler._sweep(source, gs, True)
             with monkeypatch.context() as m:
                 m.setattr(recliff.compiler, "_UNDO", dict.fromkeys(recliff.compiler._STATE, 0))
-                fixed, fixed_perm = recliff.compiler._sweep(source, gs)
+                fixed, fixed_perm = recliff.compiler._sweep(source, gs, True)
             assert fixed_perm == perm
             want = tableau_letter_maps(
                 from_circuit(fixed), from_circuit(source).relabel_wires(perm))
@@ -340,7 +340,7 @@ class TestSweepStateIsTheWalks:
                 entangler=builtin(("CX", "CZ", "ISWAP", "SQRT_XX", "ECR")[seed % 5])))
             for gs in gatesets:
                 asked.clear()
-                unfixed, perm = recliff.compiler._sweep(source, gs)
+                unfixed, perm = recliff.compiler._sweep(source, gs, True)
                 assert (asked, perm) == walk_states(unfixed, source)
                 crossed += perm != tuple(range(source.n))
                 moved += sum(state != recliff.tableau._ONE for state in asked)
@@ -449,11 +449,13 @@ class TestStepTables:
         assert crossed == {False, True}
 
     def test_entangling_step_rejected(self):
-        # H (x) S is two-qubit but entangles nothing, so CX after it stays entangling.
+        # H (x) S is two-qubit but entangles nothing, so CX after it stays
+        # entangling: the step table refuses the source gate, by its class.
         h_s = GateDef("H_S", 2, append_gate(append_gate(identity(2), builtin("H"), (0,)),
                                             builtin("S"), (1,)))
-        with pytest.raises(AssertionError, match="entangles its wires"):
+        with pytest.raises(CompileError) as info:
             recliff.compiler._step_table(builtin_gateset("cx"), h_s)
+        assert str(info.value) == "H_S entangles nothing and cannot be compiled"
 
     def test_entries_disagreeing_on_crossing_rejected(self, monkeypatch):
         step = recliff.tableau._kernel_step
@@ -501,7 +503,7 @@ class TestStepTables:
         monkeypatch.setattr(recliff.tableau, "_TABLES", ({}, {}))
         singles = [gate for gate in map(builtin, DIALECT_GATES) if gate.arity == 1]
         source = Circuit(len(singles), [[Instruction(g, (q,)) for q, g in enumerate(singles)]])
-        recliff.compiler._sweep(source, builtin_gateset("ecr"))
+        recliff.compiler._sweep(source, builtin_gateset("ecr"), True)
         tables = recliff.tableau._TABLES
         assert not tables[False] and set(tables[True]) == {g.kernel for g in singles}
         assert recliff.compiler._STATE == tuple(CLASS_STATES)
@@ -589,19 +591,18 @@ class TestFixConjugation:
 
 
 class TestClassCheckBuildsNoSkeleton:
-    """A source of the wrong class is rejected before the pipeline simulates
-    a tableau or starts the sweep."""
+    """A source of the wrong class is rejected by the sweep's steps before
+    the pipeline simulates a tableau."""
 
     @pytest.fixture(autouse=True)
     def nothing_built(self, monkeypatch):
         import recliff.tableau
 
         def refuse(*args):
-            raise AssertionError("the pipeline went past the class check")
+            raise AssertionError("the pipeline built a tableau before refusing the source")
 
         monkeypatch.setattr(recliff.tableau, "identity", refuse)
         monkeypatch.setattr(recliff.tableau, "from_circuit", refuse)
-        monkeypatch.setattr(recliff.compiler, "_sweep", refuse)
 
     def test_wrong_class_still_rejected(self):
         with pytest.raises(CompileError, match="heuristic"):
@@ -687,6 +688,51 @@ def test_every_entangling_two_qubit_clifford_compiles():
             result = compile_with_iswap_heuristic(source, gs, frame_mode="fold")
             assert from_circuit(result.circuit) == want.relabel_wires(result.permutation)
     assert entangling == 648
+
+
+def test_the_steps_are_the_one_entangler_rule():
+    """Over all 720 two-qubit Cliffords, with seeded random signs, onto every
+    target: both entry points name a swap-like or non-entangling gate;
+    ``compile_circuit`` names the gate exactly when its class differs from
+    the native's, and compiles it otherwise; and the gate's step table
+    crosses the pair exactly when the classes differ."""
+    rng = random.Random(29)
+    gatesets = [builtin_gateset(target) for target in sorted(TARGET_ENTANGLERS)]
+    refusals = {"swap_like": "G is a swap-like gate; swap compilation is not supported",
+                "none": "G entangles nothing and cannot be compiled"}
+    outcomes = Counter()
+    for images in two_qubit_symplectic_maps():
+        signed = [PauliProduct(2, p.x, p.z, rng.choice((1, -1))) for p in images]
+        gate = GateDef("G", 2, Tableau.from_images(2, signed))
+        cls = gate.entangler_class
+        source = Circuit(3, ((Instruction(gate, (0, 1)),), (Instruction(builtin("S"), (2,)),),
+                             (Instruction(gate, (1, 2)),)))
+        for gs in gatesets:
+            native = gs.entangler
+            if cls in refusals:
+                for entry in (compile_circuit, compile_with_iswap_heuristic):
+                    with pytest.raises(CompileError) as info:
+                        entry(source, gs)
+                    assert str(info.value) == refusals[cls]
+                outcomes["refused"] += 1
+                continue
+            mismatch = cls != native.entangler_class
+            if mismatch:
+                with pytest.raises(CompileError) as info:
+                    compile_circuit(source, gs)
+                assert str(info.value) == (
+                    f"source entangler G is {cls} but the {gs.name} gateset entangler "
+                    f"{native.name} is {native.entangler_class}; use the iswap heuristic mode"
+                )
+            else:
+                assert compile_circuit(source, gs).permutation == (0, 1, 2)
+            table = by_state_pair(gs._step_tables[gate.kernel])
+            assert {entry[4] for entry in table.values()} == {mismatch}
+            outcomes["mismatch" if mismatch else "compiled"] += 1
+    # 72 maps are swap-like or entangle nothing, 324 are CX-like and 324
+    # iSWAP-like; one of the five natives is iSWAP-like.
+    assert outcomes == {"refused": 72 * 5, "mismatch": 324 * 4 + 324, "compiled": 324 * 4 + 324}
+
 
 class TestSabotagedConjugationFix:
     """With the conjugation fix disabled, no entry point returns a result."""
@@ -1334,12 +1380,13 @@ class TestWorkCounts:
         assert (built, simulated) == ([2], [])
 
     def test_two_qubit_count_checked_against_the_class_check(self, monkeypatch, d5_text):
-        check = recliff.compiler._check_classes
+        # The output's count is checked against the source's own.
+        count = recliff.compiler.two_qubit_count
 
-        def one_more(*args):
-            return check(*args) + 1
+        def one_more(circuit):
+            return count(circuit) + 1
 
-        monkeypatch.setattr(recliff.compiler, "_check_classes", one_more)
+        monkeypatch.setattr(recliff.compiler, "two_qubit_count", one_more)
         with pytest.raises(VerificationError, match="^two-qubit count was not preserved$"):
             compile_circuit(parse(d5_text), builtin_gateset("ecr"))
 

@@ -1,12 +1,14 @@
 """The README's library examples and the package's docstrings name only what
-the package has, the README's JSON formats are the keys the commands write,
-the package has no private name that it never uses, and only its command
-line touches the garbage collector."""
+the package has, the README's command-line block runs as written, its JSON
+formats are the keys the commands write, the package has no private name
+that it never uses, and only its command line touches the garbage
+collector."""
 
 import ast
 import importlib
 import json
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -28,6 +30,20 @@ def test_readme_library_names_resolve():
 
 def test_all_entries_resolve():
     assert [name for name in recliff.__all__ if not hasattr(recliff, name)] == []
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    """Each ``recliff`` line of the "Command line" section's block, in order
+    in one directory, exits 0."""
+    text = README.read_text()
+    section = text[text.index("## Command line"):text.index("## Circuit text dialect")]
+    block = re.search(r"```bash\n(.*?)```", section, re.S)[1].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("recliff ")]
+    assert len(commands) == 7 and "--metadata" in commands[1]  # a continued line is joined
+    monkeypatch.chdir(tmp_path)
+    for args in commands:
+        result = CliRunner().invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 0, (args, result.output)
 
 
 def test_readme_json_formats_match_the_commands(tmp_path):
