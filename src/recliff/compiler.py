@@ -31,11 +31,11 @@ single-qubit basis changes, placed by one layer builder:
     Single-qubit layers never end up adjacent, so nothing needs fusing.
 3.  Native words.  The builder writes each basis change as its native word,
     dropping the word's residual Pauli.  Words and entangler step tables
-    depend only on the gateset and are derived on first use and kept on it,
-    the tables by the source gate's kernel (a single-qubit gate steps its
-    output wire's state through the certificate's table); a builtin gateset
-    is shared, so they are derived once per process.  No compile builds a
-    gate.
+    depend only on the gateset and are kept on it: the words are made when
+    it is built, and each table on first use, one per source gate, by the
+    source gate's kernel (a single-qubit gate steps its output wire's state
+    through the certificate's table); a builtin gateset is shared, so they
+    are derived once per process.  No compile builds a gate.
 4.  Frame.  The output is certified against the source: the map from the
     source to the output must be a Pauli times the sweep's wire permutation
     (the identity outside the swap-insertion mode); a failed check raises.

@@ -25,7 +25,7 @@ golden constant at import, so a sign-convention drift fails immediately.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, Literal, Sequence
 
 from .pauli import Pauli, PauliProduct, _Record
@@ -264,7 +264,17 @@ CLASS_GATES = tuple(_REGISTRY[name] for name in CLASS_GATE_ORDER)
 
 
 class GateSet(_Record):
-    """A native gateset: one two-qubit entangler plus single-qubit generators."""
+    """A native gateset: one two-qubit entangler plus single-qubit generators.
+
+    Built whole, it also holds what every compile onto it reads: the natives'
+    shortest word to each basis-change class (``_class_search``, the one
+    :func:`tableau._reach` that every decomposition on it reads), the
+    :func:`decompose_single_qubit` of each of the six CLASS_GATES
+    (``_class_words``), and the compiler's sweep steps through source
+    entanglers (``_step_tables``), filled on first use by the source gate's
+    kernel, as the certificate's caches are, so no source gate is kept alive.
+    A builtin gateset is shared, so these are made once per process.
+    """
 
     name: str
     entangler: GateDef
@@ -286,32 +296,16 @@ class GateSet(_Record):
             )
         if any(g.arity != 1 for g in self.single_qubit_natives):
             raise ValueError("single-qubit natives must have arity 1")
-        if len(self._class_search) != 6:
+        search = tb._reach(self.single_qubit_natives, 15)
+        if len(search) != 6:
             raise ValueError(
                 "single-qubit natives do not generate all Pauli-basis changes "
-                f"(got {len(self._class_search)} of 6 classes)"
+                f"(got {len(search)} of 6 classes)"
             )
-
-    # Derived once per gateset and kept on it, so they live as long as it
-    # does; a builtin gateset is shared, so once per process.
-
-    @cached_property
-    def _class_search(self) -> dict[int, tuple[GateDef, ...]]:
-        """The natives' shortest word to each basis-change class: the one
-        :func:`tableau._reach` that every decomposition on this gateset reads."""
-        return tb._reach(self.single_qubit_natives, 15)
-
-    @cached_property
-    def _class_words(self) -> tuple[tuple[tuple[GateDef, ...], PauliProduct], ...]:
-        """:func:`decompose_single_qubit` of each of the six CLASS_GATES."""
-        return tuple(decompose_single_qubit(g, self) for g in CLASS_GATES)
-
-    @cached_property
-    def _step_tables(self) -> dict[Callable[..., int], tuple]:
-        """The compiler's sweep steps through source entanglers, filled on
-        first use: by the source gate's kernel, as the certificate's caches
-        are, so no source gate is kept alive."""
-        return {}
+        object.__setattr__(self, "_class_search", search)
+        object.__setattr__(self, "_class_words",
+                           tuple(decompose_single_qubit(g, self) for g in CLASS_GATES))
+        object.__setattr__(self, "_step_tables", {})
 
 
 def decompose_single_qubit(

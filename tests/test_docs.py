@@ -1,8 +1,8 @@
 """The README's library examples and the package's docstrings name only what
-the package has, the README's command-line block runs as written, its JSON
-formats are the keys the commands write, the package has no private name
-that it never uses, and only its command line touches the garbage
-collector."""
+the package has, the README's Python and command-line blocks run as
+written, its JSON formats are the keys the commands write, the package has
+no private name that it never uses, and only its command line touches the
+garbage collector."""
 
 import ast
 import importlib
@@ -26,6 +26,25 @@ def test_readme_library_names_resolve():
     names = {name for block in blocks for name in re.findall(r"\brc\.(\w+)", block)}
     assert "compile_circuit" in names  # the pattern finds the examples
     assert sorted(name for name in names if not hasattr(recliff, name)) == []
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
+    """Every ``python`` block of the README parses, and the first (the
+    library example) runs as written next to the ``d11.stim`` that the
+    command line generates."""
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert len(blocks) >= 1
+    for block in blocks:
+        ast.parse(block)
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, ["generate", "surface-code", "--distance", "11",
+                                       "-o", "d11.stim"], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    namespace: dict = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    printed = capsys.readouterr().out
+    assert recliff.emit(namespace["result"].circuit) in printed
+    assert printed.endswith(f"{namespace['res'].permutation}\n")
 
 
 def test_all_entries_resolve():

@@ -219,18 +219,32 @@ class TestOneSearchPerGateset:
 
     @pytest.mark.parametrize("target, natives", GATESETS)
     def test_at_most_two_searches(self, monkeypatch, target, natives):
+        """The natives' search and the six class words are made inside
+        ``GateSet(...)``; a compile onto it neither searches the natives
+        again nor decomposes (the certificate's own H/S search is made once
+        per process, so at most one more search in all)."""
         like = CUSTOM_NATIVES if target == "custom" else builtin_gateset(target, natives)
-        calls = []
-        reach = tb._reach
+        calls, decomposed = [], []
+        reach, decompose = tb._reach, recliff.gates.decompose_single_qubit
 
         def counted(gates, mask):
             calls.append(mask)
             return reach(gates, mask)
 
+        def counted_decompose(g, natives):
+            decomposed.append(g)
+            return decompose(g, natives)
+
         monkeypatch.setattr(tb, "_reach", counted)
-        gs = GateSet(like.name, like.entangler, like.single_qubit_natives)  # nothing cached
+        monkeypatch.setattr(recliff.gates, "decompose_single_qubit", counted_decompose)
+        gs = GateSet(like.name, like.entangler, like.single_qubit_natives)  # nothing shared
+        assert calls == [15]
+        assert decomposed == list(CLASS_GATES)
         assert len(gs._class_words) == 6
-        assert 1 <= len(calls) <= 2
+        source = parse(f"H 0\nTICK\n{like.entangler.name} 0 1\nTICK\nS_DAG 1\n")
+        recliff.compiler.compile_circuit(source, gs)
+        assert calls.count(15) == 1 and len(calls) <= 2
+        assert decomposed == list(CLASS_GATES)
 
 
 def probe(t) -> GateDef:
