@@ -8,24 +8,32 @@ Measurements, resets, detectors and noise are rejected: circuits here are
 unitary.  Qubit count is 1 + the largest index used by an instruction, and a
 target longer than Python converts from text (4,300 digits) is an error.
 
+A circuit stores each layer as five columns, as Stim stores a gate with a
+flat list of targets: the single-qubit gates and an ``int`` column of their
+qubits, then the two-qubit gates and ``int`` columns of their first and
+second qubits, each half in order of first qubits (:func:`_circuit`).
+:attr:`Circuit.layers` builds its :class:`Instruction` tuples on first read;
+the parser, the compiler, the tableau, the reports and :func:`emit` read and
+write only the columns.
+
 The public :class:`Instruction` and :class:`Circuit` constructors check
 field types, arity, repeats, range and layer disjointness.  The parser reads
 a layer at a time.  A layer of ``_BULK_LINES`` or more lines as :func:`emit`
 writes them, all of one arity, costs one regular-expression match, one split
 and one ``int`` map per target column for the whole layer.  Any other layer
 is read line by line: a canonical line costs a partition, a gate-table
-lookup and an ``int`` per target, and any other line a split.  The parser
-and the compiler's stages, which build only from valid parts, skip the
-constructors' checks (:func:`_instruction`, :func:`_layer`, :func:`_circuit`);
-the verification tableau still checks every gate's qubits as it applies it.
+lookup, an ``int`` per target and an append per column, and any other line a
+split.  The parser and the compiler's stages skip the constructors' checks
+(:func:`_circuit`); the tableau checks each circuit the compiler builds once
+(:func:`tableau._checked`).
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from itertools import chain
-from operator import attrgetter, index
+from itertools import chain, compress
+from operator import attrgetter, index, itemgetter
 from typing import Iterable, Iterator
 
 from .gates import _REGISTRY, ALIASES, GateDef, builtin
@@ -71,32 +79,44 @@ class Circuit(_Record):
     """A qubit count plus layers of instructions on disjoint qubits.
 
     Layers are normalised at construction: instructions sort by qubits and
-    empty layers are dropped, so structural equality is well defined.
+    empty layers are dropped, so structural equality is well defined.  Each
+    layer is stored as five columns (:func:`_circuit`).
     """
 
     n: int
     layers: tuple[tuple[Instruction, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _index(self.n))
-        if self.n < 0:
+        n = _index(self.n)
+        if n < 0:
             raise ValueError("qubit count must be non-negative")
-        norm = []
+        layers = []
         for layer in self.layers:
-            if not layer:
-                continue
             used: set[int] = set()
+            layers.append(columns := [[], [], [], [], []])
             for inst in layer:
                 if not isinstance(inst, Instruction):
                     raise TypeError(f"Circuit.layers must hold Instructions, got {inst!r}")
-                for q in inst.qubits:
-                    if q >= self.n:
-                        raise ValueError(f"qubit {q} out of range for n={self.n}")
+                gates, *targets = columns[:2] if len(inst.qubits) == 1 else columns[2:]
+                gates.append(inst.gate)
+                for q, column in zip(inst.qubits, targets):
+                    if q >= n:
+                        raise ValueError(f"qubit {q} out of range for n={n}")
                     if q in used:
                         raise ValueError(f"qubit {q} used twice in one layer")
                     used.add(q)
-            norm.append(tuple(sorted(layer, key=_by_qubits)))
-        object.__setattr__(self, "layers", tuple(norm))
+                    column.append(q)
+        object.__setattr__(self, "__dict__", vars(_circuit(n, layers)))
+
+    def __getattr__(self, name: str) -> tuple:
+        """``layers``, built from the columns on first read and kept: where a
+        parsed or compiled circuit makes its instructions."""
+        if name != "layers":
+            raise AttributeError(f"'Circuit' object has no attribute {name!r}")
+        self.__dict__["layers"] = layers = tuple(
+            tuple(sorted([*map(_instruction, g1, zip(a1)), *map(_instruction, g2, zip(a2, b2))],
+                         key=_by_qubits)) for g1, a1, g2, a2, b2 in self._columns)
+        return layers
 
     def instructions(self) -> Iterator[Instruction]:
         for layer in self.layers:
@@ -107,7 +127,7 @@ class Circuit(_Record):
         return [inst for inst in self.instructions() if qubit in inst.qubits]
 
     def is_empty(self) -> bool:
-        return not self.layers
+        return not self._columns
 
 
 def _index(value: object) -> int:
@@ -118,7 +138,8 @@ def _index(value: object) -> int:
 
 
 _by_qubits = attrgetter("qubits")
-_gate_name = attrgetter("gate.name")
+_first, _second = itemgetter(0), itemgetter(1)
+_name = attrgetter("name")
 
 
 _new = object.__new__
@@ -134,25 +155,28 @@ def _instruction(gate: GateDef, qubits: tuple[int, ...]) -> Instruction:
     return inst
 
 
-def _layer(parts: Iterable[tuple[GateDef, tuple[int, ...]]]) -> list[Instruction]:
-    """Instructions from (gate, qubits) parts already known to be valid:
-    :func:`_instruction` inlined, for one call per layer."""
-    layer = []
-    for gate, qubits in parts:
-        inst = _new(Instruction)
-        _set_gate(inst, gate)
-        _set_qubits(inst, qubits)
-        layer.append(inst)
-    return layer
-
-
-def _circuit(n: int, layers: Iterable[Iterable[Instruction]]) -> Circuit:
-    """A circuit from layers already known to be valid: sorts each layer by
-    qubits and drops empty ones, as :class:`Circuit` does, but checks nothing."""
-    c = object.__new__(Circuit)
-    c.__dict__.update(n=n, layers=tuple(
-        tuple(sorted(layer, key=_by_qubits)) for layer in layers if layer))
+def _circuit(n: int, layers: Iterable[list[list]]) -> Circuit:
+    """A circuit from layers of parts known to be valid, each as five lists:
+    the single-qubit gates and their qubits, the two-qubit gates and their
+    first and second qubits.  Drops empty layers and sorts each half of a
+    layer in place by its first-qubit column, which sets the order on
+    disjoint qubits, when that column is out of order; checks nothing."""
+    kept = [layer for layer in layers if layer[0] or layer[2]]
+    for layer in kept:
+        if len(layer[1]) > 1 and layer[1] != sorted(layer[1]):
+            layer[:2] = map(list, zip(*sorted(zip(*layer[:2]), key=_second)))
+        if len(layer[3]) > 1 and layer[3] != sorted(layer[3]):
+            layer[2:] = map(list, zip(*sorted(zip(*layer[2:]), key=_second)))
+    c = _new(Circuit)
+    c.__dict__.update(n=n, _columns=tuple(kept))
     return c
+
+
+def _gates(c: Circuit) -> Iterator[GateDef]:
+    """Every gate of c in time order, each layer's in order of qubits."""
+    return chain.from_iterable(
+        [g for _, g in sorted(zip(a1 + a2, g1 + g2), key=_first)] if g1 and g2 else g1 or g2
+        for g1, a1, g2, a2, _ in c._columns)
 
 
 def parse(text: str) -> Circuit:
@@ -166,7 +190,7 @@ def parse(text: str) -> Circuit:
     :func:`_read_layer`, and the runs of layers between such layers line by
     line by :func:`_read_lines`, with the same result or error.
     """
-    layers: list[list[Instruction]] = []
+    layers: list[list] = []
     useds: list[set[int]] = []
     tick = "\nTICK\n"
     chunks = text.split(tick)
@@ -185,14 +209,16 @@ def parse(text: str) -> Circuit:
         pos = following
     if start <= len(text):
         _read_lines(text[start:], lineno, layers, useds)
-    return _circuit(1 + max(map(max, filter(None, useds)), default=-1), layers)
+    c = _circuit(1 + max(map(max, filter(None, useds)), default=-1), layers)
+    c.__dict__["_fault"] = None  # every gate was checked as read: tableau._checked skips it
+    return c
 
 
-#: Fewest lines in a layer that :func:`parse` reads in bulk.  On layers of
-#: 2 to 600 canonical lines on distinct qubits (Python 3.11 on a shared
-#: 2-core Linux host), the bulk read took 1.7-2.1x the per-line loop's time
-#: at 2 lines, 1.2-1.3x at 8, broke even at 32 lines of ``NAME q`` (16-24 of
-#: ``NAME a b``) and took 0.8-0.9x from 48 lines on.
+#: Fewest lines in a layer that :func:`parse` reads in bulk.  With column
+#: layers (Python 3.11, a shared 2-core Linux host) the bulk read alone took
+#: 2.2x the per-line loop's time at 2 lines and broke even at 16-20 lines of
+#: ``NAME q`` (12-16 of ``NAME a b``); in a whole parse, where a bulk layer
+#: also cuts the per-line run around it, at 32-48 (24 of ``NAME a b``).
 _BULK_LINES = 32
 _BULK_CHARS = 4 * _BULK_LINES - 1  # a canonical line takes 4 characters or more
 
@@ -205,10 +231,10 @@ _CANONICAL = {
 }
 
 
-def _read_layer(chunk: str) -> tuple[list[Instruction], set[int]] | None:
-    """A layer of canonical lines of one arity and its qubits, validated by
-    one match, cut by one split and converted by one ``int`` map per target
-    column; None for any other layer, which :func:`_read_lines` then reads."""
+def _read_layer(chunk: str) -> tuple[list, set[int]] | None:
+    """A layer of canonical lines of one arity as five columns, and its qubits:
+    one match, one split and one ``int`` map per target column; None for
+    any other layer, which :func:`_read_lines` then reads."""
     for arity, (pattern, names_of_arity) in _CANONICAL.items():
         if re.fullmatch(pattern, chunk):
             break
@@ -225,18 +251,19 @@ def _read_layer(chunk: str) -> tuple[list[Instruction], set[int]] | None:
     used = set(chain.from_iterable(columns))
     if len(used) != arity * len(names):  # a qubit reused, maybe within a pair
         return None
-    return _layer(zip(map(_GATES.__getitem__, names), zip(*columns))), used
+    half = [[*map(_GATES.__getitem__, names)], *columns]
+    return (half + [[], [], []] if arity == 1 else [[], [], *half]), used
 
 
 def _read_lines(text: str, lineno: int, layers: list, useds: list) -> None:
     """Append the layers of ``text``, whose first line is line ``lineno``,
-    reading line by line.  In ASCII text a canonical line (``NAME q``,
-    ``NAME a b`` or ``TICK``) that reuses no qubit is read at once; every
-    other line (comments, tabs, ``\\r``, extra spaces, several pairs,
-    ``QUBIT_COORDS``, errors, targets ``int`` refuses) takes the general
-    path."""
+    reading line by line into five column lists per layer.  In ASCII text a
+    canonical line (``NAME q``, ``NAME a b`` or ``TICK``) that reuses no
+    qubit is read at once; every other line (comments, tabs, ``\\r``, extra
+    spaces, several pairs, ``QUBIT_COORDS``, errors, targets ``int``
+    refuses) takes the general path."""
     ascii_text = text.isascii()
-    layers.append(layer := [])
+    layers.append(layer := [[], [], [], [], []])
     useds.append(used := set())
     for lineno, raw in enumerate(text.split("\n"), start=lineno):
         if ascii_text:  # the canonical lines emit writes: NAME q, NAME a b, TICK
@@ -245,16 +272,14 @@ def _read_lines(text: str, lineno: int, layers: list, useds: list) -> None:
             try:
                 if gate is None:
                     if raw == "TICK":
-                        layers.append(layer := [])
+                        layers.append(layer := [[], [], [], [], []])
                         useds.append(used := set())
                         continue
                 elif gate.arity == 1:
                     if rest.isdigit() and (a := int(rest)) not in used:
                         used.add(a)
-                        inst = _new(Instruction)  # _instruction inlined: the commonest line
-                        _set_gate(inst, gate)
-                        _set_qubits(inst, (a,))
-                        layer.append(inst)
+                        layer[0].append(gate)
+                        layer[1].append(a)
                         continue
                 else:
                     a, _, b = rest.partition(" ")
@@ -262,7 +287,9 @@ def _read_lines(text: str, lineno: int, layers: list, useds: list) -> None:
                             and a not in used and b not in used):
                         used.add(a)
                         used.add(b)
-                        layer.append(_instruction(gate, (a, b)))
+                        layer[2].append(gate)
+                        layer[3].append(a)
+                        layer[4].append(b)
                         continue
             except ValueError:  # past sys.get_int_max_str_digits(): said below
                 pass
@@ -279,7 +306,7 @@ def _read_lines(text: str, lineno: int, layers: list, useds: list) -> None:
             if name == "TICK":
                 if len(tokens) > 1:
                     raise ParseError(f"line {lineno}: TICK takes no arguments")
-                layers.append(layer := [])
+                layers.append(layer := [[], [], [], [], []])
                 useds.append(used := set())
                 continue
             if name.partition("(")[0] == "QUBIT_COORDS":
@@ -300,14 +327,16 @@ def _read_lines(text: str, lineno: int, layers: list, useds: list) -> None:
                              f"{max(map(len, tokens))} digits is too long") from None
         if len(qs) % gate.arity:
             raise ParseError(f"line {lineno}: odd number of targets for {gate.name}")
+        gates, *targets = layer[:2] if gate.arity == 1 else layer[2:]
         for qubits in zip(*[iter(qs)] * gate.arity):
             if qubits[0] in qubits[1:]:
                 raise ParseError(f"line {lineno}: repeated qubit within a pair")
-            for q in qubits:
+            for q, column in zip(qubits, targets):
                 if q in used:
                     raise ParseError(f"line {lineno}: qubit {q} reused within a layer")
                 used.add(q)
-            layer.append(_instruction(gate, qubits))
+                column.append(q)
+            gates.append(gate)
 
 
 def emit(c: Circuit) -> str:
@@ -315,23 +344,25 @@ def emit(c: Circuit) -> str:
     if c.is_empty():
         return ""
     return "\nTICK\n".join([
-        "\n".join([f"{i.gate.name} {i.qubits[0]}" if i.gate.arity == 1
-                   else f"{i.gate.name} {i.qubits[0]} {i.qubits[1]}" for i in layer])
-        for layer in c.layers
-    ]) + "\n"
+        "\n".join([f"{g.name} {a}" for g, a in zip(g1, a1)] if not g2
+                  else [f"{g.name} {a} {b}" for g, a, b in zip(g2, a2, b2)] if not g1
+                  else [line for _, line in sorted(zip([*a1, *a2], [
+                      *(f"{g.name} {a}" for g, a in zip(g1, a1)),
+                      *(f"{g.name} {a} {b}" for g, a, b in zip(g2, a2, b2))]), key=_first)])
+        for g1, a1, g2, a2, b2 in c._columns]) + "\n"
 
 
 def gate_counts(c: Circuit) -> dict[str, int]:
     """Exact tally of instructions by gate name, in first-seen order."""
-    return dict(Counter(map(_gate_name, chain.from_iterable(c.layers))))
+    return dict(Counter(map(_name, _gates(c))))
 
 
 def depth(c: Circuit) -> int:
-    return len(c.layers)
+    return len(c._columns)
 
 
 def two_qubit_count(c: Circuit) -> int:
-    return sum(1 for inst in c.instructions() if inst.gate.arity == 2)
+    return sum(len(layer[2]) for layer in c._columns)
 
 
 def expand_ecr(c: Circuit) -> Circuit:
@@ -341,16 +372,16 @@ def expand_ecr(c: Circuit) -> Circuit:
     that layer ride in the middle layer, so disjointness is preserved.
     """
     s, sx, cx, x = builtin("S"), builtin("SQRT_X"), builtin("CX"), builtin("X")
-    out: list[tuple[Instruction, ...]] = []
-    for layer in c.layers:
-        ecrs = [inst for inst in layer if inst.gate.name == "ECR"]
-        if not ecrs:
-            out.append(layer)
+    out: list[list] = []
+    for g1, a1, g2, a2, b2 in c._columns:
+        ecr = [gate.name == "ECR" for gate in g2]
+        if True not in ecr:
+            out.append([g1, a1, g2, a2, b2])
             continue
-        rest = [inst for inst in layer if inst.gate.name != "ECR"]
-        pre = [_instruction(s, (i.qubits[0],)) for i in ecrs]
-        pre += [_instruction(sx, (i.qubits[1],)) for i in ecrs]
-        mid = [_instruction(cx, i.qubits) for i in ecrs] + rest
-        post = [_instruction(x, (i.qubits[0],)) for i in ecrs]
-        out.extend([pre, mid, post])
+        other = [not e for e in ecr]
+        ea, eb = [*compress(a2, ecr)], [*compress(b2, ecr)]
+        rg, ra, rb = ([*compress(column, other)] for column in (g2, a2, b2))
+        out += [[[s] * len(ea) + [sx] * len(eb), ea + eb, [], [], []],
+                [g1, a1, [cx] * len(ea) + rg, ea + ra, eb + rb],
+                [[x] * len(ea), ea, [], [], []]]
     return _circuit(c.n, out)

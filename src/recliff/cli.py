@@ -189,7 +189,7 @@ def cmd_verify(file_a, file_b, up_to_frame, up_to_permutation, max_qubits):
     b = _load_circuit(file_b, max_qubits)
     if a.n != b.n:  # a wire that a circuit never touches carries the identity
         n = max(a.n, b.n)
-        a, b = _circuit(n, a.layers), _circuit(n, b.layers)
+        a, b = _circuit(n, a._columns), _circuit(n, b._columns)
     cert = tb.certify(a, b)
     if cert is not None:
         sigma, frame = cert

@@ -52,12 +52,12 @@ itself; the whole output is not walked again.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from typing import Sequence
 
 from .pauli import Pauli, PauliProduct, _Record, terms
 from . import tableau as tb
-from .circuit import (Circuit, Instruction, _circuit, _instruction, _layer, depth, gate_counts,
-                      two_qubit_count)
+from .circuit import Circuit, _circuit, depth, gate_counts, two_qubit_count
 from .gates import CLASS_GATES, GateDef, GateSet, builtin, perm_apply
 from .reporting import Report, report
 
@@ -141,7 +141,7 @@ class _LayerBuilder:
     def __init__(self, n: int, words: Sequence[tuple[GateDef, ...]]):
         self.n = n
         self.words = words  # native word of each CLASS_GATES index
-        self.layers: list[list[Instruction] | dict[int, int]] = []
+        self.layers: list[list | dict[int, int]] = []
         self.wire_last = [-1] * n
         self.single_layers: list[int] = []  # ascending indices of single-qubit layers
 
@@ -160,24 +160,23 @@ class _LayerBuilder:
             self.single_layers.append(idx)
         self.wire_last[wire] = idx
 
-    def place_layer(self, insts: list[Instruction]) -> None:
+    def place_layer(self, gate: GateDef, ps: list[int], qs: list[int]) -> None:
         idx = len(self.layers)
-        self.layers.append(insts)
-        for inst in insts:
-            for q in inst.qubits:
-                self.wire_last[q] = idx
+        self.layers.append([[], [], [gate] * len(ps), ps, qs])
+        for q in chain(ps, qs):
+            self.wire_last[q] = idx
 
     def circuit(self) -> Circuit:
-        layers: list[list[Instruction]] = []
+        layers: list[list] = []
         for layer in self.layers:
             if isinstance(layer, list):
                 layers.append(layer)
                 continue
             # One layer per word step, over the wires whose word is that long.
-            todo = [((q,), self.words[layer[q]]) for q in sorted(layer)]  # as _circuit sorts
+            todo = [(q, self.words[layer[q]]) for q in sorted(layer)]  # as _circuit sorts
             step = 0
             while todo:
-                layers.append(_layer([(word[step], qs) for qs, word in todo]))
+                layers.append([[word[step] for _, word in todo], [q for q, _ in todo], [], [], []])
                 step += 1
                 todo = [item for item in todo if len(item[1]) > step]
         return _circuit(self.n, layers)
@@ -268,24 +267,24 @@ def _sweep(source: Circuit, gs: GateSet, may_cross: bool) -> tuple[Circuit, tupl
     label = list(range(n))  # source wire -> output wire
     out = _LayerBuilder(n, [word for word, _ in gs._class_words])
     place = out.place_single
-    for layer in source.layers:
-        natives = []
-        for inst in layer:
-            gate = inst.gate
-            if gate.arity == 1:
-                step = ones.get(gate.kernel) or ones.setdefault(gate.kernel, tb._table(gate, True))
-                w = label[inst.qubits[0]]
-                states[w] = step[states[w]] & 15
-                continue
+    for g1, a1, g2, a2, b2 in source._columns:
+        for gate, a in zip(g1, a1):
+            step = ones.get(gate.kernel) or ones.setdefault(gate.kernel, tb._table(gate, True))
+            w = label[a]
+            states[w] = step[states[w]] & 15
+        if not g2:
+            continue
+        ps, qs = [], []
+        for gate, a, b in zip(g2, a2, b2):
             step = tables.get(gate.kernel) or _step_table(gs, gate)
-            a, b = inst.qubits
             p, q = label[a], label[b]
             fix_p, fix_q, states[p], states[q], swapped = step[states[p] | states[q] << 4]
             if fix_p:
                 place(p, fix_p)
             if fix_q:
                 place(q, fix_q)
-            natives.append(_instruction(native, (p, q)))
+            ps.append(p)
+            qs.append(q)
             if swapped:
                 if not may_cross:
                     raise CompileError(
@@ -294,8 +293,7 @@ def _sweep(source: Circuit, gs: GateSet, may_cross: bool) -> tuple[Circuit, tupl
                         f"{native.entangler_class}; use the iswap heuristic mode"
                     )
                 label[a], label[b] = q, p
-        if natives:
-            out.place_layer(natives)
+        out.place_layer(native, ps, qs)
     # Conjugation fix: each wire is now off from the source by its state alone.
     for wire, s in enumerate(states):
         place(wire, _UNDO[s])
@@ -342,10 +340,11 @@ def _certify(
 # Full pipelines
 
 
-def _frame_layer(frame: PauliProduct) -> list[Instruction]:
-    """One Pauli gate per term of the frame, in qubit order: linear in n."""
+def _frame_layer(frame: PauliProduct) -> list[list]:
+    """One Pauli gate per term of the frame, in qubit order, as a column layer."""
     gate = {letter: builtin(letter) for letter in "XYZ"}
-    return [_instruction(gate[letter], (q,)) for q, letter in terms(frame)]
+    pairs = terms(frame)
+    return [[gate[letter] for _, letter in pairs], [q for q, _ in pairs], [], [], []]
 
 
 def _compile(
@@ -362,8 +361,7 @@ def _compile(
         layer, n = _frame_layer(frame), final.n
         if tb.certify(_circuit(n, (layer,)), _circuit(n, ())) != (tuple(range(n)), frame):
             raise VerificationError("frame folding did not produce exact equality")
-        if layer:
-            final = _circuit(n, final.layers + (layer,))
+        final = _circuit(n, (*final._columns, layer))  # an empty layer is dropped
     elif frame_mode == "none":
         if not frame.is_identity():
             raise CompileError(

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import chain
-from operator import attrgetter
 
-from .circuit import Circuit, depth
+from .circuit import Circuit, _gates, depth
 from .pauli import _Record
 
 X_TYPE = frozenset({"SQRT_X", "SQRT_X_DAG", "X", "Y", "H_YZ"})
@@ -59,7 +57,7 @@ class Report(_Record):
 def report(c: Circuit) -> Report:
     counts: dict[str, int] = {}
     singles = 0
-    for gate, k in Counter(map(attrgetter("gate"), chain.from_iterable(c.layers))).items():
+    for gate, k in Counter(_gates(c)).items():
         counts[gate.name] = counts.get(gate.name, 0) + k
         singles += k if gate.arity == 1 else 0
     total = sum(counts.values())

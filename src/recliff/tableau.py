@@ -12,10 +12,12 @@ numbered in the interleaved order X_0, Z_0, X_1, Z_1, ...  A gate touches
 only the rows of its own wires, so applying it is a handful of word-wide
 XOR/AND operations on all 2n generators at once, whatever n is: each gate
 carries them, and those of its inverse, as straight-line kernels compiled
-from its update rule.  :meth:`Tableau._apply_layers` applies a whole circuit
-in one loop and checks each gate's qubits before calling its kernel; every
-builder here, and :meth:`Tableau._apply_gate` for a single gate, goes
-through it, so those checks are written once.
+from its update rule.  :meth:`Tableau._apply_layers` applies a whole circuit,
+read as its layers' gate and qubit columns, in one loop; every builder here,
+and :meth:`Tableau._apply_gate` for a single gate, goes through it.  A
+circuit's qubits are checked once, in one pass over its columns, before its
+first simulation or walk (:func:`_checked`); a circuit that
+:func:`circuit.parse` read is not, as the parser checked every gate.
 
 :func:`certify` checks two circuits through one map, a b^-1: a Pauli times
 a wire relabelling exactly when they agree up to both.  When their entangler
@@ -34,18 +36,14 @@ read-off (:func:`_pauli`).  The generator-major views (:meth:`Tableau.images`,
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import cache
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .pauli import PauliProduct, commutes
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .circuit import Circuit, Instruction
+    from .circuit import Circuit
     from .gates import GateDef
-
-
-_Step = namedtuple("_Step", "gate qubits")  # a lone gate, shaped as an instruction
 
 
 class Tableau:
@@ -105,41 +103,24 @@ class Tableau:
     # -- mutation (private, used by the builders below) ---------------------
 
     def _apply_gate(self, gate: GateDef, qubits: Sequence[int], inverse: bool = False) -> None:
-        self._apply_layers(((_Step(gate, qubits),),), inverse)
+        if fault := _gate_fault(self.n, gate, qubits):
+            raise ValueError(fault)
+        half = [[gate], *([q] for q in qubits)]
+        self._apply_layers([half + [[], [], []] if gate.arity == 1 else [[], [], *half]], inverse)
 
-    def _apply_layers(
-        self, layers: Sequence[Iterable[Instruction]], inverse: bool = False
-    ) -> None:
-        """Fold the layers' gates onto the output side in time order, or with
-        ``inverse`` their inverses from the last layer back.  Each gate's arity,
-        distinct qubits and range are checked before its kernel runs, so a
-        rejected gate changes nothing, though the gates before it stay applied.
+    def _apply_layers(self, layers: Sequence[Sequence], inverse: bool = False) -> None:
+        """Fold the layers' gates, each layer as :func:`circuit._circuit`'s five
+        columns, onto the output side in time order, or with ``inverse`` their
+        inverses from the last layer back, checking nothing: every caller has
+        its columns checked first (:func:`_checked`, :func:`_gate_fault`).
         """
-        n, xs, zs, sign = self.n, self._x, self._z, self._sign
-        try:
-            for layer in reversed(layers) if inverse else layers:
-                for inst in layer:
-                    gate, qubits = inst.gate, inst.qubits
-                    kernel = gate.kernel_inv if inverse else gate.kernel
-                    if len(qubits) != gate.arity:
-                        raise ValueError(
-                            f"{gate.name} expects {gate.arity} qubits, got {len(qubits)}")
-                    if gate.arity == 1:
-                        (a,) = qubits
-                        if not 0 <= a < n:
-                            raise ValueError(f"qubit {a} out of range for n={n}")
-                        sign ^= kernel(xs, zs, a)
-                        continue
-                    a, b = qubits
-                    if a == b:
-                        raise ValueError(f"duplicate qubit in {gate.name} {qubits}")
-                    if not 0 <= a < n:
-                        raise ValueError(f"qubit {a} out of range for n={n}")
-                    if not 0 <= b < n:
-                        raise ValueError(f"qubit {b} out of range for n={n}")
-                    sign ^= kernel(xs, zs, a, b)
-        finally:
-            self._sign = sign
+        xs, zs, sign = self._x, self._z, self._sign
+        for g1, a1, g2, a2, b2 in reversed(layers) if inverse else layers:
+            for gate, a in zip(g1, a1):
+                sign ^= (gate.kernel_inv if inverse else gate.kernel)(xs, zs, a)
+            for gate, a, b in zip(g2, a2, b2):
+                sign ^= (gate.kernel_inv if inverse else gate.kernel)(xs, zs, a, b)
+        self._sign = sign
 
     def relabel_wires(self, sigma: Sequence[int]) -> "Tableau":
         """Relabel image supports by sigma, leaving generator indices alone.
@@ -205,7 +186,7 @@ def append_gate(t: Tableau, gate: "GateDef", qubits: Sequence[int]) -> Tableau:
 def from_circuit(circuit: "Circuit") -> Tableau:
     """Fold every instruction of the circuit, in time order, over identity(n)."""
     t = identity(circuit.n)
-    t._apply_layers(circuit.layers)
+    t._apply_layers(_checked(circuit))
     return t
 
 
@@ -229,8 +210,8 @@ def certify(a: "Circuit", b: "Circuit") -> tuple[tuple[int, ...], PauliProduct] 
     except _Fallback:
         pass
     t = identity(a.n)  # the map a b^-1: b's inverse, then a
-    t._apply_layers(b.layers, inverse=True)
-    t._apply_layers(a.layers)
+    t._apply_layers(_checked(b), inverse=True)
+    t._apply_layers(_checked(a))
     return t._pauli_permutation()
 
 
@@ -313,27 +294,56 @@ def _kernel_step(kernel_a: Callable[..., int], kernel_b_inv: Callable[..., int],
 _walk_step = cache(_kernel_step)  # the walk's steps only: the sweep keeps its own tables
 
 
+def _fault(n: int, layers: Iterable[Sequence[Sequence]]) -> str | None:
+    """What is wrong with the first bad gate of the layers (:func:`_gate_fault`),
+    or None, in one pass over each layer's columns."""
+    for g1, a1, g2, a2, b2 in layers:
+        if g1:  # an entangler layer has no single-qubit column to zip
+            for gate, a in zip(g1, a1):
+                if gate.arity != 1 or not 0 <= a < n:
+                    return _gate_fault(n, gate, (a,))
+        if g2:
+            for gate, a, b in zip(g2, a2, b2):
+                if gate.arity != 2 or a == b or not (0 <= a < n and 0 <= b < n):
+                    return _gate_fault(n, gate, (a, b))
+    return None
+
+
+def _gate_fault(n: int, gate: GateDef, qubits: Sequence[int]) -> str | None:
+    """What is wrong with one gate on these qubits (arity, a repeat, range), or None."""
+    if len(qubits) != gate.arity:
+        return f"{gate.name} expects {gate.arity} qubits, got {len(qubits)}"
+    if len(set(qubits)) != len(qubits):
+        return f"duplicate qubit in {gate.name} {tuple(qubits)}"
+    return next((f"qubit {q} out of range for n={n}" for q in qubits if not 0 <= q < n), None)
+
+
+def _checked(c: "Circuit", error: type[Exception] = ValueError) -> Sequence[list]:
+    """c's columns when :func:`_fault` finds nothing wrong with them, else it
+    raises ``error`` with the fault.  The verdict is kept on c as ``_fault``,
+    so each circuit is checked at most once; :func:`circuit.parse`, which
+    checks every gate as it reads it, keeps None at once."""
+    if "_fault" not in (kept := c.__dict__):
+        kept["_fault"] = _fault(c.n, c._columns)
+    if kept["_fault"]:
+        raise error(kept["_fault"])
+    return c._columns
+
+
 def _segments(c: "Circuit", inverse: bool, states: list[int], wire: list[int]):
     """Multiply c's single-qubit gates into the states, qubit q's into ``wire[q]``,
-    and yield each layer's two-qubit gates; :class:`_Fallback` on a bad gate."""
-    n, tables = c.n, _TABLES[inverse]
-    for layer in c.layers:
-        pairs = []
-        for inst in layer:
-            gate, qubits = inst.gate, inst.qubits
-            if len(qubits) != gate.arity or not 0 <= qubits[0] < n:
-                raise _Fallback
-            if gate.arity == 1:
+    and yield each layer's two-qubit columns (gates, first and second qubits);
+    :class:`_Fallback`, before any gate, on columns :func:`_checked` rejects."""
+    tables = _TABLES[inverse]
+    for g1, a1, g2, a2, b2 in _checked(c, _Fallback):
+        if g1:  # an entangler layer has no single-qubit column to zip
+            for gate, q in zip(g1, a1):
                 table = (tables.get(gate.kernel)
                          or tables.setdefault(gate.kernel, _table(gate, inverse)))
-                w = wire[qubits[0]]
+                w = wire[q]
                 states[w] = table[states[w]]
-            elif qubits[0] != qubits[1] and 0 <= qubits[1] < n:
-                pairs.append(inst)
-            else:
-                raise _Fallback
-        if pairs:
-            yield pairs
+        if g2:
+            yield g2, a2, b2
 
 
 def _local(a: "Circuit", b: "Circuit") -> tuple[tuple[int, ...], PauliProduct] | None:
@@ -348,22 +358,21 @@ def _local(a: "Circuit", b: "Circuit") -> tuple[tuple[int, ...], PauliProduct] |
     n = a.n
     states, sigma = [_ONE] * n, list(range(n))
     b_layers = _segments(b, True, states, sigma)
-    for pairs in _segments(a, False, states, list(range(n))):
-        other = {(sigma[inst.qubits[0]], sigma[inst.qubits[1]]): inst
-                 for inst in next(b_layers, ())}
-        if len(other) != len(pairs):
+    for gates, ps, qs in _segments(a, False, states, list(range(n))):
+        other = {(sigma[i], sigma[j]): (gate, i, j)
+                 for gate, i, j in zip(*next(b_layers, ([], [], [])))}
+        if len(other) != len(gates):
             raise _Fallback
-        for inst in pairs:
-            p, q = inst.qubits
+        for gate, p, q in zip(gates, ps, qs):
             flipped = (p, q) not in other
             match = other.get((q, p) if flipped else (p, q))
-            done = match and _walk_step(inst.gate.kernel, match.gate.kernel_inv, flipped,
-                                           states[p], states[q])
+            done = match and _walk_step(gate.kernel, match[0].kernel_inv, flipped,
+                                        states[p], states[q])
             if not done:
                 raise _Fallback
             states[p], states[q], swapped = done
             if swapped:
-                i, j = match.qubits
+                _, i, j = match
                 sigma[i], sigma[j] = sigma[j], sigma[i]
     if next(b_layers, None) is not None:  # b has an entangler layer left
         raise _Fallback

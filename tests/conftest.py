@@ -379,7 +379,19 @@ def oracle_parse(text: str) -> Circuit:
                         raise ParseError(f"line {lineno}: qubit {q} reused within a layer")
                     used.add(q)
                 layer.append(_instruction(gate, pair))
-    return _circuit(1 + max(map(max, filter(None, useds)), default=-1), layers)
+    return Circuit(1 + max(map(max, filter(None, useds)), default=-1), layers)
+
+
+def unchecked_circuit(n: int, layers) -> Circuit:
+    """A circuit from layers of instructions, built as the pipeline builds
+    circuits (``circuit._circuit``'s five columns) and checked no more: each
+    instruction goes by its number of qubits, whatever its gate's arity."""
+    def columns(layer):
+        ones = [inst for inst in layer if len(inst.qubits) == 1]
+        twos = [inst for inst in layer if len(inst.qubits) != 1]
+        return [[inst.gate for inst in ones], [inst.qubits[0] for inst in ones],
+                [inst.gate for inst in twos], *([inst.qubits[k] for inst in twos] for k in (0, 1))]
+    return _circuit(n, map(columns, layers))
 
 
 @pytest.fixture

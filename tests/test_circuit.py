@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 
@@ -11,6 +13,8 @@ from recliff import (
     ParseError,
     RandomCircuitSpec,
     builtin,
+    builtin_gateset,
+    compile_with_iswap_heuristic,
     depth,
     emit,
     expand_ecr,
@@ -21,11 +25,12 @@ from recliff import (
     two_qubit_count,
 )
 import recliff.circuit as circuit_module
-from recliff.circuit import _BULK_LINES, DIALECT_GATES, _circuit, _instruction
+from recliff.circuit import _BULK_LINES, DIALECT_GATES, _instruction
 
 from conftest import (
     HUGE_TARGETS, WORKED_EXAMPLE_TEXT, dialect_texts, mutated_texts, oracle_parse,
 )
+from test_golden import golden_sources
 
 
 # The parser and emitter as they were before the one-lookup-per-line
@@ -82,7 +87,7 @@ def reference_parse(text: str) -> Circuit:
                 used.add(q)
                 max_q = max(max_q, q)
             layers[-1].append(_instruction(gate, qs))
-    return _circuit(max_q + 1, layers)
+    return Circuit(max_q + 1, layers)
 
 
 def reference_emit(c: Circuit) -> str:
@@ -415,6 +420,46 @@ class TestPublicConstructorsStillCheck:
         else:
             c = Circuit(n, layers)
             assert sum(map(len, c.layers)) == sum(map(len, layers))
+
+
+def instruction_layers(text: str) -> tuple:
+    """The layers of emit's text as instruction tuples sorted by qubits, the
+    form ``Circuit.layers`` had when it was stored."""
+    return tuple(tuple(sorted((Instruction(builtin(name), tuple(map(int, qubits)))
+                               for name, *qubits in map(str.split, chunk.splitlines())),
+                              key=lambda inst: inst.qubits))
+                 for chunk in text.split("TICK\n") if chunk.strip())
+
+
+class TestColumnLayers:
+    """A circuit keeps columns; ``layers``, equality, hash, copy and pickle
+    read as they did on stored instruction tuples, whoever built it."""
+
+    def assert_same(self, c: Circuit) -> None:
+        assert c.layers == instruction_layers(emit(c))
+        read = parse(emit(c))
+        for other in ([read] if read.n == c.n else []) + [
+                Circuit(c.n, c.layers), pickle.loads(pickle.dumps(c)), copy.copy(c),
+                copy.deepcopy(c)]:
+            assert other == c and hash(other) == hash(c) and other.layers == c.layers
+
+    def test_golden_corpus_and_its_compiles(self):
+        for source in golden_sources():
+            self.assert_same(source)
+            for target in ("ecr", "iswap"):
+                out = compile_with_iswap_heuristic(source, builtin_gateset(target)).circuit
+                self.assert_same(out)
+                self.assert_same(expand_ecr(out))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(valid_instructions(), max_size=6), max_size=5))
+    def test_constructed_circuits(self, layers):
+        if malformed_layers(7, layers):
+            return
+        c = Circuit(7, layers)
+        assert c.layers == tuple(tuple(sorted(layer, key=lambda inst: inst.qubits))
+                                 for layer in layers if layer)
+        self.assert_same(c)
 
 
 # Canonical lines, as emit writes them, and the same lines perturbed: every

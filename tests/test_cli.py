@@ -312,6 +312,46 @@ class TestVerifyAgainstTwoTableaux:
         assert run_verify(a, b, flags) == want
 
 
+class TestNoPerGateObjects:
+    """A request reads and writes circuits as columns: no compile or verify
+    builds an ``Instruction``, by the lazy ``Circuit.layers`` or otherwise."""
+
+    def test_requests_on_a_d11_round(self, runner, tmp_path, monkeypatch):
+        src = tmp_path / "d11.stim"
+        src.write_text(emit(surface_code_syndrome_extraction(SurfaceCodeSpec(11))))
+        wider = tmp_path / "wider.stim"  # one more wire, which ends as it began
+        wider.write_text(src.read_text() + "TICK\nX 300\nTICK\nX 300\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a request built a per-gate object")
+
+        def no_layers(self, name):
+            if name == "layers":
+                refuse()
+            raise AttributeError(name)
+
+        monkeypatch.setattr(recliff.circuit.Circuit, "__getattr__", no_layers)
+        monkeypatch.setattr(recliff.circuit, "_instruction", refuse)
+        monkeypatch.setattr(recliff.circuit.Instruction, "__post_init__", refuse)
+        for k, (target, flags) in enumerate([
+                ("ecr", []), ("cz", []), ("sqrt_xx", []), ("iswap", ["--iswap-heuristic"]),
+                ("ecr", ["--metadata", str(tmp_path / "meta.json")]), ("ecr", ["--frame", "fold"]),
+                ("ecr", ["--expand-ecr"])]):
+            out = tmp_path / f"out{k}.stim"
+            r = invoke(runner, "compile", str(src), "--target", target, *flags, "-o", str(out))
+            assert r.exit_code == 0, r.output
+            up_to = ["--up-to-permutation"] if target == "iswap" else []
+            r = invoke(runner, "verify", "--up-to-frame", *up_to, str(out), str(src))
+            assert r.exit_code == 0 and r.output.startswith("equivalent"), r.output
+        assert json.loads((tmp_path / "meta.json").read_text())["verified"] is True
+        r = invoke(runner, "verify", str(wider), str(src))
+        assert (r.exit_code, r.output) == (0, "equivalent\n")
+        mutant = tmp_path / "mutant.stim"
+        mutant.write_text((tmp_path / "out0.stim").read_text().replace("S ", "SQRT_X ", 1))
+        r = invoke(runner, "verify", "--up-to-frame", str(mutant), str(src))
+        assert r.exit_code == 1 and r.output.startswith("not equivalent: generator"), r.output
+
+
 class TestVerifyWork:
     @pytest.mark.parametrize("flags", [[], ["--up-to-frame"], ["--up-to-permutation"],
                                        ["--up-to-frame", "--up-to-permutation"]])

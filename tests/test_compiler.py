@@ -40,7 +40,7 @@ from recliff import (
     surface_code_syndrome_extraction,
     two_qubit_count,
 )
-from recliff.circuit import DIALECT_GATES, _circuit, _instruction
+from recliff.circuit import DIALECT_GATES, _circuit
 from recliff.cli import main
 from recliff.gates import (
     CLASS_GATE_ORDER,
@@ -301,18 +301,17 @@ def walk_states(a: Circuit, b: Circuit) -> tuple[list[int], tuple[int, ...]]:
     tb = recliff.tableau
     states, sigma = [tb._ONE] * a.n, list(range(a.n))
     b_layers = tb._segments(b, True, states, sigma)
-    for pairs in tb._segments(a, False, states, list(range(a.n))):
-        other = {(sigma[inst.qubits[0]], sigma[inst.qubits[1]]): inst
-                 for inst in next(b_layers, ())}
-        assert len(other) == len(pairs)
-        for inst in pairs:
-            p, q = inst.qubits
+    for gates, ps, qs in tb._segments(a, False, states, list(range(a.n))):
+        other = {(sigma[i], sigma[j]): (gate, i, j)
+                 for gate, i, j in zip(*next(b_layers, ((), (), ())))}
+        assert len(other) == len(gates)
+        for gate, p, q in zip(gates, ps, qs):
             flipped = (p, q) not in other
             match = other[(q, p) if flipped else (p, q)]
             states[p], states[q], swapped = tb._walk_step(
-                inst.gate.kernel, match.gate.kernel_inv, flipped, states[p], states[q])
+                gate.kernel, match[0].kernel_inv, flipped, states[p], states[q])
             if swapped:
-                i, j = match.qubits
+                _, i, j = match
                 sigma[i], sigma[j] = sigma[j], sigma[i]
     assert next(b_layers, None) is None
     return [s & 15 for s in states], tuple(sigma)
@@ -820,8 +819,10 @@ class TestExtractFrame:
 
 
 def reference_frame_layer(frame):
-    """The folded layer as first written: ``local`` shifts the n-bit masks per term."""
-    return [_instruction(builtin(frame.local(q).letter), (q,)) for q in support(frame)]
+    """The folded layer as first written, as ``circuit._circuit``'s five columns:
+    ``local`` shifts the n-bit masks per term."""
+    qs = support(frame)
+    return [[builtin(frame.local(q).letter) for q in qs], list(qs), [], [], []]
 
 
 class TestFrameLayerAgainstReference:
@@ -838,7 +839,7 @@ class TestFrameLayerAgainstReference:
         n = 32257  # a d = 127 surface-code round
         frame = PauliProduct(n, rng.getrandbits(n), rng.getrandbits(n))
         layer = recliff.compiler._frame_layer(frame)
-        assert len(layer) > n // 2
+        assert len(layer[0]) > n // 2
         assert layer == reference_frame_layer(frame)
 
 

@@ -23,12 +23,12 @@ from recliff import (
     identity,
     parse,
 )
-from recliff.circuit import DIALECT_GATES, _circuit, _instruction
+from recliff.circuit import DIALECT_GATES, _instruction
 from recliff.gates import CLASS_GATES, NATIVE_SETS, TARGET_ENTANGLERS, GateDef
 
 from conftest import (
     ECR_IMAGES, SQRT_XX_IMAGES, conjugate_product, images_tableau, one_local_letter,
-    reference_lut, single, two_qubit_symplectic_maps,
+    reference_lut, single, two_qubit_symplectic_maps, unchecked_circuit,
 )
 from matrix_oracle import UNITARIES, conjugate, pauli_matrix
 
@@ -158,8 +158,8 @@ def old_decomposition(g, gs):
                 queue.append(nxt)
     word = words[letters(g.semantics)]
     perm, residual = tb.certify(
-        _circuit(1, ((_instruction(g, (0,)),),)),
-        _circuit(1, tuple((_instruction(step, (0,)),) for step in word)))
+        unchecked_circuit(1, ((_instruction(g, (0,)),),)),
+        unchecked_circuit(1, tuple((_instruction(step, (0,)),) for step in word)))
     assert perm == (0,)
     return word, residual
 

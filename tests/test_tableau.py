@@ -51,6 +51,7 @@ from conftest import (
     oracle_certificate,
     reference_lut,
     relabelled_pairs,
+    unchecked_circuit,
 )
 from matrix_oracle import circuit_unitary, conjugate, pauli_matrix
 from test_golden import golden_sources
@@ -514,9 +515,9 @@ class TestGateKernels:
 
     @pytest.mark.parametrize("name,qubits,message", BAD_GATES)
     def test_whole_circuits_check_every_gate(self, name, qubits, message):
-        good = _circuit(3, [[_instruction(builtin("H"), (0,))],
-                            [_instruction(builtin("S"), (2,))]])
-        bad = _circuit(3, [*good.layers, [_instruction(builtin(name), qubits)]])
+        good = unchecked_circuit(3, [[_instruction(builtin("H"), (0,))],
+                                     [_instruction(builtin("S"), (2,))]])
+        bad = unchecked_circuit(3, [*good.layers, [_instruction(builtin(name), qubits)]])
         exact = f"^{re.escape(message)}$"
         with pytest.raises(ValueError, match=exact):
             identity(3)._apply_gate(builtin(name), qubits)
@@ -526,6 +527,35 @@ class TestGateKernels:
             certify(bad, good)
         with pytest.raises(ValueError, match=exact):  # the half applied inverted
             certify(good, bad)
+
+    @pytest.mark.parametrize("name,qubits,message", BAD_GATES)
+    def test_bad_gate_amid_a_long_layer(self, name, qubits, message):
+        """Each bad gate again, in the middle of a 40-gate layer of good gates
+        of its width on n = 83 wires: a check that read only a column's ends,
+        or only its first gate, would miss some of them."""
+        def moved(q):  # in range to the middle of the layer, out of range past n
+            return q + 40 if 0 <= q < 3 else q + 80 if q >= 3 else q
+
+        width, bad = len(qubits), tuple(map(moved, qubits))
+        starts = [*range(0, 40, width)][:20] + [*range(43, 83, width)][:19]
+        layer = [_instruction(builtin("H" if width == 1 else "CX"), tuple(range(q, q + width)))
+                 for q in starts] + [_instruction(builtin(name), bad)]
+        good = unchecked_circuit(83, [[_instruction(builtin("H"), (0,))],
+                                      [_instruction(builtin("S"), (2,))]])
+        circuit = unchecked_circuit(83, [*good.layers, layer])
+        assert len(circuit._columns[-1][0] or circuit._columns[-1][2]) == 40
+        if "duplicate" in message:
+            message = f"duplicate qubit in {name} {bad}"
+        elif "range" in message:
+            q = moved(int(re.search(r"qubit (-?\d+)", message)[1]))
+            message = f"qubit {q} out of range for n=83"
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=exact):
+            from_circuit(circuit)
+        with pytest.raises(ValueError, match=exact):
+            certify(circuit, good)
+        with pytest.raises(ValueError, match=exact):
+            certify(good, circuit)
 
     def test_gate_name_never_reaches_kernel_source(self):
         name = "x'); import os; ('"
@@ -702,7 +732,7 @@ class TestLocalWalk:
                                    *[(g, (1,)) for g in words[sq]])
                   for sp in words for sq in words}
         swap = layers((builtin("SWAP"), (0, 1)))
-        expected = {(kp, kq, swapped): from_circuit(_circuit(2, swap * swapped + wires))
+        expected = {(kp, kq, swapped): from_circuit(unchecked_circuit(2, swap * swapped + wires))
                     for (kp, kq), wires in states.items() for swapped in (False, True)}
         local = 0
         for ga in map(builtin, GATES_2Q):
@@ -712,8 +742,9 @@ class TestLocalWalk:
                     for (sp, sq), wires in states.items():
                         # gb's inverse, the two states, then ga, on one tableau
                         dense = identity(2)
-                        dense._apply_layers(b, inverse=True)
-                        dense._apply_layers(wires + layers((ga, (0, 1))))
+                        dense._apply_layers(unchecked_circuit(2, b)._columns, inverse=True)
+                        dense._apply_layers(
+                            unchecked_circuit(2, wires + layers((ga, (0, 1))))._columns)
                         got = tb._kernel_step(ga.kernel, gb.kernel_inv, flipped, sp, sq)
                         if got is None:
                             assert any((img.x | img.z).bit_count() == 2 for img in dense.images())
@@ -742,7 +773,8 @@ class TestLocalWalk:
                  if sum(inst.gate.arity == 2 for inst in layer) > 1)
         head, *tail = [inst for inst in source.layers[k] if inst.gate.arity == 2]
         rest = [inst for inst in source.layers[k] if inst is not head]
-        split = _circuit(source.n, [*source.layers[:k], [head], rest, *source.layers[k + 1:]])
+        split = unchecked_circuit(
+            source.n, [*source.layers[:k], [head], rest, *source.layers[k + 1:]])
         with pytest.raises(tb._Fallback):
             tb._local(source, split)
         assert certify(source, split) == (tuple(range(source.n)), PauliProduct(source.n))
