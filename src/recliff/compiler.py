@@ -256,8 +256,8 @@ def _sweep(source: Circuit, gs: GateSet, may_cross: bool) -> tuple[Circuit, tupl
     swap-like or non-entangling gate, so the first gate met that cannot
     compile is the one named.  Each gate is one lookup:
     a single-qubit gate in the certificate's own table (``tableau._TABLES``),
-    an entangler in its step table (:func:`_step_table`); the pairs in a
-    layer are disjoint, so the layer is walked once.
+    an entangler in its own step table (:func:`_step_table`, not the walk's
+    ``tableau._STEPS``); the pairs in a layer are disjoint, so it is walked once.
     """
     n = source.n
     native = gs.entangler

@@ -23,8 +23,9 @@ first simulation or walk (:func:`_checked`); a circuit that
 a wire relabelling exactly when they agree up to both.  When their entangler
 layers align, as a compile's output and its source do, the map is walked a
 layer at a time as one single-qubit Clifford per wire times a relabelling:
-a gate costs a table lookup, a pair of entanglers a cached 2-qubit step, and
-no n-qubit tableau is built.  Otherwise b's inverse, then a, are folded onto
+a run of one gate costs a table lookup, a pair of entanglers an int-keyed
+lookup of a 2-qubit step computed once (``_STEPS``), and no n-qubit tableau
+is built.  Otherwise b's inverse, then a, are folded onto
 one tableau, whose rows are single bits when the two agree: the relabelling
 is read off the rows, and the signs make each wire's state.  The walk's
 states are 1-qubit tableaux in six bits (:func:`_run`); its tables' words,
@@ -266,9 +267,22 @@ def _table(gate: GateDef, inverse: bool) -> tuple[int | None, ...]:
                  for k in range(64))
 
 
-# Both caches are keyed by the gates' kernels, which gates of one semantics
+class _Filled(dict):
+    """A dict that fills a missing key with ``fill(key)``."""
+
+    def __init__(self, fill: Callable) -> None:
+        self.fill = fill
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.fill(key))
+
+
+# The walk's caches are keyed by the gates' kernels, which gates of one semantics
 # share: they keep no gate alive and grow only with the distinct semantics.
 _TABLES: tuple[dict, dict] = ({}, {})  # _table(gate, inverse) by gate.kernel, filled in use
+# A dict of steps per (ga.kernel, gb.kernel_inv, flipped), by ``sp | sq << 6``,
+# each made at this one point; the sweep keeps its own step tables.
+_STEPS = _Filled(lambda pair: _Filled(lambda key: _kernel_step(*pair, key & 63, key >> 6)))
 
 
 def _kernel_step(kernel_a: Callable[..., int], kernel_b_inv: Callable[..., int],
@@ -276,7 +290,7 @@ def _kernel_step(kernel_a: Callable[..., int], kernel_b_inv: Callable[..., int],
     """The map ga (sp x sq) gb^-1 on a's wires (p, q), gb on (p, q) or,
     ``flipped``, on (q, p), on a 2-qubit tableau, from ga's kernel and gb's
     inverse kernel: the new states of wires p and q and whether the wires
-    swapped, or None when it entangles them; :func:`_walk_step` caches it."""
+    swapped, or None when it entangles them; the walk keeps it (``_STEPS``)."""
     words = _words()
     xs, zs = [0b0001, 0b0100], [0b0010, 0b1000]  # identity(2)'s rows
     sign = kernel_b_inv(xs, zs, *((1, 0) if flipped else (0, 1)))
@@ -289,9 +303,6 @@ def _kernel_step(kernel_a: Callable[..., int], kernel_b_inv: Callable[..., int],
             return (*((xs[w] >> t & 3) | (zs[w] >> t & 3) << 2 | (sign >> t & 3) << 4
                       for w, t in ((0, s), (1, 2 - s))), s == 2)
     return None
-
-
-_walk_step = cache(_kernel_step)  # the walk's steps only: the sweep keeps its own tables
 
 
 def _fault(n: int, layers: Iterable[Sequence[Sequence]]) -> str | None:
@@ -334,12 +345,13 @@ def _segments(c: "Circuit", inverse: bool, states: list[int], wire: list[int]):
     """Multiply c's single-qubit gates into the states, qubit q's into ``wire[q]``,
     and yield each layer's two-qubit columns (gates, first and second qubits);
     :class:`_Fallback`, before any gate, on columns :func:`_checked` rejects."""
-    tables = _TABLES[inverse]
+    tables, last = _TABLES[inverse], None
     for g1, a1, g2, a2, b2 in _checked(c, _Fallback):
         if g1:  # an entangler layer has no single-qubit column to zip
             for gate, q in zip(g1, a1):
-                table = (tables.get(gate.kernel)
-                         or tables.setdefault(gate.kernel, _table(gate, inverse)))
+                if gate is not last:  # one lookup per run of one gate
+                    last, table = gate, (tables.get(gate.kernel)
+                                         or tables.setdefault(gate.kernel, _table(gate, inverse)))
                 w = wire[q]
                 states[w] = table[states[w]]
         if g2:
@@ -354,20 +366,34 @@ def _local(a: "Circuit", b: "Circuit") -> tuple[tuple[int, ...], PauliProduct] |
     a multiplies its wire's state from the left, a gate of b from the right
     by its inverse.  Each entangler of a must meet one of b on the same wires
     and make a local map with their states, which may swap the wires; else
-    :class:`_Fallback` is raised.  Each layer's qubits must be distinct."""
+    :class:`_Fallback` is raised.  Each layer's qubits must be distinct.  A
+    layer aligns when b's pairs, relabelled, are a's in order and each side
+    holds one gate: one loop walks it; other layers match pairs by dict."""
     n = a.n
     states, sigma = [_ONE] * n, list(range(n))
+    relabel = sigma.__getitem__
     b_layers = _segments(b, True, states, sigma)
     for gates, ps, qs in _segments(a, False, states, list(range(n))):
-        other = {(sigma[i], sigma[j]): (gate, i, j)
-                 for gate, i, j in zip(*next(b_layers, ([], [], [])))}
+        gb, bi, bj = next(b_layers, ((), (), ()))
+        if (bi and relabel(bi[0]) == ps[0]  # a crossed layer mostly fails here, cheaply
+                and list(map(relabel, bi)) == ps and list(map(relabel, bj)) == qs
+                and gates.count(gates[0]) == len(gates) == gb.count(gb[0])):
+            steps = _STEPS[gates[0].kernel, gb[0].kernel_inv, False]
+            for p, q, i, j in zip(ps, qs, bi, bj):
+                if not (done := steps[states[p] | states[q] << 6]):
+                    raise _Fallback
+                states[p], states[q], swapped = done
+                if swapped:
+                    sigma[i], sigma[j] = q, p
+            continue
+        other = {(sigma[i], sigma[j]): (gate, i, j) for gate, i, j in zip(gb, bi, bj)}
         if len(other) != len(gates):
             raise _Fallback
         for gate, p, q in zip(gates, ps, qs):
-            flipped = (p, q) not in other
-            match = other.get((q, p) if flipped else (p, q))
-            done = match and _walk_step(gate.kernel, match[0].kernel_inv, flipped,
-                                        states[p], states[q])
+            if flipped := (match := other.get((p, q))) is None:
+                match = other.get((q, p))
+            done = match and _STEPS[gate.kernel, match[0].kernel_inv, flipped][
+                states[p] | states[q] << 6]
             if not done:
                 raise _Fallback
             states[p], states[q], swapped = done
@@ -380,14 +406,15 @@ def _local(a: "Circuit", b: "Circuit") -> tuple[tuple[int, ...], PauliProduct] |
     return None if frame is None else (tuple(sigma), frame)
 
 
+_DIGITS = tuple(bytes(48 + (k >> bit & 1) if k & 15 == _ONE else 45 for k in range(256))
+                for bit in (5, 4))  # each state's frame digit, X then Z; "-" off the Paulis
+
+
 def _pauli(states: Sequence[int]) -> PauliProduct | None:
     """The Pauli product with wire q in ``states[q]``, or None when a wire
     holds more; it flips X's sign (bit 4) where it has a Z, Z's where an X."""
-    if any(key & 15 != _ONE for key in states):
-        return None
-    fx = int("0" + "".join(["01"[key >> 5] for key in reversed(states)]), 2)
-    fz = int("0" + "".join(["01"[key >> 4 & 1] for key in reversed(states)]), 2)
-    return PauliProduct(len(states), fx, fz)
+    fx, fz = map(bytes(states[::-1]).translate, _DIGITS)
+    return None if b"-" in fx else PauliProduct(len(states), int(b"0" + fx, 2), int(b"0" + fz, 2))
 
 
 def describe_difference(t1: Tableau, t2: Tableau, name1: str, name2: str) -> str:

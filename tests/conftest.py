@@ -13,6 +13,7 @@ from recliff import (
     Circuit, Instruction, ParseError, Pauli, PauliProduct, Tableau, commutes, from_circuit,
     parse,
 )
+from recliff import tableau as tb
 from recliff.circuit import _GATES, DIALECT_GATES, _circuit, _instruction
 from recliff.gates import builtin
 
@@ -316,6 +317,69 @@ def reference_solve_frame(images, flips: int):
         if commutes(f, img) == bool((flips >> g) & 1):
             raise FrameSolveError("generator images do not form a symplectic basis")
     return f
+
+
+# ---------------------------------------------------------------------------
+# The certificate's per-wire walk as it was before its step dicts and aligned
+# layers: each gate's table looked up per gate, a dict of b's relabelled pairs
+# per entangler layer, and every 2-qubit step from the uncached
+# ``tableau._kernel_step``.  ``tableau._local`` must agree with it on every
+# pair, falling back on the same ones.
+
+
+def reference_states(a: Circuit, b: Circuit) -> tuple[list[int], list[int]]:
+    """The walk's states of a b^-1, by a's wire, and its relabelling ``sigma``
+    (b's wire j is a's wire ``sigma[j]``); ``tableau._Fallback`` where the
+    walk cannot decide."""
+    n = a.n
+    states, sigma, tables = [tb._ONE] * n, list(range(n)), {}
+
+    def segments(c: Circuit, inverse: bool, wire: list[int]):
+        for g1, a1, g2, a2, b2 in tb._checked(c, tb._Fallback):
+            for gate, q in zip(g1, a1):
+                if (gate, inverse) not in tables:
+                    tables[gate, inverse] = tb._table(gate, inverse)
+                states[wire[q]] = tables[gate, inverse][states[wire[q]]]
+            if g2:
+                yield g2, a2, b2
+
+    b_layers = segments(b, True, sigma)
+    for gates, ps, qs in segments(a, False, list(range(n))):
+        other = {(sigma[i], sigma[j]): (gate, i, j)
+                 for gate, i, j in zip(*next(b_layers, ([], [], [])))}
+        if len(other) != len(gates):
+            raise tb._Fallback
+        for gate, p, q in zip(gates, ps, qs):
+            flipped = (p, q) not in other
+            match = other.get((q, p) if flipped else (p, q))
+            done = match and tb._kernel_step(gate.kernel, match[0].kernel_inv, flipped,
+                                             states[p], states[q])
+            if not done:
+                raise tb._Fallback
+            states[p], states[q], swapped = done
+            if swapped:
+                _, i, j = match
+                sigma[i], sigma[j] = sigma[j], sigma[i]
+    if next(b_layers, None) is not None:
+        raise tb._Fallback
+    return states, sigma
+
+
+def reference_pauli(states) -> PauliProduct | None:
+    """``tableau._pauli`` as it read the frame before its byte tables: one
+    ``any`` over the states, then one join per frame half."""
+    if any(key & 15 != 0b1001 for key in states):
+        return None
+    fx = int("0" + "".join(["01"[key >> 5] for key in reversed(states)]), 2)
+    fz = int("0" + "".join(["01"[key >> 4 & 1] for key in reversed(states)]), 2)
+    return PauliProduct(len(states), fx, fz)
+
+
+def reference_walk(a: Circuit, b: Circuit):
+    """What ``tableau._local`` must return for a and b of one size, or raise."""
+    states, sigma = reference_states(a, b)
+    frame = reference_pauli(states)
+    return None if frame is None else (tuple(sigma), frame)
 
 
 # ---------------------------------------------------------------------------

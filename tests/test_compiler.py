@@ -61,6 +61,7 @@ from conftest import (
     one_local_letter,
     oracle_certificate,
     reference_lut,
+    reference_states,
     single,
     two_qubit_symplectic_maps,
 )
@@ -296,24 +297,9 @@ class TestFixPropagation:
 
 def walk_states(a: Circuit, b: Circuit) -> tuple[list[int], tuple[int, ...]]:
     """The certificate walk's per-wire states of a b^-1 without signs, by a's
-    wire, and its relabelling: ``tableau._local``'s loop, with every step
-    required to stay local."""
-    tb = recliff.tableau
-    states, sigma = [tb._ONE] * a.n, list(range(a.n))
-    b_layers = tb._segments(b, True, states, sigma)
-    for gates, ps, qs in tb._segments(a, False, states, list(range(a.n))):
-        other = {(sigma[i], sigma[j]): (gate, i, j)
-                 for gate, i, j in zip(*next(b_layers, ((), (), ())))}
-        assert len(other) == len(gates)
-        for gate, p, q in zip(gates, ps, qs):
-            flipped = (p, q) not in other
-            match = other[(q, p) if flipped else (p, q)]
-            states[p], states[q], swapped = tb._walk_step(
-                gate.kernel, match[0].kernel_inv, flipped, states[p], states[q])
-            if swapped:
-                _, i, j = match
-                sigma[i], sigma[j] = sigma[j], sigma[i]
-    assert next(b_layers, None) is None
+    wire, and its relabelling, from the reference walk (``conftest``), which
+    raises where a step is not local."""
+    states, sigma = reference_states(a, b)
     return [s & 15 for s in states], tuple(sigma)
 
 
@@ -485,14 +471,16 @@ class TestStepTables:
         with pytest.raises(AssertionError, match="are not per wire"):
             recliff.compiler._step_table(builtin_gateset("cx"), builtin("CX"))
 
-    def test_derivation_leaves_the_walk_cache_alone(self):
-        # The walk caches only its own steps; the gateset keeps the table.
-        walk = recliff.tableau._walk_step
-        walk.cache_clear()
+    def test_derivation_leaves_the_walk_cache_alone(self, monkeypatch):
+        # The walk keeps only its own steps; the gateset keeps the table.
+        tb = recliff.tableau
+        monkeypatch.setattr(tb, "_STEPS", tb._Filled(tb._STEPS.fill))
         gate = GateDef("CX_COPY", 2, from_circuit(parse("CX 0 1")))
         gs = builtin_gateset("cz")
         assert recliff.compiler._step_table(gs, gate) is gs._step_tables[gate.kernel]
-        assert walk.cache_info().currsize == 0
+        assert not tb._STEPS
+        compile_circuit(parse("CX 0 1"), gs)  # its certificate walks one CZ against the CX
+        assert list(tb._STEPS) == [(gs.entangler.kernel, builtin("CX").kernel_inv, False)]
 
     def test_single_qubit_entries_match_dense_tableaux(self, monkeypatch):
         """The sweep steps a wire through a single-qubit gate by the
@@ -687,6 +675,16 @@ def test_every_entangling_two_qubit_clifford_compiles():
             result = compile_with_iswap_heuristic(source, gs, frame_mode="fold")
             assert from_circuit(result.circuit) == want.relabel_wires(result.permutation)
     assert entangling == 648
+
+
+def test_walk_cache_after_every_entangling_two_qubit_clifford(monkeypatch):
+    """The walk keeps one step dict per kernel pair and orientation, by the
+    wires' states: after the 648 gates onto every target, from empty, its
+    dicts hold no more steps than the one cache they replaced (6,398)."""
+    tb = recliff.tableau
+    monkeypatch.setattr(tb, "_STEPS", tb._Filled(tb._STEPS.fill))
+    test_every_entangling_two_qubit_clifford_compiles()
+    assert 0 < sum(map(len, tb._STEPS.values())) <= 6398
 
 
 def test_the_steps_are_the_one_entangler_rule():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -29,6 +30,7 @@ from recliff import (
     surface_code_syndrome_extraction,
 )
 from recliff.circuit import DIALECT_GATES, _circuit, _instruction
+from recliff.compiler import CompileError
 from recliff.gates import NATIVE_SETS, TARGET_ENTANGLERS, GateDef, GateSet
 from recliff import tableau as tb
 from recliff.tableau import describe_difference
@@ -50,11 +52,13 @@ from conftest import (
     match_wires,
     oracle_certificate,
     reference_lut,
+    reference_pauli,
+    reference_walk,
     relabelled_pairs,
     unchecked_circuit,
 )
 from matrix_oracle import circuit_unitary, conjugate, pauli_matrix
-from test_golden import golden_sources
+from test_golden import SOURCE_ENTANGLERS, golden_sources
 
 
 def pp(text, n):
@@ -786,6 +790,27 @@ class TestLocalWalk:
                 cert = tb._local(out, source)  # raises on a fallback
                 assert cert == certify(out, source) == oracle_certificate(out, source)
 
+    def test_second_certify_makes_no_step(self, monkeypatch):
+        """The walk fills each step once, from empty: a second certify of the
+        same pairs, aligned (ecr) or matched by dict (iswap), computes none."""
+        source = surface_code_syndrome_extraction(SurfaceCodeSpec(5))
+        pairs = [(compile_circuit(source, builtin_gateset("ecr")).circuit, source),
+                 (compile_with_iswap_heuristic(source, builtin_gateset("iswap")).circuit, source)]
+        calls = []
+        step = tb._kernel_step
+
+        def counted(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(tb, "_kernel_step", counted)
+        monkeypatch.setattr(tb, "_STEPS", tb._Filled(tb._STEPS.fill))
+        first = [certify(a, b) for a, b in pairs]
+        assert calls and len(calls) == len(set(calls)) == sum(map(len, tb._STEPS.values()))
+        calls.clear()
+        assert [certify(a, b) for a, b in pairs] == first
+        assert calls == []
+
     def test_non_pauli_wire_is_rejected_without_a_tableau(self, monkeypatch):
         def refuse(n):
             raise AssertionError("a tableau was built")
@@ -793,6 +818,143 @@ class TestLocalWalk:
         monkeypatch.setattr(tb, "identity", refuse)
         a, b = parse("CX 0 1\nTICK\nH 1"), parse("CX 0 1")
         assert tb._local(a, b) is certify(a, b) is None
+
+
+def walk_outcome(walk, a, b):
+    """``walk(a, b)``, or ``"fallback"`` where it raises ``tableau._Fallback``."""
+    try:
+        return walk(a, b)
+    except tb._Fallback:
+        return "fallback"
+
+
+def assert_walks_agree(a, b):
+    """``tableau._local`` returns what the reference walk returns on (a, b),
+    or falls back where it does, and ``certify`` returns it; the outcome."""
+    got = walk_outcome(tb._local, a, b)
+    assert got == walk_outcome(reference_walk, a, b)
+    if got != "fallback":
+        assert certify(a, b) == got
+    return got
+
+
+def compile_outputs(source):
+    """The source compiled in both modes onto every target and native set,
+    where the mode compiles it."""
+    for target in sorted(TARGET_ENTANGLERS):
+        for natives in sorted(NATIVE_SETS):
+            gs = builtin_gateset(target, natives)
+            yield compile_with_iswap_heuristic(source, gs).circuit
+            try:
+                yield compile_circuit(source, gs).circuit
+            except CompileError:
+                pass
+
+
+def split_entangler_layers(c):
+    """c with each entangler layer cut in two after its first pair: the same
+    circuit with other TICKs."""
+    layers = []
+    for layer in c.layers:
+        pairs = [inst for inst in layer if inst.gate.arity == 2]
+        layers += [[inst for inst in layer if inst is not pairs[0]], pairs[:1]] if pairs else [layer]
+    return Circuit(c.n, tuple(tuple(layer) for layer in layers if layer))
+
+
+class TestWalkAgainstReference:
+    """The walk's step dicts and aligned layers change its cost, not its
+    outcome: on every pair it returns what the walk before them returned
+    (``conftest.reference_walk``), and falls back on the same pairs."""
+
+    def test_compile_outputs_of_surface_code_rounds(self):
+        for d in (3, 5):
+            source = surface_code_syndrome_extraction(SurfaceCodeSpec(d))
+            for out in compile_outputs(source):
+                assert assert_walks_agree(out, source) != "fallback"
+                assert assert_walks_agree(source, out) != "fallback"
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 9), st.integers(0, 6), st.integers(0, 2**32),
+           st.sampled_from(SOURCE_ENTANGLERS))
+    def test_compile_outputs_of_random_sources(self, n, layers, seed, entangler):
+        source = random_clifford_circuit(RandomCircuitSpec(
+            n=n, entangler_layers=layers, seed=seed, entangler=builtin(entangler)))
+        for out in compile_outputs(source):
+            assert assert_walks_agree(out, source) != "fallback"
+            assert assert_walks_agree(source, out) != "fallback"
+
+    def test_split_tick_pairs(self):
+        for d in (3, 5):
+            source = surface_code_syndrome_extraction(SurfaceCodeSpec(d))
+            out = compile_circuit(source, builtin_gateset("ecr")).circuit
+            for c in (source, out):
+                split = split_entangler_layers(c)
+                for a, b in ((c, split), (split, c), (out, split), (split, out)):
+                    assert assert_walks_agree(a, b) == "fallback"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_layers_mixing_two_entangler_kernels(self, data):
+        n = data.draw(st.integers(2, 8))
+        kinds = data.draw(st.lists(st.sampled_from(("CX", "CZ", "ISWAP", "SQRT_XX", "ECR")),
+                                   min_size=2, max_size=2, unique=True))
+        layers, flipped = [], []
+        for _ in range(data.draw(st.integers(1, 5))):
+            order = data.draw(st.permutations(range(n)))
+            layers.append([Instruction(builtin(data.draw(st.sampled_from(kinds))),
+                                       (order[2 * i], order[2 * i + 1])) for i in range(n // 2)])
+            layers.append([Instruction(builtin(data.draw(st.sampled_from(GATES_1Q))), (q,))
+                           for q in range(n) if data.draw(st.booleans())])
+            # CZ is symmetric, so its pairs may meet the other side reversed.
+            flipped.append([Instruction(i.gate, i.qubits[::-1] if i.gate.name == "CZ" else i.qubits)
+                            for i in layers[-2]])
+            flipped.append(layers[-1])
+        mixed = Circuit(n, tuple(tuple(layer) for layer in layers if layer))
+        other = Circuit(n, tuple(tuple(layer) for layer in flipped if layer))
+        for a, b in ((mixed, mixed), (mixed, other), (other, mixed)):
+            assert assert_walks_agree(a, b) != "fallback"
+        for out in compile_outputs(mixed):
+            assert_walks_agree(out, mixed)
+            assert_walks_agree(out, other)
+
+    def test_golden_corpus_single_gate_mutants(self):
+        rng = random.Random(32)
+        outcomes = set()
+        for source in golden_sources()[::2]:
+            for target in ("ecr", "iswap"):
+                out = compile_with_iswap_heuristic(source, builtin_gateset(target)).circuit
+                spots = [(li, k) for li, layer in enumerate(out.layers) for k in range(len(layer))]
+                for li, k in rng.sample(spots, min(6, len(spots))):
+                    inst = out.layers[li][k]
+                    names = GATES_1Q if inst.gate.arity == 1 else GATES_2Q
+                    layers = [list(layer) for layer in out.layers]
+                    layers[li][k] = Instruction(builtin(rng.choice(
+                        [g for g in names if g != inst.gate.name])), inst.qubits)
+                    mutant = Circuit(out.n, tuple(map(tuple, layers)))
+                    outcomes.add(type(assert_walks_agree(mutant, source)).__name__)
+                    assert_walks_agree(source, mutant)
+        assert outcomes == {"NoneType", "str", "tuple"}  # rejected, fallback, accepted
+
+
+class TestFrameReadOff:
+    """``_pauli`` reads the frame through two byte tables; it agrees with the
+    per-wire read-off it replaced (``conftest.reference_pauli``)."""
+
+    def test_every_state_on_one_and_two_wires(self):
+        for states in [*((s,) for s in range(64)), *itertools.product(range(64), repeat=2)]:
+            assert tb._pauli(states) == reference_pauli(states)
+            assert tb._pauli(list(states)) == reference_pauli(states)
+        assert sum(tb._pauli((s,)) is not None for s in range(64)) == 4
+
+    def test_random_states(self):
+        rng = random.Random(1249)
+        paulis = [tb._ONE | sign << 4 for sign in range(4)]
+        assert tb._pauli([]) == reference_pauli([]) == PauliProduct(0)
+        for _ in range(20):
+            states = rng.choices(paulis, k=1249)
+            assert tb._pauli(states) == reference_pauli(states) is not None
+            states[rng.randrange(1249)] = rng.choice([s for s in range(64) if s & 15 != tb._ONE])
+            assert tb._pauli(states) is reference_pauli(states) is None
 
 
 def test_verify_rejects_one_mutated_single_qubit_gate(tmp_path):
