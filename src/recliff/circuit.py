@@ -172,6 +172,14 @@ def _circuit(n: int, layers: Iterable[list[list]]) -> Circuit:
     return c
 
 
+def _widened(c: Circuit, n: int) -> Circuit:
+    """c on n >= c.n wires, keeping a verdict of sound gates (:func:`tableau._checked`)."""
+    wide = _circuit(n, c._columns)
+    if c.__dict__.get("_fault", "") is None:
+        wide.__dict__["_fault"] = None
+    return wide
+
+
 def _gates(c: Circuit) -> Iterator[GateDef]:
     """Every gate of c in time order, each layer's in order of qubits."""
     return chain.from_iterable(

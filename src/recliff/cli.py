@@ -21,7 +21,7 @@ from typing import NoReturn
 
 from . import __version__
 from . import tableau as tb
-from .circuit import Circuit, ParseError, _circuit, emit, parse
+from .circuit import Circuit, ParseError, _widened, emit, parse
 from .circuit import expand_ecr as _expand_ecr_transform
 from .compiler import (FRAME_MODES, CompileError, VerificationError, compile_circuit,
                        compile_with_iswap_heuristic)
@@ -189,7 +189,7 @@ def cmd_verify(file_a, file_b, up_to_frame, up_to_permutation, max_qubits):
     b = _load_circuit(file_b, max_qubits)
     if a.n != b.n:  # a wire that a circuit never touches carries the identity
         n = max(a.n, b.n)
-        a, b = _circuit(n, a._columns), _circuit(n, b._columns)
+        a, b = _widened(a, n), _widened(b, n)
     cert = tb.certify(a, b)
     if cert is not None:
         sigma, frame = cert

@@ -254,10 +254,10 @@ def _sweep(source: Circuit, gs: GateSet, may_cross: bool) -> tuple[Circuit, tupl
     SWAP, or, unless ``may_cross``, :class:`CompileError` names the gate;
     the permutation is the final ``label``.  The step table refuses a
     swap-like or non-entangling gate, so the first gate met that cannot
-    compile is the one named.  Each gate is one lookup:
-    a single-qubit gate in the certificate's own table (``tableau._TABLES``),
-    an entangler in its own step table (:func:`_step_table`, not the walk's
-    ``tableau._STEPS``); the pairs in a layer are disjoint, so it is walked once.
+    compile is the one named.  Each gate is one lookup: a single-qubit gate
+    in the certificate's table of it as b's (``tableau._TABLES[True]``, by
+    ``gate.kernel_inv``), an entangler in its own step table (:func:`_step_table`,
+    not the walk's ``tableau._STEPS``); a layer's pairs are disjoint, so it is walked once.
     """
     n = source.n
     native = gs.entangler
@@ -269,7 +269,7 @@ def _sweep(source: Circuit, gs: GateSet, may_cross: bool) -> tuple[Circuit, tupl
     place = out.place_single
     for g1, a1, g2, a2, b2 in source._columns:
         for gate, a in zip(g1, a1):
-            step = ones.get(gate.kernel) or ones.setdefault(gate.kernel, tb._table(gate, True))
+            step = ones[gate.kernel_inv]
             w = label[a]
             states[w] = step[states[w]] & 15
         if not g2:

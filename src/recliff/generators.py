@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .circuit import Circuit, Instruction
+from .circuit import Circuit, _circuit
 from .gates import GateDef, builtin
 from .pauli import _Record
 
@@ -87,12 +87,11 @@ def surface_code_syndrome_extraction(spec: SurfaceCodeSpec) -> Circuit:
 
     sites = _plaquettes(d)
     ancilla_of = {site: d * d + i for i, (site, _kind) in enumerate(sites)}
-    x_ancillas = [ancilla_of[site] for site, kind in sites if kind == "X"]
+    x_ancillas = sorted(ancilla_of[site] for site, kind in sites if kind == "X")
 
-    h_layer = tuple(Instruction(h, (a,)) for a in sorted(x_ancillas))
-    layers: list[tuple[Instruction, ...]] = [h_layer]
+    layers = [[[h] * len(x_ancillas), x_ancillas, [], [], []]]
     for step in range(4):
-        layer = []
+        controls, targets = [], []
         for site, kind in sites:
             r, c = site
             dr, dc = _X_ORDER[step] if kind == "X" else _Z_ORDER[step]
@@ -101,11 +100,11 @@ def surface_code_syndrome_extraction(spec: SurfaceCodeSpec) -> Circuit:
                 continue
             anc = ancilla_of[site]
             dat = data_index(rr, cc)
-            qubits = (anc, dat) if kind == "X" else (dat, anc)
-            layer.append(Instruction(cx, qubits))
-        layers.append(tuple(layer))
-    layers.append(h_layer)
-    return Circuit(2 * d * d - 1, tuple(layers))
+            controls.append(anc if kind == "X" else dat)
+            targets.append(dat if kind == "X" else anc)
+        layers.append([[], [], [cx] * len(controls), controls, targets])
+    layers.append([[h] * len(x_ancillas), [*x_ancillas], [], [], []])
+    return _circuit(2 * d * d - 1, layers)
 
 
 def random_clifford_circuit(spec: RandomCircuitSpec) -> Circuit:
@@ -121,39 +120,31 @@ def random_clifford_circuit(spec: RandomCircuitSpec) -> Circuit:
     classes = [builtin(n) for n in ("I", "H", "H_XY", "H_YZ", "C_XYZ", "C_ZYX")]
     paulis = [builtin(n) for n in ("I", "X", "Y", "Z")]
 
-    layers: list[tuple[Instruction, ...]] = []
+    layers: list[list] = []  # as circuit._circuit's columns; it drops empty layers
+    pairs = spec.n // 2
 
     def single_round() -> None:
-        class_layer = []
-        pauli_layer = []
+        class_layer: list[list] = [[], [], [], [], []]
+        pauli_layer: list[list] = [[], [], [], [], []]
         for q in range(spec.n):
-            cls = rng.choice(classes)
-            pauli = rng.choice(paulis)
-            if cls.name != "I":
-                class_layer.append(Instruction(cls, (q,)))
-            if pauli.name != "I":
-                pauli_layer.append(Instruction(pauli, (q,)))
-        if class_layer:
-            layers.append(tuple(class_layer))
-        if pauli_layer:
-            layers.append(tuple(pauli_layer))
+            for layer, gate in ((class_layer, rng.choice(classes)),
+                                (pauli_layer, rng.choice(paulis))):
+                if gate.name != "I":
+                    layer[0].append(gate)
+                    layer[1].append(q)
+        layers.extend((class_layer, pauli_layer))
 
     single_round()
     for _ in range(spec.entangler_layers):
         order = list(range(spec.n))
         rng.shuffle(order)
-        layer = []
-        for i in range(0, spec.n - 1, 2):
-            pair = (order[i], order[i + 1])
-            layer.append(Instruction(spec.entangler, pair))
-        layers.append(tuple(layer))
+        layers.append([[], [], [spec.entangler] * pairs, order[:2 * pairs:2],
+                       order[1:2 * pairs:2]])
         single_round()
 
     # Anchor qubits that drew only identities, so the emitted text round-trips
     # with the same qubit count.
-    touched = {q for layer in layers for inst in layer for q in inst.qubits}
+    touched = {q for layer in layers for k in (1, 3, 4) for q in layer[k]}
     untouched = [q for q in range(spec.n) if q not in touched]
-    if untouched:
-        ident = builtin("I")
-        layers.append(tuple(Instruction(ident, (q,)) for q in untouched))
-    return Circuit(spec.n, tuple(layers))
+    layers.append([[builtin("I")] * len(untouched), untouched, [], [], []])
+    return _circuit(spec.n, layers)

@@ -23,11 +23,12 @@ first simulation or walk (:func:`_checked`); a circuit that
 a wire relabelling exactly when they agree up to both.  When their entangler
 layers align, as a compile's output and its source do, the map is walked a
 layer at a time as one single-qubit Clifford per wire times a relabelling:
-a run of one gate costs a table lookup, a pair of entanglers an int-keyed
-lookup of a 2-qubit step computed once (``_STEPS``), and no n-qubit tableau
-is built.  Otherwise b's inverse, then a, are folded onto
-one tableau, whose rows are single bits when the two agree: the relabelling
-is read off the rows, and the signs make each wire's state.  The walk's
+a run of one gate costs a lookup in its 64-entry table (``_TABLES``, a's by
+``kernel``, b's by ``kernel_inv``), a pair of entanglers in a 2-qubit step
+(``_STEPS``), each made once by its store's one fill, and a bad gate raises
+before any n-qubit tableau.  Otherwise b's inverse, then a, fold onto one
+tableau, whose rows are single bits when the two agree: the relabelling is
+read off the rows, and the signs make each wire's state.  The walk's
 states are 1-qubit tableaux in six bits (:func:`_run`); its tables' words,
 :func:`gates.decompose_single_qubit`'s word and residual, and both paths'
 frames come from one breadth-first search (:func:`_reach`) and one Pauli
@@ -103,11 +104,11 @@ class Tableau:
 
     # -- mutation (private, used by the builders below) ---------------------
 
-    def _apply_gate(self, gate: GateDef, qubits: Sequence[int], inverse: bool = False) -> None:
+    def _apply_gate(self, gate: GateDef, qubits: Sequence[int]) -> None:
         if fault := _gate_fault(self.n, gate, qubits):
             raise ValueError(fault)
         half = [[gate], *([q] for q in qubits)]
-        self._apply_layers([half + [[], [], []] if gate.arity == 1 else [[], [], *half]], inverse)
+        self._apply_layers([half + [[], [], []] if gate.arity == 1 else [[], [], *half]])
 
     def _apply_layers(self, layers: Sequence[Sequence], inverse: bool = False) -> None:
         """Fold the layers' gates, each layer as :func:`circuit._circuit`'s five
@@ -200,9 +201,9 @@ def certify(a: "Circuit", b: "Circuit") -> tuple[tuple[int, ...], PauliProduct] 
     image supports, and the frame (sign +1) acts on a's wires.  With the
     identity permutation, a and b are equivalent up to the frame, and
     equivalent outright when the frame is the identity too.  Returns None
-    when a and b differ in any other way, or in qubit count.  A pair that
-    the per-wire walk (:func:`_local`) cannot decide is simulated on one
-    n-qubit tableau, which raises on a bad gate.
+    when a and b differ in any other way, or in qubit count.  The per-wire
+    walk (:func:`_local`) raises on a bad gate, a's first, before any
+    tableau; a pair it cannot decide is simulated on one n-qubit tableau.
     """
     if a.n != b.n:
         return None
@@ -222,7 +223,7 @@ _ONE = 0b1001  # the identity: X -> +X, Z -> +Z
 
 
 class _Fallback(Exception):
-    """The walk cannot decide this pair; the dense tableau must."""
+    """The walk cannot decide: unaligned layers, an entangling step or b's leftover layers."""
 
 
 def _run(key: int, kernels: Iterable[Callable[..., int]]) -> int:
@@ -258,13 +259,12 @@ def _words() -> dict[int, tuple[Callable[..., int], ...]]:
             for key, word in _reach((builtin("H"), builtin("S")), 63).items()}
 
 
-def _table(gate: GateDef, inverse: bool) -> tuple[int | None, ...]:
-    """Each state -> the gate after it (a gate of a) or, with ``inverse``,
-    the gate's inverse before it (a gate of b); None off the group."""
+def _table(kernel: Callable[..., int], inverse: bool) -> tuple[int | None, ...]:
+    """Each state -> ``kernel`` after it (a gate of a) or, with ``inverse``, before
+    it (b's gate's inverse kernel, then the state's H/S word); None off the group."""
     words = _words()
-    first, last = ((gate.kernel_inv,), ()) if inverse else ((), (gate.kernel,))
-    return tuple(_run(_ONE, (*first, *words[k], *last)) if k in words else None
-                 for k in range(64))
+    return tuple(None if k not in words else _run(_ONE, (kernel, *words[k])) if inverse
+                 else _run(k, (kernel,)) for k in range(64))
 
 
 class _Filled(dict):
@@ -277,11 +277,11 @@ class _Filled(dict):
         return self.setdefault(key, self.fill(key))
 
 
-# The walk's caches are keyed by the gates' kernels, which gates of one semantics
-# share: they keep no gate alive and grow only with the distinct semantics.
-_TABLES: tuple[dict, dict] = ({}, {})  # _table(gate, inverse) by gate.kernel, filled in use
-# A dict of steps per (ga.kernel, gb.kernel_inv, flipped), by ``sp | sq << 6``,
-# each made at this one point; the sweep keeps its own step tables.
+# The walk's facts, each made at one point and keyed by the kernels it applies,
+# which gates of one semantics share, so none keeps a gate alive: a's tables by
+# gate.kernel, b's by gate.kernel_inv, and a dict of steps per (ga.kernel,
+# gb.kernel_inv, flipped) by ``sp | sq << 6``; the sweep keeps its own step tables.
+_TABLES = (_Filled(lambda k: _table(k, False)), _Filled(lambda k: _table(k, True)))
 _STEPS = _Filled(lambda pair: _Filled(lambda key: _kernel_step(*pair, key & 63, key >> 6)))
 
 
@@ -329,29 +329,28 @@ def _gate_fault(n: int, gate: GateDef, qubits: Sequence[int]) -> str | None:
     return next((f"qubit {q} out of range for n={n}" for q in qubits if not 0 <= q < n), None)
 
 
-def _checked(c: "Circuit", error: type[Exception] = ValueError) -> Sequence[list]:
-    """c's columns when :func:`_fault` finds nothing wrong with them, else it
-    raises ``error`` with the fault.  The verdict is kept on c as ``_fault``,
+def _checked(c: "Circuit") -> Sequence[list]:
+    """c's columns when :func:`_fault` finds nothing wrong with them, else
+    ``ValueError`` with the fault.  The verdict is kept on c as ``_fault``,
     so each circuit is checked at most once; :func:`circuit.parse`, which
     checks every gate as it reads it, keeps None at once."""
     if "_fault" not in (kept := c.__dict__):
         kept["_fault"] = _fault(c.n, c._columns)
     if kept["_fault"]:
-        raise error(kept["_fault"])
+        raise ValueError(kept["_fault"])
     return c._columns
 
 
 def _segments(c: "Circuit", inverse: bool, states: list[int], wire: list[int]):
     """Multiply c's single-qubit gates into the states, qubit q's into ``wire[q]``,
     and yield each layer's two-qubit columns (gates, first and second qubits);
-    :class:`_Fallback`, before any gate, on columns :func:`_checked` rejects."""
+    ``ValueError``, before any gate, on columns :func:`_checked` rejects."""
     tables, last = _TABLES[inverse], None
-    for g1, a1, g2, a2, b2 in _checked(c, _Fallback):
+    for g1, a1, g2, a2, b2 in _checked(c):
         if g1:  # an entangler layer has no single-qubit column to zip
             for gate, q in zip(g1, a1):
                 if gate is not last:  # one lookup per run of one gate
-                    last, table = gate, (tables.get(gate.kernel)
-                                         or tables.setdefault(gate.kernel, _table(gate, inverse)))
+                    last, table = gate, tables[gate.kernel_inv if inverse else gate.kernel]
                 w = wire[q]
                 states[w] = table[states[w]]
         if g2:
@@ -366,9 +365,10 @@ def _local(a: "Circuit", b: "Circuit") -> tuple[tuple[int, ...], PauliProduct] |
     a multiplies its wire's state from the left, a gate of b from the right
     by its inverse.  Each entangler of a must meet one of b on the same wires
     and make a local map with their states, which may swap the wires; else
-    :class:`_Fallback` is raised.  Each layer's qubits must be distinct.  A
-    layer aligns when b's pairs, relabelled, are a's in order and each side
-    holds one gate: one loop walks it; other layers match pairs by dict."""
+    :class:`_Fallback` is raised (``ValueError`` on a bad gate, a's first).
+    Each layer's qubits must be distinct.  A layer aligns when b's pairs,
+    relabelled, are a's in order and each side holds one gate: one loop
+    walks it; other layers match pairs by dict."""
     n = a.n
     states, sigma = [_ONE] * n, list(range(n))
     relabel = sigma.__getitem__

@@ -330,15 +330,16 @@ def reference_solve_frame(images, flips: int):
 def reference_states(a: Circuit, b: Circuit) -> tuple[list[int], list[int]]:
     """The walk's states of a b^-1, by a's wire, and its relabelling ``sigma``
     (b's wire j is a's wire ``sigma[j]``); ``tableau._Fallback`` where the
-    walk cannot decide."""
+    walk cannot decide, and ``ValueError`` on a bad gate."""
     n = a.n
     states, sigma, tables = [tb._ONE] * n, list(range(n)), {}
 
     def segments(c: Circuit, inverse: bool, wire: list[int]):
-        for g1, a1, g2, a2, b2 in tb._checked(c, tb._Fallback):
+        for g1, a1, g2, a2, b2 in tb._checked(c):
             for gate, q in zip(g1, a1):
                 if (gate, inverse) not in tables:
-                    tables[gate, inverse] = tb._table(gate, inverse)
+                    kernel = gate.kernel_inv if inverse else gate.kernel
+                    tables[gate, inverse] = tb._table(kernel, inverse)
                 states[wire[q]] = tables[gate, inverse][states[wire[q]]]
             if g2:
                 yield g2, a2, b2

@@ -15,12 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 import recliff
 from recliff import (
+    RandomCircuitSpec,
     SurfaceCodeSpec,
+    builtin,
     builtin_gateset,
     compile_with_iswap_heuristic,
     emit,
     from_circuit,
     parse,
+    random_clifford_circuit,
     surface_code_syndrome_extraction,
 )
 from recliff.cli import main
@@ -313,15 +316,12 @@ class TestVerifyAgainstTwoTableaux:
 
 
 class TestNoPerGateObjects:
-    """A request reads and writes circuits as columns: no compile or verify
-    builds an ``Instruction``, by the lazy ``Circuit.layers`` or otherwise."""
+    """A request reads and writes circuits as columns: no compile, verify or
+    generate builds an ``Instruction``, by the lazy ``Circuit.layers`` or
+    otherwise."""
 
-    def test_requests_on_a_d11_round(self, runner, tmp_path, monkeypatch):
-        src = tmp_path / "d11.stim"
-        src.write_text(emit(surface_code_syndrome_extraction(SurfaceCodeSpec(11))))
-        wider = tmp_path / "wider.stim"  # one more wire, which ends as it began
-        wider.write_text(src.read_text() + "TICK\nX 300\nTICK\nX 300\n")
-
+    @staticmethod
+    def refuse_per_gate_objects(monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a request built a per-gate object")
 
@@ -333,6 +333,13 @@ class TestNoPerGateObjects:
         monkeypatch.setattr(recliff.circuit.Circuit, "__getattr__", no_layers)
         monkeypatch.setattr(recliff.circuit, "_instruction", refuse)
         monkeypatch.setattr(recliff.circuit.Instruction, "__post_init__", refuse)
+
+    def test_requests_on_a_d11_round(self, runner, tmp_path, monkeypatch):
+        src = tmp_path / "d11.stim"
+        src.write_text(emit(surface_code_syndrome_extraction(SurfaceCodeSpec(11))))
+        wider = tmp_path / "wider.stim"  # one more wire, which ends as it began
+        wider.write_text(src.read_text() + "TICK\nX 300\nTICK\nX 300\n")
+        self.refuse_per_gate_objects(monkeypatch)
         for k, (target, flags) in enumerate([
                 ("ecr", []), ("cz", []), ("sqrt_xx", []), ("iswap", ["--iswap-heuristic"]),
                 ("ecr", ["--metadata", str(tmp_path / "meta.json")]), ("ecr", ["--frame", "fold"]),
@@ -350,6 +357,21 @@ class TestNoPerGateObjects:
         mutant.write_text((tmp_path / "out0.stim").read_text().replace("S ", "SQRT_X ", 1))
         r = invoke(runner, "verify", "--up-to-frame", str(mutant), str(src))
         assert r.exit_code == 1 and r.output.startswith("not equivalent: generator"), r.output
+
+    def test_generate(self, runner, tmp_path, monkeypatch):
+        spec = RandomCircuitSpec(n=30, entangler_layers=8, seed=3, entangler=builtin("ISWAP"))
+        want = [emit(surface_code_syndrome_extraction(SurfaceCodeSpec(11))),
+                emit(random_clifford_circuit(spec))]
+        self.refuse_per_gate_objects(monkeypatch)
+        got = []
+        for k, args in enumerate([["surface-code", "--distance", "11"],
+                                  ["random-clifford", "--qubits", "30", "--entanglers", "8",
+                                   "--seed", "3", "--entangler", "iswap"]]):
+            out = tmp_path / f"gen{k}.stim"
+            r = invoke(runner, "generate", *args, "-o", str(out))
+            assert r.exit_code == 0, r.output
+            got.append(out.read_text())
+        assert got == want
 
 
 class TestVerifyWork:
@@ -376,6 +398,27 @@ class TestVerifyWork:
         assert (code, built) == (0, []), out
         code, out = run_verify(parse("CX 0 1\nTICK\nCX 0 1"), parse(""), flags)
         assert (code, built) == (0, [2]), out
+
+
+    def test_widened_circuits_keep_the_parsers_verdict(self, runner, tmp_path, monkeypatch):
+        """Verify reads a smaller circuit on the larger qubit count; each
+        widened circuit keeps the parser's verdict on its gates, so no pass of
+        ``tableau._fault`` runs again over either."""
+        import recliff.tableau
+
+        src, out = tmp_path / "x3.stim", tmp_path / "x3_cz.stim"
+        src.write_text("X 3\n")
+        r = invoke(runner, "compile", "--target", "cz", str(src), "-o", str(out))
+        assert r.exit_code == 0 and out.read_text() == "", r.output  # a frame alone
+        passes, fault = [], recliff.tableau._fault
+
+        def counted(n, layers):
+            passes.append(n)
+            return fault(n, layers)
+
+        monkeypatch.setattr(recliff.tableau, "_fault", counted)
+        r = invoke(runner, "verify", "--up-to-frame", str(out), str(src))
+        assert (r.exit_code, r.output, passes) == (0, "equivalent up to frame +X3\n", [])
 
 
 class TestWireMatchingAgainstSearch:

@@ -487,18 +487,19 @@ class TestStepTables:
         certificate's own table of it, read without signs: from class u's
         state the wire goes to the state of the class with which the gate,
         then that class, equals u, up to a Pauli."""
-        monkeypatch.setattr(recliff.tableau, "_TABLES", ({}, {}))
+        tb = recliff.tableau
+        monkeypatch.setattr(tb, "_TABLES", tuple(tb._Filled(t.fill) for t in tb._TABLES))
         singles = [gate for gate in map(builtin, DIALECT_GATES) if gate.arity == 1]
         source = Circuit(len(singles), [[Instruction(g, (q,)) for q, g in enumerate(singles)]])
         recliff.compiler._sweep(source, builtin_gateset("ecr"), True)
-        tables = recliff.tableau._TABLES
-        assert not tables[False] and set(tables[True]) == {g.kernel for g in singles}
+        tables = tb._TABLES
+        assert not tables[False] and set(tables[True]) == {g.kernel_inv for g in singles}
         assert recliff.compiler._STATE == tuple(CLASS_STATES)
         for gate in singles:
             t = append_gate(identity(1), gate, (0,))
             after = {letters(append_gate(t, CLASS_GATES[v], (0,))): CLASS_STATES[v]
                      for v in range(6)}
-            table = tables[True][gate.kernel]
+            table = tables[True][gate.kernel_inv]
             assert [table[s] & 15 for s in CLASS_STATES] == \
                 [after[letters(append_gate(identity(1), g, (0,)))] for g in CLASS_GATES]
 
@@ -1446,30 +1447,63 @@ class TestWorkCounts:
         assert set(calls.values()) == {1}
         assert set(gs._step_tables) == {builtin("ISWAP").kernel, builtin("CX").kernel}
 
-    def test_single_qubit_tables_computed_once_per_process(self, monkeypatch):
-        """The sweep reads a source gate's single-qubit table from the cache
-        the certificate fills, so one source compiled onto every builtin
-        gateset computes each table once."""
-        import recliff.gates
-
-        calls = Counter()
-        table = recliff.tableau._table
-
-        def counted(gate, inverse):
-            calls[gate.kernel, inverse] += 1
-            return table(gate, inverse)
-
-        monkeypatch.setattr(recliff.tableau, "_table", counted)
-        monkeypatch.setattr(recliff.tableau, "_TABLES", ({}, {}))
-        monkeypatch.setattr(recliff.gates, "_GATESETS", {}, raising=False)
+    def test_walk_facts_made_once_each_by_their_fills(self, monkeypatch):
+        """Each of the walk's facts is made once per process, by its store's
+        fill and nowhere else: repeated compiles in both modes onto every
+        builtin gateset, and verifies of each output against its source, make
+        one ``_table`` per (kernel, side) and one ``_kernel_step`` per step key.
+        The sweep reads its single-qubit tables from the certificate's store."""
+        tb = recliff.tableau
         source = parse("H 0\nS 1\nSQRT_X 2\nTICK\nCX 0 1\nTICK\nC_XYZ 1\nH_YZ 0\n"
                        "TICK\nCX 1 2\nTICK\nS_DAG 2\nX 0\nH 1")
-        for target in sorted(TARGET_ENTANGLERS):
-            for natives in sorted(NATIVE_SETS):
-                compile_with_iswap_heuristic(source, builtin_gateset(target, natives))
-        singles = {inst.gate.kernel for inst in source.instructions() if inst.gate.arity == 1}
-        assert singles <= {kernel for kernel, inverse in calls if inverse}
-        assert set(calls.values()) == {1}
+        iswap_source = compile_with_iswap_heuristic(source, builtin_gateset("iswap")).circuit
+
+        def requests():
+            for target in sorted(TARGET_ENTANGLERS):
+                for natives in sorted(NATIVE_SETS):
+                    gs = builtin_gateset(target, natives)
+                    strict = iswap_source if target == "iswap" else source
+                    for result, src in ((compile_circuit(strict, gs), strict),
+                                        (compile_with_iswap_heuristic(source, gs), source)):
+                        yield result.circuit, result.frame, tb.certify(src, result.circuit)
+
+        first = list(requests())  # the gatesets derive the sweep's own step tables
+
+        class Sealed(tb._Filled):
+            """A store that only its fill adds to."""
+
+            def __missing__(self, key):
+                return dict.setdefault(self, key, self.fill(key))
+
+            def refuse(self, *args):
+                raise AssertionError("a walk fact was stored or read around its fill")
+
+            get = setdefault = __setitem__ = update = refuse
+
+        tables, steps = Counter(), Counter()
+        table, step, step_fill = tb._table, tb._kernel_step, tb._STEPS.fill
+
+        def counted_table(kernel, inverse):
+            tables[kernel, inverse] += 1
+            return table(kernel, inverse)
+
+        def counted_step(*args):
+            steps[args] += 1
+            return step(*args)
+
+        monkeypatch.setattr(tb, "_table", counted_table)
+        monkeypatch.setattr(tb, "_kernel_step", counted_step)
+        monkeypatch.setattr(tb, "_TABLES", tuple(Sealed(t.fill) for t in tb._TABLES))
+        monkeypatch.setattr(tb, "_STEPS", Sealed(lambda pair: Sealed(step_fill(pair).fill)))
+        for _ in range(3):
+            assert list(requests()) == first
+        assert set(tables.values()) == set(steps.values()) == {1}
+        assert set(tables) == {(kernel, side == 1) for side, store in enumerate(tb._TABLES)
+                               for kernel in store}
+        assert set(steps) == {(*pair, key & 63, key >> 6) for pair, store in tb._STEPS.items()
+                              for key in store}
+        singles = {inst.gate.kernel_inv for inst in source.instructions() if inst.gate.arity == 1}
+        assert singles <= set(tb._TABLES[True]) and tb._TABLES[False]
 
     def test_caller_gate_not_kept_by_a_shared_gateset(self):
         import gc

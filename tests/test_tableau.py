@@ -371,12 +371,13 @@ def assert_inverse_kernel(gate: GateDef, rng: random.Random) -> None:
         qubits = tuple(rng.sample(range(n), gate.arity))
         t = random_rows(rng, n)
         before = t.copy()
+        layer = unchecked_circuit(n, [[_instruction(gate, qubits)]])._columns
         t._apply_gate(gate, qubits)
-        t._apply_gate(gate, qubits, inverse=True)
+        t._apply_layers(layer, inverse=True)
         assert t == before
         want = t.copy()
         interpret_rule(want, inverse, qubits)
-        t._apply_gate(gate, qubits, inverse=True)
+        t._apply_layers(layer, inverse=True)
         assert t == want
 
 
@@ -561,6 +562,24 @@ class TestGateKernels:
         with pytest.raises(ValueError, match=exact):
             certify(good, circuit)
 
+    @pytest.mark.parametrize("name,qubits,message", BAD_GATES)
+    def test_certify_raises_before_any_tableau(self, monkeypatch, name, qubits, message):
+        """The walk raises a bad gate of either circuit itself, before any
+        n-qubit tableau is built; with a bad gate in both, it names a's."""
+        def refuse(n):
+            raise AssertionError("a tableau was built")
+
+        good = unchecked_circuit(3, [[_instruction(builtin("CX"), (0, 1))],
+                                     [_instruction(builtin("S"), (2,))]])
+        bad = unchecked_circuit(3, [*good.layers, [_instruction(builtin(name), qubits)]])
+        other = unchecked_circuit(3, [[_instruction(builtin("H"), (5,))]])
+        monkeypatch.setattr(tb, "identity", refuse)
+        for a, b in ((bad, good), (good, bad), (bad, other)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                certify(a, b)
+        with pytest.raises(ValueError, match="^qubit 5 out of range for n=3$"):
+            certify(other, bad)
+
     def test_gate_name_never_reaches_kernel_source(self):
         name = "x'); import os; ('"
         cz = identity(2)
@@ -707,9 +726,13 @@ class TestLocalWalk:
                 t._sign ^= kernel(t._x, t._z, 0)
             assert t == Tableau(1, [key & 3], [key >> 2 & 3], key >> 4)
         for name in ("I", *GATES_1Q):
-            for table in (tb._table(builtin(name), False), tb._table(builtin(name), True)):
+            gate = builtin(name)
+            for table in (tb._table(gate.kernel, False), tb._table(gate.kernel_inv, True)):
                 assert [k for k in range(64) if table[k] is not None] == cliffords
                 assert sorted(table[k] for k in cliffords) == cliffords
+            # a's table steps each state directly: the same as its word, then the gate
+            assert [tb._table(gate.kernel, False)[k] for k in words] == \
+                [tb._run(tb._ONE, (*word, gate.kernel)) for word in words.values()]
 
     def test_words_are_the_breadth_first_h_s_words(self):
         """``_words`` keys each state by its first H/S kernel word, breadth
