@@ -139,7 +139,6 @@ def _index(value: object) -> int:
 
 _by_qubits = attrgetter("qubits")
 _first, _second = itemgetter(0), itemgetter(1)
-_name = attrgetter("name")
 
 
 _new = object.__new__
@@ -173,10 +172,10 @@ def _circuit(n: int, layers: Iterable[list[list]]) -> Circuit:
 
 
 def _widened(c: Circuit, n: int) -> Circuit:
-    """c on n >= c.n wires, keeping a verdict of sound gates (:func:`tableau._checked`)."""
-    wide = _circuit(n, c._columns)
-    if c.__dict__.get("_fault", "") is None:
-        wide.__dict__["_fault"] = None
+    """c, whose gates are on its own wires, on n >= c.n wires: a copy that shares
+    c's columns and any verdict on its gates (:func:`tableau._checked`)."""
+    wide = _new(Circuit)
+    wide.__dict__.update(c.__dict__, n=n)
     return wide
 
 
@@ -361,8 +360,12 @@ def emit(c: Circuit) -> str:
 
 
 def gate_counts(c: Circuit) -> dict[str, int]:
-    """Exact tally of instructions by gate name, in first-seen order."""
-    return dict(Counter(map(_name, _gates(c))))
+    """Exact tally of instructions by gate name, in first-seen order: each gate
+    object's count, merged by name (two gates may share one)."""
+    counts: dict[str, int] = {}
+    for gate, k in Counter(_gates(c)).items():
+        counts[gate.name] = counts.get(gate.name, 0) + k
+    return counts
 
 
 def depth(c: Circuit) -> int:

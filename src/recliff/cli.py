@@ -108,10 +108,15 @@ def _batch_outputs(inputs: tuple[str, ...], target: str) -> list[str]:
     return outs
 
 
+def _shown(count: int) -> int | str:
+    """A count for a message: Python may refuse to write a huge one (4,300 digits)."""
+    return count if count < 2**64 else "2^64 or more"
+
+
 def _size_guard(n: int) -> None:
-    """Exit before any gate is built if a generated circuit is too large."""
+    """``ValueError`` before any gate is built if a generated circuit is too large."""
     if n > DEFAULT_MAX_QUBITS:
-        _fail(EXIT_COMPILE, f"error: {n} qubits exceeds the limit of {DEFAULT_MAX_QUBITS}")
+        raise ValueError(f"{_shown(n)} qubits exceeds the limit of {DEFAULT_MAX_QUBITS}")
 
 
 def _load_circuit(path: str, max_qubits: int | None = None) -> Circuit:
@@ -124,9 +129,8 @@ def _load_circuit(path: str, max_qubits: int | None = None) -> Circuit:
     except UnicodeDecodeError as exc:
         _fail(EXIT_PARSE, f"cannot read {path}: not valid UTF-8 at byte {exc.start}")
     if max_qubits is not None and circuit.n > max_qubits:
-        # Python may refuse to write a huge count in decimal (past 4,300 digits).
-        n = circuit.n if circuit.n < 2**64 else "2^64 or more"
-        _fail(EXIT_COMPILE, f"{path}: {n} qubits exceeds --max-qubits {max_qubits}")
+        _fail(EXIT_COMPILE,
+              f"{path}: {_shown(circuit.n)} qubits exceeds --max-qubits {max_qubits}")
     return circuit
 
 
@@ -224,8 +228,8 @@ def cmd_generate_random(qubits, layers, seed, entangler, output):
                                  entangler=builtin(TARGET_ENTANGLERS[entangler]))
         _size_guard(qubits)
         if qubits * (layers + 1) > MAX_GENERATED_GATES:
-            raise ValueError(f"{qubits} qubits and {layers} entangler layers exceed "
-                             f"the limit of {MAX_GENERATED_GATES} gates")
+            raise ValueError(f"{_shown(qubits)} qubits and {_shown(layers)} entangler "
+                             f"layers exceed the limit of {MAX_GENERATED_GATES} gates")
         circuit = random_clifford_circuit(spec)
     except ValueError as exc:
         _fail(EXIT_COMPILE, f"error: {exc}")

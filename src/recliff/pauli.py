@@ -107,10 +107,6 @@ class PauliProduct(_Record):
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def identity(n: int) -> "PauliProduct":
-        return PauliProduct(n)
-
-    @staticmethod
     def from_string(text: str, n: int | None = None) -> "PauliProduct":
         """Parse the textual syntax, e.g. ``-X0*Y2`` or ``+I``.
 

@@ -10,9 +10,8 @@ expressed over {S, sqrt(X)} and Paulis, which is where the split is used.
 from __future__ import annotations
 
 import json
-from collections import Counter
 
-from .circuit import Circuit, _gates, depth
+from .circuit import Circuit, depth, gate_counts
 from .pauli import _Record
 
 X_TYPE = frozenset({"SQRT_X", "SQRT_X_DAG", "X", "Y", "H_YZ"})
@@ -55,11 +54,10 @@ class Report(_Record):
 
 
 def report(c: Circuit) -> Report:
-    counts: dict[str, int] = {}
-    singles = 0
-    for gate, k in Counter(_gates(c)).items():
-        counts[gate.name] = counts.get(gate.name, 0) + k
-        singles += k if gate.arity == 1 else 0
+    """c's tallies: the counts are :func:`circuit.gate_counts`, and the
+    single-qubit count is the length of each layer's single-qubit column."""
+    counts = gate_counts(c)
+    singles = sum([len(layer[0]) for layer in c._columns])
     total = sum(counts.values())
     return Report(
         counts=counts,

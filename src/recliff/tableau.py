@@ -14,7 +14,7 @@ XOR/AND operations on all 2n generators at once, whatever n is: each gate
 carries them, and those of its inverse, as straight-line kernels compiled
 from its update rule.  :meth:`Tableau._apply_layers` applies a whole circuit,
 read as its layers' gate and qubit columns, in one loop; every builder here,
-and :meth:`Tableau._apply_gate` for a single gate, goes through it.  A
+and :func:`append_gate` for a single gate, goes through it.  A
 circuit's qubits are checked once, in one pass over its columns, before its
 first simulation or walk (:func:`_checked`); a circuit that
 :func:`circuit.parse` read is not, as the parser checked every gate.
@@ -104,12 +104,6 @@ class Tableau:
 
     # -- mutation (private, used by the builders below) ---------------------
 
-    def _apply_gate(self, gate: GateDef, qubits: Sequence[int]) -> None:
-        if fault := _gate_fault(self.n, gate, qubits):
-            raise ValueError(fault)
-        half = [[gate], *([q] for q in qubits)]
-        self._apply_layers([half + [[], [], []] if gate.arity == 1 else [[], [], *half]])
-
     def _apply_layers(self, layers: Sequence[Sequence], inverse: bool = False) -> None:
         """Fold the layers' gates, each layer as :func:`circuit._circuit`'s five
         columns, onto the output side in time order, or with ``inverse`` their
@@ -179,9 +173,13 @@ def identity(n: int) -> Tableau:
 
 
 def append_gate(t: Tableau, gate: "GateDef", qubits: Sequence[int]) -> Tableau:
-    """New tableau with one more gate folded onto the output side."""
+    """New tableau with one more gate folded onto the output side, as a one-gate
+    layer (:meth:`Tableau._apply_layers`); ``ValueError`` on a bad gate."""
+    if fault := _gate_fault(t.n, gate, qubits := tuple(qubits)):
+        raise ValueError(fault)
+    half = [[gate], *([q] for q in qubits)]
     out = t.copy()
-    out._apply_gate(gate, tuple(qubits))
+    out._apply_layers([half + [[], [], []] if gate.arity == 1 else [[], [], *half]])
     return out
 
 

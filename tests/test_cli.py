@@ -402,9 +402,12 @@ class TestVerifyWork:
 
     def test_widened_circuits_keep_the_parsers_verdict(self, runner, tmp_path, monkeypatch):
         """Verify reads a smaller circuit on the larger qubit count; each
-        widened circuit keeps the parser's verdict on its gates, so no pass of
+        widened circuit is a copy that shares the parsed one's columns and
+        keeps the parser's verdict on its gates, so no pass of
         ``tableau._fault`` runs again over either."""
         import recliff.tableau
+        from recliff import Circuit
+        from recliff.circuit import _widened
 
         src, out = tmp_path / "x3.stim", tmp_path / "x3_cz.stim"
         src.write_text("X 3\n")
@@ -419,6 +422,12 @@ class TestVerifyWork:
         monkeypatch.setattr(recliff.tableau, "_fault", counted)
         r = invoke(runner, "verify", "--up-to-frame", str(out), str(src))
         assert (r.exit_code, r.output, passes) == (0, "equivalent up to frame +X3\n", [])
+        c = parse("X 3\nTICK\nCX 0 2\nH 1")
+        wide = _widened(c, 6)
+        assert wide._columns is c._columns and (wide.n, c.n) == (6, 4)
+        t = from_circuit(wide)
+        assert passes == []
+        assert wide == Circuit(6, c.layers) and t == from_circuit(Circuit(6, c.layers))
 
 
 class TestWireMatchingAgainstSearch:
@@ -970,6 +979,21 @@ class TestGenerateSizeGuard:
         with pytest.raises(self.Built):
             invoke(runner, "generate", "random-clifford", "--qubits", "1024",
                    "--entanglers", "1023")
+
+    @pytest.mark.parametrize("args,message", [
+        (["surface-code", "--distance", "1" * 2200],
+         "2^64 or more qubits exceeds the limit of 32768"),
+        (["random-clifford", "--qubits", HUGE_TARGETS[0], "--entanglers", "2"],
+         "2^64 or more qubits exceeds the limit of 32768"),
+        (["random-clifford", "--qubits", "8", "--entanglers", HUGE_TARGETS[0]],
+         "8 qubits and 2^64 or more entangler layers exceed the limit of 1048576 gates"),
+    ], ids=["distance", "qubits", "entanglers"])
+    def test_counts_too_large_to_print_name_the_limit(self, runner, args, message):
+        """An argument that Python parses but may not write back in decimal
+        (4,300 digits; 2d^2 - 1 has about 4,400 for a 2,200-digit d) is worded
+        as ``_load_circuit`` words a huge qubit count."""
+        r = invoke(runner, "generate", *args)
+        assert (r.exit_code, r.output) == (3, f"error: {message}\n")
 
     def test_invalid_distance_still_named(self, runner):
         r = invoke(runner, "generate", "surface-code", "--distance", "-200")

@@ -91,10 +91,10 @@ class TestMultiply:
                 rng.getrandbits(n),
                 rng.choice((1, -1)),
             )
-            letters, e = exact(PauliProduct.identity(n), p)
+            letters, e = exact(PauliProduct(n), p)
             assert (letters.x, letters.z) == (p.x, p.z)
             assert e == (0 if p.sign > 0 else 2)
-            assert multiply(PauliProduct.identity(n), p) == p
+            assert multiply(PauliProduct(n), p) == p
 
     def test_x_times_z_is_minus_i_y(self):
         letters, e = exact(pp("+X0", 1), pp("+Z0", 1))
@@ -171,7 +171,7 @@ class TestSupport:
         assert support(pp("+X0*Z1*Y2", 3)) == (0, 1, 2)
 
     def test_identity(self):
-        assert support(PauliProduct.identity(4)) == ()
+        assert support(PauliProduct(4)) == ()
 
     def test_weight_four(self):
         assert support(pp("+Z0*X1*X2*X3", 4)) == (0, 1, 2, 3)

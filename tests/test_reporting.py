@@ -1,21 +1,41 @@
 import json
+from collections import Counter
+
+import pytest
 
 from recliff import (
     Circuit,
     GateDef,
     GateSet,
+    Instruction,
     SurfaceCodeSpec,
     append_gate,
     builtin,
     builtin_gateset,
     compare,
     compile_circuit,
+    compile_with_iswap_heuristic,
+    expand_ecr,
     gate_counts,
     identity,
     parse,
     report,
     surface_code_syndrome_extraction,
 )
+
+from test_golden import golden_sources
+
+
+def assert_counts_are_gate_counts(c: Circuit) -> None:
+    """report's counts are gate_counts', in the order of each name's first
+    instruction, and its totals are the lengths of the gate columns."""
+    rep = report(c)
+    want = Counter(inst.gate.name for inst in c.instructions())
+    assert list(rep.counts.items()) == list(gate_counts(c).items()) == list(want.items())
+    singles = sum(len(layer[0]) for layer in c._columns)
+    pairs = sum(len(layer[2]) for layer in c._columns)
+    assert (rep.single_qubit_count, rep.two_qubit_count, rep.total) == (
+        singles, pairs, singles + pairs)
 
 
 class TestReport:
@@ -62,6 +82,36 @@ class TestReport:
         assert counts["MYCZ"] == res.stats.two_qubit_count == 24
         assert res.stats.single_qubit_count == counts["S"] + counts["SQRT_X"]
         assert res.stats.total == sum(counts.values())
+
+    def test_counts_are_gate_counts_on_the_golden_sources(self):
+        for source in golden_sources():
+            assert_counts_are_gate_counts(source)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("compile_one", [compile_circuit, compile_with_iswap_heuristic])
+    @pytest.mark.parametrize("frame_mode", ["report", "fold"])
+    def test_counts_are_gate_counts_on_expanded_outputs(self, d, compile_one, frame_mode):
+        source = surface_code_syndrome_extraction(SurfaceCodeSpec(d))
+        out = compile_one(source, builtin_gateset("ecr"), frame_mode=frame_mode).circuit
+        for c in (out, expand_ecr(out)):
+            assert_counts_are_gate_counts(c)
+
+    def test_counts_are_gate_counts_on_mixed_layers(self):
+        # expand_ecr keeps a layer's single-qubit gates beside its CXs
+        c = parse("H 0\nECR 1 2\nS 3\nTICK\nX 2\nCZ 0 3\nTICK\nECR 3 0\nSQRT_X 1")
+        expanded = expand_ecr(c)
+        assert any(layer[0] and layer[2] for layer in expanded._columns)
+        for circuit in (c, expanded):
+            assert_counts_are_gate_counts(circuit)
+
+    def test_gates_of_one_name_count_together(self):
+        h, other_h = builtin("H"), GateDef("H", 1, builtin("H").semantics)
+        cx, other_cx = builtin("CX"), GateDef("CX", 2, builtin("CX").semantics)
+        c = Circuit(4, ((Instruction(other_h, (0,)), Instruction(h, (1,)),
+                         Instruction(other_cx, (2, 3))),
+                        (Instruction(cx, (0, 1)), Instruction(other_h, (3,)))))
+        assert gate_counts(c) == {"H": 3, "CX": 2}
+        assert_counts_are_gate_counts(c)
 
     def test_json_schema(self):
         rep = report(parse("S 0\nTICK\nSQRT_X 0"))

@@ -188,12 +188,12 @@ class TestConjugateProduct:
         assert img == pp("+X0*Y1", 2)
 
     def test_identity_product(self, worked_example_tableau):
-        p = PauliProduct.identity(4)
+        p = PauliProduct(4)
         assert conjugate_product(worked_example_tableau, p) == p
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            conjugate_product(identity(2), PauliProduct.identity(3))
+            conjugate_product(identity(2), PauliProduct(3))
 
     def test_commutation_preserved(self, worked_example_tableau):
         rng = random.Random(2)
@@ -372,7 +372,7 @@ def assert_inverse_kernel(gate: GateDef, rng: random.Random) -> None:
         t = random_rows(rng, n)
         before = t.copy()
         layer = unchecked_circuit(n, [[_instruction(gate, qubits)]])._columns
-        t._apply_gate(gate, qubits)
+        t = append_gate(t, gate, qubits)
         t._apply_layers(layer, inverse=True)
         assert t == before
         want = t.copy()
@@ -453,8 +453,7 @@ class TestGateKernels:
                 t = random_rows(rng, n)
                 want = t.copy()
                 interpret_rule(want, gate, qubits)
-                t._apply_gate(gate, qubits)
-                assert t == want
+                assert append_gate(t, gate, qubits) == want
 
     @settings(max_examples=60, deadline=None)
     @given(composed_two_qubit_gates(), st.randoms(use_true_random=False))
@@ -464,8 +463,7 @@ class TestGateKernels:
         t = random_rows(rng, n)
         want = t.copy()
         interpret_rule(want, gate, (a, b))
-        t._apply_gate(gate, (a, b))
-        assert t == want
+        assert append_gate(t, gate, (a, b)) == want
         h, s = builtin("H"), builtin("S")
         layers = [[Instruction(h, (q,)) for q in range(n)],
                   [Instruction(s, (q,)) for q in range(0, n, 2)],
@@ -501,8 +499,23 @@ class TestGateKernels:
         t = from_circuit(parse("H 0\nTICK\nCX 0 1\nS 2"))
         before = t.copy()
         with pytest.raises(ValueError, match=message):
-            t._apply_gate(builtin(name), qubits)
+            append_gate(t, builtin(name), qubits)
         assert t == before
+
+    @pytest.mark.parametrize("name,qubits", [("S", (1,)), ("CX", (2, 0))])
+    def test_append_gate_folds_one_gate_layer(self, monkeypatch, name, qubits):
+        gate, t = builtin(name), identity(3)
+        want = from_circuit(Circuit(3, ((Instruction(gate, qubits),),)))
+        layers, fold = [], Tableau._apply_layers
+
+        def counted(self, columns, inverse=False):
+            layers.extend(columns)
+            fold(self, columns, inverse)
+
+        monkeypatch.setattr(Tableau, "_apply_layers", counted)
+        assert append_gate(t, gate, list(qubits)) == want and t == identity(3)
+        half = [[gate], *([q] for q in qubits)]
+        assert layers == [half + [[], [], []] if gate.arity == 1 else [[], [], *half]]
 
     # Gates built unchecked, as the pipeline builds them, with the exact text
     # each check raises: arity, a repeated qubit, and the range of each wire.
@@ -525,7 +538,7 @@ class TestGateKernels:
         bad = unchecked_circuit(3, [*good.layers, [_instruction(builtin(name), qubits)]])
         exact = f"^{re.escape(message)}$"
         with pytest.raises(ValueError, match=exact):
-            identity(3)._apply_gate(builtin(name), qubits)
+            append_gate(identity(3), builtin(name), qubits)
         with pytest.raises(ValueError, match=exact):
             from_circuit(bad)
         with pytest.raises(ValueError, match=exact):  # the half applied forwards
@@ -593,8 +606,7 @@ class TestGateKernels:
         t = random_rows(rng, 4)
         want = t.copy()
         interpret_rule(want, gate, (2, 0))
-        t._apply_gate(gate, (2, 0))
-        assert t == want
+        assert append_gate(t, gate, (2, 0)) == want
         gs = GateSet("named", gate, (builtin("S"), builtin("SQRT_X")))
         source = parse(WORKED_EXAMPLE_TEXT)
         res = compile_circuit(source, gs, frame_mode="fold")
