@@ -17,13 +17,21 @@ the parser, the compiler, the tableau, the reports and :func:`emit` read and
 write only the columns.
 
 The public :class:`Instruction` and :class:`Circuit` constructors check
-field types, arity, repeats, range and layer disjointness.  The parser reads
-a layer at a time.  A layer of ``_BULK_LINES`` or more lines as :func:`emit`
+field types, arity, repeats, range and layer disjointness.
+
+Qubit indices cross the text boundary through one table, ``str(q)`` for
+each q below some n and the dict back (:func:`_qubit_text`): on Python 3.11
+a dict lookup costs about a third of an ``int`` of the same digits, and
+indexing the tuple about half of formatting an ``int``.  The parser reads a
+layer at a time.  A layer of ``_BULK_LINES`` or more lines as :func:`emit`
 writes them, all of one arity, costs one regular-expression match, one split
-and one ``int`` map per target column for the whole layer.  Any other layer
-is read line by line: a canonical line costs a partition, a gate-table
-lookup, an ``int`` per target and an append per column, and any other line a
-split.  The parser and the compiler's stages skip the constructors' checks
+and one table map per target column for the whole layer (an ``int`` map for
+a column with a target the table lacks).  Any other layer is read line by
+line: a canonical line costs a partition, a gate-table lookup, a dict lookup
+per target (and an ``int`` for a target the table lacks) and an append per
+column, and any other line a split and an ``int`` per target.  :func:`emit` indexes the
+table per target, and ``compile --metadata`` writes its permutation from it.
+The parser and the compiler's stages skip the constructors' checks
 (:func:`_circuit`); the tableau checks each circuit the compiler builds once
 (:func:`tableau._checked`).
 """
@@ -216,9 +224,38 @@ def parse(text: str) -> Circuit:
         pos = following
     if start <= len(text):
         _read_lines(text[start:], lineno, layers, useds)
-    c = _circuit(1 + max(map(max, filter(None, useds)), default=-1), layers)
+    n = 1 + max(map(max, filter(None, useds)), default=-1)
+    _qubit_text(n, sum(map(len, useds)))
+    c = _circuit(n, layers)
     c.__dict__["_fault"] = None  # every gate was checked as read: tableau._checked skips it
     return c
+
+
+#: The decimal text of the qubits below some n, both ways: ``str(q)`` for each
+#: q, and the dict back to q.  Empty at import; rebound whole, never changed in
+#: place, by :func:`_qubit_text` alone, so a reader sees one whole table or
+#: another.  Two threads growing it at once may leave the smaller table bound;
+#: each uses the one it made, and a later parse or emit grows it again.
+_QUBIT_TEXT: tuple[tuple[str, ...], dict[str, int]] = ((), {})
+
+
+def _qubit_text(n: int, targets: int) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The table, first rebound to cover the qubits below n if it does not and
+    a circuit on n qubits holds ``targets`` >= n qubit targets, so that making
+    it costs no more than the reads or writes it saves: ``H 1000000`` never
+    grows it.  :func:`parse` calls this at its end, :func:`emit` at its start."""
+    global _QUBIT_TEXT
+    table = _QUBIT_TEXT
+    if len(table[0]) < n <= targets:
+        text = tuple(map(str, range(n)))
+        table = _QUBIT_TEXT = text, dict(zip(text, range(n)))
+    return table
+
+
+def _decimals(qubits: Iterable[int], n: int) -> Iterator[str]:
+    """``str(q)`` for each of the qubits, all below n: from the table if it covers n."""
+    text = _QUBIT_TEXT[0]
+    return map(text.__getitem__ if len(text) >= n else str, qubits)
 
 
 #: Fewest lines in a layer that :func:`parse` reads in bulk.  With column
@@ -240,19 +277,23 @@ _CANONICAL = {
 
 def _read_layer(chunk: str) -> tuple[list, set[int]] | None:
     """A layer of canonical lines of one arity as five columns, and its qubits:
-    one match, one split and one ``int`` map per target column; None for
-    any other layer, which :func:`_read_lines` then reads."""
+    one match, one split and one table map per target column (``int`` if the
+    table lacks a target); None for any other layer, which :func:`_read_lines`
+    then reads."""
     for arity, (pattern, names_of_arity) in _CANONICAL.items():
         if re.fullmatch(pattern, chunk):
             break
     else:
         return None
-    tokens = chunk.split()
-    names = tokens[::arity + 1]
+    tokens, step = chunk.split(), arity + 1
+    names = tokens[::step]
     if not names_of_arity.issuperset(names):
         return None
     try:
-        columns = [[*map(int, tokens[k::arity + 1])] for k in range(1, arity + 1)]
+        try:
+            columns = [[*map(_QUBIT_TEXT[1].__getitem__, tokens[k::step])] for k in range(1, step)]
+        except KeyError:  # a target the table lacks: a leading zero, or past the table
+            columns = [[*map(int, tokens[k::step])] for k in range(1, step)]
     except ValueError:  # past sys.get_int_max_str_digits()
         return None
     used = set(chain.from_iterable(columns))
@@ -266,37 +307,45 @@ def _read_lines(text: str, lineno: int, layers: list, useds: list) -> None:
     """Append the layers of ``text``, whose first line is line ``lineno``,
     reading line by line into five column lists per layer.  In ASCII text a
     canonical line (``NAME q``, ``NAME a b`` or ``TICK``) that reuses no
-    qubit is read at once; every other line (comments, tabs, ``\\r``, extra
-    spaces, several pairs, ``QUBIT_COORDS``, errors, targets ``int``
-    refuses) takes the general path."""
+    qubit is read at once, each target by a lookup in the qubit text table or,
+    for one the table lacks, by ``int``; every other line (comments, tabs,
+    ``\\r``, extra spaces, several pairs, ``QUBIT_COORDS``, errors, targets
+    ``int`` refuses) takes the general path."""
     ascii_text = text.isascii()
+    number = _QUBIT_TEXT[1].get  # a target's qubit from the table, or None
     layers.append(layer := [[], [], [], [], []])
     useds.append(used := set())
     for lineno, raw in enumerate(text.split("\n"), start=lineno):
         if ascii_text:  # the canonical lines emit writes: NAME q, NAME a b, TICK
             name, _, rest = raw.partition(" ")
             gate = _GATES.get(name)
-            try:
+            try:  # a target the table lacks (a leading zero, past it) is read by int
                 if gate is None:
                     if raw == "TICK":
                         layers.append(layer := [[], [], [], [], []])
                         useds.append(used := set())
                         continue
                 elif gate.arity == 1:
-                    if rest.isdigit() and (a := int(rest)) not in used:
+                    if (a := number(rest)) is None and rest.isdigit():
+                        a = int(rest)
+                    if a is not None and a not in used:
                         used.add(a)
                         layer[0].append(gate)
                         layer[1].append(a)
                         continue
                 else:
                     a, _, b = rest.partition(" ")
-                    if (a.isdigit() and b.isdigit() and (a := int(a)) != (b := int(b))
-                            and a not in used and b not in used):
-                        used.add(a)
-                        used.add(b)
+                    if (p := number(a)) is None and a.isdigit():
+                        p = int(a)
+                    if (q := number(b)) is None and b.isdigit():
+                        q = int(b)
+                    if (p is not None and q is not None and p != q
+                            and p not in used and q not in used):
+                        used.add(p)
+                        used.add(q)
                         layer[2].append(gate)
-                        layer[3].append(a)
-                        layer[4].append(b)
+                        layer[3].append(p)
+                        layer[4].append(q)
                         continue
             except ValueError:  # past sys.get_int_max_str_digits(): said below
                 pass
@@ -350,12 +399,17 @@ def emit(c: Circuit) -> str:
     """Emit dialect text; round-trips through :func:`parse` layer-exactly."""
     if c.is_empty():
         return ""
+    text = _qubit_text(c.n, sum(len(a1) + 2 * len(a2) for _, a1, _, a2, _ in c._columns))[0]
+    if len(text) < c.n:  # a table too short for c: the text of c's own qubits
+        text = {q: str(q) for layer in c._columns for q in chain(*layer[1::2], layer[4])}
     return "\nTICK\n".join([
-        "\n".join([f"{g.name} {a}" for g, a in zip(g1, a1)] if not g2
-                  else [f"{g.name} {a} {b}" for g, a, b in zip(g2, a2, b2)] if not g1
+        "\n".join([f"{g.name} {text[a]}" for g, a in zip(g1, a1)] if not g2
+                  else [f"{g.name} {text[a]} {text[b]}" for g, a, b in zip(g2, a2, b2)]
+                  if not g1
                   else [line for _, line in sorted(zip([*a1, *a2], [
-                      *(f"{g.name} {a}" for g, a in zip(g1, a1)),
-                      *(f"{g.name} {a} {b}" for g, a, b in zip(g2, a2, b2))]), key=_first)])
+                      *(f"{g.name} {text[a]}" for g, a in zip(g1, a1)),
+                      *(f"{g.name} {text[a]} {text[b]}" for g, a, b in zip(g2, a2, b2))]),
+                      key=_first)])
         for g1, a1, g2, a2, b2 in c._columns]) + "\n"
 
 

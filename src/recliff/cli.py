@@ -21,7 +21,7 @@ from typing import NoReturn
 
 from . import __version__
 from . import tableau as tb
-from .circuit import Circuit, ParseError, _widened, emit, parse
+from .circuit import Circuit, ParseError, _decimals, _widened, emit, parse
 from .circuit import expand_ecr as _expand_ecr_transform
 from .compiler import (FRAME_MODES, CompileError, VerificationError, compile_circuit,
                        compile_with_iswap_heuristic)
@@ -134,6 +134,18 @@ def _load_circuit(path: str, max_qubits: int | None = None) -> Circuit:
     return circuit
 
 
+def _metadata_json(meta: dict) -> str:
+    """``json.dumps(meta, indent=2)`` and a newline, with the n-entry permutation
+    written from the qubit text table: ``indent`` makes the encoder walk each
+    entry in Python."""
+    permutation = meta["permutation"]
+    text = json.dumps({**meta, "permutation": []}, indent=2) + "\n"
+    if not permutation:
+        return text
+    entries = ",\n    ".join(_decimals(permutation, len(permutation)))
+    return text.replace('\n  "permutation": []', f'\n  "permutation": [\n    {entries}\n  ]', 1)
+
+
 def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
                 expand_ecr, show_tableau, output, metadata_path, max_qubits):
     """Compile circuit files onto the target gateset."""
@@ -183,7 +195,7 @@ def cmd_compile(inputs, target, natives, frame_mode, iswap_heuristic,
             if expand_ecr:  # describe the circuit written, not the one certified
                 stats = report(circuit)
                 meta.update(output_counts=stats.counts, depth_out=stats.depth)
-            _write_text(metadata_path, json.dumps(meta, indent=2) + "\n")
+            _write_text(metadata_path, _metadata_json(meta))
 
 
 def cmd_verify(file_a, file_b, up_to_frame, up_to_permutation, max_qubits):
@@ -250,6 +262,37 @@ def cmd_compare(file_a, file_b, output):
     _write_text(output, compare_reports(rep_a, rep_b).to_json() + "\n")
 
 
+def _long_digits(text: str) -> str:
+    """The digits of a decimal integer that ``int`` refused, which it does only
+    past its limit (4,300 digits, leading zeros too); else argparse's usage
+    error for an ``int`` option."""
+    number = text.strip()
+    digits = number[1:] if number[:1] in ("+", "-") else number
+    if not digits.isdecimal():
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return digits
+
+
+def _integer(text: str) -> int:
+    """A ``generate`` count: ``int(text)``, or past its limit 2^64 with the
+    text's sign and parity, all that any check reads of a count that large;
+    every message words it ``2^64 or more``."""
+    try:
+        return int(text)
+    except ValueError:
+        parity = int(_long_digits(text)[-1]) % 2
+    return (2**64 + parity) * (-1 if text.strip()[0] == "-" else 1)
+
+
+def _seed(text: str) -> int:
+    """``--seed``: ``int(text)``; past its limit, one line and exit 2."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = _long_digits(text)
+    _fail(EXIT_PARSE, f"--seed: a value of {len(digits)} digits is too long")
+
+
 def _count(text: str) -> int:
     """The value of ``--max-qubits``: an integer >= 0."""
     try:
@@ -269,6 +312,7 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, add_help=False, allow_abbrev=False, **kwargs)
         self.add_argument("--help", action="help", help="Show this message and exit.")
         self.commands: dict[str, _Parser] = {}
+        self.intermixed = False  # positionals between options: parse_intermixed_args, 2x the time
 
     def command(self, name: str, run=None, doc: str | None = None) -> _Parser:
         """Add the subcommand ``name``, which calls ``run`` with its arguments."""
@@ -283,9 +327,9 @@ class _Parser(argparse.ArgumentParser):
         """The named command's arguments; help exits 0 and a usage error 2."""
         if args and args[0] in self.commands:
             return self.commands[args[0]].parse_command(args[1:])
-        if self.commands or "--" in args:  # parse_intermixed_args drops what follows "--"
-            return self.parse_args(args)
-        return self.parse_intermixed_args(args)
+        if self.intermixed and "--" not in args:  # it drops what follows "--"
+            return self.parse_intermixed_args(args)
+        return self.parse_args(args)
 
     def exit(self, status=0, message=None):
         _write_text(None, "")  # flush help or --version: a closed stdout exits 2 here too
@@ -324,12 +368,12 @@ def _parser() -> _Parser:
                               "any tableau is built.  [default: %(default)s]")
     g = top.command("generate", doc="Construct benchmark circuits.")
     s = g.command("surface-code", cmd_generate_surface)
-    s.add_argument("--distance", required=True, type=int)
+    s.add_argument("--distance", required=True, type=_integer)
     r = g.command("random-clifford", cmd_generate_random)
-    r.add_argument("--qubits", required=True, type=int)
-    r.add_argument("--entanglers", dest="layers", required=True, type=int,
+    r.add_argument("--qubits", required=True, type=_integer)
+    r.add_argument("--entanglers", dest="layers", required=True, type=_integer,
                    help="Number of entangler layers (floor(n/2) pairs each).")
-    r.add_argument("--seed", default=0, type=int, help="[default: %(default)s]")
+    r.add_argument("--seed", default=0, type=_seed, help="[default: %(default)s]")
     r.add_argument("--entangler", default="cx", choices=sorted(TARGET_ENTANGLERS))
     st = top.command("stats", cmd_stats)
     st.add_argument("input_path")
@@ -340,8 +384,8 @@ def _parser() -> _Parser:
         cmd.add_argument("file_b")
     for cmd in (s, r, st, cmp):
         cmd.add_argument("--output", "-o")
-    for cmd in (c, v, s, r, st, cmp):  # else parse_intermixed_args formats it on every call
-        cmd.usage = cmd.format_usage().removeprefix("usage: ")
+    c.intermixed = True  # its variadic inputs may come between its options
+    c.usage = c.format_usage().removeprefix("usage: ")  # else formatted on every call
     return top
 
 

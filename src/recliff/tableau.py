@@ -16,7 +16,8 @@ from its update rule.  :meth:`Tableau._apply_layers` applies a whole circuit,
 read as its layers' gate and qubit columns, in one loop; every builder here,
 and :func:`append_gate` for a single gate, goes through it.  A
 circuit's qubits are checked once, in one pass over its columns, before its
-first simulation or walk (:func:`_checked`); a circuit that
+first simulation or walk (:func:`_checked`): each gate's arity and range, and
+each layer's use of a qubit at most once; a circuit that
 :func:`circuit.parse` read is not, as the parser checked every gate.
 
 :func:`certify` checks two circuits through one map, a b^-1: a Pauli times
@@ -39,6 +40,7 @@ read-off (:func:`_pauli`).  The generator-major views (:meth:`Tableau.images`,
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .pauli import PauliProduct, commutes
@@ -304,8 +306,9 @@ def _kernel_step(kernel_a: Callable[..., int], kernel_b_inv: Callable[..., int],
 
 
 def _fault(n: int, layers: Iterable[Sequence[Sequence]]) -> str | None:
-    """What is wrong with the first bad gate of the layers (:func:`_gate_fault`),
-    or None, in one pass over each layer's columns."""
+    """What is wrong with the first bad layer: its first bad gate
+    (:func:`_gate_fault`), else the first qubit it uses twice, as
+    ``Circuit(...)`` words it; or None, in one pass over each layer's columns."""
     for g1, a1, g2, a2, b2 in layers:
         if g1:  # an entangler layer has no single-qubit column to zip
             for gate, a in zip(g1, a1):
@@ -315,6 +318,12 @@ def _fault(n: int, layers: Iterable[Sequence[Sequence]]) -> str | None:
             for gate, a, b in zip(g2, a2, b2):
                 if gate.arity != 2 or a == b or not (0 <= a < n and 0 <= b < n):
                     return _gate_fault(n, gate, (a, b))
+        if len({*a1, *a2, *b2}) < len(a1) + 2 * len(a2):
+            seen: set[int] = set()
+            for q in chain(a1, *zip(a2, b2)):
+                if q in seen:
+                    return f"qubit {q} used twice in one layer"
+                seen.add(q)
     return None
 
 

@@ -1,7 +1,11 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,8 @@ from conftest import (
     HUGE_TARGETS, WORKED_EXAMPLE_TEXT, dialect_texts, mutated_texts, oracle_parse,
 )
 from test_golden import golden_sources
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # The parser and emitter as they were before the one-lookup-per-line
@@ -664,3 +670,111 @@ class TestLayerAtATime:
         got = parse(text)
         assert (got.n, got.layers) == (want.n, want.layers)
         assert [len(layer) for layer in got.layers] == [_BULK_LINES] * 3
+
+
+# Texts on qubits 0-79 (n = 80 when valid) for the qubit text table: a bulk
+# layer of each arity, short layers read line by line, leading zeros,
+# QUBIT_COORDS, CRLF and errors inside both kinds of layer.
+_ONES = [f"{('H', 'S', 'SQRT_X')[q % 3]} {q}" for q in range(80)]
+_PAIRS = [f"{('CX', 'CZ', 'ISWAP')[q % 3]} {2 * q} {2 * q + 1}" for q in range(40)]
+_TABLE_TEXTS = {
+    "bulk and per-line": "\n".join(_ONES) + "\nTICK\n" + "\n".join(_PAIRS)
+                         + "\nTICK\nH 3\nCX 79 5\nTICK\nS 0\n",
+    "leading zeros": "\n".join(_ONES[:40] + ["H 040", "H 0079"] + _ONES[42:79])
+                     + "\nTICK\nCX 003 07\nH 00\n",
+    "qubit coords": "QUBIT_COORDS(1, 2) 79\n" + "\n".join(_ONES[:50])
+                    + "\nQUBIT_COORDS(0) 3\n" + "\n".join(_ONES[50:])
+                    + "\nTICK\nQUBIT_COORDS 100\nCX 1 79\n",
+    "crlf": ("\n".join(_ONES) + "\nTICK\n" + "\n".join(_PAIRS) + "\nTICK\nCX 79 0\n")
+            .replace("\n", "\r\n"),
+    "reuse in a bulk layer": "\n".join(_ONES[:60] + ["H 7"] + _ONES[60:]) + "\n",
+    "reuse per line": "\n".join(_ONES) + "\nTICK\nCX 79 5\nH 5\n",
+    "huge target in a bulk layer": "\n".join(_ONES[:70] + [f"H {HUGE_TARGETS[1]}"]) + "\n",
+    "malformed per line": "\n".join(_PAIRS) + "\nTICK\nH 79\nCX 1 x\n",
+}
+
+
+def table_of(monkeypatch, size: int) -> None:
+    """Make the qubit text table cover exactly the qubits below ``size``."""
+    monkeypatch.setattr(circuit_module, "_QUBIT_TEXT", ((), {}))
+    circuit_module._qubit_text(size, size)
+    assert len(circuit_module._QUBIT_TEXT[0]) == len(circuit_module._QUBIT_TEXT[1]) == size
+
+
+class TestQubitTextTable:
+    """parse and emit read and write qubit indices through one table of
+    ``str(q)``; what they give never depends on what the table holds."""
+
+    @pytest.mark.parametrize("size", [0, 79, 80], ids=["empty", "one short", "exact"])
+    @pytest.mark.parametrize("name", sorted(_TABLE_TEXTS))
+    def test_same_result_whatever_the_table_holds(self, monkeypatch, name, size):
+        text = _TABLE_TEXTS[name]
+        want = outcome(oracle_parse, text)
+        table_of(monkeypatch, size)
+        got = outcome(parse, text)
+        if not isinstance(want, Circuit):
+            assert got == want and want[0] is ParseError
+            return
+        assert isinstance(got, Circuit) and (got.n, got.layers) == (want.n, want.layers)
+        assert want.n == 80
+        assert len(circuit_module._QUBIT_TEXT[0]) == 80  # grown by the parse
+        table_of(monkeypatch, size)
+        assert emit(got) == reference_emit(want)
+
+    def test_every_qubit_of_the_table_reads_back(self, monkeypatch):
+        table_of(monkeypatch, 0)
+        c = parse("\n".join(_ONES) + "\n")
+        text, numbers = circuit_module._QUBIT_TEXT
+        assert text == tuple(map(str, range(80)))
+        assert numbers == {str(q): q for q in range(80)}
+        assert emit(c) == "\n".join(_ONES) + "\n"
+
+    def test_empty_after_import(self):
+        code = ("import recliff.cli, recliff.circuit as c; "
+                "print(len(c._QUBIT_TEXT[0]), len(c._QUBIT_TEXT[1]))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert out.stdout == "0 0\n"
+
+    @pytest.mark.parametrize("size", [0, 10])
+    def test_few_targets_on_many_qubits_do_not_grow_it(self, monkeypatch, size):
+        table_of(monkeypatch, size)
+        table = circuit_module._QUBIT_TEXT
+        c = parse("H 1000000\n")
+        assert c.n == 1000001 and emit(c) == "H 1000000\n"
+        assert parse("CX 3 1000\nTICK\nH 1000\n").n == 1001
+        assert emit(Circuit(1001, [[Instruction(builtin("CX"), (1000, 7))]])) == "CX 1000 7\n"
+        assert circuit_module._QUBIT_TEXT is table
+
+    def test_threads_of_different_sizes(self, monkeypatch):
+        """Four threads parse and emit circuits of 10 to 1,500 qubits while each
+        grows the table: every result is exact."""
+        table_of(monkeypatch, 0)
+        texts = [emit(random_clifford_circuit(RandomCircuitSpec(size, 3, size, builtin("CX"))))
+                 for size in (10, 150, 700, 1500)]
+        wants = [oracle_parse(text) for text in texts]
+        start, wrong = threading.Barrier(len(texts)), []
+
+        def work(text, want):
+            start.wait()
+            for _ in range(15):
+                got = parse(text)
+                if (got.n, got._columns) != (want.n, want._columns) or emit(got) != text:
+                    wrong.append(want.n)
+                text_of, number = circuit_module._QUBIT_TEXT  # maybe another thread's
+                if (len(number) != len(text_of)
+                        or text_of and number[text_of[-1]] != len(number) - 1):
+                    wrong.append("a partial table")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=pair) for pair in zip(texts, wants)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import itertools
 import json
@@ -133,6 +134,27 @@ class TestCompileCommand:
         r = invoke(runner, "verify", str(out), str(src), "--up-to-frame")
         assert r.output == f"equivalent up to frame {data['frame']}\n"
         assert r.exit_code == 0
+
+    @pytest.mark.parametrize("text,args", [
+        (emit(surface_code_syndrome_extraction(SurfaceCodeSpec(5))), ["--target", "ecr"]),
+        (emit(surface_code_syndrome_extraction(SurfaceCodeSpec(5))),
+         ["--target", "iswap", "--iswap-heuristic"]),
+        ("", ["--target", "cz"]),
+        ("H 40000\nTICK\nS 40000\n", ["--target", "ecr", "--max-qubits", "40001"]),
+    ], ids=["d5 report", "d5 iswap heuristic", "empty", "past the table"])
+    def test_metadata_is_the_encoders_text(self, runner, tmp_path, text, args):
+        """The permutation is spliced in from the qubit text table: the file is
+        byte for byte what ``json.dumps(..., indent=2)`` writes."""
+        src, out, meta = tmp_path / "src.stim", tmp_path / "out.stim", tmp_path / "meta.json"
+        src.write_text(text)
+        r = invoke(runner, "compile", *args, str(src), "-o", str(out), "--metadata", str(meta))
+        assert r.exit_code == 0, r.output
+        written = meta.read_text()
+        data = json.loads(written)
+        assert written == json.dumps(data, indent=2) + "\n"
+        assert sorted(data["permutation"]) == list(range(parse(text).n))
+        if not text:
+            assert '\n  "permutation": [],\n' in written
 
     def test_stdout_output(self, runner, tmp_path):
         src = tmp_path / "src.stim"
@@ -787,6 +809,25 @@ class TestArgumentSpellings:
         r = invoke(runner, "verify", src, "--up-to-frame", src)
         assert (r.exit_code, r.output) == (0, "equivalent up to frame +I\n")
 
+    def test_only_compile_parses_intermixed(self, runner, tmp_path, monkeypatch):
+        """``verify a.stim --up-to-frame b.stim`` parses with plain ``parse_args``:
+        only compile's variadic inputs need ``parse_intermixed_args``."""
+        a, b = tmp_path / "a.stim", tmp_path / "b.stim"
+        a.write_text("CX 0 1\n")
+        b.write_text("CX 0 1\nTICK\nX 1\n")
+        calls = []
+        intermixed = argparse.ArgumentParser.parse_intermixed_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_intermixed_args",
+                            lambda self, *args: calls.append(self.prog) or intermixed(self, *args))
+        r = invoke(runner, "verify", str(a), "--up-to-frame", str(b))
+        assert (r.exit_code, r.output) == (0, "equivalent up to frame +X1\n")
+        r = invoke(runner, "stats", str(a), "--format", "csv")
+        assert (r.exit_code, r.output) == (0, "name,count\nCX,1\n")
+        assert calls == []
+        r = invoke(runner, "compile", str(a), "--target", "ecr", "-o", str(tmp_path / "o.stim"))
+        assert r.exit_code == 0, r.output
+        assert calls == ["recliff compile"]
+
     def test_double_dash_ends_options(self, runner, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         Path("-x.stim").write_text("CX 0 1\n")
@@ -994,6 +1035,45 @@ class TestGenerateSizeGuard:
         as ``_load_circuit`` words a huge qubit count."""
         r = invoke(runner, "generate", *args)
         assert (r.exit_code, r.output) == (3, f"error: {message}\n")
+
+    @pytest.mark.parametrize("args,message", [
+        (["surface-code", "--distance", "1" * 4301],
+         "2^64 or more qubits exceeds the limit of 32768"),
+        (["surface-code", "--distance", "2" * 4301], "distance must be an odd integer >= 3"),
+        (["surface-code", "--distance", "-" + "1" * 4301],
+         "distance must be an odd integer >= 3"),
+        (["random-clifford", "--qubits", "1" * 4301, "--entanglers", "2"],
+         "2^64 or more qubits exceeds the limit of 32768"),
+        (["random-clifford", "--qubits", "8", "--entanglers", "1" * 4301],
+         "8 qubits and 2^64 or more entangler layers exceed the limit of 1048576 gates"),
+        (["random-clifford", "--qubits", "8", "--entanglers", "-" + "1" * 4301],
+         "entangler layer count must be non-negative"),
+    ], ids=["distance", "even distance", "negative distance", "qubits", "entanglers",
+            "negative entanglers"])
+    def test_counts_past_the_int_limit_name_the_limit(self, runner, args, message):
+        """A count that ``int`` refuses for its 4,301 digits gets the line that a
+        4,300-digit one gets, not argparse's usage and every digit echoed."""
+        r = invoke(runner, "generate", *args)
+        assert (r.exit_code, r.output) == (3, f"error: {message}\n")
+        assert len(r.output.encode()) < 200
+
+    def test_seed_past_the_int_limit_is_refused_in_one_line(self, runner, tmp_path):
+        out = tmp_path / "r.stim"
+        r = invoke(runner, "generate", "random-clifford", "--qubits", "8", "--entanglers", "2",
+                   "--seed", "1" * 4301, "-o", str(out))
+        assert (r.exit_code, r.output) == (2, "--seed: a value of 4301 digits is too long\n")
+        assert not out.exists()
+        with pytest.raises(self.Built):
+            invoke(runner, "generate", "random-clifford", "--qubits", "8", "--entanglers", "2",
+                   "--seed", "1" * 4300, "-o", str(out))
+
+    @pytest.mark.parametrize("option", ["--qubits", "--seed"])
+    @pytest.mark.parametrize("value", ["1" * 4300 + "x", "x", "+-1"])
+    def test_other_invalid_integers_keep_the_usage_error(self, runner, option, value):
+        r = invoke(runner, "generate", "random-clifford", "--qubits", "8", "--entanglers", "2",
+                   option, value)
+        assert r.exit_code == 2
+        assert r.output.endswith(f"argument {option}: invalid int value: {value!r}\n")
 
     def test_invalid_distance_still_named(self, runner):
         r = invoke(runner, "generate", "surface-code", "--distance", "-200")

@@ -593,6 +593,38 @@ class TestGateKernels:
         with pytest.raises(ValueError, match="^qubit 5 out of range for n=3$"):
             certify(other, bad)
 
+    @staticmethod
+    def entangler_layers(*layers):
+        """A 3-qubit circuit built through ``circuit._circuit`` from entangler
+        layers, each a list of (name, a, b): no check sees a reused qubit."""
+        return _circuit(3, [[[], [], [builtin(name) for name, _, _ in layer],
+                             [a for _, a, _ in layer], [b for _, _, b in layer]]
+                            for layer in layers])
+
+    @pytest.mark.parametrize("a,b,message", [
+        ([[("SQRT_XX", 2, 0)], [("CX", 2, 1)], [("CX", 1, 2), ("CX", 2, 0)]],
+         [[("SQRT_XX", 2, 0)], [("CX", 2, 1)], [("CXSWAP", 1, 2), ("CXSWAP", 2, 0)]],
+         "qubit 2 used twice in one layer"),
+        ([[("CXSWAP", 0, 1), ("CX", 1, 2)]], [[("CXSWAP", 0, 1), ("CX", 1, 2)]],
+         "qubit 1 used twice in one layer"),
+    ], ids=["three layers", "one layer"])
+    def test_certify_refuses_a_qubit_used_twice_in_a_layer(self, monkeypatch, a, b, message):
+        """A layer that uses a qubit twice is refused, in ``Circuit(...)``'s words,
+        before any n-qubit tableau; the walk once accepted the first pair with
+        no permutation and the second against itself."""
+        def refuse(n):
+            raise AssertionError("a tableau was built")
+
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Circuit(3, [[Instruction(builtin(name), (p, q)) for name, p, q in a[-1]]])
+        monkeypatch.setattr(tb, "identity", refuse)
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                certify(self.entangler_layers(*x), self.entangler_layers(*y))
+        good = self.entangler_layers([("CX", 0, 1)])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            certify(good, self.entangler_layers(*b))
+
     def test_gate_name_never_reaches_kernel_source(self):
         name = "x'); import os; ('"
         cz = identity(2)
