@@ -11,7 +11,10 @@ target longer than Python converts from text (4,300 digits) is an error.
 A circuit stores each layer as five columns, as Stim stores a gate with a
 flat list of targets: the single-qubit gates and an ``int`` column of their
 qubits, then the two-qubit gates and ``int`` columns of their first and
-second qubits, each half in order of first qubits (:func:`_circuit`).
+second qubits, each half in order of first qubits (:func:`_circuit`).  A
+half that holds one gate, as a surface-code layer does, is sorted by its
+qubit columns alone, in about half the time of sorting its rows at d = 25,
+and a bulk-read one writes its gate column as one repeated gate.
 :attr:`Circuit.layers` builds its :class:`Instruction` tuples on first read;
 the parser, the compiler, the tableau, the reports and :func:`emit` read and
 write only the columns.
@@ -167,13 +170,24 @@ def _circuit(n: int, layers: Iterable[list[list]]) -> Circuit:
     the single-qubit gates and their qubits, the two-qubit gates and their
     first and second qubits.  Drops empty layers and sorts each half of a
     layer in place by its first-qubit column, which sets the order on
-    disjoint qubits, when that column is out of order; checks nothing."""
+    disjoint qubits, when that column is out of order; checks nothing.  A
+    half of one gate sorts its qubit columns alone: the sorted first column,
+    and the second gathered through a dict when the first holds no repeat.
+    A surface-code round's (d = 25) sorts take about half the time of
+    sorting (gate, qubits) rows, which other halves still do."""
     kept = [layer for layer in layers if layer[0] or layer[2]]
     for layer in kept:
-        if len(layer[1]) > 1 and layer[1] != sorted(layer[1]):
-            layer[:2] = map(list, zip(*sorted(zip(*layer[:2]), key=_second)))
-        if len(layer[3]) > 1 and layer[3] != sorted(layer[3]):
-            layer[2:] = map(list, zip(*sorted(zip(*layer[2:]), key=_second)))
+        g1, a1, g2, a2, b2 = layer
+        if len(a1) > 1 and a1 != (s := sorted(a1)):
+            if g1.count(g1[0]) == len(g1):
+                layer[1] = s
+            else:
+                layer[:2] = map(list, zip(*sorted(zip(g1, a1), key=_second)))
+        if len(a2) > 1 and a2 != (s := sorted(a2)):
+            if g2.count(g2[0]) == len(g2) and len(second := dict(zip(a2, b2))) == len(a2):
+                layer[3:] = s, [*map(second.__getitem__, s)]
+            else:
+                layer[2:] = map(list, zip(*sorted(zip(g2, a2, b2), key=_second)))
     c = _new(Circuit)
     c.__dict__.update(n=n, _columns=tuple(kept))
     return c
@@ -299,7 +313,8 @@ def _read_layer(chunk: str) -> tuple[list, set[int]] | None:
     used = set(chain.from_iterable(columns))
     if len(used) != arity * len(names):  # a qubit reused, maybe within a pair
         return None
-    half = [[*map(_GATES.__getitem__, names)], *columns]
+    half = [[_GATES[names[0]]] * len(names) if names.count(names[0]) == len(names)
+            else [*map(_GATES.__getitem__, names)], *columns]
     return (half + [[], [], []] if arity == 1 else [[], [], *half]), used
 
 

@@ -262,14 +262,14 @@ def cmd_compare(file_a, file_b, output):
     _write_text(output, compare_reports(rep_a, rep_b).to_json() + "\n")
 
 
-def _long_digits(text: str) -> str:
+def _long_digits(text: str, error: str = "invalid int value: {!r}") -> str:
     """The digits of a decimal integer that ``int`` refused, which it does only
     past its limit (4,300 digits, leading zeros too); else argparse's usage
-    error for an ``int`` option."""
+    error, ``error`` with the text."""
     number = text.strip()
     digits = number[1:] if number[:1] in ("+", "-") else number
     if not digits.isdecimal():
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise argparse.ArgumentTypeError(error.format(text))
     return digits
 
 
@@ -294,13 +294,16 @@ def _seed(text: str) -> int:
 
 
 def _count(text: str) -> int:
-    """The value of ``--max-qubits``: an integer >= 0."""
+    """The value of ``--max-qubits``: an integer >= 0; past ``int``'s limit, one
+    line and exit 2."""
+    error = "{!r} is not an integer >= 0"
     try:
         if int(text) >= 0:
             return int(text)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+        digits = _long_digits(text, error)
+        _fail(EXIT_PARSE, f"--max-qubits: a value of {len(digits)} digits is too long")
+    raise argparse.ArgumentTypeError(error.format(text))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +30,13 @@ from recliff import (
     two_qubit_count,
 )
 import recliff.circuit as circuit_module
-from recliff.circuit import _BULK_LINES, DIALECT_GATES, _instruction
+import recliff.tableau as tableau_module
+from recliff.circuit import _BULK_LINES, DIALECT_GATES, _circuit, _instruction
+from recliff.tableau import certify
 
 from conftest import (
-    HUGE_TARGETS, WORKED_EXAMPLE_TEXT, dialect_texts, mutated_texts, oracle_parse,
+    GATES_1Q, GATES_2Q, HUGE_TARGETS, WORKED_EXAMPLE_TEXT, dialect_texts, mutated_texts,
+    oracle_parse, unchecked_circuit,
 )
 from test_golden import golden_sources
 
@@ -778,3 +782,97 @@ class TestQubitTextTable:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
+
+
+# A layer whose half holds one gate is put in qubit order by its qubit columns
+# alone (circuit._circuit); a mixed half by (gate, qubits) rows.  Either way the
+# order is that of Circuit.layers, and every entry is kept.
+
+_first = itemgetter(0)
+_HALVES = ("one 1q", "one 2q", "mixed 1q", "mixed 2q", "both")
+
+
+@st.composite
+def layer_shapes(draw):
+    """Per layer, a gate count on both sides of ``_BULK_LINES`` and a kind of
+    halves; and a seed that draws the gates and qubits and shuffles the lines."""
+    shapes = draw(st.lists(st.tuples(
+        st.one_of(st.integers(1, 2 * _BULK_LINES), st.integers(1, 600)),
+        st.sampled_from(_HALVES)), min_size=1, max_size=3))
+    return shapes, draw(st.integers(0, 2**32))
+
+
+def shaped_layers(shapes, rng: random.Random) -> tuple[int, list[list[Instruction]]]:
+    n = 2 * max(k for k, _ in shapes) + rng.randrange(3)
+    layers = []
+    for k, kind in shapes:
+        one_1q, one_2q = builtin(rng.choice(GATES_1Q)), builtin(rng.choice(GATES_2Q))
+        free = rng.sample(range(n), n)
+        layer = []
+        for _ in range(k):
+            if kind == "one 1q" or kind == "one 2q":
+                gate = one_1q if kind == "one 1q" else one_2q
+            else:
+                arity = {"mixed 1q": 1, "mixed 2q": 2}.get(kind) or rng.choice((1, 2))
+                gate = builtin(rng.choice(GATES_1Q if arity == 1 else GATES_2Q))
+            layer.append(Instruction(gate, tuple(free.pop() for _ in range(gate.arity))))
+        layers.append(layer)
+    return n, layers
+
+
+def half_rows(c: Circuit) -> list:
+    """Each layer's halves as (gate, qubits) rows, in column order."""
+    return [([*zip(g1, zip(a1))], [*zip(g2, zip(a2, b2))]) for g1, a1, g2, a2, b2 in c._columns]
+
+
+class TestOneGateSort:
+    @settings(max_examples=60, deadline=None)
+    @given(layer_shapes())
+    def test_shuffled_lines_parse_to_the_columns_of_emit(self, case):
+        shapes, seed = case
+        rng = random.Random(seed)
+        c = Circuit(*shaped_layers(shapes, rng))
+        text = emit(c)
+        chunks = [chunk.splitlines() for chunk in text.split("TICK\n")]
+        for lines in chunks:
+            rng.shuffle(lines)
+        shuffled = parse("TICK\n".join("\n".join(lines) + "\n" for lines in chunks))
+        read = parse(text)
+        assert shuffled._columns == read._columns == c._columns
+        assert emit(shuffled) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(layer_shapes())
+    def test_column_order_is_the_order_of_layers(self, case):
+        shapes, seed = case
+        rng = random.Random(seed)
+        n, layers = shaped_layers(shapes, rng)
+        for layer in layers:
+            rng.shuffle(layer)
+        for c in (Circuit(n, layers), unchecked_circuit(n, layers)):
+            assert c.layers == tuple(tuple(sorted(layer, key=lambda inst: inst.qubits))
+                                     for layer in layers)
+            assert half_rows(c) == [
+                ([(inst.gate, inst.qubits) for inst in layer if len(inst.qubits) == 1],
+                 [(inst.gate, inst.qubits) for inst in layer if len(inst.qubits) == 2])
+                for layer in c.layers]
+
+    @pytest.mark.parametrize("k", [3, 4, _BULK_LINES + 1])
+    def test_repeated_first_qubit_keeps_every_pair(self, k):
+        """A one-gate two-qubit half that uses its first qubit 3 twice: both pairs
+        stay, in the order given, and the tableau names the qubit."""
+        cx = builtin("CX")
+        a2 = [2 * k + 1 - q for q in range(k - 2)] + [3, 3]
+        b2 = [2 * k + 2 + q for q in range(k)]
+        c = _circuit(4 * k, [[[], [], [cx] * k, list(a2), list(b2)]])
+        rows = sorted(zip(a2, b2), key=_first)
+        assert c._columns == ([[], [], [cx] * k, [a for a, _ in rows], [b for _, b in rows]],)
+        assert tableau_module._fault(c.n, c._columns) == "qubit 3 used twice in one layer"
+        with pytest.raises(ValueError, match="^qubit 3 used twice in one layer$"):
+            certify(c, c)
+
+    def test_repeated_qubit_in_a_one_gate_single_qubit_half_is_kept(self):
+        h = builtin("H")
+        c = _circuit(8, [[[h] * 4, [5, 3, 7, 3], [], [], []]])
+        assert c._columns == ([[h] * 4, [3, 3, 5, 7], [], [], []],)
+        assert tableau_module._fault(c.n, c._columns) == "qubit 3 used twice in one layer"

@@ -421,6 +421,39 @@ class TestVerifyWork:
         code, out = run_verify(parse("CX 0 1\nTICK\nCX 0 1"), parse(""), flags)
         assert (code, built) == (0, [2]), out
 
+    @pytest.mark.parametrize("target", [["ecr"], ["iswap", "--iswap-heuristic"]],
+                             ids=["ecr", "iswap-heuristic"])
+    def test_out_of_order_source_stays_on_the_walk(self, runner, tmp_path, monkeypatch,
+                                                   target):
+        """A d = 5 round with each layer's lines reversed compiles to the emitted
+        round's output and metadata, byte for byte, and that output verifies
+        against the reversed round wire by wire, with no n-qubit tableau."""
+        import recliff.tableau
+
+        text = emit(surface_code_syndrome_extraction(SurfaceCodeSpec(5)))
+        backwards = "TICK\n".join("".join(chunk.splitlines(keepends=True)[::-1])
+                                  for chunk in text.split("TICK\n"))
+        assert backwards != text and sorted(backwards) == sorted(text)
+        written = []
+        for name, source in (("emitted", text), ("reversed", backwards)):
+            work = tmp_path / name
+            work.mkdir()
+            monkeypatch.chdir(work)
+            Path("d5.stim").write_text(source)
+            r = invoke(runner, "compile", "--target", *target, "d5.stim", "-o", "out.stim",
+                       "--metadata", "meta.json")
+            assert r.exit_code == 0, r.output
+            written.append((Path("out.stim").read_bytes(), Path("meta.json").read_bytes()))
+        assert written[0] == written[1]
+
+        def refuse(n):
+            raise AssertionError(f"a {n}-qubit tableau was built")
+
+        monkeypatch.setattr(recliff.tableau, "identity", refuse)
+        crossed = ["--up-to-permutation"] if "--iswap-heuristic" in target else []
+        r = invoke(runner, "verify", "--up-to-frame", *crossed, "out.stim", "d5.stim")
+        assert r.exit_code == 0 and r.output.startswith("equivalent up to frame"), r.output
+
 
     def test_widened_circuits_keep_the_parsers_verdict(self, runner, tmp_path, monkeypatch):
         """Verify reads a smaller circuit on the larger qubit count; each
@@ -952,6 +985,29 @@ class TestArgumentsCheckedBeforeInput:
         assert not list(tmp_path.iterdir())
         if "abc" in args:  # the message names the option's rule, not a private name
             assert r.stderr.endswith("argument --max-qubits: 'abc' is not an integer >= 0\n")
+
+    @pytest.mark.parametrize("command", [("compile", "--target", "ecr", "a.stim"),
+                                         ("verify", "a.stim", "a.stim")],
+                             ids=["compile", "verify"])
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    def test_max_qubits_past_the_int_limit_is_refused_in_one_line(
+            self, runner, tmp_path, monkeypatch, no_reads, command, sign):
+        """A value that ``int`` refuses for its 4,301 digits: one line that names the
+        option and the digit count, not argparse's usage with every digit echoed."""
+        monkeypatch.chdir(tmp_path)
+        r = invoke(runner, *command, "--max-qubits", sign + "1" * 4301)
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == "--max-qubits: a value of 4301 digits is too long\n"
+        assert len(r.stderr.encode()) < 200
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    def test_max_qubits_of_4300_digits_is_a_limit(self, runner, tmp_path, command):
+        src = tmp_path / "a.stim"
+        src.write_text("CX 0 1\n")
+        args = ["--target", "ecr", str(src)] if command == "compile" else [str(src), str(src)]
+        r = invoke(runner, command, "--max-qubits", "1" * 4300, *args)
+        assert r.exit_code == 0, r.output
 
     def test_metadata_on_stdout_with_output_file(self, runner, tmp_path):
         src, out = tmp_path / "a.stim", tmp_path / "a.ecr.stim"
