@@ -262,48 +262,26 @@ def cmd_compare(file_a, file_b, output):
     _write_text(output, compare_reports(rep_a, rep_b).to_json() + "\n")
 
 
-def _long_digits(text: str, error: str = "invalid int value: {!r}") -> str:
-    """The digits of a decimal integer that ``int`` refused, which it does only
-    past its limit (4,300 digits, leading zeros too); else argparse's usage
-    error, ``error`` with the text."""
-    number = text.strip()
-    digits = number[1:] if number[:1] in ("+", "-") else number
-    if not digits.isdecimal():
+def _integer(option: str, nonnegative: bool = False):
+    """The argparse ``type`` of ``option``: ``int(text)``, at least 0 if
+    ``nonnegative``.  ``int`` refuses a value in its own syntax only past its
+    limit (4,300 digits, counting leading zeros but not ``_``): one line and exit 2,
+    not argparse's usage with every digit echoed.  Any other bad value is that usage."""
+    error = "{!r} is not an integer >= 0" if nonnegative else "invalid int value: {!r}"
+
+    def read(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= 0 or not nonnegative:
+                return value
+        except ValueError:
+            number = text.strip()
+            groups = (number[1:] if number[:1] in ("+", "-") else number).split("_")
+            if all(map(str.isdecimal, groups)):
+                digits = sum(map(len, groups))
+                _fail(EXIT_PARSE, f"{option}: a value of {digits} digits is too long")
         raise argparse.ArgumentTypeError(error.format(text))
-    return digits
-
-
-def _integer(text: str) -> int:
-    """A ``generate`` count: ``int(text)``, or past its limit 2^64 with the
-    text's sign and parity, all that any check reads of a count that large;
-    every message words it ``2^64 or more``."""
-    try:
-        return int(text)
-    except ValueError:
-        parity = int(_long_digits(text)[-1]) % 2
-    return (2**64 + parity) * (-1 if text.strip()[0] == "-" else 1)
-
-
-def _seed(text: str) -> int:
-    """``--seed``: ``int(text)``; past its limit, one line and exit 2."""
-    try:
-        return int(text)
-    except ValueError:
-        digits = _long_digits(text)
-    _fail(EXIT_PARSE, f"--seed: a value of {len(digits)} digits is too long")
-
-
-def _count(text: str) -> int:
-    """The value of ``--max-qubits``: an integer >= 0; past ``int``'s limit, one
-    line and exit 2."""
-    error = "{!r} is not an integer >= 0"
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        digits = _long_digits(text, error)
-        _fail(EXIT_PARSE, f"--max-qubits: a value of {len(digits)} digits is too long")
-    raise argparse.ArgumentTypeError(error.format(text))
+    return read
 
 
 class _Parser(argparse.ArgumentParser):
@@ -366,17 +344,18 @@ def _parser() -> _Parser:
                    help="Accept a wire relabelling, read off the certificate; "
                         "print the permutation witness.")
     for cmd in (c, v):
-        cmd.add_argument("--max-qubits", default=DEFAULT_MAX_QUBITS, type=_count,
+        cmd.add_argument("--max-qubits", default=DEFAULT_MAX_QUBITS,
+                         type=_integer("--max-qubits", nonnegative=True),
                          help="Refuse inputs with more qubits (1 + the largest index) before "
                               "any tableau is built.  [default: %(default)s]")
     g = top.command("generate", doc="Construct benchmark circuits.")
     s = g.command("surface-code", cmd_generate_surface)
-    s.add_argument("--distance", required=True, type=_integer)
+    s.add_argument("--distance", required=True, type=_integer("--distance"))
     r = g.command("random-clifford", cmd_generate_random)
-    r.add_argument("--qubits", required=True, type=_integer)
-    r.add_argument("--entanglers", dest="layers", required=True, type=_integer,
+    r.add_argument("--qubits", required=True, type=_integer("--qubits"))
+    r.add_argument("--entanglers", dest="layers", required=True, type=_integer("--entanglers"),
                    help="Number of entangler layers (floor(n/2) pairs each).")
-    r.add_argument("--seed", default=0, type=_seed, help="[default: %(default)s]")
+    r.add_argument("--seed", default=0, type=_integer("--seed"), help="[default: %(default)s]")
     r.add_argument("--entangler", default="cx", choices=sorted(TARGET_ENTANGLERS))
     st = top.command("stats", cmd_stats)
     st.add_argument("input_path")

@@ -36,6 +36,22 @@ from conftest import (
 )
 
 
+#: Each integer option on each command that takes it, with the command's other
+#: arguments; a command that writes a file writes out.stim.
+INTEGER_OPTIONS = {
+    "distance": ("--distance", ("generate", "surface-code", "-o", "out.stim")),
+    "qubits": ("--qubits", ("generate", "random-clifford", "--entanglers", "2",
+                            "-o", "out.stim")),
+    "entanglers": ("--entanglers", ("generate", "random-clifford", "--qubits", "8",
+                                    "-o", "out.stim")),
+    "seed": ("--seed", ("generate", "random-clifford", "--qubits", "8", "--entanglers", "2",
+                        "-o", "out.stim")),
+    "compile-max-qubits": ("--max-qubits", ("compile", "--target", "ecr", "a.stim",
+                                            "-o", "out.stim")),
+    "verify-max-qubits": ("--max-qubits", ("verify", "a.stim", "a.stim")),
+}
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -986,19 +1002,42 @@ class TestArgumentsCheckedBeforeInput:
         if "abc" in args:  # the message names the option's rule, not a private name
             assert r.stderr.endswith("argument --max-qubits: 'abc' is not an integer >= 0\n")
 
-    @pytest.mark.parametrize("command", [("compile", "--target", "ecr", "a.stim"),
-                                         ("verify", "a.stim", "a.stim")],
-                             ids=["compile", "verify"])
+    @pytest.mark.parametrize("option,args", INTEGER_OPTIONS.values(), ids=INTEGER_OPTIONS)
     @pytest.mark.parametrize("sign", ["", "+", "-"])
-    def test_max_qubits_past_the_int_limit_is_refused_in_one_line(
-            self, runner, tmp_path, monkeypatch, no_reads, command, sign):
-        """A value that ``int`` refuses for its 4,301 digits: one line that names the
-        option and the digit count, not argparse's usage with every digit echoed."""
+    @pytest.mark.parametrize("digits,n", [("1" * 4301, 4301), ("1_" * 4300 + "1", 4301),
+                                          ("0" * 4301 + "3", 4302)],
+                             ids=["ones", "separated", "leading-zeros"])
+    def test_values_past_the_int_limit_are_refused_in_one_line(
+            self, runner, tmp_path, monkeypatch, no_reads, option, args, sign, digits, n):
+        """A value that ``int`` refuses only for its length: one line that names the
+        option and the count of digits (leading zeros count, ``_`` does not), not
+        argparse's usage with every digit echoed, before any input or output."""
         monkeypatch.chdir(tmp_path)
-        r = invoke(runner, *command, "--max-qubits", sign + "1" * 4301)
+        value = sign + digits
+        # argparse's negative-number pattern has no "_": -1_1 must follow "=".
+        given = [f"{option}={value}"] if value.startswith("-1_") else [option, value]
+        r = invoke(runner, *args, *given)
         assert (r.exit_code, r.stdout) == (2, "")
-        assert r.stderr == "--max-qubits: a value of 4301 digits is too long\n"
+        assert r.stderr == f"{option}: a value of {n} digits is too long\n"
         assert len(r.stderr.encode()) < 200
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("option,args", INTEGER_OPTIONS.values(), ids=INTEGER_OPTIONS)
+    @pytest.mark.parametrize("value", ["1" * 4300 + "x", "x", "+-1", "1__1", "_1"])
+    def test_other_invalid_integers_keep_the_usage_error(
+            self, runner, tmp_path, monkeypatch, no_reads, option, args, value):
+        from recliff.cli import _parser
+
+        monkeypatch.chdir(tmp_path)
+        r = invoke(runner, *args, option, value)
+        command = _parser().commands[args[0]]
+        if args[0] == "generate":
+            command = command.commands[args[1]]
+        rule = (f"{value!r} is not an integer >= 0" if option == "--max-qubits"
+                else f"invalid int value: {value!r}")
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == (f"{command.format_usage()}{command.prog}: error: "
+                            f"argument {option}: {rule}\n")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["compile", "verify"])
@@ -1080,11 +1119,13 @@ class TestGenerateSizeGuard:
     @pytest.mark.parametrize("args,message", [
         (["surface-code", "--distance", "1" * 2200],
          "2^64 or more qubits exceeds the limit of 32768"),
+        (["surface-code", "--distance", "1" * 4300],
+         "2^64 or more qubits exceeds the limit of 32768"),
         (["random-clifford", "--qubits", HUGE_TARGETS[0], "--entanglers", "2"],
          "2^64 or more qubits exceeds the limit of 32768"),
         (["random-clifford", "--qubits", "8", "--entanglers", HUGE_TARGETS[0]],
          "8 qubits and 2^64 or more entangler layers exceed the limit of 1048576 gates"),
-    ], ids=["distance", "qubits", "entanglers"])
+    ], ids=["distance", "distance-4300-digits", "qubits", "entanglers"])
     def test_counts_too_large_to_print_name_the_limit(self, runner, args, message):
         """An argument that Python parses but may not write back in decimal
         (4,300 digits; 2d^2 - 1 has about 4,400 for a 2,200-digit d) is worded
@@ -1092,44 +1133,10 @@ class TestGenerateSizeGuard:
         r = invoke(runner, "generate", *args)
         assert (r.exit_code, r.output) == (3, f"error: {message}\n")
 
-    @pytest.mark.parametrize("args,message", [
-        (["surface-code", "--distance", "1" * 4301],
-         "2^64 or more qubits exceeds the limit of 32768"),
-        (["surface-code", "--distance", "2" * 4301], "distance must be an odd integer >= 3"),
-        (["surface-code", "--distance", "-" + "1" * 4301],
-         "distance must be an odd integer >= 3"),
-        (["random-clifford", "--qubits", "1" * 4301, "--entanglers", "2"],
-         "2^64 or more qubits exceeds the limit of 32768"),
-        (["random-clifford", "--qubits", "8", "--entanglers", "1" * 4301],
-         "8 qubits and 2^64 or more entangler layers exceed the limit of 1048576 gates"),
-        (["random-clifford", "--qubits", "8", "--entanglers", "-" + "1" * 4301],
-         "entangler layer count must be non-negative"),
-    ], ids=["distance", "even distance", "negative distance", "qubits", "entanglers",
-            "negative entanglers"])
-    def test_counts_past_the_int_limit_name_the_limit(self, runner, args, message):
-        """A count that ``int`` refuses for its 4,301 digits gets the line that a
-        4,300-digit one gets, not argparse's usage and every digit echoed."""
-        r = invoke(runner, "generate", *args)
-        assert (r.exit_code, r.output) == (3, f"error: {message}\n")
-        assert len(r.output.encode()) < 200
-
-    def test_seed_past_the_int_limit_is_refused_in_one_line(self, runner, tmp_path):
-        out = tmp_path / "r.stim"
-        r = invoke(runner, "generate", "random-clifford", "--qubits", "8", "--entanglers", "2",
-                   "--seed", "1" * 4301, "-o", str(out))
-        assert (r.exit_code, r.output) == (2, "--seed: a value of 4301 digits is too long\n")
-        assert not out.exists()
+    def test_seed_of_4300_digits_is_a_seed(self, runner, tmp_path):
         with pytest.raises(self.Built):
             invoke(runner, "generate", "random-clifford", "--qubits", "8", "--entanglers", "2",
-                   "--seed", "1" * 4300, "-o", str(out))
-
-    @pytest.mark.parametrize("option", ["--qubits", "--seed"])
-    @pytest.mark.parametrize("value", ["1" * 4300 + "x", "x", "+-1"])
-    def test_other_invalid_integers_keep_the_usage_error(self, runner, option, value):
-        r = invoke(runner, "generate", "random-clifford", "--qubits", "8", "--entanglers", "2",
-                   option, value)
-        assert r.exit_code == 2
-        assert r.output.endswith(f"argument {option}: invalid int value: {value!r}\n")
+                   "--seed", "1" * 4300, "-o", str(tmp_path / "r.stim"))
 
     def test_invalid_distance_still_named(self, runner):
         r = invoke(runner, "generate", "surface-code", "--distance", "-200")
