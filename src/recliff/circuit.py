@@ -26,22 +26,21 @@ Qubit indices cross the text boundary through one table, ``str(q)`` for
 each q below some n and the dict back (:func:`_qubit_text`): on Python 3.11
 a dict lookup costs about a third of an ``int`` of the same digits, and
 indexing the tuple about half of formatting an ``int``.  The parser reads a
-layer at a time.  A layer of ``_BULK_LINES`` or more lines as :func:`emit`
-writes them, all of one arity, costs one regular-expression match, one split
-and one table map per target column for the whole layer (an ``int`` map for
-a column with a target the table lacks).  Any other layer is read line by
-line: a canonical line costs a partition, a gate-table lookup, a dict lookup
-per target (and an ``int`` for a target the table lacks) and an append per
-column, and any other line a split and an ``int`` per target.  :func:`emit` indexes the
-table per target, and ``compile --metadata`` writes its permutation from it.
-The parser and the compiler's stages skip the constructors' checks
-(:func:`_circuit`); the tableau checks each circuit the compiler builds once
-(:func:`tableau._checked`).
+layer at a time.  A layer of ``_BULK_LINES`` or more ASCII lines of one
+arity, each a gate name, one space and its targets, costs one split, a count
+of line starts per gate name and one table map per target column for the
+whole layer (an ``int`` map for a column with a target the table lacks).
+Any other layer is read line by line: a canonical line costs a partition, a
+gate-table lookup, a dict lookup per target (an ``int`` for one the table
+lacks) and an append per column, any other line a split and an ``int`` per
+target.  :func:`emit` indexes the table per target, and
+``compile --metadata`` writes its permutation from it.  The parser and the
+compiler's stages skip the constructors' checks (:func:`_circuit`); the
+tableau checks each compiled circuit once (:func:`tableau._checked`).
 """
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from itertools import chain, compress
 from operator import attrgetter, index, itemgetter
@@ -214,10 +213,10 @@ def parse(text: str) -> Circuit:
     Lines are split at ``"\\n"`` only.  Outside ``#`` comments the text must
     be ASCII, and qubit targets are ASCII decimal digits.  The text is read a
     layer at a time, a layer being the lines between whole ``TICK`` lines: a
-    layer of at least ``_BULK_LINES`` canonical lines of one arity (``NAME q``
-    or ``NAME a b``, single spaces) that reuses no qubit is read by
-    :func:`_read_layer`, and the runs of layers between such layers line by
-    line by :func:`_read_lines`, with the same result or error.
+    layer of at least ``_BULK_LINES`` lines of one arity, each starting with a
+    gate name and one space (``NAME q`` or ``NAME a b``), that reuses no qubit
+    is read by :func:`_read_layer`, and the runs of layers between such layers
+    line by line by :func:`_read_lines`, with the same result or error.
     """
     layers: list[list] = []
     useds: list[set[int]] = []
@@ -227,8 +226,7 @@ def parse(text: str) -> Circuit:
     lineno = 1  # the line at start
     for chunk in chunks:
         following = pos + len(chunk) + len(tick)
-        if (len(chunk) >= _BULK_CHARS and chunk.count("\n") + 1 >= _BULK_LINES
-                and (read := _read_layer(chunk))):
+        if len(chunk) >= _BULK_CHARS and (read := _read_layer(chunk)):
             if start < pos:
                 _read_lines(text[start:pos - len(tick)], lineno, layers, useds)
             layers.append(read[0])
@@ -272,50 +270,52 @@ def _decimals(qubits: Iterable[int], n: int) -> Iterator[str]:
     return map(text.__getitem__ if len(text) >= n else str, qubits)
 
 
-#: Fewest lines in a layer that :func:`parse` reads in bulk.  With column
-#: layers (Python 3.11, a shared 2-core Linux host) the bulk read alone took
-#: 2.2x the per-line loop's time at 2 lines and broke even at 16-20 lines of
-#: ``NAME q`` (12-16 of ``NAME a b``); in a whole parse, where a bulk layer
-#: also cuts the per-line run around it, at 32-48 (24 of ``NAME a b``).
+#: Fewest lines in a layer that :func:`parse` reads in bulk.  On Python 3.11
+#: (a shared 2-core Linux host) the bulk read alone took 2.3-3.7x the per-line
+#: loop's time at 2 lines and broke even at 16 lines of one gate name, 32 of
+#: ``NAME q`` with three names; whole parses of random 8-24 qubit texts took
+#: 1.11-1.25x as long with 16 and 0.99-1.05x with 24 as with 32.
 _BULK_LINES = 32
 _BULK_CHARS = 4 * _BULK_LINES - 1  # a canonical line takes 4 characters or more
 
-#: Per arity: the pattern of a layer of canonical lines (compiled on first
-#: use, not at import) and the gate names.
-_CANONICAL = {
-    arity: (rf"{line}(?:\n{line})*\n?",
-            frozenset(name for name, gate in _GATES.items() if gate.arity == arity))
-    for arity, line in ((1, "[A-Z_]+ [0-9]+"), (2, "[A-Z_]+ [0-9]+ [0-9]+"))
-}
+#: Per arity, the names of its gates, aliases included, to the gate.
+_OF_ARITY = {k: {name: gate for name, gate in _GATES.items() if gate.arity == k} for k in (1, 2)}
 
 
 def _read_layer(chunk: str) -> tuple[list, set[int]] | None:
-    """A layer of canonical lines of one arity as five columns, and its qubits:
-    one match, one split and one table map per target column (``int`` if the
-    table lacks a target); None for any other layer, which :func:`_read_lines`
-    then reads."""
-    for arity, (pattern, names_of_arity) in _CANONICAL.items():
-        if re.fullmatch(pattern, chunk):
-            break
-    else:
+    """A layer of ``_BULK_LINES`` or more ASCII lines of one arity as five
+    columns, and its qubits, from one split, a count of line starts per gate
+    name and a table map per target column (``int`` if the table lacks one);
+    else None.  Names are not digits and targets are, so if every line starts
+    with a name and a space and the tokens number arity + 1 per line, each
+    line holds one name and its targets, as :func:`_read_lines` reads them."""
+    lines = chunk.count("\n") + (not chunk.endswith("\n"))
+    if lines < _BULK_LINES or not chunk.isascii():
         return None
-    tokens, step = chunk.split(), arity + 1
-    names = tokens[::step]
-    if not names_of_arity.issuperset(names):
+    step, extra = divmod(len(tokens := chunk.split()), lines)
+    if extra or (gates := _OF_ARITY.get(step - 1)) is None:
         return None
+    one = chunk.count(f"\n{tokens[0]} ") == lines - 1  # every line starts as the first
+    names = {tokens[0]} if one else {*tokens[::step]}
+    if not (names <= gates.keys() and chunk.startswith(tokens[0] + " ") and (
+            one or sum(chunk.count(f"\n{name} ") for name in names) == lines - 1)):
+        return None
+    targets = [tokens[k::step] for k in range(1, step)]
     try:
         try:
-            columns = [[*map(_QUBIT_TEXT[1].__getitem__, tokens[k::step])] for k in range(1, step)]
-        except KeyError:  # a target the table lacks: a leading zero, or past the table
-            columns = [[*map(int, tokens[k::step])] for k in range(1, step)]
+            columns = [[*map(_QUBIT_TEXT[1].__getitem__, column)] for column in targets]
+        except KeyError:  # a leading zero, past the table, or not digits (int reads 1_0, -1)
+            if not "".join(map("".join, targets)).isdigit():
+                return None
+            columns = [[*map(int, column)] for column in targets]
     except ValueError:  # past sys.get_int_max_str_digits()
         return None
     used = set(chain.from_iterable(columns))
-    if len(used) != arity * len(names):  # a qubit reused, maybe within a pair
+    if len(used) != (step - 1) * lines:  # a qubit reused, maybe within a pair
         return None
-    half = [[_GATES[names[0]]] * len(names) if names.count(names[0]) == len(names)
-            else [*map(_GATES.__getitem__, names)], *columns]
-    return (half + [[], [], []] if arity == 1 else [[], [], *half]), used
+    half = [[gates[tokens[0]]] * lines if one else [*map(gates.__getitem__, tokens[::step])],
+            *columns]
+    return (half + [[], [], []] if step == 2 else [[], [], *half]), used
 
 
 def _read_lines(text: str, lineno: int, layers: list, useds: list) -> None:

@@ -489,6 +489,8 @@ _PERTURBATIONS = {
     "commented out": lambda line, q: "#" + line,
     "non-ASCII comment": lambda line, q: line + " # q\u00fcbit",
     "leading zeros": lambda line, q: line.replace(" ", " 00", 1),
+    "digit separator": lambda line, q: f"{line.split()[0]} {q}_0",
+    "signed": lambda line, q: f"{line.split()[0]} {'+-'[q % 2]}{q}",
     "CNOT": lambda line, q: line.replace("CX ", "CNOT ", 1),
     "another target": lambda line, q: f"{line} {q}",
     "another pair": lambda line, q: f"{line} {q} {q + 1}",
@@ -564,7 +566,8 @@ class TestCanonicalBranch:
 
 
 # Layers long enough for parse's bulk read: canonical lines of one arity on
-# distinct qubits, maybe with one line perturbed or a TICK-like line added.
+# distinct qubits, maybe with one line perturbed, a newline moved to a space
+# next to it, or a TICK-like line added.
 # A layer ends only at a whole TICK line, so "TICK 3", "XTICK 3" and "TICK "
 # inside a layer must not split it.
 
@@ -576,7 +579,7 @@ _TICK_LIKE = ("XTICK 3", "TICK 3", "TICK ")
 @st.composite
 def long_layer_texts(draw):
     """Text of one to three layers, each short or of _BULK_LINES to 80
-    lines, with perhaps one line perturbed or inserted."""
+    lines, with perhaps one line perturbed or inserted or one newline moved."""
     layers = []
     for _ in range(draw(st.integers(1, 3))):
         arity = draw(st.sampled_from([1, 2]))
@@ -585,10 +588,19 @@ def long_layer_texts(draw):
         lines = [" ".join([draw(st.sampled_from(_NAMES_OF_ARITY[arity])),
                            *map(str, qubits[arity * i:arity * (i + 1)])]) for i in range(size)]
         at = draw(st.integers(0, size - 1))
-        change = draw(st.one_of(st.none(), st.sampled_from([*_TICK_LIKE, *sorted(_PERTURBATIONS)])))
+        change = draw(st.one_of(st.none(), st.sampled_from(
+            [*_TICK_LIKE, "moved newline", *sorted(_PERTURBATIONS)])))
         if change in _TICK_LIKE:
             lines.insert(at, change)
-        elif change:
+        elif change == "moved newline" and size > 1:  # onto the space before or after it
+            i = min(at, size - 2)
+            if draw(st.booleans()):
+                lines[i], moved = lines[i].rsplit(" ", 1)
+                lines[i + 1] = f"{moved} {lines[i + 1]}"
+            else:
+                moved, lines[i + 1] = lines[i + 1].split(" ", 1)
+                lines[i] = f"{lines[i]} {moved}"
+        elif change in _PERTURBATIONS:
             lines[at] = _PERTURBATIONS[change](lines[at], draw(st.sampled_from(qubits)))
         layers.append("\n".join(lines))
     return "\nTICK\n".join(layers) + draw(st.sampled_from(["", "\n"]))
@@ -659,6 +671,35 @@ class TestLayerAtATime:
     def test_valid_variants_of_a_long_layer(self, text):
         got, want = parse(text), oracle_parse(text)
         assert (got.n, got.layers) == (want.n, want.layers)
+
+    @pytest.mark.parametrize("arity", [1, 2], ids=["H layer", "CX layer"])
+    @pytest.mark.parametrize("line", [
+        "H 1_0", "H +41", "H -41", "H \u0663", "H 041", "H  41", "H\t41", " H 41", "H 41\r", "",
+        "H 41 # c", "QUBIT_COORDS(1) 41", "H 41 42", "41 H", "CX 80", "CX 80 81 82 83",
+        "CNOT 80 81", "CX 80 80",
+    ])
+    def test_one_line_replaced(self, line, arity):
+        text = _long_layer(line, arity=arity)
+        assert outcome(parse, text) == outcome(oracle_parse, text)
+
+    @pytest.mark.parametrize("moved", ["CX 58\n59 CX 60 61", "CX 58 59 CX\n60 61"],
+                             ids=["to the space before", "to the space after"])
+    def test_newline_moved_within_the_layer(self, moved):
+        text = _long_layer("CX 58 59", arity=2).replace("CX 58 59\nCX 60 61", moved)
+        assert moved in text and outcome(parse, text) == outcome(oracle_parse, text)
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    @pytest.mark.parametrize("lines", [
+        lambda layer: layer.replace("\n", "\r\n"),
+        lambda layer: layer.replace(" ", "\t"),
+        lambda layer: "\n".join(line.replace(" ", "\t").replace("\t", " ", 1)
+                                for line in layer.split("\n")),
+    ], ids=["crlf", "tabs", "tabs between targets"])
+    def test_whole_layer_in_other_whitespace(self, lines, arity):
+        short, layer = _long_layer("H 29" if arity == 1 else "CX 58 59", arity=arity).split(
+            "\nTICK\n")
+        text = f"{short}\nTICK\n{lines(layer)}"
+        assert outcome(parse, text) == outcome(oracle_parse, text)
 
     def test_long_canonical_layers_are_read_in_bulk(self, monkeypatch):
         one = "\n".join(f"{('H', 'S', 'SQRT_X')[q % 3]} {q}" for q in range(_BULK_LINES))

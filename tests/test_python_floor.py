@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import recliff
-from recliff.circuit import _CANONICAL
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(recliff.__file__).resolve().parent
@@ -30,9 +29,3 @@ def test_newer_syntax_is_caught():
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
-
-def test_patterns_compile_at_the_floor():
-    # Possessive quantifiers and atomic groups came in with 3.11's re.
-    if declared_floor() < (3, 11):
-        for pattern, _ in _CANONICAL.values():
-            assert not re.search(r"[+*?}]\+|\(\?>", pattern), pattern
